@@ -27,7 +27,8 @@ from .model import (
     rhs_uncontrolled,
     running_cost,
 )
-from .integrate import TimeGrid, Trajectory, default_step, integrate_cost, rk4_backward, rk4_forward
+from .integrate import (TimeGrid, Trajectory, default_step, integrate_cost, rk4_adjoint,
+                        rk4_backward, rk4_forward, rk4_model)
 from .equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -106,8 +107,10 @@ __all__ = [
     "r0",
     "rhs_controlled",
     "rhs_uncontrolled",
+    "rk4_adjoint",
     "rk4_backward",
     "rk4_forward",
+    "rk4_model",
     "routh_hurwitz",
     "run_sweep",
     "running_cost",

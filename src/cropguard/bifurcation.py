@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .equilibria import coexistence, pest_free
 from .errors import BlowUpError, DegenerateParameterError, DomainError
-from .integrate import TimeGrid, default_step, rk4_forward
-from .model import _PARAM_FIELDS, ModelParams, State, check_state, vector_field
+from .integrate import TimeGrid, default_step, rk4_model
+from .model import _PARAM_FIELDS, ModelParams, State, check_state
 from .stability import Verdict, classify
 
 _NAN_STATE = State(math.nan, math.nan, math.nan, math.nan)
@@ -112,7 +112,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRow]:
             continue
         pf_verdict, star_verdicts = _verdicts(p)
         try:
-            traj = rk4_forward(vector_field(p), spec.initial_state, grid)
+            traj = rk4_model(p, spec.initial_state, grid)
         except BlowUpError:
             rows.append(SweepRow(value, _NAN_STATE, _NAN_STATE, pf_verdict, star_verdicts, failed=True))
             continue

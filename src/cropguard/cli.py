@@ -22,14 +22,8 @@ from typing import Iterable, Sequence, TextIO
 from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, CropguardError
-from .integrate import TimeGrid, default_step, rk4_forward
-from .model import (
-    _PARAM_FIELDS,
-    ModelParams,
-    ObjectiveWeights,
-    State,
-    vector_field,
-)
+from .integrate import TimeGrid, default_step, rk4_model
+from .model import _PARAM_FIELDS, ModelParams, ObjectiveWeights, State
 from .optimal_control import SweepOptions, solve
 from .stability import classify, r0
 
@@ -139,26 +133,24 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence]) 
         stream.write("\n")
 
 
-def _open_out(path: str | None):
+def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write CSV rows to ``path``, or to stdout when it is None or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        _write_csv(sys.stdout, header, rows)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        _write_csv(stream, header, rows)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
-    traj = rk4_forward(vector_field(cfg.params), cfg.y0, grid)
+    traj = rk4_model(cfg.params, cfg.y0, grid)
     times = traj.times()
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(
-            stream,
-            ("t", "X", "S", "I", "A"),
-            ((times[i], *traj.states[i]) for i in range(len(times))),
-        )
-    finally:
-        if owned:
-            stream.close()
+    _emit_csv(
+        args.out,
+        ("t", "X", "S", "I", "A"),
+        ((times[i], *traj.states[i]) for i in range(len(times))),
+    )
     return 0
 
 
@@ -182,16 +174,11 @@ def _equilibria_rows(cfg: RunConfig):
 
 
 def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(
-            stream,
-            ("kind", "X", "S", "I", "A", "residual", "verdict", "max_real_eig", "R0", "reason"),
-            _equilibria_rows(cfg),
-        )
-    finally:
-        if owned:
-            stream.close()
+    _emit_csv(
+        args.out,
+        ("kind", "X", "S", "I", "A", "residual", "verdict", "max_real_eig", "R0", "reason"),
+        _equilibria_rows(cfg),
+    )
     return 0
 
 
@@ -213,19 +200,14 @@ def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
                 *rep.rh_margins[3:],
             )
         )
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(
-            stream,
-            (
-                "kind", "X", "S", "I", "A", "verdict", "max_real_eig",
-                "pure_imaginary", "rh_stable", "C1", "C2", "C3", "C4", "H1", "H2",
-            ),
-            rows,
-        )
-    finally:
-        if owned:
-            stream.close()
+    _emit_csv(
+        args.out,
+        (
+            "kind", "X", "S", "I", "A", "verdict", "max_real_eig",
+            "pure_imaginary", "rh_stable", "C1", "C2", "C3", "C4", "H1", "H2",
+        ),
+        rows,
+    )
     return 0
 
 
@@ -259,19 +241,14 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 row.pest_free_verdict.value if row.pest_free_verdict else "",
                 ";".join(v.value for v in row.coexistence_verdicts),
             )
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(
-            stream,
-            (
-                "value", "X_min", "X_max", "S_min", "S_max", "I_min", "I_max",
-                "A_min", "A_max", "failed", "pest_free", "coexistence",
-            ),
-            cells(),
-        )
-    finally:
-        if owned:
-            stream.close()
+    _emit_csv(
+        args.out,
+        (
+            "value", "X_min", "X_max", "S_min", "S_max", "I_min", "I_max",
+            "A_min", "A_max", "failed", "pest_free", "coexistence",
+        ),
+        cells(),
+    )
     return 0
 
 
@@ -287,33 +264,23 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     sol = solve(cfg.params, cfg.weights, cfg.y0, opts)
     times = sol.states.times()
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(
-            stream,
-            ("t", "X", "S", "I", "A", "u1", "u2", "p1", "p2", "p3", "p4"),
+    _emit_csv(
+        args.out,
+        ("t", "X", "S", "I", "A", "u1", "u2", "p1", "p2", "p3", "p4"),
+        (
+            (times[i], *sol.states.states[i], *sol.controls[i], *sol.costates[i])
+            for i in range(len(times))
+        ),
+    )
+    if args.history_out:
+        _emit_csv(
+            args.history_out,
+            ("iter", "J", "control_change"),
             (
-                (times[i], *sol.states.states[i], *sol.controls[i], *sol.costates[i])
-                for i in range(len(times))
+                (float(i + 1), sol.objective_history[i], sol.change_history[i])
+                for i in range(sol.iterations_used)
             ),
         )
-    finally:
-        if owned:
-            stream.close()
-    if args.history_out:
-        hstream, howned = _open_out(args.history_out)
-        try:
-            _write_csv(
-                hstream,
-                ("iter", "J", "control_change"),
-                (
-                    (float(i + 1), sol.objective_history[i], sol.change_history[i])
-                    for i in range(sol.iterations_used)
-                ),
-            )
-        finally:
-            if howned:
-                hstream.close()
     if not sol.converged:
         print(
             f"sweep did not converge within {opts.max_iterations} iterations "

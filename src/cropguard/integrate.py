@@ -7,13 +7,17 @@ interpolation at the half-step points.  The objective functional is
 accumulated with the composite trapezoidal rule on the same grid.
 
 Fixed steps keep every run bit-for-bit reproducible; there is no
-adaptive error control here by design.  States travel through the hot
-loops as plain float tuples, which keeps a pure-Python RK4 step cheap
-enough for the long horizons used by the bifurcation sweeps.
+adaptive error control here by design.  ``rk4_model`` and
+``rk4_adjoint`` are the model's kernels: an unrolled RK4 step on four
+scalar locals over the positional fields of ``model``, with node and
+midpoint controls read from lists.  ``rk4_forward`` and ``rk4_backward``
+integrate any ``f(t, y)`` or ``g(t, p, s, u)``; on the model's fields
+the kernels reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError
-from .model import ObjectiveWeights, State
+from .model import ModelParams, ObjectiveWeights, State, adjoint_model, model_field
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
@@ -147,10 +151,8 @@ def rk4_forward(
     return Trajectory(grid, np.array(out, dtype=float))
 
 
-def _rows(arr: np.ndarray | Trajectory | None, n_nodes: int, what: str, width: int):
-    """Validate per-node data and return it as a list of float tuples."""
-    if arr is None:
-        return [(0.0,) * width] * n_nodes
+def _node_array(arr: np.ndarray | Trajectory, n_nodes: int, what: str) -> np.ndarray:
+    """Validate per-node data and return it as a 2-D float array."""
     if isinstance(arr, Trajectory):
         arr = arr.states
     a = np.asarray(arr, dtype=float)
@@ -158,7 +160,14 @@ def _rows(arr: np.ndarray | Trajectory | None, n_nodes: int, what: str, width: i
         raise GridMismatchError(
             f"{what} must have one row per grid node ({n_nodes}), got shape {a.shape}"
         )
-    return [tuple(row) for row in a.tolist()]
+    return a
+
+
+def _rows(arr: np.ndarray | Trajectory | None, n_nodes: int, what: str, width: int):
+    """Validate per-node data and return it as a list of float tuples."""
+    if arr is None:
+        return [(0.0,) * width] * n_nodes
+    return [tuple(row) for row in _node_array(arr, n_nodes, what).tolist()]
 
 
 def rk4_backward(
@@ -211,6 +220,111 @@ def rk4_backward(
             if not math.isfinite(v):
                 raise BlowUpError(t1 - h)
         out[j - 1] = p
+    return np.array(out, dtype=float)
+
+
+def rk4_model(
+    params: ModelParams,
+    y0: Sequence[float],
+    grid: TimeGrid,
+    u: np.ndarray | None = None,
+) -> Trajectory:
+    """Integrate the model over the grid with classical RK4.
+
+    ``u`` holds the controls (u1, u2), one row per node; the step from
+    node i samples node i, the midpoint of nodes i and i+1, and node
+    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
+    Results and errors equal those of ``rk4_forward`` on the matching
+    field bit for bit.
+    """
+    f = model_field(params)
+    n = grid.n_steps
+    y = tuple(float(v) for v in y0)
+    for v in y:
+        if not math.isfinite(v):
+            raise DomainError(f"initial state must be finite, got {y}")
+    if u is None:
+        controls = (itertools.repeat(1.0),) * 6
+    else:
+        u = _node_array(u, n + 1, "controls")
+        mid = 0.5 * (u[:-1] + u[1:])
+        controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
+                                          u[1:, 0], u[1:, 1])]
+    t0, h = grid.t0, grid.h
+    h2, h6 = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
+    X, S, I, A = y
+    out = [y]
+    # (u1, u2) at node i, (m1, m2) at the midpoint, (v1, v2) at node i+1
+    for i, u1, u2, m1, m2, v1, v2 in zip(range(n), *controls):
+        try:
+            aX, aS, aI, aA = f(X, S, I, A, u1, u2)
+            bX, bS, bI, bA = f(X + h2 * aX, S + h2 * aS, I + h2 * aI, A + h2 * aA, m1, m2)
+            cX, cS, cI, cA = f(X + h2 * bX, S + h2 * bS, I + h2 * bI, A + h2 * bA, m1, m2)
+            dX, dS, dI, dA = f(X + h * cX, S + h * cS, I + h * cI, A + h * cA, v1, v2)
+        except _ARITH_ERRORS as exc:
+            t = t0 + i * h
+            raise BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}") from exc
+        X = X + h6 * (aX + 2.0 * (bX + cX) + dX)
+        S = S + h6 * (aS + 2.0 * (bS + cS) + dS)
+        I = I + h6 * (aI + 2.0 * (bI + cI) + dI)
+        A = A + h6 * (aA + 2.0 * (bA + cA) + dA)
+        if not (isfinite(X) and isfinite(S) and isfinite(I) and isfinite(A)):
+            raise BlowUpError(t0 + i * h + h)
+        out.append((X, S, I, A))
+    return Trajectory(grid, np.array(out, dtype=float))
+
+
+def rk4_adjoint(
+    params: ModelParams,
+    w: ObjectiveWeights,
+    state_traj: Trajectory | np.ndarray,
+    u: np.ndarray,
+    grid: TimeGrid,
+) -> np.ndarray:
+    """Integrate the model's costates from p(tf) = 0 down to t0.
+
+    States and controls are sampled as ``rk4_backward`` samples them.
+    Results and errors equal those of ``rk4_backward`` on
+    ``adjoint_field(params, w)`` from a zero terminal costate bit for bit.
+    """
+    if isinstance(state_traj, Trajectory) and state_traj.grid != grid:
+        raise GridMismatchError("state trajectory was integrated on a different grid")
+    g = adjoint_model(params, w)
+    n = grid.n_steps
+    states = _node_array(state_traj, n + 1, "states")
+    nodes, mids = states.tolist(), (0.5 * (states[:-1] + states[1:])).tolist()
+    u1 = _node_array(u, n + 1, "controls")[:, 0]
+    u1_nodes, u1_mids = u1.tolist(), (0.5 * (u1[:-1] + u1[1:])).tolist()
+    t0, h = grid.t0, grid.h
+    h2, h6 = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
+    p1 = p2 = p3 = p4 = 0.0
+    out = [(p1, p2, p3, p4)] * (n + 1)
+    X1, S1, I1, A1 = nodes[n]
+    for j in range(n, 0, -1):
+        X, S, I, A = mids[j - 1]
+        X0, S0, I0, A0 = nodes[j - 1]
+        um = u1_mids[j - 1]
+        try:
+            a1, a2, a3, a4 = g(p1, p2, p3, p4, X1, S1, I1, A1, u1_nodes[j])
+            b1, b2, b3, b4 = g(p1 - h2 * a1, p2 - h2 * a2, p3 - h2 * a3, p4 - h2 * a4,
+                               X, S, I, A, um)
+            c1, c2, c3, c4 = g(p1 - h2 * b1, p2 - h2 * b2, p3 - h2 * b3, p4 - h2 * b4,
+                               X, S, I, A, um)
+            d1, d2, d3, d4 = g(p1 - h * c1, p2 - h * c2, p3 - h * c3, p4 - h * c4,
+                               X0, S0, I0, A0, u1_nodes[j - 1])
+        except _ARITH_ERRORS as exc:
+            t1 = t0 + j * h
+            raise BlowUpError(t1, f"adjoint integration failed at t = {t1:.6g}: {exc}") from exc
+        p1 = p1 - h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        p2 = p2 - h6 * (a2 + 2.0 * (b2 + c2) + d2)
+        p3 = p3 - h6 * (a3 + 2.0 * (b3 + c3) + d3)
+        p4 = p4 - h6 * (a4 + 2.0 * (b4 + c4) + d4)
+        if not (isfinite(p1) and isfinite(p2) and isfinite(p3) and isfinite(p4)):
+            raise BlowUpError(t0 + j * h - h)
+        out[j - 1] = (p1, p2, p3, p4)
+        X1, S1, I1, A1 = X0, S0, I0, A0
     return np.array(out, dtype=float)
 
 

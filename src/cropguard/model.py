@@ -16,14 +16,17 @@ The controlled variant scales the bio-pesticide activity term by ``u1``
 and the global awareness source by ``u2``, both in [0, 1].
 
 This module holds the parameter and state containers plus every
-right-hand side used elsewhere: the uncontrolled field, the controlled
-field, its Jacobian, the adjoint (costate) field of the optimal-control
-problem, and the running cost of the objective functional.  All
+right-hand side used elsewhere: the controlled field (the uncontrolled
+one is its u = (1, 1) case), its Jacobian, the adjoint (costate) field
+of the optimal-control problem, and the running cost of the objective
+functional.  Each field is written once as a positional function for
+the integration kernels, with ``f(t, y)``-style adapters over it.  All
 operations are pure functions evaluated in double precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -180,42 +183,19 @@ def check_state(s: Sequence[float], tol: float = POSITIVITY_TOL) -> State:
     return State(X, S, I, A)
 
 
-def vector_field(params: ModelParams) -> Callable[[float, Sequence[float]], tuple]:
-    """Return the uncontrolled field f(t, y) with y = (X, S, I, A).
-
-    Parameters are captured in locals so the closure stays cheap inside
-    fixed-step integration loops.
-    """
-    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
-
-    def f(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
-        X, S, I, A = y
-        crop = alpha * X / (c + X)
-        activity = lam * A / (a + A)
-        dX = r * X * (1.0 - X / K) - crop * S - phi * crop * I
-        dS = m1 * crop * S - activity * S - d * S
-        dI = m2 * phi * crop * I + activity * S - (d + delta) * I
-        dA = gamma + sigma * (S + I) - eta * A
-        return (dX, dS, dI, dA)
-
-    return f
-
-
-def controlled_vector_field(
-    params: ModelParams,
-    u_at: Callable[[float], Sequence[float]],
-) -> Callable[[float, Sequence[float]], tuple]:
-    """Return the controlled field f(t, y); ``u_at(t)`` supplies (u1, u2).
+@functools.lru_cache(maxsize=32)
+def model_field(params: ModelParams) -> Callable[..., tuple]:
+    """Return the controlled field as a positional f(X, S, I, A, u1, u2).
 
     u1 scales the bio-pesticide activity term in dS/dt and dI/dt, u2
-    scales the global awareness source in dA/dt.  At u = (1, 1) the
-    field coincides with the uncontrolled one exactly.
+    scales the global awareness source in dA/dt.  At u = (1, 1) it is
+    the uncontrolled field exactly (1.0 * x == x).  Parameters are
+    captured in locals so the closure stays cheap inside fixed-step
+    integration loops; one closure is kept per recent parameter set.
     """
     r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
 
-    def f(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
-        X, S, I, A = y
-        u1, u2 = u_at(t)
+    def f(X: float, S: float, I: float, A: float, u1: float, u2: float) -> tuple:
         crop = alpha * X / (c + X)
         activity = u1 * lam * A / (a + A)
         dX = r * X * (1.0 - X / K) - crop * S - phi * crop * I
@@ -227,11 +207,26 @@ def controlled_vector_field(
     return f
 
 
+def vector_field(params: ModelParams) -> Callable[[float, Sequence[float]], tuple]:
+    """Return the uncontrolled field f(t, y) with y = (X, S, I, A)."""
+    f = model_field(params)
+    return lambda t, y: f(*y, 1.0, 1.0)
+
+
+def controlled_vector_field(
+    params: ModelParams,
+    u_at: Callable[[float], Sequence[float]],
+) -> Callable[[float, Sequence[float]], tuple]:
+    """Return the controlled field f(t, y); ``u_at(t)`` supplies (u1, u2)."""
+    f = model_field(params)
+    return lambda t, y: f(*y, *u_at(t))
+
+
 def rhs_uncontrolled(params: ModelParams, s: Sequence[float]) -> tuple:
     """Time derivative (dX, dS, dI, dA) of the uncontrolled system."""
     X, S, I, A = s
     _require_finite(X, S, I, A)
-    return vector_field(params)(0.0, (X, S, I, A))
+    return model_field(params)(X, S, I, A, 1.0, 1.0)
 
 
 def rhs_controlled(params: ModelParams, s: Sequence[float], u: Sequence[float]) -> tuple:
@@ -241,7 +236,7 @@ def rhs_controlled(params: ModelParams, s: Sequence[float], u: Sequence[float]) 
     _require_finite(X, S, I, A, u1, u2)
     if not (-1e-12 <= u1 <= 1 + 1e-12 and -1e-12 <= u2 <= 1 + 1e-12):
         raise DomainError(f"controls must lie in [0, 1], got {(u1, u2)}")
-    return controlled_vector_field(params, lambda t: (u1, u2))(0.0, (X, S, I, A))
+    return model_field(params)(X, S, I, A, u1, u2)
 
 
 def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
@@ -271,29 +266,19 @@ def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
     ])
 
 
-def adjoint_field(
-    params: ModelParams,
-    w: ObjectiveWeights,
-) -> Callable[..., tuple]:
-    """Return the pointwise costate field g(t, p, s, u).
+@functools.lru_cache(maxsize=32)
+def adjoint_model(params: ModelParams, w: ObjectiveWeights) -> Callable[..., tuple]:
+    """Return the costate field as a positional g(p1, p2, p3, p4, X, S, I, A, u1).
 
-    The backward integrator supplies the state s and control u sampled
-    (by linear interpolation) along a stored forward trajectory.
-    Parameters and weights are captured in locals to keep per-call cost
-    low inside integration loops.
+    The field depends on the controls only through u1.  Parameters and
+    weights are captured in locals to keep per-call cost low inside
+    integration loops; one closure is kept per recent argument pair.
     """
     r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
     A1, A2 = w.A1, w.A2
 
-    def g(
-        t: float,
-        p: Sequence[float],
-        s: Sequence[float],
-        u: Sequence[float],
-    ) -> tuple[float, float, float, float]:
-        p1, p2, p3, p4 = p
-        X, S, I, A = s
-        u1, _u2 = u
+    def g(p1: float, p2: float, p3: float, p4: float,
+          X: float, S: float, I: float, A: float, u1: float) -> tuple:
         cx = c + X
         crop = alpha * X / cx
         crop_dX = alpha * c / (cx * cx)
@@ -315,6 +300,16 @@ def adjoint_field(
     return g
 
 
+def adjoint_field(params: ModelParams, w: ObjectiveWeights) -> Callable[..., tuple]:
+    """Return the pointwise costate field g(t, p, s, u).
+
+    The backward integrator supplies the state s and control u sampled
+    (by linear interpolation) along a stored forward trajectory.
+    """
+    g = adjoint_model(params, w)
+    return lambda t, p, s, u: g(*p, *s, u[0])
+
+
 def costate_rhs(
     params: ModelParams,
     s: Sequence[float],
@@ -332,7 +327,7 @@ def costate_rhs(
     p1, p2, p3, p4 = p
     u1, u2 = u
     _require_finite(X, S, I, A, p1, p2, p3, p4, u1, u2)
-    return adjoint_field(params, w)(0.0, (p1, p2, p3, p4), (X, S, I, A), (u1, u2))
+    return adjoint_model(params, w)(p1, p2, p3, p4, X, S, I, A, u1)
 
 
 def running_cost(s: Sequence[float], u: Sequence[float], w: ObjectiveWeights) -> float:

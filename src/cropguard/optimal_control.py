@@ -19,17 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_backward, rk4_forward
-from .model import (
-    ControlValue,
-    Costate,
-    ModelParams,
-    ObjectiveWeights,
-    State,
-    adjoint_field,
-    check_state,
-    controlled_vector_field,
-)
+from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_model
+from .model import ControlValue, Costate, ModelParams, ObjectiveWeights, State, check_state
 
 _PIN_TOL = 1e-12
 
@@ -93,31 +84,6 @@ def control_update(
     raw1 = (p.p2 - p.p3) * params.lam * s.A * s.S / (w.B1 * (params.a + s.A))
     raw2 = -p.p4 * params.gamma / w.B2
     return ControlValue(min(1.0, max(0.0, raw1)), min(1.0, max(0.0, raw2)))
-
-
-def _control_sampler(u: np.ndarray, grid: TimeGrid):
-    """Piecewise interpolant matching the RK4 stage times exactly.
-
-    Maps t to the node value at whole indices and to the adjacent-node
-    average at half indices, the same rule the backward pass applies to
-    states, so both passes see one consistent control signal.
-    """
-    t0, h, n = grid.t0, grid.h, grid.n_steps
-    mid = 0.5 * (u[:-1] + u[1:])
-
-    def u_at(t: float) -> tuple[float, float]:
-        k = int(round(2.0 * (t - t0) / h))
-        if k < 0:
-            k = 0
-        elif k > 2 * n:
-            k = 2 * n
-        if k % 2:
-            row = mid[(k - 1) // 2]
-        else:
-            row = u[k // 2]
-        return (row[0], row[1])
-
-    return u_at
 
 
 def _candidates(
@@ -202,19 +168,13 @@ def solve(
     if opts.freeze_u2:
         u[:, 1] = 0.0
 
-    g_adj = adjoint_field(params, w)
-    p_terminal = (0.0, 0.0, 0.0, 0.0)
     theta = opts.relaxation_theta
-
-    def forward(u_nodes: np.ndarray) -> Trajectory:
-        f = controlled_vector_field(params, _control_sampler(u_nodes, grid))
-        return rk4_forward(f, y0, grid)
 
     objective_history: list[float] = []
     change_history: list[float] = []
     converged = False
-    traj = forward(u)
-    costates = rk4_backward(g_adj, p_terminal, traj, u, grid)
+    traj = rk4_model(params, y0, grid, u)
+    costates = rk4_adjoint(params, w, traj, u, grid)
     iterations = 0
 
     def clipped_candidates() -> np.ndarray:
@@ -232,8 +192,8 @@ def solve(
         change = float(np.abs(u_new - u).max())
         change_history.append(change)
         u = u_new
-        traj = forward(u)
-        costates = rk4_backward(g_adj, p_terminal, traj, u, grid)
+        traj = rk4_model(params, y0, grid, u)
+        costates = rk4_adjoint(params, w, traj, u, grid)
         if change <= opts.tolerance * max(1.0, float(np.abs(u).max())):
             converged = True
             break
@@ -242,8 +202,8 @@ def solve(
     # 0/1 rather than a relaxation-limited distance away, then refresh the
     # state/costate pair for consistency with the returned controls.
     u = clipped_candidates()
-    traj = forward(u)
-    costates = rk4_backward(g_adj, p_terminal, traj, u, grid)
+    traj = rk4_model(params, y0, grid, u)
+    costates = rk4_adjoint(params, w, traj, u, grid)
     residual = _hinged_gradient(u, traj.states, costates, params, w,
                                 opts.freeze_u1, opts.freeze_u2)
     final_objective = integrate_cost(traj, u, w)

@@ -1,20 +1,32 @@
 """Grid construction, RK4 forward/backward, and the cost quadrature."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import make_random_params
 from cropguard.errors import BlowUpError, DomainError, GridMismatchError
 from cropguard.integrate import (
     TimeGrid,
     Trajectory,
     default_step,
     integrate_cost,
+    rk4_adjoint,
     rk4_backward,
     rk4_forward,
+    rk4_model,
 )
-from cropguard.model import ModelParams, ObjectiveWeights, State, vector_field
+from cropguard.model import (
+    ModelParams,
+    ObjectiveWeights,
+    State,
+    adjoint_field,
+    controlled_vector_field,
+    vector_field,
+)
 
 
 def _exp_decay(t, y):
@@ -143,6 +155,73 @@ class TestBackward:
             rk4_backward(g, (0.0,) * 4, fwd.states[:5], np.zeros((11, 2)), grid)
 
 
+def _stage_sampler(u: np.ndarray, grid: TimeGrid):
+    """u(t) for the generic integrator: node values at whole steps,
+    adjacent-node midpoints at half steps."""
+    mid = 0.5 * (u[:-1] + u[1:])
+
+    def u_at(t):
+        k = min(max(int(round(2.0 * (t - grid.t0) / grid.h)), 0), 2 * grid.n_steps)
+        row = mid[(k - 1) // 2] if k % 2 else u[k // 2]
+        return (row[0], row[1])
+
+    return u_at
+
+
+class TestModelKernels:
+    """The unrolled model kernels against the generic integrators as oracle."""
+
+    GRID = TimeGrid(0.0, 30.0, 600)
+    Y0 = State(0.2, 0.07, 0.05, 0.5)
+
+    @pytest.mark.parametrize("controls", ["random", "none", "frozen"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernels_equal_the_generic_path_bit_for_bit(self, controls, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams() if seed == 0 else make_random_params(rng)
+        w = ObjectiveWeights()
+        grid = self.GRID
+        u = rng.uniform(0.0, 1.0, size=(grid.n_steps + 1, 2))
+        if controls == "frozen":
+            u[:, 0] = 0.0
+        if controls == "none":
+            fwd = rk4_model(params, self.Y0, grid)
+            ref = rk4_forward(vector_field(params), self.Y0, grid)
+            u = np.ones_like(u)
+        else:
+            fwd = rk4_model(params, self.Y0, grid, u)
+            ref = rk4_forward(controlled_vector_field(params, _stage_sampler(u, grid)),
+                              self.Y0, grid)
+        assert np.array_equal(fwd.states, ref.states)
+        back = rk4_adjoint(params, w, fwd, u, grid)
+        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, ref, u, grid)
+        assert np.array_equal(back, back_ref)
+
+    def test_blowup_time_matches_the_generic_path(self):
+        params = ModelParams(r=8.0)
+        grid = TimeGrid.from_step(0.0, 100.0, 2.0)
+        with pytest.raises(BlowUpError) as generic:
+            rk4_forward(vector_field(params), self.Y0, grid)
+        with pytest.raises(BlowUpError) as kernel:
+            rk4_model(params, self.Y0, grid)
+        assert kernel.value.t == generic.value.t == pytest.approx(6.0)
+
+    def test_nonfinite_initial_state_rejected(self):
+        with pytest.raises(DomainError):
+            rk4_model(ModelParams(), (math.nan, 0.07, 0.05, 0.5), self.GRID)
+
+    def test_control_rows_must_match_the_grid(self):
+        params, w, grid = ModelParams(), ObjectiveWeights(), self.GRID
+        short = np.full((grid.n_steps, 2), 0.5)
+        with pytest.raises(GridMismatchError):
+            rk4_model(params, self.Y0, grid, short)
+        traj = rk4_model(params, self.Y0, grid)
+        with pytest.raises(GridMismatchError):
+            rk4_adjoint(params, w, traj, short, grid)
+        with pytest.raises(GridMismatchError):
+            rk4_adjoint(params, w, traj.states[:-1], np.full((grid.n_steps + 1, 2), 0.5), grid)
+
+
 class TestTrajectory:
     def test_node_access_and_final_state(self):
         traj = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), TimeGrid(0.0, 1.0, 4))
@@ -189,6 +268,13 @@ class TestIntegrateCost:
         u = np.tile([0.25, 0.75], (11, 1))
         traj = Trajectory(grid=grid, states=states, controls=u)
         assert integrate_cost(traj, None, w) == integrate_cost(traj, u, w)
+
+    def test_declared_numpy_floor_provides_trapezoid(self):
+        # integrate_cost and these tests call np.trapezoid, new in numpy 2.0
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        floor = re.search(r'"numpy>=([0-9.]+)"', pyproject)
+        assert floor is not None, "pyproject.toml declares no numpy floor"
+        assert tuple(int(v) for v in floor.group(1).split(".")) >= (2, 0)
 
     def test_missing_and_mismatched_controls_rejected(self):
         w = ObjectiveWeights()
