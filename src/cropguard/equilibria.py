@@ -5,14 +5,13 @@ Four families exist: the axial point (bare ground), the pest-free point
 surviving pest is infected), and coexistence points with all four
 components positive.
 
-The first three have closed forms.  Coexistence points are found by
-reducing the steady-state system to a scalar residual in the awareness
-level A: the susceptible-pest balance pins X*(A), the crop and
-awareness balances then give S*(A) and I*(A) linearly, and the leftover
-infected-pest balance h(A) is rooted by bracketed bisection.  The
-quartic that the reduction is sometimes collapsed to is kept only as a
-diagnostic because its printed coefficients do not withstand a residual
-check (see quartic_coefficients).
+The first three have closed forms.  Coexistence points come from a
+reduction to the awareness level A: the susceptible-pest balance pins
+X*(A), the crop and awareness balances then give S*(A) and I*(A)
+linearly, and the leftover infected-pest balance h(A), cleared of its
+denominators, is a quartic P(A) whose real roots are the candidate
+levels.  P is derived here from the balances; the coefficients printed
+in the paper do not withstand a residual check, so they are not used.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DegenerateParameterError, DomainError
 from .model import (
@@ -30,10 +31,6 @@ from .model import (
     attracting_region,
     rhs_uncontrolled,
 )
-
-# Bisection targets for the coexistence residual h(A).
-_ROOT_RESIDUAL_TOL = 1e-12
-_N_BRACKETS = 4096
 
 
 class EquilibriumKind(enum.Enum):
@@ -119,11 +116,16 @@ def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
     return _make(EquilibriumKind.SUSCEPTIBLE_FREE, params, (X, 0.0, I, A))
 
 
-def _coexistence_closed_forms(params: ModelParams):
-    """Return den(A), X*(A), S*(A), I*(A) and the scalar residual h(A).
+def _reduction(params: ModelParams):
+    """Coefficients (highest first) of the coexistence quartic and its pieces.
 
-    h(A) is the infected-pest balance evaluated on the reduced curve;
-    its admissible roots are the coexistence awareness levels.
+    The susceptible-pest balance pins crop uptake,
+    X/(c+X) = N(A)/(m1 alpha (a+A)) with N(A) = lam A + d (a+A), so
+    X*(A) = c N / den with den(A) = m1 alpha (a+A) - N.  The awareness
+    balance gives S + I = (eta A - gamma)/sigma and the crop balance
+    S + phi I = r (K-X)(c+X)/(alpha K), so den^2 S* and den^2 I* are
+    polynomials, and the infected-pest balance h(A) times (a+A) den^2 is
+    the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I*.
     """
     p = params
     if p.sigma == 0.0 or p.alpha == 0.0:
@@ -132,43 +134,18 @@ def _coexistence_closed_forms(params: ModelParams):
         )
     r, K, alpha, phi, c, a = p.r, p.K, p.alpha, p.phi, p.c, p.a
     lam, d, delta, m1, m2 = p.lam, p.d, p.delta, p.m1, p.m2
-    gamma, sigma, eta = p.gamma, p.sigma, p.eta
-    scale = sigma * alpha * K * (phi - 1.0)  # negative since phi < 1
-
-    def den(A: float) -> float:
-        return (m1 * alpha - d) * (a + A) - lam * A
-
-    def point_at(A: float) -> tuple[float, float, float]:
-        X = c * (lam * A + d * (a + A)) / den(A)
-        grow = r * (K - X) * (c + X)
-        lift = K * (eta * A - gamma)
-        S = (alpha * phi * lift - sigma * grow) / scale
-        I = (sigma * grow - alpha * lift) / scale
-        return X, S, I
-
-    def h(A: float) -> float:
-        X, S, I = point_at(A)
-        return (
-            m2 * phi * alpha * X * I / (c + X)
-            + lam * A * S / (a + A)
-            - (d + delta) * I
-        )
-
-    return den, point_at, h
-
-
-def _bisect(f: Callable[[float], float], x0: float, x1: float, f0: float, f1: float) -> float:
-    """Bisection of a bracketed sign change down to |f| < 1e-12."""
-    for _ in range(200):
-        xm = 0.5 * (x0 + x1)
-        fm = f(xm)
-        if abs(fm) < _ROOT_RESIDUAL_TOL or (x1 - x0) < 1e-15 * max(1.0, abs(xm)):
-            return xm
-        if (f0 < 0.0) != (fm < 0.0):
-            x1, f1 = xm, fm
-        else:
-            x0, f0 = xm, fm
-    return 0.5 * (x0 + x1)
+    a_plus = np.array([1.0, a])
+    N = np.array([lam + d, d * a])
+    den = m1 * alpha * a_plus - N
+    total = np.polymul([p.eta / p.sigma, -p.gamma / p.sigma], np.polymul(den, den))
+    crop = np.polymul(r * c * m1 * a_plus, K * den - c * N) / K
+    I_den2 = np.polysub(total, crop) / (1.0 - phi)
+    S_den2 = total - I_den2
+    P = np.polyadd(
+        np.polymul(m2 * phi / m1 * N - (d + delta) * a_plus, I_den2),
+        np.polymul([lam, 0.0], S_den2),
+    )
+    return P, N, den, S_den2, I_den2
 
 
 def coexistence(
@@ -177,18 +154,18 @@ def coexistence(
 ) -> list[Equilibrium]:
     """All admissible coexistence equilibria, sorted by awareness level.
 
-    The residual h(A) is scanned over 4096 uniform brackets (default
-    interval (1e-8, A_max] with A_max the containment bound started at
-    the carrying capacity); sign changes are refined by bisection to
-    |h| < 1e-12.  Only roots with a positive X* denominator and all
-    components >= 0 qualify.  Returns an empty list when no admissible
-    root exists.
+    The awareness levels are the real roots of the quartic P(A) (see
+    _reduction), taken with numpy.roots, polished by one Newton step on P
+    and kept in (0, A_max], with A_max the containment bound started at
+    the carrying capacity, or in ``search_bounds`` when given.  Only roots
+    with a positive X* denominator and all components >= 0 qualify.
+    Returns an empty list when no admissible root exists.
     """
-    den, point_at, h = _coexistence_closed_forms(params)
+    P, N, den, S_den2, I_den2 = _reduction(params)
 
     a_cap = attracting_region(params, params.K).A_max
     if search_bounds is None:
-        lo, hi = 1e-8, a_cap
+        lo, hi = 0.0, a_cap
     else:
         lo, hi = search_bounds
         if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
@@ -197,40 +174,18 @@ def coexistence(
             raise DomainError(
                 f"search upper bound {hi:.6g} exceeds the containment bound {a_cap:.6g}"
             )
-    if not hi > lo:
-        return []
 
-    # The X* denominator is linear in A, so it changes sign at most once;
-    # brackets straddling that pole are subdivided and only the side where
-    # X* can be positive is scanned.
-    slope = (params.m1 * params.alpha - params.d) - params.lam
-    pole = None
-    if slope != 0.0:
-        candidate = -(params.m1 * params.alpha - params.d) * params.a / slope
-        if lo < candidate < hi:
-            pole = candidate
-
-    edges = [lo + (hi - lo) * k / _N_BRACKETS for k in range(_N_BRACKETS + 1)]
+    dP = np.polyder(P)
     roots: list[float] = []
-
-    def scan(x0: float, x1: float) -> None:
-        if not x1 > x0 or den(x0) <= 0.0 or den(x1) <= 0.0:
-            return
-        f0, f1 = h(x0), h(x1)
-        if not (math.isfinite(f0) and math.isfinite(f1)):
-            return
-        if f0 == 0.0:
-            roots.append(x0)
-        elif (f0 < 0.0) != (f1 < 0.0):
-            roots.append(_bisect(h, x0, x1, f0, f1))
-
-    for x0, x1 in zip(edges, edges[1:]):
-        if pole is not None and x0 < pole < x1:
-            eps = 1e-12 * max(1.0, abs(pole))
-            scan(x0, pole - eps)
-            scan(pole + eps, x1)
-        else:
-            scan(x0, x1)
+    for z in np.roots(P):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
+            continue
+        A = float(z.real)
+        slope = float(np.polyval(dP, A))
+        if slope != 0.0:
+            A -= float(np.polyval(P, A)) / slope
+        if lo < A <= hi:
+            roots.append(A)
 
     out: list[Equilibrium] = []
     last_a = None
@@ -238,8 +193,14 @@ def coexistence(
         if last_a is not None and abs(A - last_a) <= 1e-9 * max(1.0, abs(A)):
             continue
         last_a = A
-        X, S, I = point_at(A)
-        if min(X, S, I) < -POSITIVITY_TOL or den(A) <= 0.0:
+        dn = float(np.polyval(den, A))
+        if dn <= 0.0:
+            continue
+        dn2 = dn * dn
+        X = params.c * float(np.polyval(N, A)) / dn
+        S = float(np.polyval(S_den2, A)) / dn2
+        I = float(np.polyval(I_den2, A)) / dn2
+        if min(X, S, I) < -POSITIVITY_TOL:
             continue
         out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))
     return out
@@ -261,62 +222,3 @@ def all_equilibria(params: ModelParams) -> list[Union[Equilibrium, Nonexistent]]
             Nonexistent(EquilibriumKind.COEXISTENCE, "no admissible root of the reduced residual")
         )
     return found
-
-
-def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, float, float]:
-    """The published quartic coefficients (D0..D4) for the awareness level.
-
-    Transcribed verbatim for diagnostic use only: evaluating this
-    quartic at the roots of the reduced residual h(A) generally does
-    not give zero, which is why the solver roots h(A) instead.  See
-    quartic_residuals.
-    """
-    p = params
-    pivot = p.phi * p.m2 - p.m1
-    if abs(pivot) <= 1e-14:
-        raise DegenerateParameterError("phi*m2 is within 1e-14 of m1; quartic undefined")
-    if p.alpha == 0.0 or p.m1 == 0.0 or p.sigma == 0.0 or p.r == 0.0:
-        raise DegenerateParameterError(
-            "quartic coefficients need alpha, m1, sigma, r all nonzero"
-        )
-    r, K, alpha, phi, c, a = p.r, p.K, p.alpha, p.phi, p.c, p.a
-    lam, d, delta, m1, m2 = p.lam, p.d, p.delta, p.m1, p.m2
-    gamma, sigma, eta = p.gamma, p.sigma, p.eta
-
-    d0 = m1 + (m1 * (d - delta) + lam * m1 * delta - phi * m2 * (d + lam)) / (alpha * pivot)
-    d1 = (
-        ((K - 2 * c) * m2 * phi * alpha + (3 * c - K) * delta) * (d + lam)
-        + alpha * (2 * c - K) * (d + lam + delta)
-    ) / (alpha**2 * m1 * pivot)
-    d2 = (
-        -m1 * lam * gamma
-        - (
-            (m1 * lam - m2 * phi * lam)
-            * (alpha**2 * m1 * K * gamma + sigma * r * (alpha * K * m1 - d))
-        )
-        / (sigma * m1 * alpha * pivot)
-        + (
-            ((d + delta) * m1 - m2 * phi * d) * (sigma * r * lam + alpha**2 * m1 * K * eta)
-        )
-        / (sigma * m1 * alpha * pivot)
-    )
-    d3 = (
-        ((d + delta) * m1 - m2 * phi * d)
-        * (alpha**2 * m1 * K * gamma + sigma * r * (alpha * K * m1 - d))
-    ) / (sigma * m1 * alpha * pivot)
-    d4 = (
-        a * c**2 * d**2 * (phi - 1.0)
-        + a * c * eta**2 * d * delta * (phi - 1.0)
-        + c**2 * d * sigma * r * delta * (d + lam)
-    ) / (sigma * r * m1 * pivot)
-    return (d0, d1, d2, d3, d4)
-
-
-def quartic_residuals(params: ModelParams, a_values: Sequence[float]) -> list[float]:
-    """Evaluate the published quartic at given awareness levels.
-
-    Cross-checks the printed coefficients against roots of h(A); large
-    values flag the discrepancy between the two.
-    """
-    d0, d1, d2, d3, d4 = quartic_coefficients(params)
-    return [(((d0 * A + d1) * A + d2) * A + d3) * A + d4 for A in a_values]

@@ -8,8 +8,8 @@ threshold R0 = alpha K / R separates stability of the pest-free state.
 
 The Hopf scan samples the attack rate alpha, recomputes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
-at each sample, brackets sign changes, refines them by bisection, and
-confirms each crossing with positivity side conditions plus a
+at each sample, brackets sign changes, bisects them to the width floor,
+and confirms each crossing with positivity side conditions plus a
 finite-difference transversality slope of the leading real part.
 """
 
@@ -34,7 +34,9 @@ logger = logging.getLogger(__name__)
 # definite sign; separates genuine Hopf loci from floating-point noise.
 EIG_TOL = 1e-9
 
-_PSI_TOL = 1e-10
+# A bisected Psi sign change counts as a crossing only when |Psi| at its
+# end is this small relative to the bracket ends.
+_PSI_REL_TOL = 1e-6
 _TRANSVERSALITY_EPS = 1e-4
 _TRANSVERSALITY_MIN_SLOPE = 1e-8
 
@@ -211,30 +213,34 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     )
 
 
-def _star_at(params: ModelParams, alpha: float, near: float | None) -> Equilibrium | None:
-    """Coexistence point at an overridden attack rate.
+def _star_char_at(
+    params: ModelParams, alpha: float, near: float | None
+) -> tuple[Equilibrium, CharPoly4] | None:
+    """Coexistence point at an overridden attack rate, with its char-poly.
 
     With several admissible points, prefer the one whose awareness level
     is nearest ``near`` (continuity along the scan); otherwise the
-    highest-awareness point.
+    highest-awareness point.  None when no admissible point exists.
     """
     try:
-        stars = coexistence(replace(params, alpha=alpha))
+        shifted = params_with_alpha(params, alpha)
+        stars = coexistence(shifted)
     except (DegenerateParameterError, DomainError):
         return None
     if not stars:
         return None
     if near is None:
-        return stars[-1]
-    return min(stars, key=lambda s: abs(s.point.A - near))
+        star = stars[-1]
+    else:
+        star = min(stars, key=lambda s: abs(s.point.A - near))
+    return star, char_poly(jacobian(shifted, star.point))
 
 
 def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:
-    star = _star_at(params, alpha, near)
-    if star is None:
+    at = _star_char_at(params, alpha, near)
+    if at is None:
         return None
-    roots = quartic_roots(*char_poly(jacobian(params_with_alpha(params, alpha), star.point)))
-    pairs = [z for z in roots if abs(z.imag) > EIG_TOL]
+    pairs = [z for z in quartic_roots(*at[1]) if abs(z.imag) > EIG_TOL]
     if not pairs:
         return None
     return max(z.real for z in pairs)
@@ -252,12 +258,14 @@ def hopf_scan(
     """Locate Hopf crossings of the coexistence point over an alpha range.
 
     Samples Psi(alpha) on a uniform grid, skips (and logs) samples where
-    no coexistence point exists, bisects each sign change to
-    |Psi| < 1e-10, and keeps candidates whose side conditions
-    (C2, C3, C4, C1C2-C3) are positive and whose central-difference
+    no coexistence point exists, and bisects each sign change until the
+    bracket is 1e-15 (relative) wide.  A crossing becomes a candidate when
+    |Psi| there is below 1e-6 of the larger bracket-end |Psi| (a jump
+    between coexistence branches is not a crossing), its side conditions
+    (C2, C3, C4, C1C2-C3) are positive, and its central-difference
     transversality slope of the leading complex pair exceeds 1e-8 in
-    magnitude.  Returns an empty list (with a logged diagnostic) when
-    the coexistence point exists nowhere in the range.
+    magnitude.  Returns an empty list (with a logged diagnostic) when the
+    coexistence point exists nowhere in the range.
     """
     lo, hi = alpha_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
@@ -265,17 +273,15 @@ def hopf_scan(
     if n_samples < 2:
         raise DomainError("need at least two samples")
 
-    alphas = np.linspace(lo, hi, n_samples)
     samples: list[tuple[float, float, float] | None] = []
     near: float | None = None
-    for alpha in alphas:
-        star = _star_at(params, float(alpha), near)
-        if star is None:
+    for alpha in np.linspace(lo, hi, n_samples):
+        at = _star_char_at(params, float(alpha), near)
+        if at is None:
             samples.append(None)
             continue
-        near = star.point.A
-        cp = char_poly(jacobian(params_with_alpha(params, float(alpha)), star.point))
-        samples.append((float(alpha), psi(cp), star.point.A))
+        near = at[0].point.A
+        samples.append((float(alpha), psi(at[1]), near))
 
     valid = [s for s in samples if s is not None]
     if not valid:
@@ -288,12 +294,6 @@ def hopf_scan(
     if n_skipped:
         logger.info("hopf_scan: %d of %d samples had no coexistence point", n_skipped, len(samples))
 
-    def psi_at(alpha: float, near_a: float | None) -> float | None:
-        star = _star_at(params, alpha, near_a)
-        if star is None:
-            return None
-        return psi(char_poly(jacobian(params_with_alpha(params, alpha), star.point)))
-
     out: list[HopfCandidate] = []
     for left, right in zip(samples, samples[1:]):
         if left is None or right is None:
@@ -302,28 +302,27 @@ def hopf_scan(
         a1, psi1, _ = right
         if psi0 == 0.0 or (psi0 < 0.0) == (psi1 < 0.0):
             continue
-        # bisect Psi(alpha) over the bracket
+        # bisect Psi(alpha) over the bracket down to the width floor
         x0, x1, f0 = a0, a1, psi0
-        x_star, f_star = x0, f0
-        for _ in range(200):
+        best = None
+        while x1 - x0 >= 1e-15 * max(1.0, x1):
             xm = 0.5 * (x0 + x1)
-            fm = psi_at(xm, near0)
-            if fm is None:
+            at = _star_char_at(params, xm, near0)
+            if at is None:
                 break
-            x_star, f_star = xm, fm
-            if abs(fm) < _PSI_TOL or (x1 - x0) < 1e-15 * max(1.0, xm):
+            fm = psi(at[1])
+            best = (xm, fm, *at)
+            if fm == 0.0:
                 break
             if (f0 < 0.0) != (fm < 0.0):
                 x1 = xm
             else:
                 x0, f0 = xm, fm
-        if abs(f_star) >= _PSI_TOL:
+        if best is None:
             continue
-        star = _star_at(params, x_star, near0)
-        if star is None:
+        x_star, f_star, star, (c1, c2, c3, c4) = best
+        if abs(f_star) >= _PSI_REL_TOL * max(abs(psi0), abs(psi1)):
             continue
-        cp = char_poly(jacobian(params_with_alpha(params, x_star), star.point))
-        c1, c2, c3, c4 = cp
         side = (c2, c3, c4, c1 * c2 - c3)
         if not all(v > 0.0 for v in side):
             continue

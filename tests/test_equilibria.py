@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_params
 from cropguard.equilibria import (
@@ -12,16 +14,42 @@ from cropguard.equilibria import (
     axial,
     coexistence,
     pest_free,
-    quartic_coefficients,
-    quartic_residuals,
     susceptible_free,
 )
 from cropguard.model import ModelParams, rhs_uncontrolled
 from cropguard.stability import params_with_alpha
+from published_quartic import quartic_coefficients, quartic_residuals
+from scan_oracle import scan_coexistence
 
 
 def _residual(params, point) -> float:
     return max(abs(v) for v in rhs_uncontrolled(params, point))
+
+
+@st.composite
+def admissible_params(draw) -> ModelParams:
+    """The ranges of conftest.make_random_params, drawn by hypothesis."""
+
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    m2 = uniform(0.05, 0.85)
+    return ModelParams(
+        r=uniform(0.01, 1.0),
+        K=uniform(0.1, 5.0),
+        alpha=uniform(0.005, 1.0),
+        phi=uniform(0.05, 0.95),
+        c=uniform(0.1, 5.0),
+        a=uniform(0.05, 5.0),
+        lam=uniform(0.001, 0.5),
+        d=uniform(0.001, 0.2),
+        delta=uniform(0.001, 0.5),
+        m1=m2 + uniform(0.02, 1.0 - m2),
+        m2=m2,
+        gamma=uniform(0.0, 0.05),
+        sigma=uniform(0.001, 0.2),
+        eta=uniform(0.001, 0.2),
+    )
 
 
 class TestBoundaryFamilies:
@@ -110,6 +138,50 @@ class TestCoexistence:
                 assert eq.residual_norm < 1e-10
                 assert _residual(p, eq.point) < 1e-10
         assert found > 20
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(admissible_params())
+    def test_quartic_roots_agree_with_the_bracket_scan(self, p):
+        # the scan stops bisecting at |h| < 1e-12, which on a flat h leaves
+        # its own root up to ~1e-9 off; a larger gap passes only when the
+        # quartic root is the better steady state
+        got = coexistence(p)
+        ref = scan_coexistence(p)
+        assert len(got) == len(ref)
+        for eq, want in zip(got, ref):
+            assert eq.residual_norm < 1e-10
+            gap = abs(eq.point.A - want.point.A) / want.point.A
+            assert gap <= 1e-9 or (gap <= 1e-6 and eq.residual_norm < want.residual_norm)
+
+    def test_polished_roots_are_steady_states_to_rounding(self):
+        # numpy.roots alone leaves a 7e-13 defect at draw 144; the Newton
+        # step on P keeps every defect below 3e-14
+        rng = np.random.default_rng(47)
+        found = 0
+        for _ in range(250):
+            for eq in coexistence(make_random_params(rng)):
+                found += 1
+                assert eq.residual_norm < 1e-13
+        assert found > 100
+
+    def test_near_vanishing_leading_coefficient(self):
+        # alpha m1 is within 4e-4 of lam + d, the slope of den(A), which
+        # enters P's leading coefficient squared (~4e-8): P is nearly cubic
+        # and its fourth root sits near A = -6e7.  The admissible root must
+        # still come back, where a Ferrari solve loses it
+        p = ModelParams(
+            r=0.7230323361425965, K=3.164606301195934, alpha=0.6055566112622778,
+            phi=0.13647167321119125, c=4.270017496426071, a=3.8660490104706255,
+            lam=0.48848776808284894, d=0.06976309916436702, delta=0.3425086684445438,
+            m1=0.922508557165949, m2=0.4438675401301252, gamma=0.03153314390378797,
+            sigma=0.1820405061262738, eta=0.08881797274728678,
+        )
+        assert abs(p.alpha * p.m1 - (p.lam + p.d)) < 4e-4
+        (eq,) = coexistence(p)
+        (ref,) = scan_coexistence(p)
+        assert eq.point.A == pytest.approx(1.8655512299990, rel=1e-12)
+        assert eq.point.A == pytest.approx(ref.point.A, rel=1e-9)
+        assert eq.residual_norm < 1e-12
 
     def test_search_bounds_restrict_the_scan(self, baseline):
         p = params_with_alpha(baseline, 0.06)

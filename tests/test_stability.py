@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import make_random_params
 from cropguard.equilibria import axial, coexistence, pest_free
@@ -19,6 +20,7 @@ from cropguard.stability import (
     r0,
     routh_hurwitz,
 )
+from scan_oracle import scan_coexistence
 
 
 class TestCharPoly:
@@ -172,6 +174,20 @@ class TestHopfScan:
         assert all(v > 0.0 for v in cand.side_conditions)
         lo, hi = cand.psi_values
         assert lo * hi <= 0.0
+
+    def test_crossing_matches_an_eigenvalue_reference(self, baseline):
+        # the reference roots the real part of the coexistence point's
+        # complex eigenvalue pair: points from the bracket-scan oracle,
+        # eigenvalues from numpy.linalg, the crossing from brentq
+        def pair_real(alpha):
+            p = params_with_alpha(baseline, alpha)
+            eigs = np.linalg.eigvals(jacobian(p, scan_coexistence(p)[-1].point))
+            return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
+
+        ref = brentq(pair_real, 0.8, 0.9, xtol=1e-14, rtol=1e-14)
+        candidates = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
+        assert len(candidates) == 1
+        assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-8)
 
     def test_no_crossing_in_the_weak_consumption_window(self, baseline):
         # the interior point only exists above alpha ~ 0.043 and stays
