@@ -122,14 +122,11 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
-
-
 def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Numeric cells are written as ``%.12g``, string cells as they are."""
     stream.write(",".join(header) + "\n")
     for row in rows:
-        stream.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        stream.write(",".join(cell if isinstance(cell, str) else "%.12g" % cell for cell in row))
         stream.write("\n")
 
 
@@ -145,11 +142,10 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
     traj = rk4_model(cfg.params, cfg.y0, grid)
-    times = traj.times()
     _emit_csv(
         args.out,
         ("t", "X", "S", "I", "A"),
-        ((times[i], *traj.states[i]) for i in range(len(times))),
+        zip(traj.times().tolist(), *traj.states.T.tolist()),
     )
     return 0
 
@@ -161,7 +157,7 @@ def _equilibria_rows(cfg: RunConfig):
             yield (eq.kind.value, "", "", "", "", "", "Nonexistent", "", "", eq.reason)
             continue
         report = classify(cfg.params, eq)
-        r0_cell = _fmt(threshold) if eq.kind is EquilibriumKind.PEST_FREE else ""
+        r0_cell = "%.12g" % threshold if eq.kind is EquilibriumKind.PEST_FREE else ""
         yield (
             eq.kind.value,
             *eq.point,
@@ -263,14 +259,12 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         freeze_u2=args.freeze_u2,
     )
     sol = solve(cfg.params, cfg.weights, cfg.y0, opts)
-    times = sol.states.times()
+    run = sol.states
     _emit_csv(
         args.out,
         ("t", "X", "S", "I", "A", "u1", "u2", "p1", "p2", "p3", "p4"),
-        (
-            (times[i], *sol.states.states[i], *sol.controls[i], *sol.costates[i])
-            for i in range(len(times))
-        ),
+        zip(run.times().tolist(), *run.states.T.tolist(), *run.controls.T.tolist(),
+            *run.costates.T.tolist()),
     )
     if args.history_out:
         _emit_csv(

@@ -19,8 +19,12 @@ This module holds the parameter and state containers plus every
 right-hand side used elsewhere: the controlled field (the uncontrolled
 one is its u = (1, 1) case), its Jacobian, the adjoint (costate) field
 of the optimal-control problem, and the running cost of the objective
-functional.  Each field is written once as a positional function for
-the integration kernels, with ``f(t, y)``-style adapters over it.  All
+functional.  The field is written once as a positional function for
+the integration kernels, with ``f(t, y)``-style adapters over it.  The
+costate field is affine in the costates; its coefficients are written
+once, as the negated transposed Jacobian plus the cost gradient, by
+``costate_matrix``, which works on arrays for the costate kernel and
+on floats for the pointwise ``adjoint_field`` and ``costate_rhs``.  All
 operations are pure functions evaluated in double precision.
 """
 
@@ -247,67 +251,60 @@ def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
     """
     X, S, I, A = s
     _require_finite(X, S, I, A)
-    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
+    J = np.zeros((4, 4))
+    for (i, j), value in _jacobian_entries(params, X, S, I, A, 1.0):
+        J[i, j] = value
+    return J
 
+
+def _jacobian_entries(params: ModelParams, X, S, I, A, u1) -> list:
+    """Nonzero entries ((row, column), value) of the controlled field's Jacobian.
+
+    Arguments are floats or arrays of one shape.  At u1 = 1 these are
+    the uncontrolled Jacobian's entries exactly (1.0 * x == x).
+    """
+    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
     cx = c + X
     crop = alpha * X / cx
     crop_dX = alpha * c / (cx * cx)
     aA = a + A
-    activity = lam * A / aA
-    activity_dA = lam * a / (aA * aA)
+    activity = u1 * lam * A / aA
+    activity_dA_S = u1 * lam * a / (aA * aA) * S
+    return [
+        ((0, 0), r * (1.0 - 2.0 * X / K) - crop_dX * S - phi * crop_dX * I),
+        ((0, 1), -crop), ((0, 2), -phi * crop),
+        ((1, 0), m1 * crop_dX * S), ((1, 1), m1 * crop - activity - d), ((1, 3), -activity_dA_S),
+        ((2, 0), m2 * phi * crop_dX * I), ((2, 1), activity),
+        ((2, 2), m2 * phi * crop - d - delta), ((2, 3), activity_dA_S),
+        ((3, 1), sigma), ((3, 2), sigma), ((3, 3), -eta),
+    ]
 
-    return np.array([
-        [r * (1.0 - 2.0 * X / K) - crop_dX * S - phi * crop_dX * I,
-         -crop, -phi * crop, 0.0],
-        [m1 * crop_dX * S, m1 * crop - activity - d, 0.0, -activity_dA * S],
-        [m2 * phi * crop_dX * I, activity, m2 * phi * crop - d - delta,
-         activity_dA * S],
-        [0.0, sigma, sigma, -eta],
-    ])
 
+def costate_matrix(params: ModelParams, w: ObjectiveWeights, X, S, I, A, u1) -> np.ndarray:
+    """The costate field dp/dt = M p + b as one matrix G acting on (p, 1).
 
-@functools.lru_cache(maxsize=32)
-def adjoint_model(params: ModelParams, w: ObjectiveWeights) -> Callable[..., tuple]:
-    """Return the costate field as a positional g(p1, p2, p3, p4, X, S, I, A, u1).
-
-    The field depends on the controls only through u1.  Parameters and
-    weights are captured in locals to keep per-call cost low inside
-    integration loops; one closure is kept per recent argument pair.
+    dp/dt = -dH/dx is affine in p: M = -J^T with J the Jacobian of the
+    field at control u1 (the field depends on the controls only through
+    u1), and b = (0, -2 A1 S, 0, 2 A2 A) is the negated gradient of the
+    running cost.  G = [[M, b], [0, 0]], so dp/dt = (G @ (p, 1))[:4] and
+    the affine maps of an integration step compose by matrix products.
+    Arguments are floats or arrays of one shape; G has shape (..., 5, 5).
     """
-    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
-    A1, A2 = w.A1, w.A2
-
-    def g(p1: float, p2: float, p3: float, p4: float,
-          X: float, S: float, I: float, A: float, u1: float) -> tuple:
-        cx = c + X
-        crop = alpha * X / cx
-        crop_dX = alpha * c / (cx * cx)
-        aA = a + A
-        activity = u1 * lam * A / aA
-        activity_dA_S = u1 * lam * a * S / (aA * aA)
-        dp1 = (p1 * (crop_dX * S + phi * crop_dX * I - r * (1.0 - 2.0 * X / K))
-               - p2 * m1 * crop_dX * S
-               - p3 * m2 * phi * crop_dX * I)
-        dp2 = (-2.0 * A1 * S + p1 * crop
-               + p2 * (activity - m1 * crop + d)
-               - p3 * activity - p4 * sigma)
-        dp3 = (p1 * phi * crop
-               + p3 * (d + delta - m2 * phi * crop)
-               - p4 * sigma)
-        dp4 = 2.0 * A2 * A + (p2 - p3) * activity_dA_S + p4 * eta
-        return (dp1, dp2, dp3, dp4)
-
-    return g
+    G = np.zeros((5, 5) + np.shape(X))  # entry-major: each entry is filled contiguously
+    for (i, j), value in _jacobian_entries(params, X, S, I, A, u1):
+        G[j, i] = -value
+    G[1, 4] = -2.0 * w.A1 * S
+    G[3, 4] = 2.0 * w.A2 * A
+    return np.moveaxis(G, (0, 1), (-2, -1))
 
 
-def adjoint_field(params: ModelParams, w: ObjectiveWeights) -> Callable[..., tuple]:
+def adjoint_field(params: ModelParams, w: ObjectiveWeights) -> Callable[..., np.ndarray]:
     """Return the pointwise costate field g(t, p, s, u).
 
     The backward integrator supplies the state s and control u sampled
     (by linear interpolation) along a stored forward trajectory.
     """
-    g = adjoint_model(params, w)
-    return lambda t, p, s, u: g(*p, *s, u[0])
+    return lambda t, p, s, u: costate_matrix(params, w, *s, u[0])[:4] @ (*p, 1.0)
 
 
 def costate_rhs(
@@ -327,7 +324,8 @@ def costate_rhs(
     p1, p2, p3, p4 = p
     u1, u2 = u
     _require_finite(X, S, I, A, p1, p2, p3, p4, u1, u2)
-    return adjoint_model(params, w)(p1, p2, p3, p4, X, S, I, A, u1)
+    G = costate_matrix(params, w, X, S, I, A, u1)
+    return tuple((G[:4] @ (p1, p2, p3, p4, 1.0)).tolist())
 
 
 def running_cost(s: Sequence[float], u: Sequence[float], w: ObjectiveWeights) -> float:

@@ -77,28 +77,30 @@ class SweepSolution:
         return self.final_objective
 
 
+def _stationary_controls(s, p, params: ModelParams, w: ObjectiveWeights) -> tuple:
+    """Unclipped minimizer (u1*, u2*) of the Hamiltonian: dH/du_i = B_i (u_i - u_i*).
+
+    ``s`` = (X, S, I, A) and ``p`` = (p1, p2, p3, p4) hold floats or per-node arrays.
+    """
+    _X, S, _I, A = s
+    _p1, p2, p3, p4 = p
+    return ((p2 - p3) * params.lam * A * S / (w.B1 * (params.a + A)),
+            -p4 * params.gamma / w.B2)
+
+
 def control_update(
     s: State, p: Costate, params: ModelParams, w: ObjectiveWeights
 ) -> ControlValue:
     """Pointwise minimizer of the Hamiltonian in (u1, u2), clipped to [0, 1]."""
-    raw1 = (p.p2 - p.p3) * params.lam * s.A * s.S / (w.B1 * (params.a + s.A))
-    raw2 = -p.p4 * params.gamma / w.B2
+    raw1, raw2 = _stationary_controls(s, p, params, w)
     return ControlValue(min(1.0, max(0.0, raw1)), min(1.0, max(0.0, raw2)))
 
 
 def _candidates(
     states: np.ndarray, costates: np.ndarray, params: ModelParams, w: ObjectiveWeights
 ) -> np.ndarray:
-    S = states[:, 1]
-    A = states[:, 3]
-    p2 = costates[:, 1]
-    p3 = costates[:, 2]
-    p4 = costates[:, 3]
-    out = np.empty((states.shape[0], 2))
-    out[:, 0] = np.clip((p2 - p3) * params.lam * A * S / (w.B1 * (params.a + A)), 0.0, 1.0)
-    out[:, 1] = np.clip(-p4 * params.gamma / w.B2, 0.0, 1.0)
-    out += 0.0  # normalizes -0.0 from clipped negatives
-    return out
+    raw = np.column_stack(_stationary_controls(states.T, costates.T, params, w))
+    return np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 normalizes -0.0 from clipped negatives
 
 
 def _hinged_gradient(
@@ -107,16 +109,12 @@ def _hinged_gradient(
 ) -> float:
     """Max hinged |dH/du| over nodes: one-sided at the bounds, zero contribution
     from a bound the gradient pushes against."""
-    S = states[:, 1]
-    A = states[:, 3]
-    p2, p3, p4 = costates[:, 1], costates[:, 2], costates[:, 3]
+    raw = _stationary_controls(states.T, costates.T, params, w)
     residual = 0.0
-    specs = []
-    if not freeze_u1:
-        specs.append((u[:, 0], w.B1 * u[:, 0] - (p2 - p3) * params.lam * A * S / (params.a + A)))
-    if not freeze_u2:
-        specs.append((u[:, 1], w.B2 * u[:, 1] + p4 * params.gamma))
-    for ui, g in specs:
+    for ui, star, B, frozen in zip(u.T, raw, (w.B1, w.B2), (freeze_u1, freeze_u2)):
+        if frozen:
+            continue
+        g = B * (ui - star)
         low = ui <= _PIN_TOL
         high = ui >= 1.0 - _PIN_TOL
         vals = np.abs(g)

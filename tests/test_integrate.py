@@ -2,10 +2,13 @@
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_params
 from cropguard.errors import BlowUpError, DomainError, GridMismatchError
@@ -155,6 +158,14 @@ class TestBackward:
             rk4_backward(g, (0.0,) * 4, fwd.states[:5], np.zeros((11, 2)), grid)
 
 
+# max|kernel - generic path| over max|p| allowed for the costate kernel
+ADJOINT_TOL = 1e-13
+
+
+def _adjoint_deviation(back: np.ndarray, back_ref: np.ndarray) -> float:
+    return float(np.abs(back - back_ref).max() / np.abs(back_ref).max())
+
+
 def _stage_sampler(u: np.ndarray, grid: TimeGrid):
     """u(t) for the generic integrator: node values at whole steps,
     adjacent-node midpoints at half steps."""
@@ -174,12 +185,10 @@ class TestModelKernels:
     GRID = TimeGrid(0.0, 30.0, 600)
     Y0 = State(0.2, 0.07, 0.05, 0.5)
 
-    @pytest.mark.parametrize("controls", ["random", "none", "frozen"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_kernels_equal_the_generic_path_bit_for_bit(self, controls, seed):
+    def _case(self, controls, seed):
+        """Kernel and generic-path forward runs on one parametrized case."""
         rng = np.random.default_rng(seed)
         params = ModelParams() if seed == 0 else make_random_params(rng)
-        w = ObjectiveWeights()
         grid = self.GRID
         u = rng.uniform(0.0, 1.0, size=(grid.n_steps + 1, 2))
         if controls == "frozen":
@@ -192,10 +201,64 @@ class TestModelKernels:
             fwd = rk4_model(params, self.Y0, grid, u)
             ref = rk4_forward(controlled_vector_field(params, _stage_sampler(u, grid)),
                               self.Y0, grid)
+        return params, u, fwd, ref
+
+    @pytest.mark.parametrize("controls", ["random", "none", "frozen"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernels_equal_the_generic_path_bit_for_bit(self, controls, seed):
+        _, _, fwd, ref = self._case(controls, seed)
         assert np.array_equal(fwd.states, ref.states)
-        back = rk4_adjoint(params, w, fwd, u, grid)
-        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, ref, u, grid)
-        assert np.array_equal(back, back_ref)
+
+    @pytest.mark.parametrize("controls", ["random", "none", "frozen"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adjoint_kernel_matches_the_generic_path(self, controls, seed):
+        # the kernel composes per-step affine maps instead of replaying the
+        # stage order, so it agrees with the generic path to rounding only
+        params, u, fwd, ref = self._case(controls, seed)
+        w = ObjectiveWeights()
+        back = rk4_adjoint(params, w, fwd, u, self.GRID)
+        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, ref, u, self.GRID)
+        assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
+
+    # Steps up to 0.1 day, ten times the optimizer's default.  Near h = 1
+    # the fastest random rates leave RK4's stability region, costates grow
+    # by up to 1e33 over 50 steps and both paths lose about 1e-13 of max|p|
+    # to rounding (against a long-double reference: kernel 1.1e-13,
+    # generic path 4.7e-14), so the bound would test the rounding, not
+    # the kernel.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64),
+           h=st.floats(0.001, 0.1))
+    @example(seed=0, n_steps=1, h=0.1)    # a single step, one block
+    @example(seed=1, n_steps=49, h=0.1)   # a perfect square: 7 full blocks
+    @example(seed=2, n_steps=50, h=0.1)   # 7 blocks of 8, the last one padded
+    @example(seed=3, n_steps=2100, h=0.01)  # maps built in three batches
+    def test_adjoint_kernel_matches_the_generic_path_on_random_input(self, seed, n_steps, h):
+        rng = np.random.default_rng(seed)
+        params = make_random_params(rng)
+        w = ObjectiveWeights(*rng.uniform([0.1, 0.1, 0.1, 0.1], [2000.0, 2000.0, 5.0, 5.0]))
+        grid = TimeGrid(1.0, 1.0 + n_steps * h, n_steps)
+        states = rng.uniform([0.05, 0.01, 0.01, 0.02], [3.0, 2.0, 2.0, 3.0],
+                             size=(n_steps + 1, 4))
+        u = rng.uniform(0.0, 1.0, size=(n_steps + 1, 2))
+        back = rk4_adjoint(params, w, states, u, grid)
+        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, states, u, grid)
+        assert back.shape == (n_steps + 1, 4)
+        assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
+
+    @pytest.mark.parametrize("k", [0, 17, 49])
+    def test_adjoint_blowup_names_the_first_nonfinite_node(self, k):
+        # X = -c zeroes c + X at node k; the step from node k+1 is the
+        # first to use it, so p_k is the first non-finite costate
+        params, grid = ModelParams(), TimeGrid(2.0, 12.0, 50)
+        states = np.tile(self.Y0, (grid.n_steps + 1, 1))
+        states[k, 0] = -params.c
+        u = np.full((grid.n_steps + 1, 2), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as info:
+                rk4_adjoint(params, ObjectiveWeights(), states, u, grid)
+        assert info.value.t == pytest.approx(grid.t0 + k * grid.h, rel=1e-15)
 
     def test_blowup_time_matches_the_generic_path(self):
         params = ModelParams(r=8.0)
