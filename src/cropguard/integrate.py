@@ -291,8 +291,10 @@ def rk4_adjoint(
 
     States and controls are sampled as ``rk4_backward`` samples them.
     The costate field is affine in p, so the RK4 step from node j is an
-    exact affine map, a 5x5 matrix T_j acting on (p_j, 1), built from
-    ``costate_matrix`` at the nodes and midpoints.  The result matches
+    exact affine map, a 5x5 matrix T_j acting on (p_j, 1).  The maps are
+    built in batches of steps, each from ``costate_matrix`` at its own
+    nodes and midpoints, and written in place into the block-padded
+    array that ``_solve_backward`` walks.  The result matches
     ``rk4_backward`` on ``adjoint_field(params, w)`` from p(tf) = 0 to
     rounding, not bit for bit, as terms are summed in another order
     (the tests allow 1e-13 of max|p|).  A non-finite costate raises a
@@ -304,57 +306,56 @@ def rk4_adjoint(
     states = _node_array(state_traj, n + 1, "states")
     u1 = _node_array(u, n + 1, "controls")[:, 0]
     h = grid.h
+    L = math.isqrt(n - 1) + 1
+    pad = -n % L
+    eye = np.eye(5)
+    # blocks of L = ceil(sqrt(n)) steps; T[pad + j] maps the costate at node
+    # j+1 to node j, and identity maps below node 0 fill the lowest block
+    T = np.empty((n + pad, 5, 5))
+    T[:pad] = eye
     with np.errstate(all="ignore"):
-        # rows 0..n sample the nodes, rows n+1..2n the midpoints between them
-        s = np.concatenate((states, 0.5 * (states[:-1] + states[1:])))
-        v = np.concatenate((u1, 0.5 * (u1[:-1] + u1[1:])))
-        G = costate_matrix(params, w, *s.T, v)
-        eye = np.eye(5)
-        T = np.empty((n, 5, 5))
         for a in range(0, n, _MAP_CHUNK):
-            # step j reads node j (G1[j-1], its first stage), the midpoint and node j-1
-            G0, G1, Gh = (g[a:a + _MAP_CHUNK] for g in (G[:n], G[1:n + 1], G[n + 1:]))
+            b = min(a + _MAP_CHUNK, n)
+            # rows 0..b-a sample nodes a..b, the rest the midpoints between them
+            s = np.concatenate((states[a:b + 1], 0.5 * (states[a:b] + states[a + 1:b + 1])))
+            v = np.concatenate((u1[a:b + 1], 0.5 * (u1[a:b] + u1[a + 1:b + 1])))
+            G = costate_matrix(params, w, *s.T, v)
+            # the step into node j reads node j+1 (its first stage), the midpoint and node j
+            G0, G1, Gh = G[:b - a], G[1:b - a + 1], G[b - a + 1:]
             k2 = Gh @ (eye - 0.5 * h * G1)
             k3 = Gh @ (eye - 0.5 * h * k2)
             k4 = G0 @ (eye - h * k3)
-            T[a:a + _MAP_CHUNK] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
-        p = _solve_backward(T)
+            T[pad + a:pad + b] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
+        p = _solve_backward(T.reshape(-1, L, 5, 5))[pad:]
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
     if bad.size:
         raise BlowUpError(grid.t0 + bad[-1] * h)
     return p
 
 
-def _solve_backward(T: np.ndarray) -> np.ndarray:
-    """Solve x_{j-1} = T[j-1] x_j, j = n..1, from x_n = (0, 0, 0, 0, 1).
+def _solve_backward(steps: np.ndarray) -> np.ndarray:
+    """Solve x_k = T_k x_{k+1}, k = K-1..0, from x_K = (0, 0, 0, 0, 1).
 
-    Returns the first four components of x_0..x_n, one row per node.
-    The steps, from the top, are cut into blocks of L = ceil(sqrt(n)),
-    the last one padded with identity maps.  Pass 1 composes each
-    block's map, vectorized across blocks; a loop over the blocks
-    carries the value from each block to the next; pass 2 applies the
-    maps inside all blocks at once, starting from their entry values.
+    ``steps`` holds T_0..T_{K-1} cut into blocks of equal length, shape
+    (blocks, L, 5, 5).  Returns the first four components of x_0..x_K,
+    one row per node.  Pass 1 composes each block's map, vectorized
+    across blocks; a loop from the top block down carries the value
+    from each block to the next; pass 2 applies the maps inside all
+    blocks at once, from the top of each block down.
     """
-    n = len(T)
-    L = math.isqrt(n - 1) + 1
-    blocks = -(-n // L)
-    steps = np.empty((blocks * L, 5, 5))
-    steps[:n] = T[::-1]
-    steps[n:] = np.eye(5)
-    steps = steps.reshape(blocks, L, 5, 5)
-    composite = steps[:, 0]
-    for i in range(1, L):
+    blocks, L = steps.shape[:2]
+    composite = steps[:, -1]
+    for i in range(L - 2, -1, -1):
         composite = steps[:, i] @ composite
     entry = np.empty((blocks, 5, 1))
-    entry[0] = [[0.0], [0.0], [0.0], [0.0], [1.0]]
-    for b in range(1, blocks):
-        entry[b] = composite[b - 1] @ entry[b - 1]
-    x = np.empty((blocks, L, 5, 1))
-    for i in range(L):
-        entry = x[:, i] = steps[:, i] @ entry
-    p = np.zeros((n + 1, 4))
-    p[n - 1::-1] = x.reshape(blocks * L, 5)[:n, :4]
-    return p
+    entry[-1] = [[0.0], [0.0], [0.0], [0.0], [1.0]]
+    for b in range(blocks - 2, -1, -1):
+        entry[b] = composite[b + 1] @ entry[b + 1]
+    x = np.zeros((blocks * L + 1, 5, 1))
+    inner = x[:-1].reshape(blocks, L, 5, 1)
+    for i in range(L - 1, -1, -1):
+        entry = inner[:, i] = steps[:, i] @ entry
+    return x[:, :4, 0]
 
 
 def integrate_cost(

@@ -13,7 +13,8 @@ an exact interior optimum and is one-sided at the control bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ _PIN_TOL = 1e-12
 class SweepOptions:
     """Iteration knobs for the forward-backward sweep.
 
-    ``initial_controls`` of None starts from the interior guess
-    u = (0.5, 0.5) at every node, avoiding dead clamps on the first
-    backward pass.  ``freeze_u1``/``freeze_u2`` pin a control channel
+    ``initial_controls`` holds one (u1, u2) row per grid node; None
+    starts from the interior guess u = (0.5, 0.5) at every node,
+    avoiding dead clamps on the first backward pass.  ``freeze_u1``/``freeze_u2`` pin a control channel
     to zero throughout (it is excluded from updates, convergence
     measurement, and the stationarity residual).
     """
@@ -59,11 +60,15 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class SweepSolution:
-    """Converged (or best-effort) sweep iterate with certificates."""
+    """Converged (or best-effort) sweep iterate with certificates.
+
+    The controls and costates are stored once, as the (n+1, 2) and
+    (n+1, 4) arrays ``states.controls`` and ``states.costates``.
+    ``controls`` and ``costates`` are read-only tuples of
+    ``ControlValue`` / ``Costate`` rows over them, built on first access.
+    """
 
     states: Trajectory
-    costates: tuple[Costate, ...]
-    controls: tuple[ControlValue, ...]
     objective_history: tuple[float, ...]
     change_history: tuple[float, ...]
     iterations_used: int
@@ -73,8 +78,13 @@ class SweepSolution:
     freeze_u1: bool = False
     freeze_u2: bool = False
 
-    def objective(self) -> float:
-        return self.final_objective
+    @cached_property
+    def controls(self) -> tuple[ControlValue, ...]:
+        return tuple(map(ControlValue._make, self.states.controls.tolist()))
+
+    @cached_property
+    def costates(self) -> tuple[Costate, ...]:
+        return tuple(map(Costate._make, self.states.costates.tolist()))
 
 
 def _stationary_controls(s, p, params: ModelParams, w: ObjectiveWeights) -> tuple:
@@ -97,40 +107,40 @@ def control_update(
 
 
 def _candidates(
-    states: np.ndarray, costates: np.ndarray, params: ModelParams, w: ObjectiveWeights
+    states: np.ndarray, costates: np.ndarray, params: ModelParams, w: ObjectiveWeights,
+    free: np.ndarray,
 ) -> np.ndarray:
+    """Clipped minimizers per node, zero in the channels that ``free`` marks 0."""
     raw = np.column_stack(_stationary_controls(states.T, costates.T, params, w))
-    return np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 normalizes -0.0 from clipped negatives
+    return (np.clip(raw, 0.0, 1.0) + 0.0) * free  # + 0.0 normalizes -0.0 from clipped negatives
 
 
 def _hinged_gradient(
     u: np.ndarray, states: np.ndarray, costates: np.ndarray,
-    params: ModelParams, w: ObjectiveWeights, freeze_u1: bool, freeze_u2: bool,
+    params: ModelParams, w: ObjectiveWeights, free: np.ndarray,
 ) -> float:
-    """Max hinged |dH/du| over nodes: one-sided at the bounds, zero contribution
-    from a bound the gradient pushes against."""
-    raw = _stationary_controls(states.T, costates.T, params, w)
-    residual = 0.0
-    for ui, star, B, frozen in zip(u.T, raw, (w.B1, w.B2), (freeze_u1, freeze_u2)):
-        if frozen:
-            continue
-        g = B * (ui - star)
-        low = ui <= _PIN_TOL
-        high = ui >= 1.0 - _PIN_TOL
-        vals = np.abs(g)
-        vals = np.where(low, np.maximum(0.0, -g), vals)
-        vals = np.where(high, np.maximum(0.0, g), vals)
-        residual = max(residual, float(vals.max()))
-    return residual
+    """Max hinged |dH/du| over nodes and the channels that ``free`` marks 1:
+    one-sided at the bounds, zero contribution from a bound the gradient
+    pushes against."""
+    star = np.column_stack(_stationary_controls(states.T, costates.T, params, w))
+    g = (w.B1, w.B2) * (u - star)
+    vals = np.where(u <= _PIN_TOL, np.maximum(0.0, -g),
+                    np.where(u >= 1.0 - _PIN_TOL, np.maximum(0.0, g), np.abs(g)))
+    return max(0.0, float((vals * free).max()))  # max(0.0, -0.0) is 0.0
+
+
+def _free_mask(freeze_u1: bool, freeze_u2: bool) -> np.ndarray:
+    """1 for each control channel the sweep updates, 0 for a frozen one."""
+    return np.array([not freeze_u1, not freeze_u2], dtype=float)
 
 
 def stationarity_residual(
     sol: SweepSolution, params: ModelParams, w: ObjectiveWeights
 ) -> float:
     """Recompute the hinged Hamiltonian-gradient certificate of a solution."""
-    u = np.asarray(sol.controls, dtype=float)
-    p = np.asarray(sol.costates, dtype=float)
-    return _hinged_gradient(u, sol.states.states, p, params, w, sol.freeze_u1, sol.freeze_u2)
+    run = sol.states
+    return _hinged_gradient(run.controls, run.states, run.costates, params, w,
+                            _free_mask(sol.freeze_u1, sol.freeze_u2))
 
 
 def solve(
@@ -149,49 +159,42 @@ def solve(
     y0 = State(*map(float, y0))
     check_state(y0)
     n_nodes = grid.n_steps + 1
+    free = _free_mask(opts.freeze_u1, opts.freeze_u2)
 
     if opts.initial_controls is None:
         u = np.full((n_nodes, 2), 0.5)
     else:
-        u = np.array([(c[0], c[1]) for c in opts.initial_controls], dtype=float)
+        try:
+            u = np.asarray(opts.initial_controls, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GridMismatchError(
+                f"initial_controls must be {n_nodes} rows of (u1, u2): {exc}"
+            ) from exc
         if u.shape != (n_nodes, 2):
             raise GridMismatchError(
-                f"initial_controls must supply {n_nodes} nodes, got shape {u.shape}"
+                f"initial_controls must have shape ({n_nodes}, 2), got {u.shape}"
             )
         if not np.isfinite(u).all() or u.min() < -_PIN_TOL or u.max() > 1.0 + _PIN_TOL:
             raise DomainError("initial controls must be finite and lie in [0, 1]")
         u = np.clip(u, 0.0, 1.0)
-    if opts.freeze_u1:
-        u[:, 0] = 0.0
-    if opts.freeze_u2:
-        u[:, 1] = 0.0
+    u = u * free
+
+    def forward_backward(u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
+        traj = rk4_model(params, y0, grid, u)
+        return traj, rk4_adjoint(params, w, traj, u, grid)
 
     theta = opts.relaxation_theta
-
     objective_history: list[float] = []
     change_history: list[float] = []
     converged = False
-    traj = rk4_model(params, y0, grid, u)
-    costates = rk4_adjoint(params, w, traj, u, grid)
-    iterations = 0
-
-    def clipped_candidates() -> np.ndarray:
-        cand = _candidates(traj.states, costates, params, w)
-        if opts.freeze_u1:
-            cand[:, 0] = 0.0
-        if opts.freeze_u2:
-            cand[:, 1] = 0.0
-        return cand
-
+    traj, costates = forward_backward(u)
     for _ in range(opts.max_iterations):
-        iterations += 1
         objective_history.append(integrate_cost(traj, u, w))
-        u_new = u + theta * (clipped_candidates() - u)
+        u_new = u + theta * (_candidates(traj.states, costates, params, w, free) - u)
         change = float(np.abs(u_new - u).max())
         change_history.append(change)
         u = u_new
-        traj = rk4_model(params, y0, grid, u)
-        costates = rk4_adjoint(params, w, traj, u, grid)
+        traj, costates = forward_backward(u)
         if change <= opts.tolerance * max(1.0, float(np.abs(u).max())):
             converged = True
             break
@@ -199,26 +202,16 @@ def solve(
     # Snap to the exact pointwise minimizer so bound-clamped nodes sit at
     # 0/1 rather than a relaxation-limited distance away, then refresh the
     # state/costate pair for consistency with the returned controls.
-    u = clipped_candidates()
-    traj = rk4_model(params, y0, grid, u)
-    costates = rk4_adjoint(params, w, traj, u, grid)
-    residual = _hinged_gradient(u, traj.states, costates, params, w,
-                                opts.freeze_u1, opts.freeze_u2)
-    final_objective = integrate_cost(traj, u, w)
-    controls = tuple(ControlValue(float(a), float(b)) for a, b in u)
-    costate_rows = tuple(Costate(*map(float, row)) for row in costates)
-    states = Trajectory(grid=grid, states=traj.states, controls=u.copy(),
-                        costates=np.asarray(costates))
+    u = _candidates(traj.states, costates, params, w, free)
+    traj, costates = forward_backward(u)
     return SweepSolution(
-        states=states,
-        costates=costate_rows,
-        controls=controls,
+        states=Trajectory(grid, traj.states, u, costates),
         objective_history=tuple(objective_history),
         change_history=tuple(change_history),
-        iterations_used=iterations,
+        iterations_used=len(change_history),
         converged=converged,
-        stationarity_residual=residual,
-        final_objective=final_objective,
+        stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
+        final_objective=integrate_cost(traj, u, w),
         freeze_u1=opts.freeze_u1,
         freeze_u2=opts.freeze_u2,
     )

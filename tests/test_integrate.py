@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from conftest import make_random_params
 from cropguard.errors import BlowUpError, DomainError, GridMismatchError
@@ -27,6 +28,7 @@ from cropguard.model import (
     ObjectiveWeights,
     State,
     adjoint_field,
+    attracting_region,
     controlled_vector_field,
     vector_field,
 )
@@ -283,6 +285,72 @@ class TestModelKernels:
             rk4_adjoint(params, w, traj, short, grid)
         with pytest.raises(GridMismatchError):
             rk4_adjoint(params, w, traj.states[:-1], np.full((grid.n_steps + 1, 2), 0.5), grid)
+
+
+def _oracle_field(p: ModelParams, u_at):
+    """The controlled field for scipy, written out apart from cropguard.model."""
+
+    def f(t, y):
+        X, S, I, A = y
+        u1, u2 = u_at(t)
+        crop = p.alpha * X / (p.c + X)
+        activity = u1 * p.lam * A / (p.a + A)
+        return [p.r * X * (1.0 - X / p.K) - crop * (S + p.phi * I),
+                p.m1 * crop * S - activity * S - p.d * S,
+                p.m2 * p.phi * crop * I + activity * S - (p.d + p.delta) * I,
+                u2 * p.gamma + p.sigma * (S + I) - p.eta * A]
+
+    return f
+
+
+# end of classical RK4's stability interval on the negative real axis
+RK4_REAL_STABILITY = 2.785
+
+
+class TestModelKernelOracles:
+    """``rk4_model`` against scipy's DOP853 and against the invariant box."""
+
+    Y0 = (0.2, 0.07, 0.05, 0.5)
+
+    @pytest.mark.parametrize("tf, n_steps, controlled",
+                             [(2000.0, 40000, False), (100.0, 10000, True)])
+    def test_rk4_model_matches_dop853(self, tf, n_steps, controlled):
+        # RK4 samples controls at nodes and node midpoints; for controls
+        # affine in t that sampling is exact, so both solve the same ODE
+        params, grid = ModelParams(), TimeGrid(0.0, tf, n_steps)
+        if controlled:
+            u_at = lambda t: (0.2 + 0.006 * t, 0.9 - 0.005 * t)
+            u = np.column_stack(u_at(grid.times()))
+        else:
+            u_at, u = (lambda t: (1.0, 1.0)), None
+        got = rk4_model(params, self.Y0, grid, u).states
+        ref = solve_ivp(_oracle_field(params, u_at), (grid.t0, grid.tf), self.Y0,
+                        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=grid.times())
+        assert ref.status == 0, ref.message
+        err = np.abs(got - ref.y.T).max(axis=0) / np.abs(ref.y).max(axis=1)
+        assert err.max() <= 1e-10, err
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), x=st.floats(0.0, 2.0),
+           fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_rk4_model_stays_positive_and_inside_the_box(self, seed, x, fractions):
+        params = make_random_params(np.random.default_rng(seed))
+        x0 = x * params.K
+        box = attracting_region(params, x0)
+        S0 = fractions[0] * (box.W_max - x0)
+        I0 = fractions[1] * (box.W_max - x0 - S0)
+        A0 = fractions[2] * box.A_max
+        grid = TimeGrid(0.0, 200.0, 4000)
+        # The box holds for the flow.  A fixed step follows it only while h
+        # times the crop's fastest loss rate, alpha (S + phi I) / c at X = 0,
+        # stays inside RK4's stability interval; beyond it runs overshoot the
+        # box or blow up (make_random_params seed 247, x = 1, S0 = 0.75 of
+        # the room, I0 = A0 = 0: X reaches 4.04 > M = 3.04 at h = 0.05).
+        assume(grid.h * params.alpha * (S0 + params.phi * I0) / params.c
+               <= RK4_REAL_STABILITY)
+        states = rk4_model(params, (x0, S0, I0, A0), grid).states
+        for row in states.tolist():
+            assert box.contains(row), (row, box)
 
 
 class TestTrajectory:

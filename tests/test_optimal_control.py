@@ -88,6 +88,14 @@ class TestSweepOptions:
                 y0,
                 SweepOptions(grid=grid, initial_controls=np.full((11, 2), 1.5)),
             )
+        for rows in (
+            [(0.5, 0.5, 9.0)] * 11,  # too wide: was silently truncated
+            [0.5] * 11,  # scalar rows
+            [(0.5, 0.5)] * 10 + [(0.5,)],  # ragged
+            [(0.5, 0.5)] * 10 + [(0.5, 0.5, 0.5)],  # ragged
+        ):
+            with pytest.raises(GridMismatchError):
+                solve(baseline, weights, y0, SweepOptions(grid=grid, initial_controls=rows))
 
 
 class TestConvergedScenario:
@@ -102,7 +110,6 @@ class TestConvergedScenario:
         assert sol.objective_history[0] == pytest.approx(-11813.0625, rel=1e-6)
         assert sol.final_objective == pytest.approx(-15163.3871, rel=1e-6)
         assert sol.final_objective < sol.objective_history[0]
-        assert sol.objective() == sol.final_objective
 
     def test_stationarity_residual_is_tiny(self, converged_sweep, baseline, weights):
         sol = converged_sweep
@@ -120,6 +127,16 @@ class TestConvergedScenario:
 
     def test_terminal_costates_are_exactly_zero(self, converged_sweep):
         assert converged_sweep.costates[-1] == (0.0, 0.0, 0.0, 0.0)
+
+    def test_row_views_equal_the_stored_arrays(self, converged_sweep):
+        sol = converged_sweep
+        assert np.array_equal(np.asarray(sol.controls), sol.states.controls)
+        assert np.array_equal(np.asarray(sol.costates), sol.states.costates)
+        assert isinstance(sol.controls[0], ControlValue)
+        assert isinstance(sol.costates[0], Costate)
+        assert sol.controls is sol.controls  # built once, on first access
+        with pytest.raises(AttributeError):
+            sol.controls = ()
 
     def test_solution_is_self_consistent(self, converged_sweep, weights, y0, control_grid):
         sol = converged_sweep
