@@ -9,12 +9,14 @@ Configuration precedence: built-in defaults, then a ``key = value``
 config file (``#`` comments), then command-line flags.  ``lambda`` is
 the config/flag spelling of the aware-activity rate.  Exit codes:
 0 success, 2 configuration error, 3 integration blow-up, 4 sweep
-non-convergence.
+non-convergence, 1 when the reader closes stdout early (``cropguard
+... | head``); the rest of the output is discarded without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -349,6 +351,21 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the
+        # flush at interpreter exit does not fail (Python's signal docs,
+        # "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,19 +2,21 @@
 
 Forward integration advances the state on a uniform grid; backward
 integration carries costates from the final time down to the start,
-sampling the stored state and control trajectories by linear
-interpolation at the half-step points.  The objective functional is
-accumulated with the composite trapezoidal rule on the same grid.
+sampling the stored state and control trajectories at the step
+endpoints and, at half steps, at the midpoint of adjacent nodes.  The
+objective functional is accumulated with the composite trapezoidal
+rule on the same grid.
 
 Fixed steps keep every run bit-for-bit reproducible; there is no
-adaptive error control here by design.  ``rk4_forward`` and
-``rk4_backward`` integrate any ``f(t, y)`` or ``g(t, p, s, u)``.  The
-model's kernels are faster: ``rk4_model`` unrolls the RK4 step on four
-scalar locals and reproduces ``rk4_forward`` on the model's field bit
-for bit; ``rk4_adjoint`` uses that the costate field is affine in the
-costates, builds every backward step's RK4 map by batched matrix
-products and solves the recurrence blockwise, which matches
-``rk4_backward`` on ``adjoint_field`` to rounding, not bit for bit.
+adaptive error control here by design.  The RK4 step is written once,
+unrolled on four scalar components in ``_rk4``; ``rk4_model`` (the
+model's field with its controls), ``rk4_forward`` (any ``f(t, y)``)
+and ``rk4_backward`` (any ``g(t, p, s, u)``, stepping from tf with
+step -h) are thin adapters over it.  ``rk4_adjoint`` is a separate
+kernel: it uses that the costate field is affine in the costates,
+builds every backward step's RK4 map by batched matrix products and
+solves the recurrence blockwise, which matches ``rk4_backward`` on
+``adjoint_field`` to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError
-from .model import ModelParams, ObjectiveWeights, State, costate_matrix, model_field
+from .model import (ModelParams, ObjectiveWeights, State, costate_matrix, model_field,
+                    running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # Steps per batch of costate maps: ~200 KB temporaries are reused from the heap;
@@ -77,9 +80,8 @@ def default_step(tf: float) -> float:
 class Trajectory:
     """States (and optionally controls/costates) sampled on a TimeGrid.
 
-    ``states`` has one row per grid node.  The row layout is
-    (X, S, I, A) for model runs, but the integrator itself is
-    dimension-agnostic so scalar convergence tests use it too.
+    Each array has one row per grid node; states are (X, S, I, A) rows,
+    controls (u1, u2) rows and costates (p1, p2, p3, p4) rows.
     """
 
     grid: TimeGrid
@@ -89,22 +91,11 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         n_nodes = self.grid.n_steps + 1
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.shape[0] != n_nodes:
-            raise GridMismatchError(
-                f"states have {self.states.shape[0]} rows, grid has {n_nodes} nodes"
-            )
-        if not np.isfinite(self.states).all():
-            raise DomainError("trajectory states contain non-finite values")
-        for name in ("controls", "costates"):
+        for name in ("states", "controls", "costates"):
             arr = getattr(self, name)
-            if arr is None:
+            if arr is None and name != "states":
                 continue
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape[0] != n_nodes:
-                raise GridMismatchError(
-                    f"{name} have {arr.shape[0]} rows, grid has {n_nodes} nodes"
-                )
+            arr = _node_array(arr, n_nodes, name)
             if not np.isfinite(arr).all():
                 raise DomainError(f"trajectory {name} contain non-finite values")
             setattr(self, name, arr)
@@ -119,149 +110,28 @@ class Trajectory:
         return self.node(-1)
 
 
-def rk4_forward(
-    f: Callable[[float, tuple], Sequence[float]],
-    y0: Sequence[float],
-    grid: TimeGrid,
-) -> Trajectory:
-    """Integrate dy/dt = f(t, y) over the grid with classical RK4.
+def _rk4(f, y0, t0, h, stages, what):
+    """Classical RK4 on four scalar components from y0 at t0 in steps of h.
 
-    Node 0 of the result equals y0.  A non-finite state after any step
-    aborts with a blow-up error naming the offending time.
+    ``f(X, S, I, A, a, b)`` is the field.  ``stages`` holds six
+    iterables with one item per step: the (a, b) arguments at the
+    step's start, at its midpoint and at its end; the run takes as many
+    steps as the shortest of them has items.  h < 0 steps backward in
+    time.  Returns the nodes as a list of 4-tuples, y0 first.  ``what``
+    names y0 in the error for a non-finite start.  A failing evaluation
+    raises a blow-up error at the step's start time, a non-finite node
+    one at the node's time.
     """
     y = tuple(float(v) for v in y0)
     for v in y:
         if not math.isfinite(v):
-            raise DomainError(f"initial state must be finite, got {y}")
-    t0, h, n = grid.t0, grid.h, grid.n_steps
-    h2, h6 = 0.5 * h, h / 6.0
-    out = [y]
-    for i in range(n):
-        t = t0 + i * h
-        try:
-            k1 = f(t, y)
-            k2 = f(t + h2, tuple(a + h2 * b for a, b in zip(y, k1)))
-            k3 = f(t + h2, tuple(a + h2 * b for a, b in zip(y, k2)))
-            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
-            y = tuple(
-                a + h6 * (b + 2.0 * (c + dd) + e)
-                for a, b, c, dd, e in zip(y, k1, k2, k3, k4)
-            )
-        except _ARITH_ERRORS as exc:
-            raise BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}") from exc
-        for v in y:
-            if not math.isfinite(v):
-                raise BlowUpError(t + h)
-        out.append(y)
-    return Trajectory(grid, np.array(out, dtype=float))
-
-
-def _node_array(arr: np.ndarray | Trajectory, n_nodes: int, what: str) -> np.ndarray:
-    """Validate per-node data and return it as a 2-D float array."""
-    if isinstance(arr, Trajectory):
-        arr = arr.states
-    a = np.asarray(arr, dtype=float)
-    if a.ndim != 2 or a.shape[0] != n_nodes:
-        raise GridMismatchError(
-            f"{what} must have one row per grid node ({n_nodes}), got shape {a.shape}"
-        )
-    return a
-
-
-def _rows(arr: np.ndarray | Trajectory | None, n_nodes: int, what: str, width: int):
-    """Validate per-node data and return it as a list of float tuples."""
-    if arr is None:
-        return [(0.0,) * width] * n_nodes
-    return [tuple(row) for row in _node_array(arr, n_nodes, what).tolist()]
-
-
-def rk4_backward(
-    g: Callable[..., Sequence[float]],
-    p_terminal: Sequence[float],
-    state_traj: Trajectory | np.ndarray,
-    u_traj: np.ndarray | None,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Integrate dp/dt = g(t, p, s, u) from tf down to t0.
-
-    ``g`` is evaluated pointwise; the stored state and control
-    trajectories are sampled at the step endpoints and, at half steps,
-    by linear interpolation between adjacent nodes (their midpoint).
-    The returned array has one row per node and row -1 equals
-    p_terminal bit-for-bit.
-    """
-    if isinstance(state_traj, Trajectory) and state_traj.grid != grid:
-        raise GridMismatchError("state trajectory was integrated on a different grid")
-    n = grid.n_steps
-    n_nodes = n + 1
-    t0, h = grid.t0, grid.h
-    srows = _rows(state_traj, n_nodes, "states", 4)
-    urows = _rows(u_traj, n_nodes, "controls", 2)
-
-    p = tuple(float(v) for v in p_terminal)
-    for v in p:
-        if not math.isfinite(v):
-            raise DomainError(f"terminal costate must be finite, got {p}")
-    h2, h6 = 0.5 * h, h / 6.0
-    out: list[tuple] = [p] * n_nodes
-    for j in range(n, 0, -1):
-        t1 = t0 + j * h
-        s1, s0 = srows[j], srows[j - 1]
-        u1, u0 = urows[j], urows[j - 1]
-        sm = tuple(0.5 * (a + b) for a, b in zip(s0, s1))
-        um = tuple(0.5 * (a + b) for a, b in zip(u0, u1))
-        try:
-            k1 = g(t1, p, s1, u1)
-            k2 = g(t1 - h2, tuple(a - h2 * b for a, b in zip(p, k1)), sm, um)
-            k3 = g(t1 - h2, tuple(a - h2 * b for a, b in zip(p, k2)), sm, um)
-            k4 = g(t1 - h, tuple(a - h * b for a, b in zip(p, k3)), s0, u0)
-            p = tuple(
-                a - h6 * (b + 2.0 * (c + dd) + e)
-                for a, b, c, dd, e in zip(p, k1, k2, k3, k4)
-            )
-        except _ARITH_ERRORS as exc:
-            raise BlowUpError(t1, f"adjoint integration failed at t = {t1:.6g}: {exc}") from exc
-        for v in p:
-            if not math.isfinite(v):
-                raise BlowUpError(t1 - h)
-        out[j - 1] = p
-    return np.array(out, dtype=float)
-
-
-def rk4_model(
-    params: ModelParams,
-    y0: Sequence[float],
-    grid: TimeGrid,
-    u: np.ndarray | None = None,
-) -> Trajectory:
-    """Integrate the model over the grid with classical RK4.
-
-    ``u`` holds the controls (u1, u2), one row per node; the step from
-    node i samples node i, the midpoint of nodes i and i+1, and node
-    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
-    Results and errors equal those of ``rk4_forward`` on the matching
-    field bit for bit.
-    """
-    f = model_field(params)
-    n = grid.n_steps
-    y = tuple(float(v) for v in y0)
-    for v in y:
-        if not math.isfinite(v):
-            raise DomainError(f"initial state must be finite, got {y}")
-    if u is None:
-        controls = (itertools.repeat(1.0),) * 6
-    else:
-        u = _node_array(u, n + 1, "controls")
-        mid = 0.5 * (u[:-1] + u[1:])
-        controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
-                                          u[1:, 0], u[1:, 1])]
-    t0, h = grid.t0, grid.h
+            raise DomainError(f"{what} must be finite, got {y}")
     h2, h6 = 0.5 * h, h / 6.0
     isfinite = math.isfinite
     X, S, I, A = y
     out = [y]
-    # (u1, u2) at node i, (m1, m2) at the midpoint, (v1, v2) at node i+1
-    for i, u1, u2, m1, m2, v1, v2 in zip(range(n), *controls):
+    # (u1, u2) at the step's start, (m1, m2) at its midpoint, (v1, v2) at its end
+    for i, u1, u2, m1, m2, v1, v2 in zip(itertools.count(), *stages):
         try:
             aX, aS, aI, aA = f(X, S, I, A, u1, u2)
             bX, bS, bI, bA = f(X + h2 * aX, S + h2 * aS, I + h2 * aI, A + h2 * aA, m1, m2)
@@ -277,6 +147,97 @@ def rk4_model(
         if not (isfinite(X) and isfinite(S) and isfinite(I) and isfinite(A)):
             raise BlowUpError(t0 + i * h + h)
         out.append((X, S, I, A))
+    return out
+
+
+def rk4_forward(
+    f: Callable[[float, tuple], Sequence[float]],
+    y0: Sequence[float],
+    grid: TimeGrid,
+) -> Trajectory:
+    """Integrate dy/dt = f(t, y) over the grid with classical RK4.
+
+    y has four components.  Node 0 of the result equals y0.  A
+    non-finite state after any step aborts with a blow-up error naming
+    the offending time.
+    """
+    t0, h = grid.t0, grid.h
+    starts = [t0 + i * h for i in range(grid.n_steps)]
+    mids = [t + 0.5 * h for t in starts]
+    ends = [t + h for t in starts]
+    none = itertools.repeat(None)
+    out = _rk4(lambda X, S, I, A, t, _: f(t, (X, S, I, A)), y0, t0, h,
+               (starts, none, mids, none, ends, none), "initial state")
+    return Trajectory(grid, np.array(out, dtype=float))
+
+
+def _node_array(arr: np.ndarray | Trajectory, n_nodes: int, what: str) -> np.ndarray:
+    """Validate per-node data and return it as a 2-D float array."""
+    if isinstance(arr, Trajectory):
+        arr = arr.states
+    a = np.asarray(arr, dtype=float)
+    if a.ndim != 2 or a.shape[0] != n_nodes:
+        raise GridMismatchError(
+            f"{what} must have one row per grid node ({n_nodes}), got shape {a.shape}"
+        )
+    return a
+
+
+def rk4_backward(
+    g: Callable[..., Sequence[float]],
+    p_terminal: Sequence[float],
+    state_traj: Trajectory | np.ndarray,
+    u_traj: np.ndarray | None,
+    grid: TimeGrid,
+) -> np.ndarray:
+    """Integrate dp/dt = g(t, p, s, u) from tf down to t0.
+
+    p has four components.  ``g`` is evaluated pointwise; the stored
+    state and control trajectories are sampled at the step endpoints
+    and, at half steps, by linear interpolation between adjacent nodes
+    (their midpoint).  ``u_traj`` of None samples u = (0, 0).  The
+    returned array has one row per node and row -1 equals p_terminal
+    bit-for-bit.
+    """
+    if isinstance(state_traj, Trajectory) and state_traj.grid != grid:
+        raise GridMismatchError("state trajectory was integrated on a different grid")
+    n = grid.n_steps
+    t0, h = grid.t0, grid.h
+    s = _node_array(state_traj, n + 1, "states")[::-1]
+    u = np.zeros((n + 1, 2)) if u_traj is None else _node_array(u_traj, n + 1, "controls")[::-1]
+    nodes = list(zip(s.tolist(), u.tolist()))
+    mid = zip((0.5 * (s[:-1] + s[1:])).tolist(), (0.5 * (u[:-1] + u[1:])).tolist())
+    starts = [t0 + j * h for j in range(n, 0, -1)]
+    mids = [t - 0.5 * h for t in starts]
+    ends = [t - h for t in starts]
+    out = _rk4(lambda P1, P2, P3, P4, t, su: g(t, (P1, P2, P3, P4), *su), p_terminal,
+               grid.tf, -h, (starts, nodes, mids, mid, ends, nodes[1:]), "terminal costate")
+    return np.array(out[::-1], dtype=float)
+
+
+def rk4_model(
+    params: ModelParams,
+    y0: Sequence[float],
+    grid: TimeGrid,
+    u: np.ndarray | None = None,
+) -> Trajectory:
+    """Integrate the model over the grid with classical RK4.
+
+    ``u`` holds the controls (u1, u2), one row per node; the step from
+    node i samples node i, the midpoint of nodes i and i+1, and node
+    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
+    It shares its step with ``rk4_forward``, so results and errors equal
+    those of ``rk4_forward`` on the matching field bit for bit.
+    """
+    n = grid.n_steps
+    if u is None:
+        controls = [itertools.repeat(1.0, n) for _ in range(6)]
+    else:
+        u = _node_array(u, n + 1, "controls")
+        mid = 0.5 * (u[:-1] + u[1:])
+        controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
+                                          u[1:, 0], u[1:, 1])]
+    out = _rk4(model_field(params), y0, grid.t0, grid.h, controls, "initial state")
     return Trajectory(grid, np.array(out, dtype=float))
 
 
@@ -379,11 +340,5 @@ def integrate_cost(
         raise GridMismatchError(
             f"controls must have shape ({states.shape[0]}, 2), got {u.shape}"
         )
-    S = states[:, 1]
-    A = states[:, 3]
-    vals = (
-        w.A1 * S * S
-        - w.A2 * A * A
-        + 0.5 * (w.B1 * u[:, 0] ** 2 + w.B2 * u[:, 1] ** 2)
-    )
+    vals = running_cost(states.T, u.T, w)
     return float(np.trapezoid(vals, dx=traj.grid.h))

@@ -2,10 +2,15 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cropguard
 from cropguard.cli import main
 
 
@@ -49,6 +54,24 @@ class TestSimulate:
         )
         assert code == 3
         assert "integration blow-up" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_1_without_a_traceback(self):
+        # 20k rows, about 1.5 MB: far more than a pipe buffer holds, so the
+        # writer is still writing when the reader goes away
+        env = dict(os.environ, PYTHONPATH=str(Path(cropguard.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from cropguard.cli import main; sys.exit(main())",
+             "simulate", "--tf", "200", "--dt", "0.01", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"t,X,S,I,A\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, err
+        assert "Traceback" not in err, err
 
 
 class TestConfig:

@@ -17,7 +17,7 @@ from cropguard.equilibria import (
     susceptible_free,
 )
 from cropguard.model import ModelParams, rhs_uncontrolled
-from cropguard.stability import params_with_alpha
+from cropguard.stability import Verdict, classify, params_with_alpha
 from published_quartic import quartic_coefficients, quartic_residuals
 from scan_oracle import scan_coexistence
 
@@ -188,6 +188,43 @@ class TestCoexistence:
         assert coexistence(p, search_bounds=(0.6, 1.0)) == []
         inside = coexistence(p, search_bounds=(0.4, 0.6))
         assert len(inside) == 1
+
+
+def _fold_draw() -> ModelParams:
+    """Draw 847 of make_random_params(default_rng(3)), 1 of 3000 draws with
+    three coexistence points: a fold window over alpha in about
+    (0.459821, 0.4859), one point outside it."""
+    rng = np.random.default_rng(3)
+    for _ in range(847):
+        make_random_params(rng)
+    return make_random_params(rng)
+
+
+class TestFoldWindow:
+    """Pins today's behaviour near the fold pair; the 1e-9 filter on the
+    imaginary part of numpy.roots' roots is left as it is."""
+
+    def test_draw_is_the_recorded_one(self):
+        assert _fold_draw().alpha == 0.46185293626058843
+
+    @pytest.mark.parametrize("alpha", [None, 0.465, 0.48])
+    def test_three_points_inside_the_window(self, alpha):
+        p = _fold_draw()
+        if alpha is not None:
+            p = params_with_alpha(p, alpha)
+        got = coexistence(p)
+        ref = scan_coexistence(p)
+        assert len(got) == len(ref) == 3
+        for eq, want in zip(got, ref):
+            assert abs(eq.point.A - want.point.A) <= 1e-9 * want.point.A
+            assert eq.residual_norm < 1e-12
+        assert [classify(p, eq).verdict for eq in got] == [
+            Verdict.UNSTABLE, Verdict.UNSTABLE, Verdict.STABLE]
+
+    @pytest.mark.parametrize("alpha", [0.4598, 0.49])
+    def test_one_point_outside_the_window(self, alpha):
+        p = params_with_alpha(_fold_draw(), alpha)
+        assert len(coexistence(p)) == len(scan_coexistence(p)) == 1
 
 
 class TestAllEquilibria:

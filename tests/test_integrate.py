@@ -30,6 +30,7 @@ from cropguard.model import (
     adjoint_field,
     attracting_region,
     controlled_vector_field,
+    model_field,
     vector_field,
 )
 
@@ -285,6 +286,49 @@ class TestModelKernels:
             rk4_adjoint(params, w, traj, short, grid)
         with pytest.raises(GridMismatchError):
             rk4_adjoint(params, w, traj.states[:-1], np.full((grid.n_steps + 1, 2), 0.5), grid)
+
+
+def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
+    """Classical RK4 written out stage by stage on numpy 4-vectors.
+
+    Shares no code with the integrators' loop: only the field
+    ``model_field(params)``, fed node controls at whole steps and
+    adjacent-node midpoints at half steps.
+    """
+    f = model_field(params)
+    h = grid.h
+    mid = 0.5 * (u[:-1] + u[1:])
+    y = np.array(y0, dtype=float)
+    out = [y]
+    for i in range(grid.n_steps):
+        k1 = np.array(f(*y, *u[i]))
+        k2 = np.array(f(*(y + 0.5 * h * k1), *mid[i]))
+        k3 = np.array(f(*(y + 0.5 * h * k2), *mid[i]))
+        k4 = np.array(f(*(y + h * k3), *u[i + 1]))
+        y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return np.array(out)
+
+
+class TestTextbookRK4:
+    """``rk4_model`` against an RK4 written apart from its shared loop."""
+
+    GRID = TimeGrid(0.0, 40.0, 2000)
+    Y0 = (0.2, 0.07, 0.05, 0.5)
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rk4_model_equals_the_textbook_step_bit_for_bit(self, controlled, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams() if seed == 0 else make_random_params(rng)
+        grid = self.GRID
+        if controlled:
+            u = rng.uniform(0.0, 1.0, size=(grid.n_steps + 1, 2))
+            got = rk4_model(params, self.Y0, grid, u)
+        else:
+            u = np.ones((grid.n_steps + 1, 2))
+            got = rk4_model(params, self.Y0, grid)
+        assert np.array_equal(got.states, _textbook_rk4(params, self.Y0, grid, u))
 
 
 def _oracle_field(p: ModelParams, u_at):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from cropguard.model import jacobian
 from cropguard.quartic import cubic_real_roots, quartic_roots
@@ -51,7 +52,37 @@ class TestCubic:
                 assert abs(g - r) <= 1e-8 * max(1.0, abs(r))
 
 
+# Each case lists its four roots as (root, m).  A root of multiplicity m
+# moves by ~eps^(1/m) under rounding of the coefficients; the close pair
+# 1, 1 + 1e-6 counts as a double root, as the two behave as one at this
+# noise level.
+CLUSTERED_CASES = {
+    "(x-1)^2 (x-2)^2": [(1.0, 2), (1.0, 2), (2.0, 2), (2.0, 2)],
+    "(x-1)^3 (x+2)": [(1.0, 3), (1.0, 3), (1.0, 3), (-2.0, 1)],
+    "(x-0.5)^4": [(0.5, 4)] * 4,
+    "(x^2+1)^2": [(1j, 2), (1j, 2), (-1j, 2), (-1j, 2)],
+    "(x-1)(x-1-1e-6)(x+1)(x+3)": [(1.0, 2), (1.0 + 1e-6, 2), (-1.0, 1), (-3.0, 1)],
+    "(x-1e-3)^2 (x+2)(x-3)": [(1e-3, 2), (1e-3, 2), (-2.0, 1), (3.0, 1)],
+}
+
+
 class TestQuartic:
+    @pytest.mark.parametrize("case", CLUSTERED_CASES)
+    def test_clustered_roots_within_their_conditioning(self, case):
+        # the oracle is the known roots: each computed root is paired with
+        # one of them (minimum total distance) and must lie within
+        # 10 eps^(1/m) max(1, |root|).  Measured: Ferrari at most 0.1 of
+        # the bound, numpy.roots at most 0.6
+        true = np.array([r for r, _ in CLUSTERED_CASES[case]], dtype=complex)
+        bound = np.array([10.0 * np.finfo(float).eps ** (1.0 / m) * max(1.0, abs(r))
+                          for r, m in CLUSTERED_CASES[case]])
+        _, b, c, d, e = np.poly(true).real
+        got = np.array(quartic_roots(b, c, d, e))
+        dist = np.abs(got[:, None] - true[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert (dist[rows, cols] <= bound[cols]).all(), (got, dist[rows, cols])
+
+
     def test_four_distinct_real_roots(self):
         # (x-1)(x-2)(x+1)(x+3) = x^4 + x^3 - 7x^2 - x + 6
         _assert_matches_numpy(1.0, -7.0, -1.0, 6.0, 1e-12)
