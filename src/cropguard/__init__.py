@@ -28,7 +28,7 @@ from .model import (
     running_cost,
 )
 from .integrate import (TimeGrid, Trajectory, default_step, integrate_cost, rk4_adjoint,
-                        rk4_backward, rk4_forward, rk4_model)
+                        rk4_forward, rk4_model)
 from .equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -108,7 +108,6 @@ __all__ = [
     "rhs_controlled",
     "rhs_uncontrolled",
     "rk4_adjoint",
-    "rk4_backward",
     "rk4_forward",
     "rk4_model",
     "routh_hurwitz",

@@ -137,7 +137,11 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
     if path is None or path == "-":
         _write_csv(sys.stdout, header, rows)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+    try:
+        stream = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with stream:
         _write_csv(stream, header, rows)
 
 

@@ -1,7 +1,7 @@
 """Fixed-step classical Runge-Kutta integration and objective quadrature.
 
-Forward integration advances the state on a uniform grid; backward
-integration carries costates from the final time down to the start,
+Forward integration advances the state on a uniform grid; the costate
+pass carries the costates from the final time down to the start,
 sampling the stored state and control trajectories at the step
 endpoints and, at half steps, at the midpoint of adjacent nodes.  The
 objective functional is accumulated with the composite trapezoidal
@@ -10,13 +10,11 @@ rule on the same grid.
 Fixed steps keep every run bit-for-bit reproducible; there is no
 adaptive error control here by design.  The RK4 step is written once,
 unrolled on four scalar components in ``_rk4``; ``rk4_model`` (the
-model's field with its controls), ``rk4_forward`` (any ``f(t, y)``)
-and ``rk4_backward`` (any ``g(t, p, s, u)``, stepping from tf with
-step -h) are thin adapters over it.  ``rk4_adjoint`` is a separate
-kernel: it uses that the costate field is affine in the costates,
-builds every backward step's RK4 map by batched matrix products and
-solves the recurrence blockwise, which matches ``rk4_backward`` on
-``adjoint_field`` to rounding, not bit for bit.
+model's field with its controls) and ``rk4_forward`` (any ``f(t, y)``)
+are thin adapters over it.  ``rk4_adjoint`` is a separate kernel: it
+uses that the costate field is affine in the costates, builds every
+backward step's RK4 map by batched matrix products and solves the
+recurrence blockwise.
 """
 
 from __future__ import annotations
@@ -110,22 +108,21 @@ class Trajectory:
         return self.node(-1)
 
 
-def _rk4(f, y0, t0, h, stages, what):
+def _rk4(f, y0, t0, h, stages):
     """Classical RK4 on four scalar components from y0 at t0 in steps of h.
 
     ``f(X, S, I, A, a, b)`` is the field.  ``stages`` holds six
     iterables with one item per step: the (a, b) arguments at the
     step's start, at its midpoint and at its end; the run takes as many
-    steps as the shortest of them has items.  h < 0 steps backward in
-    time.  Returns the nodes as a list of 4-tuples, y0 first.  ``what``
-    names y0 in the error for a non-finite start.  A failing evaluation
-    raises a blow-up error at the step's start time, a non-finite node
-    one at the node's time.
+    steps as the shortest of them has items.  Returns the nodes as a
+    list of 4-tuples, y0 first.  A failing evaluation raises a blow-up
+    error at the step's start time, a non-finite node one at the node's
+    time.
     """
     y = tuple(float(v) for v in y0)
     for v in y:
         if not math.isfinite(v):
-            raise DomainError(f"{what} must be finite, got {y}")
+            raise DomainError(f"initial state must be finite, got {y}")
     h2, h6 = 0.5 * h, h / 6.0
     isfinite = math.isfinite
     X, S, I, A = y
@@ -167,7 +164,7 @@ def rk4_forward(
     ends = [t + h for t in starts]
     none = itertools.repeat(None)
     out = _rk4(lambda X, S, I, A, t, _: f(t, (X, S, I, A)), y0, t0, h,
-               (starts, none, mids, none, ends, none), "initial state")
+               (starts, none, mids, none, ends, none))
     return Trajectory(grid, np.array(out, dtype=float))
 
 
@@ -181,38 +178,6 @@ def _node_array(arr: np.ndarray | Trajectory, n_nodes: int, what: str) -> np.nda
             f"{what} must have one row per grid node ({n_nodes}), got shape {a.shape}"
         )
     return a
-
-
-def rk4_backward(
-    g: Callable[..., Sequence[float]],
-    p_terminal: Sequence[float],
-    state_traj: Trajectory | np.ndarray,
-    u_traj: np.ndarray | None,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Integrate dp/dt = g(t, p, s, u) from tf down to t0.
-
-    p has four components.  ``g`` is evaluated pointwise; the stored
-    state and control trajectories are sampled at the step endpoints
-    and, at half steps, by linear interpolation between adjacent nodes
-    (their midpoint).  ``u_traj`` of None samples u = (0, 0).  The
-    returned array has one row per node and row -1 equals p_terminal
-    bit-for-bit.
-    """
-    if isinstance(state_traj, Trajectory) and state_traj.grid != grid:
-        raise GridMismatchError("state trajectory was integrated on a different grid")
-    n = grid.n_steps
-    t0, h = grid.t0, grid.h
-    s = _node_array(state_traj, n + 1, "states")[::-1]
-    u = np.zeros((n + 1, 2)) if u_traj is None else _node_array(u_traj, n + 1, "controls")[::-1]
-    nodes = list(zip(s.tolist(), u.tolist()))
-    mid = zip((0.5 * (s[:-1] + s[1:])).tolist(), (0.5 * (u[:-1] + u[1:])).tolist())
-    starts = [t0 + j * h for j in range(n, 0, -1)]
-    mids = [t - 0.5 * h for t in starts]
-    ends = [t - h for t in starts]
-    out = _rk4(lambda P1, P2, P3, P4, t, su: g(t, (P1, P2, P3, P4), *su), p_terminal,
-               grid.tf, -h, (starts, nodes, mids, mid, ends, nodes[1:]), "terminal costate")
-    return np.array(out[::-1], dtype=float)
 
 
 def rk4_model(
@@ -237,7 +202,7 @@ def rk4_model(
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
-    out = _rk4(model_field(params), y0, grid.t0, grid.h, controls, "initial state")
+    out = _rk4(model_field(params), y0, grid.t0, grid.h, controls)
     return Trajectory(grid, np.array(out, dtype=float))
 
 
@@ -250,13 +215,15 @@ def rk4_adjoint(
 ) -> np.ndarray:
     """Integrate the model's costates from p(tf) = 0 down to t0.
 
-    States and controls are sampled as ``rk4_backward`` samples them.
-    The costate field is affine in p, so the RK4 step from node j is an
-    exact affine map, a 5x5 matrix T_j acting on (p_j, 1).  The maps are
-    built in batches of steps, each from ``costate_matrix`` at its own
-    nodes and midpoints, and written in place into the block-padded
-    array that ``_solve_backward`` walks.  The result matches
-    ``rk4_backward`` on ``adjoint_field(params, w)`` from p(tf) = 0 to
+    ``u`` holds the controls (u1, u2), one row per node.  The step from
+    node j+1 down to node j samples states and controls at node j+1,
+    at the midpoint of the two nodes and at node j.  The costate field
+    is affine in p, so that RK4 step is an exact affine map, a 5x5
+    matrix T_j acting on (p_j, 1).  The maps are built in batches of
+    steps, each from ``costate_matrix`` at its own nodes and midpoints,
+    and written in place into the block-padded array that
+    ``_solve_backward`` walks.  The result matches a stage-by-stage
+    backward RK4 on ``costate_rhs`` (the oracle in the tests) to
     rounding, not bit for bit, as terms are summed in another order
     (the tests allow 1e-13 of max|p|).  A non-finite costate raises a
     blow-up error at the time of the first such node back from tf.

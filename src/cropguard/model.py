@@ -19,13 +19,14 @@ This module holds the parameter and state containers plus every
 right-hand side used elsewhere: the controlled field (the uncontrolled
 one is its u = (1, 1) case), its Jacobian, the adjoint (costate) field
 of the optimal-control problem, and the running cost of the objective
-functional.  The field is written once as a positional function for
-the integration kernels, with ``f(t, y)``-style adapters over it.  The
-costate field is affine in the costates; its coefficients are written
-once, as the negated transposed Jacobian plus the cost gradient, by
+functional.  The field is written once, as the positional function
+``model_field`` that the integration kernels call; ``rhs_uncontrolled``
+and ``rhs_controlled`` evaluate it at one state.  The costate field is
+affine in the costates; its coefficients are written once, as the
+negated transposed Jacobian plus the cost gradient, by
 ``costate_matrix``, which works on arrays for the costate kernel and
-on floats for the pointwise ``adjoint_field`` and ``costate_rhs``.  All
-operations are pure functions evaluated in double precision.
+on floats for the pointwise ``costate_rhs``.  All operations are pure
+functions evaluated in double precision.
 """
 
 from __future__ import annotations
@@ -211,21 +212,6 @@ def model_field(params: ModelParams) -> Callable[..., tuple]:
     return f
 
 
-def vector_field(params: ModelParams) -> Callable[[float, Sequence[float]], tuple]:
-    """Return the uncontrolled field f(t, y) with y = (X, S, I, A)."""
-    f = model_field(params)
-    return lambda t, y: f(*y, 1.0, 1.0)
-
-
-def controlled_vector_field(
-    params: ModelParams,
-    u_at: Callable[[float], Sequence[float]],
-) -> Callable[[float, Sequence[float]], tuple]:
-    """Return the controlled field f(t, y); ``u_at(t)`` supplies (u1, u2)."""
-    f = model_field(params)
-    return lambda t, y: f(*y, *u_at(t))
-
-
 def rhs_uncontrolled(params: ModelParams, s: Sequence[float]) -> tuple:
     """Time derivative (dX, dS, dI, dA) of the uncontrolled system."""
     X, S, I, A = s
@@ -296,15 +282,6 @@ def costate_matrix(params: ModelParams, w: ObjectiveWeights, X, S, I, A, u1) -> 
     G[1, 4] = -2.0 * w.A1 * S
     G[3, 4] = 2.0 * w.A2 * A
     return np.moveaxis(G, (0, 1), (-2, -1))
-
-
-def adjoint_field(params: ModelParams, w: ObjectiveWeights) -> Callable[..., np.ndarray]:
-    """Return the pointwise costate field g(t, p, s, u).
-
-    The backward integrator supplies the state s and control u sampled
-    (by linear interpolation) along a stored forward trajectory.
-    """
-    return lambda t, p, s, u: costate_matrix(params, w, *s, u[0])[:4] @ (*p, 1.0)
 
 
 def costate_rhs(

@@ -129,11 +129,9 @@ def routh_hurwitz(cp: CharPoly4) -> tuple[bool, tuple[float, float, float, float
 def psi(cp: CharPoly4) -> float:
     """Hopf locator Psi = C1 C2 C3 - C3^2 - C4 C1^2 (zero at a crossing).
 
-    Evaluated as (C1 C2 - C3) C3 - C1^2 C4, the same association the
-    margin report uses, so the two are bit-for-bit identical.
+    This is the last Routh-Hurwitz margin, (C1 C2 - C3) C3 - C1^2 C4.
     """
-    c1, c2, c3, c4 = cp
-    return (c1 * c2 - c3) * c3 - c1 * c1 * c4
+    return routh_hurwitz(cp)[1][4]
 
 
 def r0(params: ModelParams) -> float:
@@ -320,10 +318,10 @@ def hopf_scan(
                 x0, f0 = xm, fm
         if best is None:
             continue
-        x_star, f_star, star, (c1, c2, c3, c4) = best
+        x_star, f_star, star, char = best
         if abs(f_star) >= _PSI_REL_TOL * max(abs(psi0), abs(psi1)):
             continue
-        side = (c2, c3, c4, c1 * c2 - c3)
+        side = routh_hurwitz(char)[1][:4]
         if not all(v > 0.0 for v in side):
             continue
         re_hi = _leading_complex_real_part(params, x_star + _TRANSVERSALITY_EPS, star.point.A)

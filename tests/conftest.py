@@ -8,8 +8,8 @@ scenario) so module tests and acceptance checks reuse them.
 import numpy as np
 import pytest
 
-from cropguard.integrate import TimeGrid, rk4_forward
-from cropguard.model import ModelParams, ObjectiveWeights, State, vector_field
+from cropguard.integrate import TimeGrid, rk4_model
+from cropguard.model import ModelParams, ObjectiveWeights, State
 from cropguard.optimal_control import SweepOptions, solve
 
 
@@ -66,7 +66,7 @@ def y0() -> State:
 def long_run(baseline, y0):
     """Uncontrolled 2000-day baseline trajectory at the default step."""
     grid = TimeGrid(0.0, 2000.0, 40000)
-    return rk4_forward(vector_field(baseline), y0, grid)
+    return rk4_model(baseline, y0, grid)
 
 
 @pytest.fixture(scope="session")
@@ -83,4 +83,4 @@ def converged_sweep(baseline, weights, y0, control_grid):
 @pytest.fixture(scope="session")
 def uncontrolled_run(baseline, y0, control_grid):
     """Uncontrolled twin of the control scenario, on the same grid."""
-    return rk4_forward(vector_field(baseline), y0, control_grid)
+    return rk4_model(baseline, y0, control_grid)

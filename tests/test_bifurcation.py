@@ -7,8 +7,8 @@ import pytest
 
 from cropguard.bifurcation import SweepRow, SweepSpec, run_sweep
 from cropguard.errors import DomainError
-from cropguard.integrate import TimeGrid, rk4_forward
-from cropguard.model import State, vector_field
+from cropguard.integrate import TimeGrid, rk4_model
+from cropguard.model import State
 from cropguard.stability import Verdict, params_with_alpha
 
 
@@ -68,9 +68,7 @@ class TestRunSweep:
         )
         (row,) = run_sweep(baseline, spec)
         p = params_with_alpha(baseline, 0.06)
-        traj = rk4_forward(
-            vector_field(p), spec.initial_state, TimeGrid.from_step(0.0, 10.0, 1.0)
-        )
+        traj = rk4_model(p, spec.initial_state, TimeGrid.from_step(0.0, 10.0, 1.0))
         tail = traj.states[7:]  # nodes 7..10 after a 70% transient
         assert row.tail_min == pytest.approx(tail.min(axis=0), rel=1e-15)
         assert row.tail_max == pytest.approx(tail.max(axis=0), rel=1e-15)

@@ -55,6 +55,12 @@ class TestSimulate:
         assert code == 3
         assert "integration blow-up" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli("simulate", "--tf", "1", "--dt", "0.1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: No such file or directory" in err, err
+
 
 class TestClosedStdout:
     def test_reader_closing_early_exits_1_without_a_traceback(self):
@@ -275,6 +281,16 @@ class TestOptimize:
         assert "2 iteration" in capsys.readouterr().err
         _, rows = read_csv(out)
         assert len(rows) == 21
+
+    def test_unwritable_history_out_exits_2(self, tmp_path, capsys):
+        hist = tmp_path / "missing" / "hist.csv"
+        code = run_cli(
+            "optimize", "--tf", "2", "--dt", "0.1",
+            "--out", str(tmp_path / "opt.csv"), "--history-out", str(hist),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {hist}: No such file or directory" in err, err
 
 
 class TestParser:

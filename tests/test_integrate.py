@@ -19,7 +19,6 @@ from cropguard.integrate import (
     default_step,
     integrate_cost,
     rk4_adjoint,
-    rk4_backward,
     rk4_forward,
     rk4_model,
 )
@@ -27,11 +26,11 @@ from cropguard.model import (
     ModelParams,
     ObjectiveWeights,
     State,
-    adjoint_field,
     attracting_region,
-    controlled_vector_field,
+    costate_rhs,
     model_field,
-    vector_field,
+    rhs_controlled,
+    rhs_uncontrolled,
 )
 
 
@@ -110,11 +109,15 @@ class TestForward:
 
     def test_model_blowup_with_coarse_step(self):
         # r = 8 with h = 2 puts the logistic mode far outside the RK4
-        # stability region; divergence is detected at a named time
+        # stability region; divergence is detected at a named time.  The
+        # field is called bare, as rk4_model calls it: rhs_uncontrolled would
+        # reject the overflowed stage state, and a failing evaluation is
+        # reported at its step's start (t = 4), not at the node (t = 6)
         params = ModelParams(r=8.0)
+        f = model_field(params)
         with pytest.raises(BlowUpError) as info:
             rk4_forward(
-                vector_field(params),
+                lambda t, y: f(*y, 1.0, 1.0),
                 State(0.2, 0.07, 0.05, 0.5),
                 TimeGrid.from_step(0.0, 100.0, 2.0),
             )
@@ -125,43 +128,7 @@ class TestForward:
             rk4_forward(_exp_decay, (math.nan, 0.0, 0.0, 0.0), TimeGrid(0.0, 1.0, 5))
 
 
-class TestBackward:
-    def test_time_reversal_recovers_initial_value(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        fwd = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), grid)
-        g = lambda t, p, s, u: (-p[0], -p[1], -p[2], -p[3])
-        back = rk4_backward(g, (math.exp(-1.0),) * 4, fwd, np.zeros((11, 2)), grid)
-        assert back.shape == (11, 4)
-        # same fourth-order envelope as the forward test
-        assert abs(back[0, 0] - 1.0) < 2e-6
-
-    def test_terminal_node_is_exactly_the_terminal_value(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        fwd = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), grid)
-        g = lambda t, p, s, u: (0.0, 0.0, 0.0, 0.0)
-        back = rk4_backward(g, (0.125, -2.0, 0.0, 7.0), fwd, np.zeros((11, 2)), grid)
-        assert back[-1].tolist() == [0.125, -2.0, 0.0, 7.0]
-
-    def test_costate_sees_the_stored_state_trajectory(self):
-        # dp/dt = s(t) integrated backward from 0 recovers
-        # -integral of s; with s(t) = e^{-t} the exact value is e^{-1}-1.
-        # Half-step states come from averaging adjacent nodes, an O(h^2)
-        # interpolation, so the overall accuracy is second order here.
-        grid = TimeGrid(0.0, 1.0, 200)
-        fwd = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), grid)
-        g = lambda t, p, s, u: (s[0], 0.0, 0.0, 0.0)
-        back = rk4_backward(g, (0.0, 0.0, 0.0, 0.0), fwd, np.zeros((201, 2)), grid)
-        assert back[0, 0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-5)
-
-    def test_mismatched_state_rows_rejected(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        fwd = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), grid)
-        g = lambda t, p, s, u: (0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(GridMismatchError):
-            rk4_backward(g, (0.0,) * 4, fwd.states[:5], np.zeros((11, 2)), grid)
-
-
-# max|kernel - generic path| over max|p| allowed for the costate kernel
+# max|kernel - textbook oracle| over max|p| allowed for the costate kernel
 ADJOINT_TOL = 1e-13
 
 
@@ -170,7 +137,7 @@ def _adjoint_deviation(back: np.ndarray, back_ref: np.ndarray) -> float:
 
 
 def _stage_sampler(u: np.ndarray, grid: TimeGrid):
-    """u(t) for the generic integrator: node values at whole steps,
+    """u(t) for ``rk4_forward``: node values at whole steps,
     adjacent-node midpoints at half steps."""
     mid = 0.5 * (u[:-1] + u[1:])
 
@@ -183,13 +150,14 @@ def _stage_sampler(u: np.ndarray, grid: TimeGrid):
 
 
 class TestModelKernels:
-    """The unrolled model kernels against the generic integrators as oracle."""
+    """The model kernels against ``rk4_forward`` on the pointwise field and
+    against the textbook costate oracle."""
 
     GRID = TimeGrid(0.0, 30.0, 600)
     Y0 = State(0.2, 0.07, 0.05, 0.5)
 
     def _case(self, controls, seed):
-        """Kernel and generic-path forward runs on one parametrized case."""
+        """Kernel and ``rk4_forward`` runs on one parametrized case."""
         rng = np.random.default_rng(seed)
         params = ModelParams() if seed == 0 else make_random_params(rng)
         grid = self.GRID
@@ -198,12 +166,12 @@ class TestModelKernels:
             u[:, 0] = 0.0
         if controls == "none":
             fwd = rk4_model(params, self.Y0, grid)
-            ref = rk4_forward(vector_field(params), self.Y0, grid)
+            ref = rk4_forward(lambda t, y: rhs_uncontrolled(params, y), self.Y0, grid)
             u = np.ones_like(u)
         else:
             fwd = rk4_model(params, self.Y0, grid, u)
-            ref = rk4_forward(controlled_vector_field(params, _stage_sampler(u, grid)),
-                              self.Y0, grid)
+            u_at = _stage_sampler(u, grid)
+            ref = rk4_forward(lambda t, y: rhs_controlled(params, y, u_at(t)), self.Y0, grid)
         return params, u, fwd, ref
 
     @pytest.mark.parametrize("controls", ["random", "none", "frozen"])
@@ -216,18 +184,18 @@ class TestModelKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adjoint_kernel_matches_the_generic_path(self, controls, seed):
         # the kernel composes per-step affine maps instead of replaying the
-        # stage order, so it agrees with the generic path to rounding only
+        # stage order, so it agrees with the textbook oracle to rounding only
         params, u, fwd, ref = self._case(controls, seed)
         w = ObjectiveWeights()
         back = rk4_adjoint(params, w, fwd, u, self.GRID)
-        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, ref, u, self.GRID)
+        back_ref = textbook_costates(params, w, ref.states, u, self.GRID)
         assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
 
     # Steps up to 0.1 day, ten times the optimizer's default.  Near h = 1
     # the fastest random rates leave RK4's stability region, costates grow
     # by up to 1e33 over 50 steps and both paths lose about 1e-13 of max|p|
     # to rounding (against a long-double reference: kernel 1.1e-13,
-    # generic path 4.7e-14), so the bound would test the rounding, not
+    # textbook oracle 4.7e-14), so the bound would test the rounding, not
     # the kernel.
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64),
@@ -245,7 +213,7 @@ class TestModelKernels:
                              size=(n_steps + 1, 4))
         u = rng.uniform(0.0, 1.0, size=(n_steps + 1, 2))
         back = rk4_adjoint(params, w, states, u, grid)
-        back_ref = rk4_backward(adjoint_field(params, w), (0.0,) * 4, states, u, grid)
+        back_ref = textbook_costates(params, w, states, u, grid)
         assert back.shape == (n_steps + 1, 4)
         assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
 
@@ -266,8 +234,9 @@ class TestModelKernels:
     def test_blowup_time_matches_the_generic_path(self):
         params = ModelParams(r=8.0)
         grid = TimeGrid.from_step(0.0, 100.0, 2.0)
+        f = model_field(params)
         with pytest.raises(BlowUpError) as generic:
-            rk4_forward(vector_field(params), self.Y0, grid)
+            rk4_forward(lambda t, y: f(*y, 1.0, 1.0), self.Y0, grid)
         with pytest.raises(BlowUpError) as kernel:
             rk4_model(params, self.Y0, grid)
         assert kernel.value.t == generic.value.t == pytest.approx(6.0)
@@ -308,6 +277,32 @@ def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.
         y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(y)
     return np.array(out)
+
+
+def textbook_costates(params: ModelParams, w: ObjectiveWeights, states: np.ndarray,
+                      u: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 for the costates, stepped back from p(tf) = 0 stage by
+    stage on numpy 4-vectors.
+
+    Shares with ``rk4_adjoint`` only the field's coefficients, called
+    pointwise through ``costate_rhs``; the stage order and the sampling
+    are written out here.  The step from node j+1 down to node j samples
+    states and controls at node j+1, at the midpoint of the two nodes
+    and at node j.  Returns one row per node.
+    """
+    h = -grid.h
+    s_mid = 0.5 * (states[:-1] + states[1:])
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    p = np.zeros(4)
+    out = [p]
+    for j in range(grid.n_steps - 1, -1, -1):
+        k1 = np.array(costate_rhs(params, states[j + 1], p, u[j + 1], w))
+        k2 = np.array(costate_rhs(params, s_mid[j], p + 0.5 * h * k1, u_mid[j], w))
+        k3 = np.array(costate_rhs(params, s_mid[j], p + 0.5 * h * k2, u_mid[j], w))
+        k4 = np.array(costate_rhs(params, states[j], p + h * k3, u[j], w))
+        p = p + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(p)
+    return np.array(out[::-1])
 
 
 class TestTextbookRK4:

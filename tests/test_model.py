@@ -16,14 +16,12 @@ from cropguard.model import (
     State,
     attracting_region,
     check_state,
-    controlled_vector_field,
     costate_rhs,
     hamiltonian,
     jacobian,
     rhs_controlled,
     rhs_uncontrolled,
     running_cost,
-    vector_field,
 )
 
 
@@ -137,21 +135,6 @@ def test_controls_scale_awareness_transfer_and_inflow():
     assert f0[1] - f1[1] == pytest.approx(transfer, rel=1e-12)
     assert f1[2] - f0[2] == pytest.approx(transfer, rel=1e-12)
     assert f1[3] - f0[3] == pytest.approx(p.gamma, rel=1e-12)
-
-
-def test_vector_field_closure_matches_rhs(baseline):
-    f = vector_field(baseline)
-    s = State(0.3, 0.1, 0.02, 0.6)
-    assert f(0.0, s) == rhs_uncontrolled(baseline, s)
-    assert f(17.5, s) == rhs_uncontrolled(baseline, s)
-
-
-def test_controlled_vector_field_samples_the_control_schedule(baseline):
-    u_at = lambda t: (0.0, 0.0) if t < 1.0 else (1.0, 1.0)
-    f = controlled_vector_field(baseline, u_at)
-    s = State(0.3, 0.1, 0.02, 0.6)
-    assert f(0.5, s) == rhs_controlled(baseline, s, (0.0, 0.0))
-    assert f(2.0, s) == rhs_uncontrolled(baseline, s)
 
 
 def test_jacobian_matches_central_differences():

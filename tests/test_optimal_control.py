@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from test_integrate import textbook_costates
 from cropguard.errors import DomainError, GridMismatchError
-from cropguard.integrate import TimeGrid, integrate_cost, rk4_backward, rk4_forward
+from cropguard.integrate import TimeGrid, integrate_cost, rk4_model
 from cropguard.model import (
     ControlValue,
     Costate,
     ModelParams,
     ObjectiveWeights,
     State,
-    adjoint_field,
-    controlled_vector_field,
     hamiltonian,
 )
 from cropguard.optimal_control import (
@@ -172,22 +171,18 @@ class TestAdjointGradient:
         times = grid.times()
 
         # smooth bump on [1, 2], zero value and slope at the edges, so
-        # stage-time sampling and nodal quadrature agree to O(h^2)
+        # node-midpoint stage controls and nodal quadrature agree to O(h^2)
         def bump_at(t):
             return math.sin(math.pi * (t - 1.0)) ** 2 if 1.0 <= t <= 2.0 else 0.0
 
         bump = np.array([bump_at(t) for t in times])
 
         def run(eps: float):
-            u_of_t = lambda t: (0.5 + eps * bump_at(t), 0.5)
-            traj = rk4_forward(controlled_vector_field(baseline, u_of_t), y0, grid)
             u_nodes = np.column_stack([0.5 + eps * bump, np.full(len(times), 0.5)])
-            return traj, u_nodes
+            return rk4_model(baseline, y0, grid, u_nodes), u_nodes
 
         traj0, u0 = run(0.0)
-        costates = rk4_backward(
-            adjoint_field(baseline, weights), (0.0,) * 4, traj0, u0, grid
-        )
+        costates = textbook_costates(baseline, weights, traj0.states, u0, grid)
         s = traj0.states
         grad_u1 = weights.B1 * u0[:, 0] - (costates[:, 1] - costates[:, 2]) * (
             baseline.lam * s[:, 3] * s[:, 1] / (baseline.a + s[:, 3])
