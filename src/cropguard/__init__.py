@@ -54,6 +54,7 @@ from .stability import (
 )
 from .bifurcation import SweepRow, SweepSpec, run_sweep
 from .optimal_control import (
+    StopReason,
     SweepOptions,
     SweepSolution,
     control_update,
@@ -81,6 +82,7 @@ __all__ = [
     "RegionBounds",
     "StabilityReport",
     "State",
+    "StopReason",
     "SweepOptions",
     "SweepRow",
     "SweepSolution",

@@ -16,6 +16,7 @@ non-convergence, 1 when the reader closes stdout early (``cropguard
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, CropguardError
 from .integrate import TimeGrid, default_step, rk4_model
 from .model import _PARAM_FIELDS, ModelParams, ObjectiveWeights, State
-from .optimal_control import SweepOptions, solve
+from .optimal_control import StopReason, SweepOptions, solve
 from .stability import classify, r0
 
 _WEIGHT_KEYS = ("A1", "A2", "B1", "B2")
@@ -143,6 +144,18 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     with stream:
         _write_csv(stream, header, rows)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Fail before the run when an output CSV's directory is missing or unwritable."""
+    for path in (args.out, getattr(args, "history_out", None)):
+        if path is None or path == "-":
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -281,6 +294,14 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
                 for i in range(sol.iterations_used)
             ),
         )
+    if sol.stop_reason is StopReason.STALLED:
+        print(
+            f"sweep stalled after {sol.iterations_used} iterations: the best "
+            f"fixed-point residual |Phi(u) - u| ({min(sol.residual_history):.3e}) "
+            f"stopped improving",
+            file=sys.stderr,
+        )
+        return 4
     if not sol.converged:
         print(
             f"sweep did not converge within {opts.max_iterations} iterations "
@@ -336,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=5000)
     sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--theta", type=float, default=0.5,
-                     help="relaxation weight for control updates")
+                     help="mixing weight of the Anderson-accelerated sweep "
+                          "(the relaxation weight of its plain steps)")
     sub.add_argument("--freeze-u1", dest="freeze_u1", action="store_true",
                      help="pin u1 to 0")
     sub.add_argument("--freeze-u2", dest="freeze_u2", action="store_true",
@@ -381,6 +403,7 @@ def _run(argv: Sequence[str] | None) -> int:
         sys.stdout.write(dump_config(cfg))
         return 0
     try:
+        _check_outputs(args)
         return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

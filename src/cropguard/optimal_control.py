@@ -1,17 +1,27 @@
 """Forward-backward sweep solver for the two-control pest problem.
 
 Each iteration integrates the controlled state system forward, the
-adjoint system backward from zero terminal costates, forms candidate
-controls from the pointwise minimality condition of the Hamiltonian,
-and mixes them into the current iterate with a relaxation weight.  The
-loop stops when the applied control change is small relative to the
-control magnitude.  The returned solution carries a stationarity
-residual: the hinged Hamiltonian-gradient magnitude, which vanishes at
-an exact interior optimum and is one-sided at the control bounds.
+adjoint system backward from zero terminal costates, and forms the
+candidate controls Phi(u): the pointwise minimizers of the Hamiltonian,
+clipped to [0, 1].  The optimum is a fixed point of Phi.  The iterate is
+updated by type-II Anderson mixing of Phi (Walker & Ni, SIAM J. Numer.
+Anal. 49 (2011) 1715): the last few residual differences are combined by
+least squares, mixed with the weight ``relaxation_theta`` and projected
+back onto [0, 1].  The first iteration, and any iteration whose
+least-squares problem is ill-conditioned, whose residual |Phi(u) - u|
+grew, or whose mixed step would pass the stop rule that the plain step
+fails, takes the plain relaxed step u + theta (Phi(u) - u) instead and
+restarts the mixing history.  The loop stops when the
+applied control change is small relative to the control magnitude, and
+gives up early when the best residual stops improving.  The returned
+solution carries a stationarity residual: the hinged
+Hamiltonian-gradient magnitude, which vanishes at an exact interior
+optimum and is one-sided at the control bounds.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,12 +34,31 @@ from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_mo
 from .model import ControlValue, Costate, ModelParams, ObjectiveWeights, State, check_state
 
 _PIN_TOL = 1e-12
+# Anderson mixing: residual differences kept, and the condition number of
+# their least-squares problem above which the history is dropped.
+_DEPTH = 5
+_MAX_CONDITION = 1e10
+# Iterations without a new best residual before the sweep is declared
+# stalled.  Converged runs over 120 random problems (tf = 20, 2000 steps)
+# went at most 7 iterations without one; all 9 runs that stalled also left
+# the relaxed sweep unconverged after 300 iterations.
+_STALL_WINDOW = 15
+
+
+class StopReason(enum.Enum):
+    """Why ``solve`` stopped iterating."""
+
+    CONVERGED = "converged"
+    BUDGET = "iteration budget exhausted"
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True)
 class SweepOptions:
     """Iteration knobs for the forward-backward sweep.
 
+    ``relaxation_theta`` is the Anderson mixing weight, and the weight
+    of the plain relaxed steps that start and restart the mixing.
     ``initial_controls`` holds one (u1, u2) row per grid node; None
     starts from the interior guess u = (0.5, 0.5) at every node,
     avoiding dead clamps on the first backward pass.  ``freeze_u1``/``freeze_u2`` pin a control channel
@@ -66,13 +95,18 @@ class SweepSolution:
     (n+1, 4) arrays ``states.controls`` and ``states.costates``.
     ``controls`` and ``costates`` are read-only tuples of
     ``ControlValue`` / ``Costate`` rows over them, built on first access.
+    ``residual_history[k]`` is |Phi(u) - u|_inf at the k-th iterate, and
+    ``stop_reason`` says why the loop ended; ``converged`` is true
+    exactly when it is ``StopReason.CONVERGED``.
     """
 
     states: Trajectory
     objective_history: tuple[float, ...]
     change_history: tuple[float, ...]
+    residual_history: tuple[float, ...]
     iterations_used: int
     converged: bool
+    stop_reason: StopReason
     stationarity_residual: float
     final_objective: float
     freeze_u1: bool = False
@@ -143,15 +177,37 @@ def stationarity_residual(
                             _free_mask(sol.freeze_u1, sol.freeze_u2))
 
 
+def _mixed(u, f, d_u, d_f, theta, free) -> np.ndarray | None:
+    """Type-II Anderson step from u with residual f = Phi(u) - u, mixed
+    with weight theta and projected onto the admissible controls; None
+    when the least-squares problem for the mixing coefficients is
+    rank-deficient or ill-conditioned."""
+    dF = np.column_stack(d_f)
+    gamma, _, rank, sv = np.linalg.lstsq(dF, f.ravel(), rcond=None)
+    if rank < len(d_f) or sv[0] > _MAX_CONDITION * sv[-1]:
+        return None
+    step = theta * f - ((np.column_stack(d_u) + theta * dF) @ gamma).reshape(u.shape)
+    return np.clip(u + step, 0.0, 1.0) * free
+
+
+def _meets_stop_rule(u_new, u, tolerance: float) -> bool:
+    """The stop rule: max-norm change <= tolerance * max(1, |u_new|_inf)."""
+    return float(np.abs(u_new - u).max()) <= tolerance * max(1.0, float(np.abs(u_new).max()))
+
+
 def solve(
     params: ModelParams, w: ObjectiveWeights, y0: State, opts: SweepOptions
 ) -> SweepSolution:
-    """Run the forward-backward sweep to convergence or iteration cap.
+    """Run the Anderson-accelerated forward-backward sweep to convergence,
+    stall or iteration cap.
 
     Convergence: applied max-norm control change <= tolerance *
-    max(1, max-norm of the updated controls).  The objective of each
-    iterate is recorded before its update, so objective_history[k] is
-    the cost of the controls the k-th forward pass used.  A final
+    max(1, max-norm of the updated controls).  A stall: the best
+    residual |Phi(u) - u|_inf has not improved for ``_STALL_WINDOW``
+    iterations; the sweep then stops with ``StopReason.STALLED``.  The
+    objective of each iterate is recorded before its update, so
+    objective_history[k] is the cost of the controls the k-th forward
+    pass used, and residual_history[k] its residual.  A final
     forward/backward refresh keeps states and costates consistent with
     the returned controls without extending the history.
     """
@@ -186,17 +242,47 @@ def solve(
     theta = opts.relaxation_theta
     objective_history: list[float] = []
     change_history: list[float] = []
-    converged = False
+    residual_history: list[float] = []
+    # the last _DEPTH iterate differences u_k - u_(k-1) and residual
+    # differences f_k - f_(k-1), flattened; f = Phi(u) - u
+    d_u: list[np.ndarray] = []
+    d_f: list[np.ndarray] = []
+    u_prev = f_prev = None
+    stop = StopReason.BUDGET
     traj, costates = forward_backward(u)
     for _ in range(opts.max_iterations):
         objective_history.append(integrate_cost(traj, u, w))
-        u_new = u + theta * (_candidates(traj.states, costates, params, w, free) - u)
-        change = float(np.abs(u_new - u).max())
-        change_history.append(change)
+        f = _candidates(traj.states, costates, params, w, free) - u
+        residual = float(np.abs(f).max())
+        if residual_history and residual > residual_history[-1]:
+            d_u.clear()  # a grown residual restarts the mixing
+            d_f.clear()
+        elif f_prev is not None:
+            d_u.append((u - u_prev).ravel())
+            d_f.append((f - f_prev).ravel())
+            del d_u[:-_DEPTH], d_f[:-_DEPTH]
+        residual_history.append(residual)
+        u_prev, f_prev = u, f
+
+        plain = u + theta * f
+        u_new = _mixed(u, f, d_u, d_f, theta, free) if d_f else None
+        # A mixed step can cancel to almost no move while u is far from a
+        # fixed point (the stored u differences are then nearly dependent);
+        # it must not pass the stop rule that the plain step would fail.
+        if u_new is None or (_meets_stop_rule(u_new, u, opts.tolerance)
+                             and not _meets_stop_rule(plain, u, opts.tolerance)):
+            d_u.clear()
+            d_f.clear()
+            u_new = plain
+        change_history.append(float(np.abs(u_new - u).max()))
+        converged = _meets_stop_rule(u_new, u, opts.tolerance)
         u = u_new
         traj, costates = forward_backward(u)
-        if change <= opts.tolerance * max(1.0, float(np.abs(u).max())):
-            converged = True
+        if converged:
+            stop = StopReason.CONVERGED
+            break
+        if len(residual_history) - 1 - int(np.argmin(residual_history)) >= _STALL_WINDOW:
+            stop = StopReason.STALLED
             break
 
     # Snap to the exact pointwise minimizer so bound-clamped nodes sit at
@@ -209,7 +295,9 @@ def solve(
         objective_history=tuple(objective_history),
         change_history=tuple(change_history),
         iterations_used=len(change_history),
-        converged=converged,
+        converged=stop is StopReason.CONVERGED,
+        stop_reason=stop,
+        residual_history=tuple(residual_history),
         stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
         final_objective=integrate_cost(traj, u, w),
         freeze_u1=opts.freeze_u1,

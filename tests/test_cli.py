@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cropguard
+import cropguard.optimal_control as optimal_control
 from cropguard.cli import main
 
 
@@ -291,6 +292,42 @@ class TestOptimize:
         assert code == 2
         err = capsys.readouterr().err
         assert f"cannot write {hist}: No such file or directory" in err, err
+
+
+class TestOptimizeStopsAndOutputs:
+    def test_unwritable_history_out_leaves_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        hist = tmp_path / "missing" / "hist.csv"
+        code = run_cli(
+            "optimize", "--tf", "2", "--dt", "0.1",
+            "--out", str(out), "--history-out", str(hist),
+        )
+        assert code == 2
+        assert f"cannot write {hist}: No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stall_exits_4_and_says_why(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+
+        def random_phi(states, costates, params, w, free):
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+
+        monkeypatch.setattr(optimal_control, "_candidates", random_phi)
+        out = tmp_path / "opt.csv"
+        hist = tmp_path / "hist.csv"
+        code = run_cli(
+            "optimize", "--tf", "2", "--dt", "0.1",
+            "--out", str(out), "--history-out", str(hist),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "sweep stalled after" in err and "stopped improving" in err, err
+        assert "did not converge within" not in err
+        _, rows = read_csv(out)
+        assert len(rows) == 21
+        h_header, h_rows = read_csv(hist)
+        assert h_header == ["iter", "J", "control_change"]
+        assert 1 < len(h_rows) < 5000
 
 
 class TestParser:

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cropguard.optimal_control as optimal_control
+from conftest import make_random_params, make_random_state
+from plain_sweep import plain_solve
 from test_integrate import textbook_costates
 from cropguard.errors import DomainError, GridMismatchError
 from cropguard.integrate import TimeGrid, integrate_cost, rk4_model
@@ -17,6 +22,7 @@ from cropguard.model import (
     hamiltonian,
 )
 from cropguard.optimal_control import (
+    StopReason,
     SweepOptions,
     control_update,
     solve,
@@ -263,3 +269,139 @@ class TestIterationBudget:
         assert sol.converged
         u_scale = max(1.0, float(np.max(np.abs(sol.controls))))
         assert sol.change_history[-1] <= opts.tolerance * u_scale
+
+
+class TestPlainSweepOracle:
+    """The accelerated sweep against the relaxed sweep it replaced
+    (``tests/plain_sweep.py``): the same optimum in fewer iterations."""
+
+    def test_defaults_agree_with_the_relaxed_sweep(
+        self, converged_sweep, baseline, weights, y0, control_grid
+    ):
+        ref = plain_solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        sol = converged_sweep
+        assert ref.converged and ref.iterations_used == 23
+        assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-10)
+        assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-6
+        assert sol.stationarity_residual <= ref.stationarity_residual
+
+    def test_defaults_take_at_most_13_iterations(self, converged_sweep):
+        assert converged_sweep.iterations_used <= 13
+        assert converged_sweep.stop_reason is StopReason.CONVERGED
+
+    def test_residual_history_records_every_iteration(self, converged_sweep):
+        sol = converged_sweep
+        assert len(sol.residual_history) == sol.iterations_used
+        # the first iteration takes the plain step from u = 0.5, so its
+        # applied change is theta times its residual
+        assert sol.residual_history[0] == 0.5
+        assert sol.change_history[0] == 0.5 * sol.residual_history[0]
+        assert sol.residual_history[-1] < 1e-6
+
+    def test_a_grown_residual_restarts_with_the_plain_step(self, converged_sweep):
+        sol = converged_sweep
+        grown = [k for k in range(1, sol.iterations_used)
+                 if sol.residual_history[k] > sol.residual_history[k - 1]]
+        assert grown  # the default run has one, at the fourth iteration
+        for k in grown:
+            assert sol.change_history[k] == pytest.approx(0.5 * sol.residual_history[k], rel=1e-12)
+
+    def test_every_forward_pass_sees_admissible_controls(
+        self, baseline, weights, y0, control_grid, monkeypatch
+    ):
+        """Mixed iterates are projected onto [0, 1] before the next pass."""
+        seen = []
+
+        def spy(params, y0, grid, u=None):
+            seen.append((float(u.min()), float(u.max())))
+            return rk4_model(params, y0, grid, u)
+
+        monkeypatch.setattr(optimal_control, "rk4_model", spy)
+        sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        assert len(seen) == sol.iterations_used + 2
+        assert all(0.0 <= lo and hi <= 1.0 for lo, hi in seen)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        A1=st.floats(0.0, 2000.0), A2=st.floats(0.0, 2000.0),
+        B1=st.floats(0.5, 5.0), B2=st.floats(0.5, 5.0),
+    )
+    def test_random_problems_agree_with_the_relaxed_sweep(self, seed, A1, A2, B1, B2):
+        rng = np.random.default_rng(seed)
+        params, y0 = make_random_params(rng), make_random_state(rng)
+        w = ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2)
+        opts = SweepOptions(grid=TimeGrid(0.0, 5.0, 250))
+        sol = solve(params, w, y0, opts)
+        ref = plain_solve(params, w, y0, opts)
+        assert ref.converged
+        assert sol.converged and sol.stop_reason is StopReason.CONVERGED
+        assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-10)
+        assert sol.stationarity_residual < 1e-6
+
+    def test_a_cancelled_mixed_step_does_not_pass_for_convergence(self):
+        """Draw 74 of ``default_rng(6)``: after two plain-looking steps the
+        stored u differences are parallel, and the mixing coefficients
+        (-1, 1) cancel the step to 1e-16 while |Phi(u) - u| is 0.24.
+        Accepting that step stopped the sweep as converged at iteration
+        3 with a stationarity residual of 1.1e-3."""
+        params = ModelParams(
+            r=0.09288199411896672, K=1.0844771101434376, alpha=0.06065702015126185,
+            phi=0.8118605757427239, c=2.923025992882759, a=1.3772887790368353,
+            lam=0.2186010266019949, d=0.07952727867511528, delta=0.42834323111823147,
+            m1=0.46191963487970367, m2=0.40779717683934325, gamma=0.0367270204329113,
+            sigma=0.04042610399261542, eta=0.03851059006183502,
+        )
+        w = ObjectiveWeights(A1=1562.8841711725956, A2=1094.9338488942376,
+                             B1=1.5890082362748021, B2=0.963883013124861)
+        y0 = State(0.42301866477185435, 1.0630041299483777, 1.3839707987936338,
+                   1.6196824830378458)
+        opts = SweepOptions(grid=TimeGrid(0.0, 5.0, 250))
+        sol = solve(params, w, y0, opts)
+        ref = plain_solve(params, w, y0, opts)
+        assert sol.converged and ref.converged
+        assert sol.residual_history[-1] <= opts.tolerance / opts.relaxation_theta
+        assert sol.stationarity_residual < 1e-6
+        assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-10)
+
+    def test_dependent_or_ill_conditioned_differences_give_no_mixed_step(self):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, 1.0, size=(50, 2))
+        f = rng.uniform(-0.1, 0.1, size=(50, 2))
+        v, x = rng.normal(size=100), rng.normal(size=100)
+        d_u = [rng.normal(size=100), rng.normal(size=100)]
+        free = np.ones(2)
+        assert optimal_control._mixed(u, f, d_u, [v, 2.0 * v], 0.5, free) is None
+        nearly = [v, v + 1e-12 * x]
+        assert optimal_control._mixed(u, f, d_u, nearly, 0.5, free) is None
+        mixed = optimal_control._mixed(u, f, d_u, [v, x], 0.5, free)
+        assert mixed.shape == u.shape and 0.0 <= mixed.min() and mixed.max() <= 1.0
+
+
+class TestStall:
+    def test_a_phi_without_fixed_point_stalls(self, baseline, weights, y0, monkeypatch):
+        """Phi replaced by seeded random controls: the residual never
+        settles, so the sweep stops long before its budget, not converged."""
+        rng = np.random.default_rng(97)
+
+        def random_phi(states, costates, params, w, free):
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+
+        monkeypatch.setattr(optimal_control, "_candidates", random_phi)
+        sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 5.0, 100)))
+        assert not sol.converged
+        assert sol.stop_reason is StopReason.STALLED
+        assert sol.iterations_used < 100
+        assert len(sol.residual_history) == len(sol.change_history) == sol.iterations_used
+        best = int(np.argmin(sol.residual_history))
+        assert sol.iterations_used - 1 - best == optimal_control._STALL_WINDOW
+        assert math.isfinite(sol.final_objective)
+
+    def test_budget_exhaustion_is_its_own_reason(self, baseline, weights, y0):
+        sol = solve(
+            baseline, weights, y0,
+            SweepOptions(grid=TimeGrid(0.0, 20.0, 1000), max_iterations=2),
+        )
+        assert sol.stop_reason is StopReason.BUDGET
+        assert not sol.converged
+        assert len(sol.residual_history) == 2
