@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .equilibria import coexistence, pest_free
 from .errors import BlowUpError, DegenerateParameterError, DomainError
 from .integrate import TimeGrid, default_step, rk4_model
-from .model import _PARAM_FIELDS, ModelParams, State, check_state
+from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, State, check_state
 from .stability import Verdict, classify
 
 _NAN_STATE = State(math.nan, math.nan, math.nan, math.nan)
@@ -35,7 +34,7 @@ class SweepSpec:
     values: tuple[float, ...]
     tf: float = 2000.0
     transient_fraction: float = 0.7
-    initial_state: State = State(0.2, 0.07, 0.05, 0.5)
+    initial_state: State = DEFAULT_STATE
     dt: float | None = None
 
     def __post_init__(self) -> None:

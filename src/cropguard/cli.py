@@ -7,7 +7,9 @@ state), bifurcate (tail-extrema parameter sweeps), optimize
 
 Configuration precedence: built-in defaults, then a ``key = value``
 config file (``#`` comments), then command-line flags.  ``lambda`` is
-the config/flag spelling of the aware-activity rate.  Exit codes:
+the config/flag spelling of the aware-activity rate.  Output paths are
+checked before the run: a missing or unwritable directory, or a path
+that names an existing directory, is a configuration error.  Exit codes:
 0 success, 2 configuration error, 3 integration blow-up, 4 sweep
 non-convergence, 1 when the reader closes stdout early (``cropguard
 ... | head``); the rest of the output is discarded without a traceback.
@@ -16,28 +18,36 @@ non-convergence, 1 when the reader closes stdout early (``cropguard
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import itertools
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, Sequence
 
 from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, CropguardError
 from .integrate import TimeGrid, default_step, rk4_model
-from .model import _PARAM_FIELDS, ModelParams, ObjectiveWeights, State
+from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State
 from .optimal_control import StopReason, SweepOptions, solve
 from .stability import classify, r0
 
-_WEIGHT_KEYS = ("A1", "A2", "B1", "B2")
-_STATE_KEYS = ("X0", "S0", "I0", "A0")
+_WEIGHT_KEYS = tuple(f.name for f in fields(ObjectiveWeights))
+_STATE_KEYS = tuple(f"{c}0" for c in State._fields)
 _GRID_KEYS = ("tf", "dt")
 # config spelling -> ModelParams field
 _PARAM_KEYS = {("lambda" if f == "lam" else f): f for f in _PARAM_FIELDS}
 _ALL_KEYS = tuple(_PARAM_KEYS) + _WEIGHT_KEYS + _STATE_KEYS + _GRID_KEYS
 
-_DEFAULT_TF = {"simulate": 2000.0, "bifurcate": 2000.0, "optimize": 100.0}
+_COMMANDS = {  # subcommand -> its --help line
+    "simulate": "integrate the uncontrolled system",
+    "equilibria": "steady states with verdicts",
+    "stability": "characteristic-polynomial detail",
+    "bifurcate": "tail-extrema parameter sweep",
+    "optimize": "forward-backward sweep optimal control",
+}
 
 
 class ConfigError(CropguardError, ValueError):
@@ -96,13 +106,8 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     except (CropguardError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    y0 = State(
-        merged.get("X0", 0.2),
-        merged.get("S0", 0.07),
-        merged.get("I0", 0.05),
-        merged.get("A0", 0.5),
-    )
-    tf = merged.get("tf", _DEFAULT_TF.get(args.command, 2000.0))
+    y0 = State(*(merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)))
+    tf = merged.get("tf", 100.0 if args.command == "optimize" else 2000.0)
     if not tf > 0.0:
         raise ConfigError(f"tf must be positive, got {tf}")
     dt = merged.get("dt", default_step(tf))
@@ -113,49 +118,44 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Effective configuration as config-file text; floats round-trip exactly."""
-    lines = []
-    for key, field in _PARAM_KEYS.items():
-        lines.append(f"{key} = {getattr(cfg.params, field)!r}")
-    for key in _WEIGHT_KEYS:
-        lines.append(f"{key} = {getattr(cfg.weights, key)!r}")
-    for key, value in zip(_STATE_KEYS, cfg.y0):
-        lines.append(f"{key} = {value!r}")
-    lines.append(f"tf = {cfg.tf!r}")
-    lines.append(f"dt = {cfg.dt!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Numeric cells are written as ``%.12g``, string cells as they are."""
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(cell if isinstance(cell, str) else "%.12g" % cell for cell in row))
-        stream.write("\n")
+    values = (*astuple(cfg.params), *astuple(cfg.weights), *cfg.y0, cfg.tf, cfg.dt)
+    return "".join(f"{key} = {value!r}\n" for key, value in zip(_ALL_KEYS, values, strict=True))
 
 
 def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write CSV rows to ``path``, or to stdout when it is None or ``-``."""
+    """Write CSV rows to ``path``, or to stdout when it is None or ``-``.
+
+    Numeric cells are written as ``%.12g``, string cells as they are.
+    """
     if path is None or path == "-":
-        _write_csv(sys.stdout, header, rows)
-        return
-    try:
-        stream = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-    with stream:
-        _write_csv(stream, header, rows)
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        try:
+            target = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with target as stream:
+        stream.write(",".join(header) + "\n")
+        for row in rows:
+            stream.write(",".join(c if isinstance(c, str) else "%.12g" % c for c in row))
+            stream.write("\n")
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Fail before the run when an output CSV's directory is missing or unwritable."""
+    """Fail before the run when an output CSV path is a directory or not writable."""
     for path in (args.out, getattr(args, "history_out", None)):
         if path is None or path == "-":
             continue
         directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(directory):
+            code = errno.ENOENT
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -163,27 +163,31 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     traj = rk4_model(cfg.params, cfg.y0, grid)
     _emit_csv(
         args.out,
-        ("t", "X", "S", "I", "A"),
+        ("t", *State._fields),
         zip(traj.times().tolist(), *traj.states.T.tolist()),
     )
     return 0
 
 
+def _classified(params: ModelParams):
+    """Each ``all_equilibria`` entry with its stability report (None if Nonexistent)."""
+    for eq in all_equilibria(params):
+        yield eq, None if isinstance(eq, Nonexistent) else classify(params, eq)
+
+
 def _equilibria_rows(cfg: RunConfig):
     threshold = r0(cfg.params)
-    for eq in all_equilibria(cfg.params):
-        if isinstance(eq, Nonexistent):
+    for eq, report in _classified(cfg.params):
+        if report is None:
             yield (eq.kind.value, "", "", "", "", "", "Nonexistent", "", "", eq.reason)
             continue
-        report = classify(cfg.params, eq)
-        r0_cell = "%.12g" % threshold if eq.kind is EquilibriumKind.PEST_FREE else ""
         yield (
             eq.kind.value,
             *eq.point,
             eq.residual_norm,
             report.verdict.value,
             report.max_real_part,
-            r0_cell,
+            threshold if eq.kind is EquilibriumKind.PEST_FREE else "",
             "",
         )
 
@@ -191,36 +195,31 @@ def _equilibria_rows(cfg: RunConfig):
 def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
     _emit_csv(
         args.out,
-        ("kind", "X", "S", "I", "A", "residual", "verdict", "max_real_eig", "R0", "reason"),
+        ("kind", *State._fields, "residual", "verdict", "max_real_eig", "R0", "reason"),
         _equilibria_rows(cfg),
     )
     return 0
 
 
 def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rows = []
-    for eq in all_equilibria(cfg.params):
-        if isinstance(eq, Nonexistent):
-            continue
-        rep = classify(cfg.params, eq)
-        rows.append(
-            (
-                eq.kind.value,
-                *eq.point,
-                rep.verdict.value,
-                rep.max_real_part,
-                "true" if rep.pure_imaginary else "false",
-                "true" if rep.rh_stable else "false",
-                *rep.char,
-                *rep.rh_margins[3:],
-            )
+    rows = [
+        (
+            eq.kind.value,
+            *eq.point,
+            rep.verdict.value,
+            rep.max_real_part,
+            "true" if rep.pure_imaginary else "false",
+            "true" if rep.rh_stable else "false",
+            *rep.char,
+            *rep.rh_margins[3:],
         )
+        for eq, rep in _classified(cfg.params)
+        if rep is not None
+    ]
     _emit_csv(
         args.out,
-        (
-            "kind", "X", "S", "I", "A", "verdict", "max_real_eig",
-            "pure_imaginary", "rh_stable", "C1", "C2", "C3", "C4", "H1", "H2",
-        ),
+        ("kind", *State._fields, "verdict", "max_real_eig", "pure_imaginary", "rh_stable",
+         "C1", "C2", "C3", "C4", "H1", "H2"),
         rows,
     )
     return 0
@@ -236,7 +235,7 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
         step = (hi - lo) / (args.steps - 1)
         values = tuple(lo + i * step for i in range(args.steps))
     spec = SweepSpec(
-        parameter_name=_PARAM_KEYS.get(args.parameter, args.parameter),
+        parameter_name=_PARAM_KEYS[args.parameter],
         values=values,
         tf=cfg.tf,
         transient_fraction=args.transient,
@@ -244,25 +243,20 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
         dt=cfg.dt,
     )
     rows = run_sweep(cfg.params, spec)
-    def cells():
-        for row in rows:
-            yield (
+    _emit_csv(
+        args.out,
+        ("value", *(f"{c}_{end}" for c in State._fields for end in ("min", "max")),
+         "failed", "pest_free", "coexistence"),
+        (
+            (
                 row.parameter_value,
-                row.tail_min.X, row.tail_max.X,
-                row.tail_min.S, row.tail_max.S,
-                row.tail_min.I, row.tail_max.I,
-                row.tail_min.A, row.tail_max.A,
+                *(v for pair in zip(row.tail_min, row.tail_max) for v in pair),
                 "true" if row.failed else "false",
                 row.pest_free_verdict.value if row.pest_free_verdict else "",
                 ";".join(v.value for v in row.coexistence_verdicts),
             )
-    _emit_csv(
-        args.out,
-        (
-            "value", "X_min", "X_max", "S_min", "S_max", "I_min", "I_max",
-            "A_min", "A_max", "failed", "pest_free", "coexistence",
+            for row in rows
         ),
-        cells(),
     )
     return 0
 
@@ -281,7 +275,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     run = sol.states
     _emit_csv(
         args.out,
-        ("t", "X", "S", "I", "A", "u1", "u2", "p1", "p2", "p3", "p4"),
+        ("t", *State._fields, "u1", "u2", "p1", "p2", "p3", "p4"),
         zip(run.times().tolist(), *run.states.T.tolist(), *run.controls.T.tolist(),
             *run.costates.T.tolist()),
     )
@@ -289,39 +283,23 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         _emit_csv(
             args.history_out,
             ("iter", "J", "control_change"),
-            (
-                (float(i + 1), sol.objective_history[i], sol.change_history[i])
-                for i in range(sol.iterations_used)
-            ),
+            zip(itertools.count(1.0), sol.objective_history, sol.change_history),
         )
+    if sol.converged:
+        return 0
     if sol.stop_reason is StopReason.STALLED:
-        print(
+        why = (
             f"sweep stalled after {sol.iterations_used} iterations: the best "
             f"fixed-point residual |Phi(u) - u| ({min(sol.residual_history):.3e}) "
-            f"stopped improving",
-            file=sys.stderr,
+            f"stopped improving"
         )
-        return 4
-    if not sol.converged:
-        print(
+    else:
+        why = (
             f"sweep did not converge within {opts.max_iterations} iterations "
-            f"(last control change {sol.change_history[-1]:.3e})",
-            file=sys.stderr,
+            f"(last control change {sol.change_history[-1]:.3e})"
         )
-        return 4
-    return 0
-
-
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument(
-        "--dump-config", action="store_true",
-        help="print the effective configuration and exit",
-    )
-    group = sub.add_argument_group("model and run overrides")
-    for key in _ALL_KEYS:
-        group.add_argument(f"--{key}", type=float, default=None, dest=key)
+    print(why, file=sys.stderr)
+    return 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,18 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "stability, bifurcation sweeps, and optimal control.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, text in _COMMANDS.items():
+        sub = subs[name] = commands.add_parser(name, help=text)
+        sub.add_argument("--config", help="key = value config file")
+        sub.add_argument("--out", help="output CSV path (default: stdout)")
+        sub.add_argument(
+            "--dump-config", action="store_true",
+            help="print the effective configuration and exit",
+        )
+        group = sub.add_argument_group("model and run overrides")
+        for key in _ALL_KEYS:
+            group.add_argument(f"--{key}", type=float, default=None, dest=key)
 
-    sub = commands.add_parser("simulate", help="integrate the uncontrolled system")
-    _add_config_flags(sub)
-
-    sub = commands.add_parser("equilibria", help="steady states with verdicts")
-    _add_config_flags(sub)
-
-    sub = commands.add_parser("stability", help="characteristic-polynomial detail")
-    _add_config_flags(sub)
-
-    sub = commands.add_parser("bifurcate", help="tail-extrema parameter sweep")
-    _add_config_flags(sub)
+    sub = subs["bifurcate"]
     sub.add_argument("--parameter", required=True, choices=sorted(_PARAM_KEYS),
                      help="model parameter to sweep")
     sub.add_argument("--from", dest="sweep_from", type=float, required=True)
@@ -351,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--transient", type=float, default=0.7,
                      help="fraction of the horizon discarded before extrema")
 
-    sub = commands.add_parser("optimize", help="forward-backward sweep optimal control")
-    _add_config_flags(sub)
+    sub = subs["optimize"]
     sub.add_argument("--history-out", help="CSV path for per-iteration J and control change")
     sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=5000)
     sub.add_argument("--tolerance", type=float, default=1e-6)
@@ -396,13 +375,9 @@ def _run(argv: Sequence[str] | None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = effective_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    if args.dump_config:
-        sys.stdout.write(dump_config(cfg))
-        return 0
-    try:
+        if args.dump_config:
+            sys.stdout.write(dump_config(cfg))
+            return 0
         _check_outputs(args)
         return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:

@@ -17,7 +17,6 @@ in the paper do not withstand a residual check, so they are not used.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -148,33 +147,18 @@ def _reduction(params: ModelParams):
     return P, N, den, S_den2, I_den2
 
 
-def coexistence(
-    params: ModelParams,
-    search_bounds: tuple[float, float] | None = None,
-) -> list[Equilibrium]:
+def coexistence(params: ModelParams) -> list[Equilibrium]:
     """All admissible coexistence equilibria, sorted by awareness level.
 
     The awareness levels are the real roots of the quartic P(A) (see
     _reduction), taken with numpy.roots, polished by one Newton step on P
     and kept in (0, A_max], with A_max the containment bound started at
-    the carrying capacity, or in ``search_bounds`` when given.  Only roots
-    with a positive X* denominator and all components >= 0 qualify.
-    Returns an empty list when no admissible root exists.
+    the carrying capacity, which bounds every steady state (X* <= K).
+    Only roots with a positive X* denominator and all components >= 0
+    qualify.  Returns an empty list when no admissible root exists.
     """
     P, N, den, S_den2, I_den2 = _reduction(params)
-
     a_cap = attracting_region(params, params.K).A_max
-    if search_bounds is None:
-        lo, hi = 0.0, a_cap
-    else:
-        lo, hi = search_bounds
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
-            raise DomainError(f"search bounds must satisfy 0 < lo < hi, got {search_bounds}")
-        if hi > a_cap * (1.0 + 1e-9) + 1e-12:
-            raise DomainError(
-                f"search upper bound {hi:.6g} exceeds the containment bound {a_cap:.6g}"
-            )
-
     dP = np.polyder(P)
     roots: list[float] = []
     for z in np.roots(P):
@@ -184,7 +168,7 @@ def coexistence(
         slope = float(np.polyval(dP, A))
         if slope != 0.0:
             A -= float(np.polyval(P, A)) / slope
-        if lo < A <= hi:
+        if 0.0 < A <= a_cap:
             roots.append(A)
 
     out: list[Equilibrium] = []

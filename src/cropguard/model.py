@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +52,10 @@ class State(NamedTuple):
     S: float
     I: float
     A: float
+
+
+# Initial state of the CLI runs and of parameter sweeps, unless overridden.
+DEFAULT_STATE = State(0.2, 0.07, 0.05, 0.5)
 
 
 class Costate(NamedTuple):
@@ -135,10 +139,7 @@ class ModelParams:
             )
 
 
-_PARAM_FIELDS = (
-    "r", "K", "alpha", "phi", "c", "a", "lam",
-    "d", "delta", "m1", "m2", "gamma", "sigma", "eta",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,7 @@ class ObjectiveWeights:
 
 
 def _unpack(p: ModelParams) -> tuple[float, ...]:
-    return (p.r, p.K, p.alpha, p.phi, p.c, p.a, p.lam,
-            p.d, p.delta, p.m1, p.m2, p.gamma, p.sigma, p.eta)
+    return tuple(getattr(p, name) for name in _PARAM_FIELDS)
 
 
 def _require_finite(*values: float) -> None:

@@ -139,19 +139,16 @@ def r0(params: ModelParams) -> float:
 
     R is the smaller of (c+K)(lam gamma + d(a eta + gamma))/(m1 (a eta
     + gamma)) and (c+K)(d+delta)/(m2 phi); the pest-free state is
-    stable when the ratio is below one.
+    stable when the ratio is below one.  The first bound is always
+    finite (ModelParams keeps m1 > 0 and a, eta > 0); the second drops
+    out when m2 phi = 0.  R = 0, as at d = lam = 0, raises
+    DegenerateParameterError.
     """
     p = params
     pool = p.a * p.eta + p.gamma
-    first = math.inf
-    if p.m1 > 0.0:
-        first = (p.c + p.K) * (p.lam * p.gamma + p.d * pool) / (p.m1 * pool)
-    second = math.inf
+    R = (p.c + p.K) * (p.lam * p.gamma + p.d * pool) / (p.m1 * pool)
     if p.m2 * p.phi > 0.0:
-        second = (p.c + p.K) * (p.d + p.delta) / (p.m2 * p.phi)
-    R = min(first, second)
-    if math.isinf(R):
-        return 0.0
+        R = min(R, (p.c + p.K) * (p.d + p.delta) / (p.m2 * p.phi))
     if R == 0.0:
         raise DegenerateParameterError("threshold denominator R is zero")
     return p.alpha * p.K / R

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import argparse
 import csv
+import inspect
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 import cropguard
 import cropguard.optimal_control as optimal_control
+from cropguard import cli
 from cropguard.cli import main
 
 
@@ -330,6 +334,31 @@ class TestOptimizeStopsAndOutputs:
         assert 1 < len(h_rows) < 5000
 
 
+class TestOutputPreflight:
+    def test_history_out_naming_a_directory_exits_2_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        code = run_cli(
+            "optimize", "--tf", "1", "--dt", "0.1",
+            "--out", str(out), "--history-out", str(tmp_path),
+        )
+        assert code == 2
+        assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+    def test_out_naming_a_directory_is_rejected_before_dispatch(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def never(cfg, args):
+            raise AssertionError(f"{command} ran despite an unwritable --out")
+
+        monkeypatch.setitem(cli._DISPATCH, command, never)
+        extra = ("--parameter", "alpha", "--from", "0.3", "--to", "1", "--steps", "2")
+        argv = [command, "--tf", "1", "--dt", "0.1", "--out", str(tmp_path)]
+        assert run_cli(*argv, *(extra if command == "bifurcate" else ())) == 2
+        assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -341,3 +370,15 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run_cli("frobnicate")
         assert info.value.code == 2
+
+    def test_dispatch_table_matches_the_subcommands(self):
+        # the benchmark times and traces each command by swapping the plain
+        # functions held as values of this flat table
+        (subcommands,) = (
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(cli._DISPATCH) == list(subcommands.choices)
+        for command in cli._DISPATCH.values():
+            assert isinstance(command, types.FunctionType)
+            assert list(inspect.signature(command).parameters) == ["cfg", "args"]

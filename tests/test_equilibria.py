@@ -183,12 +183,6 @@ class TestCoexistence:
         assert eq.point.A == pytest.approx(ref.point.A, rel=1e-9)
         assert eq.residual_norm < 1e-12
 
-    def test_search_bounds_restrict_the_scan(self, baseline):
-        p = params_with_alpha(baseline, 0.06)
-        assert coexistence(p, search_bounds=(0.6, 1.0)) == []
-        inside = coexistence(p, search_bounds=(0.4, 0.6))
-        assert len(inside) == 1
-
 
 def _fold_draw() -> ModelParams:
     """Draw 847 of make_random_params(default_rng(3)), 1 of 3000 draws with

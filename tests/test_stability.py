@@ -1,5 +1,7 @@
 """Characteristic polynomial, Routh-Hurwitz margins, verdicts, Hopf scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -118,6 +120,30 @@ class TestInvasionNumber:
             else:
                 assert verdict is Verdict.UNSTABLE, (value, p)
         assert checked > 250
+
+    def test_without_infected_consumption_only_the_first_bound_counts(self):
+        # phi = 0: (c+K)(d+delta)/(m2 phi) drops out, and the unit value
+        # still separates the pest-free verdicts
+        rng = np.random.default_rng(72)
+        stable = unstable = 0
+        for _ in range(200):
+            p = replace(make_random_params(rng), phi=0.0)
+            value = r0(p)
+            if abs(value - 1.0) < 1e-3:
+                continue
+            verdict = classify(p, pest_free(p)).verdict
+            if value < 1.0:
+                assert verdict is Verdict.STABLE, (value, p)
+                stable += 1
+            else:
+                assert verdict is Verdict.UNSTABLE, (value, p)
+                unstable += 1
+        assert stable > 20 and unstable > 20
+
+    def test_zero_threshold_denominator_raises(self):
+        # d = lam = 0 makes the first bound, and so R, zero
+        with pytest.raises(DegenerateParameterError):
+            r0(ModelParams(d=0.0, lam=0.0))
 
 
 class TestClassify:
