@@ -9,7 +9,9 @@ Configuration precedence: built-in defaults, then a ``key = value``
 config file (``#`` comments), then command-line flags.  ``lambda`` is
 the config/flag spelling of the aware-activity rate.  Output paths are
 checked before the run: a missing or unwritable directory, or a path
-that names an existing directory, is a configuration error.  Exit codes:
+that names an existing directory, is a configuration error, and so is
+an option value or a parameter set that the library rejects (a
+``DomainError`` or ``DegenerateParameterError``).  Exit codes:
 0 success, 2 configuration error, 3 integration blow-up, 4 sweep
 non-convergence, 1 when the reader closes stdout early (``cropguard
 ... | head``); the rest of the output is discarded without a traceback.
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
-from .errors import BlowUpError, CropguardError
+from .errors import BlowUpError, CropguardError, DegenerateParameterError, DomainError
 from .integrate import TimeGrid, default_step, rk4_model
 from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State
 from .optimal_control import StopReason, SweepOptions, solve
@@ -193,10 +195,11 @@ def _equilibria_rows(cfg: RunConfig):
 
 
 def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
+    rows = list(_equilibria_rows(cfg))  # a degenerate parameter set fails before --out opens
     _emit_csv(
         args.out,
         ("kind", *State._fields, "residual", "verdict", "max_real_eig", "R0", "reason"),
-        _equilibria_rows(cfg),
+        rows,
     )
     return 0
 
@@ -380,7 +383,7 @@ def _run(argv: Sequence[str] | None) -> int:
             return 0
         _check_outputs(args)
         return _DISPATCH[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, DegenerateParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:

@@ -334,6 +334,40 @@ class TestOptimizeStopsAndOutputs:
         assert 1 < len(h_rows) < 5000
 
 
+class TestRejectedInputs:
+    """Values the library refuses are configuration errors: exit 2, the
+    reason on stderr, no traceback and no output file."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("optimize", "--theta", "2"), "relaxation_theta must lie in (0, 1]"),
+        (("optimize", "--max-iterations", "0"), "max_iterations must be a positive count"),
+        (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "inf",
+          "--steps", "2"), "sweep values must be finite"),
+        (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
+          "--steps", "2", "--transient", "1.5"), "transient_fraction must lie in [0, 1)"),
+    ])
+    def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--tf", "1", "--dt", "0.1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and reason in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    @pytest.mark.parametrize("flag, reason", [
+        ("--sigma", "the coexistence reduction needs sigma > 0"),
+        ("--d", "long-run bounds are undefined when d = 0"),
+    ])
+    def test_degenerate_parameters_exit_2_and_write_nothing(
+        self, command, flag, reason, tmp_path, capsys
+    ):
+        out = tmp_path / "x.csv"
+        assert run_cli(command, flag, "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and reason in err, err
+        assert not out.exists()
+
+
 class TestOutputPreflight:
     def test_history_out_naming_a_directory_exits_2_before_the_run(self, tmp_path, capsys):
         out = tmp_path / "opt.csv"

@@ -123,6 +123,31 @@ class TestForward:
             )
         assert info.value.t == pytest.approx(6.0)
 
+    def test_a_field_rejecting_a_finite_input_raises_its_own_error(self):
+        # u1 = 2 lies outside [0, 1]: the field's verdict on a finite input,
+        # so its DomainError reaches the caller unchanged
+        params = ModelParams()
+        with pytest.raises(DomainError, match="controls must lie in") as info:
+            rk4_forward(
+                lambda t, y: rhs_controlled(params, y, (2.0, 0.5)),
+                State(0.2, 0.07, 0.05, 0.5),
+                TimeGrid(0.0, 1.0, 10),
+            )
+        assert not isinstance(info.value, BlowUpError)
+
+    def test_a_checking_field_fed_an_overflowed_stage_is_a_blowup(self):
+        # the r = 8, h = 2 run above through rhs_uncontrolled: its DomainError
+        # comes from a stage state that overflowed, so it is a blow-up at the
+        # step's start
+        params = ModelParams(r=8.0)
+        with pytest.raises(BlowUpError) as info:
+            rk4_forward(
+                lambda t, y: rhs_uncontrolled(params, y),
+                State(0.2, 0.07, 0.05, 0.5),
+                TimeGrid.from_step(0.0, 100.0, 2.0),
+            )
+        assert info.value.t == pytest.approx(4.0)
+
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(DomainError):
             rk4_forward(_exp_decay, (math.nan, 0.0, 0.0, 0.0), TimeGrid(0.0, 1.0, 5))

@@ -378,6 +378,86 @@ class TestPlainSweepOracle:
         assert mixed.shape == u.shape and 0.0 <= mixed.min() and mixed.max() <= 1.0
 
 
+def _direct(params, w, y0, grid: TimeGrid):
+    """The sweep on the grid itself: initial controls skip the coarse stage."""
+    u0 = np.full((grid.n_steps + 1, 2), 0.5)
+    return solve(params, w, y0, SweepOptions(grid=grid, initial_controls=u0))
+
+
+class TestNestedSweep:
+    """Without initial controls, a grid of at least ``_COARSEN *
+    _MIN_COARSE_STEPS`` steps is swept first on one ``_COARSEN`` times
+    coarser; the direct solve from u = 0.5 is the oracle."""
+
+    N_MIN = optimal_control._COARSEN * optimal_control._MIN_COARSE_STEPS
+
+    @pytest.fixture
+    def grids_seen(self, monkeypatch):
+        seen = []
+
+        def spy(params, y0, grid, u=None):
+            seen.append(grid.n_steps)
+            return rk4_model(params, y0, grid, u)
+
+        monkeypatch.setattr(optimal_control, "rk4_model", spy)
+        return seen
+
+    def test_default_solve_matches_the_direct_solve(
+        self, converged_sweep, baseline, weights, y0, control_grid
+    ):
+        ref = _direct(baseline, weights, y0, control_grid)
+        sol = converged_sweep
+        assert ref.converged and sol.converged
+        assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-12)
+        assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-8
+        assert sol.stationarity_residual <= 1e-6
+
+    def test_the_coarse_grid_is_swept_first(self, baseline, weights, y0, grids_seen):
+        n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
+        sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, n)))
+        k = grids_seen.count(coarse)
+        assert k >= 1 and grids_seen == [coarse] * k + [n] * (sol.iterations_used + 2 - k)
+        # the histories begin with the coarse iterations: the first J is
+        # that of u = 0.5 on the coarse grid
+        half = np.full((coarse + 1, 2), 0.5)
+        first = integrate_cost(rk4_model(baseline, y0, TimeGrid(0.0, 20.0, coarse), half),
+                               half, weights)
+        assert sol.objective_history[0] == first
+
+    def test_initial_controls_or_a_small_grid_skip_the_coarse_stage(
+        self, baseline, weights, y0, grids_seen
+    ):
+        _direct(baseline, weights, y0, TimeGrid(0.0, 20.0, self.N_MIN))
+        assert set(grids_seen) == {self.N_MIN}
+        grids_seen.clear()
+        solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN - 1)))
+        assert set(grids_seen) == {self.N_MIN - 1}
+
+    def test_the_two_stages_share_one_budget(self, baseline, weights, y0, grids_seen):
+        n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
+        sol = solve(baseline, weights, y0,
+                    SweepOptions(grid=TimeGrid(0.0, 20.0, n), max_iterations=2))
+        assert sol.stop_reason is StopReason.BUDGET and sol.iterations_used == 2
+        # the coarse stage used it up; the fine grid gets only the final refresh
+        assert grids_seen == [coarse, coarse, n, n]
+        assert len(sol.controls) == n + 1
+
+    @pytest.mark.parametrize("seed", [11, 16])
+    def test_random_problems_agree_nested_and_direct(self, seed):
+        rng = np.random.default_rng(seed)
+        params, y0 = make_random_params(rng), make_random_state(rng)
+        A1, A2 = 10.0 ** rng.uniform(-1.0, 4.0, size=2)
+        B1, B2 = 10.0 ** rng.uniform(math.log10(0.03), 1.0, size=2)
+        w = ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2)
+        grid = TimeGrid(0.0, 20.0, 2000)
+        sol = solve(params, w, y0, SweepOptions(grid=grid))
+        ref = _direct(params, w, y0, grid)
+        assert sol.converged and ref.converged
+        assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-12)
+        assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-6
+        assert sol.stationarity_residual < 1e-6
+
+
 class TestStall:
     def test_a_phi_without_fixed_point_stalls(self, baseline, weights, y0, monkeypatch):
         """Phi replaced by seeded random controls: the residual never
