@@ -12,6 +12,7 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     GridMismatchError,
+    NonFiniteError,
 )
 from .model import (
     ControlValue,
@@ -77,6 +78,7 @@ __all__ = [
     "GridMismatchError",
     "HopfCandidate",
     "ModelParams",
+    "NonFiniteError",
     "Nonexistent",
     "ObjectiveWeights",
     "RegionBounds",

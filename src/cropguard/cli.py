@@ -293,7 +293,8 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     if sol.stop_reason is StopReason.STALLED:
         why = (
             f"sweep stalled after {sol.iterations_used} iterations: the best "
-            f"fixed-point residual |Phi(u) - u| ({min(sol.residual_history):.3e}) "
+            f"fixed-point residual |Phi(u) - u| "
+            f"({min(sol.residual_history[sol.coarse_iterations:]):.3e}) "
             f"stopped improving"
         )
     else:

@@ -12,6 +12,12 @@ class DomainError(CropguardError, ValueError):
     standing assumptions."""
 
 
+class NonFiniteError(DomainError):
+    """Raised when a value that must be finite is inf or NaN.  Inside an
+    integrator it marks a stage state that overflowed, so ``_rk4``
+    reports it as a blow-up rather than as a rejected input."""
+
+
 class DegenerateParameterError(CropguardError, ValueError):
     """Raised when a formula's denominator is too close to zero for the
     requested quantity to be meaningful (for example a vanishing pest

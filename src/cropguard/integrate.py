@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, GridMismatchError
+from .errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from .model import (ModelParams, ObjectiveWeights, State, costate_matrix, model_field,
                     running_cost)
 
@@ -117,8 +117,8 @@ def _rk4(f, y0, t0, h, stages):
     steps as the shortest of them has items.  Returns the nodes as a
     list of 4-tuples, y0 first.  A failing evaluation raises a blow-up
     error at the step's start time, a non-finite node one at the node's
-    time.  A ``DomainError`` that the field raises on a finite stage
-    state passes through unchanged: the field rejected its input.
+    time.  A ``DomainError`` other than ``NonFiniteError`` passes
+    through unchanged: the field rejected a finite input.
     """
     y = tuple(float(v) for v in y0)
     for v in y:
@@ -136,8 +136,7 @@ def _rk4(f, y0, t0, h, stages):
             cX, cS, cI, cA = f(X + h2 * bX, S + h2 * bS, I + h2 * bI, A + h2 * bA, m1, m2)
             dX, dS, dI, dA = f(X + h * cX, S + h * cS, I + h * cI, A + h * cA, v1, v2)
         except _ARITH_ERRORS as exc:
-            if isinstance(exc, DomainError) and _rejects_finite_stage(
-                    f, (X, S, I, A), h, (u1, u2, m1, m2, v1, v2)):
+            if isinstance(exc, DomainError) and not isinstance(exc, NonFiniteError):
                 raise  # the field rejected its input: not a blow-up
             t = t0 + i * h
             raise BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}") from exc
@@ -149,23 +148,6 @@ def _rk4(f, y0, t0, h, stages):
             raise BlowUpError(t0 + i * h + h)
         out.append((X, S, I, A))
     return out
-
-
-def _rejects_finite_stage(f, y, h, args) -> bool:
-    """Replay the RK4 step from y up to the stage whose evaluation raised
-    ``DomainError``: true when that stage's state was finite, false when
-    an earlier stage overflowed into it."""
-    u1, u2, m1, m2, v1, v2 = args
-    k = (0.0, 0.0, 0.0, 0.0)
-    for c, a, b in ((0.0, u1, u2), (0.5, m1, m2), (0.5, m1, m2), (1.0, v1, v2)):
-        z = tuple(yi + c * h * ki for yi, ki in zip(y, k))
-        if not all(map(math.isfinite, z)):
-            return False
-        try:
-            k = f(*z, a, b)
-        except DomainError:
-            return True
-    return True
 
 
 def rk4_forward(

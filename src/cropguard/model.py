@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError
+from .errors import DegenerateParameterError, DomainError, NonFiniteError
 
 # Components of a numerically integrated trajectory may dip this far
 # below zero from floating-point drift before validators complain.
@@ -172,7 +172,7 @@ def _unpack(p: ModelParams) -> tuple[float, ...]:
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise DomainError(f"non-finite input value {v!r}")
+            raise NonFiniteError(f"non-finite input value {v!r}")
 
 
 def check_state(s: Sequence[float], tol: float = POSITIVITY_TOL) -> State:

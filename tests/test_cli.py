@@ -333,6 +333,26 @@ class TestOptimizeStopsAndOutputs:
         assert h_header == ["iter", "J", "control_change"]
         assert 1 < len(h_rows) < 5000
 
+    def test_stall_after_a_converged_coarse_stage_reports_the_fine_residual(
+        self, capsys, monkeypatch
+    ):
+        # Phi as usual on the coarse grid (51 nodes), random on the fine one
+        # (501 nodes): the coarse residuals fall below 1e-2, the fine ones
+        # stay near 1, and the message must quote the fine stage's best
+        rng = np.random.default_rng(5)
+        real_phi = optimal_control._candidates
+
+        def phi(states, costates, params, w, free):
+            if len(states) == 51:
+                return real_phi(states, costates, params, w, free)
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+
+        monkeypatch.setattr(optimal_control, "_candidates", phi)
+        assert run_cli("optimize", "--tf", "5", "--dt", "0.01") == 4
+        err = capsys.readouterr().err
+        best = float(err.split("|Phi(u) - u| (")[1].split(")")[0])
+        assert best > 0.5, err
+
 
 class TestRejectedInputs:
     """Values the library refuses are configuration errors: exit 2, the

@@ -136,9 +136,9 @@ class TestForward:
         assert not isinstance(info.value, BlowUpError)
 
     def test_a_checking_field_fed_an_overflowed_stage_is_a_blowup(self):
-        # the r = 8, h = 2 run above through rhs_uncontrolled: its DomainError
-        # comes from a stage state that overflowed, so it is a blow-up at the
-        # step's start
+        # the r = 8, h = 2 run above through rhs_uncontrolled: a stage state
+        # overflows, the field raises NonFiniteError on it, and that is a
+        # blow-up at the step's start
         params = ModelParams(r=8.0)
         with pytest.raises(BlowUpError) as info:
             rk4_forward(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_params, make_random_state
-from cropguard.errors import DomainError
+from cropguard.errors import DomainError, NonFiniteError
 from cropguard.model import (
     POSITIVITY_TOL,
     ControlValue,
@@ -99,7 +99,7 @@ def test_check_state_tolerates_roundoff_negatives():
 def test_check_state_rejects_genuine_negatives_and_nonfinite():
     with pytest.raises(DomainError):
         check_state((1.0, -1e-6, 0.0, 0.1))
-    with pytest.raises(DomainError):
+    with pytest.raises(NonFiniteError):  # a DomainError of its own type
         check_state((math.nan, 0.0, 0.0, 0.1))
 
 

@@ -378,10 +378,18 @@ class TestPlainSweepOracle:
         assert mixed.shape == u.shape and 0.0 <= mixed.min() and mixed.max() <= 1.0
 
 
-def _direct(params, w, y0, grid: TimeGrid):
+def _direct(params, w, y0, grid: TimeGrid, **kw):
     """The sweep on the grid itself: initial controls skip the coarse stage."""
     u0 = np.full((grid.n_steps + 1, 2), 0.5)
-    return solve(params, w, y0, SweepOptions(grid=grid, initial_controls=u0))
+    return solve(params, w, y0, SweepOptions(grid=grid, initial_controls=u0, **kw))
+
+
+def _random_problem(seed: int):
+    rng = np.random.default_rng(seed)
+    params, y0 = make_random_params(rng), make_random_state(rng)
+    A1, A2 = 10.0 ** rng.uniform(-1.0, 4.0, size=2)
+    B1, B2 = 10.0 ** rng.uniform(math.log10(0.03), 1.0, size=2)
+    return params, ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2), y0
 
 
 class TestNestedSweep:
@@ -415,7 +423,7 @@ class TestNestedSweep:
     def test_the_coarse_grid_is_swept_first(self, baseline, weights, y0, grids_seen):
         n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
         sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, n)))
-        k = grids_seen.count(coarse)
+        k = sol.coarse_iterations
         assert k >= 1 and grids_seen == [coarse] * k + [n] * (sol.iterations_used + 2 - k)
         # the histories begin with the coarse iterations: the first J is
         # that of u = 0.5 on the coarse grid
@@ -430,29 +438,37 @@ class TestNestedSweep:
         _direct(baseline, weights, y0, TimeGrid(0.0, 20.0, self.N_MIN))
         assert set(grids_seen) == {self.N_MIN}
         grids_seen.clear()
-        solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN - 1)))
-        assert set(grids_seen) == {self.N_MIN - 1}
+        sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN - 1)))
+        assert set(grids_seen) == {self.N_MIN - 1} and sol.coarse_iterations == 0
 
-    def test_the_two_stages_share_one_budget(self, baseline, weights, y0, grids_seen):
-        n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
-        sol = solve(baseline, weights, y0,
-                    SweepOptions(grid=TimeGrid(0.0, 20.0, n), max_iterations=2))
-        assert sol.stop_reason is StopReason.BUDGET and sol.iterations_used == 2
-        # the coarse stage used it up; the fine grid gets only the final refresh
-        assert grids_seen == [coarse, coarse, n, n]
-        assert len(sol.controls) == n + 1
+    @pytest.mark.parametrize("case", ["budget", "blow-up", "stall"])
+    def test_an_unconverged_coarse_stage_is_dropped(self, case, baseline, weights, y0):
+        """A coarse stage that runs out of budget, blows up or stalls is
+        discarded: the result is the direct solve's, iteration for iteration."""
+        if case == "budget":  # the coarse stage gets the whole budget of 2
+            params, w, grid, kw = baseline, weights, TimeGrid(0.0, 20.0, self.N_MIN), {
+                "max_iterations": 2}
+        elif case == "blow-up":  # r h = 0.8 on the grid, 8 on the coarse one
+            params, w, grid, kw = ModelParams(r=8.0), weights, TimeGrid(0.0, 50.0, 500), {}
+        else:  # a random problem that stalls on both grids
+            (params, w, y0), grid, kw = _random_problem(130), TimeGrid(0.0, 20.0, 500), {}
+        sol = solve(params, w, y0, SweepOptions(grid=grid, **kw))
+        ref = _direct(params, w, y0, grid, **kw)
+        assert sol.coarse_iterations == 0
+        assert sol.stop_reason is ref.stop_reason is {
+            "budget": StopReason.BUDGET, "blow-up": StopReason.CONVERGED,
+            "stall": StopReason.STALLED}[case]
+        assert sol.objective_history == ref.objective_history
+        assert sol.residual_history == ref.residual_history
+        assert np.array_equal(sol.states.controls, ref.states.controls)
 
     @pytest.mark.parametrize("seed", [11, 16])
     def test_random_problems_agree_nested_and_direct(self, seed):
-        rng = np.random.default_rng(seed)
-        params, y0 = make_random_params(rng), make_random_state(rng)
-        A1, A2 = 10.0 ** rng.uniform(-1.0, 4.0, size=2)
-        B1, B2 = 10.0 ** rng.uniform(math.log10(0.03), 1.0, size=2)
-        w = ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2)
+        params, w, y0 = _random_problem(seed)
         grid = TimeGrid(0.0, 20.0, 2000)
         sol = solve(params, w, y0, SweepOptions(grid=grid))
         ref = _direct(params, w, y0, grid)
-        assert sol.converged and ref.converged
+        assert sol.converged and ref.converged and sol.coarse_iterations >= 1
         assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-12)
         assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-6
         assert sol.stationarity_residual < 1e-6
