@@ -11,6 +11,7 @@ equilibrium; a spread tail indicates sustained oscillation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .equilibria import coexistence, pest_free
@@ -94,35 +95,58 @@ def _verdicts(params: ModelParams) -> tuple[Verdict | None, tuple[Verdict, ...]]
     return pf, tuple(classify(params, eq).verdict for eq in stars)
 
 
+def _row(params: ModelParams, spec: SweepSpec, value: float) -> SweepRow:
+    """Integrate and summarise the sweep at one parameter value."""
+    try:
+        p = replace(params, **{spec.parameter_name: value})
+    except (DomainError, DegenerateParameterError):
+        return SweepRow(value, _NAN_STATE, _NAN_STATE, None, (), failed=True)
+    pf_verdict, star_verdicts = _verdicts(p)
+    grid = spec.grid()
+    try:
+        traj = rk4_model(p, spec.initial_state, grid)
+    except BlowUpError:
+        return SweepRow(value, _NAN_STATE, _NAN_STATE, pf_verdict, star_verdicts, failed=True)
+    tail = traj.states[int(spec.transient_fraction * grid.n_steps):]
+    return SweepRow(
+        parameter_value=value,
+        tail_min=State(*(float(v) for v in tail.min(axis=0))),
+        tail_max=State(*(float(v) for v in tail.max(axis=0))),
+        pest_free_verdict=pf_verdict,
+        coexistence_verdicts=star_verdicts,
+    )
+
+
+def _rows(params: ModelParams, spec: SweepSpec, values: tuple[float, ...]) -> list[SweepRow]:
+    return [_row(params, spec, v) for v in values]
+
+
 def run_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRow]:
     """Integrate the uncontrolled system once per parameter value.
 
     Rows come back in input order.  A blow-up at one value yields a
-    failed row and the sweep continues.
+    failed row and the sweep continues.  The rows are dealt round-robin
+    over the usable CPUs (``os.sched_getaffinity``, so ``taskset`` limits
+    them): the calling process computes the first share and forked
+    workers the others.  Each row is computed alone, so the result does
+    not depend on the CPU count.  With one row or one usable CPU, or
+    without ``fork``, no process is started.
     """
-    grid = spec.grid()
-    k0 = int(spec.transient_fraction * grid.n_steps)
-    rows: list[SweepRow] = []
-    for value in spec.values:
-        try:
-            p = replace(params, **{spec.parameter_name: value})
-        except (DomainError, DegenerateParameterError):
-            rows.append(SweepRow(value, _NAN_STATE, _NAN_STATE, None, (), failed=True))
-            continue
-        pf_verdict, star_verdicts = _verdicts(p)
-        try:
-            traj = rk4_model(p, spec.initial_state, grid)
-        except BlowUpError:
-            rows.append(SweepRow(value, _NAN_STATE, _NAN_STATE, pf_verdict, star_verdicts, failed=True))
-            continue
-        tail = traj.states[k0:]
-        rows.append(
-            SweepRow(
-                parameter_value=value,
-                tail_min=State(*(float(v) for v in tail.min(axis=0))),
-                tail_max=State(*(float(v) for v in tail.max(axis=0))),
-                pest_free_verdict=pf_verdict,
-                coexistence_verdicts=star_verdicts,
-            )
-        )
-    return rows
+    values = spec.values
+    jobs = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        jobs = min(len(values), len(os.sched_getaffinity(0)))
+    if jobs == 1:
+        return _rows(params, spec, values)
+
+    # imported here: they cost every other command ~15 ms at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and the package
+    # again, a sizeable part of a 10-row sweep on 2 CPUs
+    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_rows, params, spec, values[k::jobs]) for k in range(1, jobs)]
+        shares = [_rows(params, spec, values[::jobs])] + [f.result() for f in futures]
+    # row i is entry i // jobs of share i % jobs
+    return [shares[i % jobs][i // jobs] for i in range(len(values))]

@@ -10,8 +10,8 @@ config file (``#`` comments), then command-line flags.  ``lambda`` is
 the config/flag spelling of the aware-activity rate.  Output paths are
 checked before the run: a missing or unwritable directory, or a path
 that names an existing directory, is a configuration error, and so is
-an option value or a parameter set that the library rejects (a
-``DomainError`` or ``DegenerateParameterError``).  Exit codes:
+an option value, a parameter set or an initial state that the library
+rejects (a ``DomainError`` or ``DegenerateParameterError``).  Exit codes:
 0 success, 2 configuration error, 3 integration blow-up, 4 sweep
 non-convergence, 1 when the reader closes stdout early (``cropguard
 ... | head``); the rest of the output is discarded without a traceback.
@@ -32,7 +32,9 @@ from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, CropguardError, DegenerateParameterError, DomainError
 from .integrate import TimeGrid, default_step, rk4_model
-from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State
+from .model import (
+    _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
+)
 from .optimal_control import StopReason, SweepOptions, solve
 from .stability import classify, r0
 
@@ -105,10 +107,10 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             **{field: merged[key] for key, field in _PARAM_KEYS.items() if key in merged}
         )
         weights = ObjectiveWeights(**{k: merged[k] for k in _WEIGHT_KEYS if k in merged})
+        y0 = check_state([merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)])
     except (CropguardError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    y0 = State(*(merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)))
     tf = merged.get("tf", 100.0 if args.command == "optimize" else 2000.0)
     if not tf > 0.0:
         raise ConfigError(f"tf must be positive, got {tf}")

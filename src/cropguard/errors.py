@@ -36,3 +36,8 @@ class BlowUpError(CropguardError, RuntimeError):
     def __init__(self, t: float, message: str | None = None):
         self.t = t
         super().__init__(message or f"state became non-finite at t = {t:.6g}")
+
+    def __reduce__(self):
+        # ``args`` holds only the message; rebuild from (t, message) so the
+        # error crosses a process boundary with its type and time intact
+        return type(self), (self.t, str(self))

@@ -1,12 +1,17 @@
 """Parameter sweeps: tail statistics, verdict columns, failure rows."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from cropguard import bifurcation
 from cropguard.bifurcation import SweepRow, SweepSpec, run_sweep
-from cropguard.errors import DomainError
+from cropguard.errors import BlowUpError, DomainError
 from cropguard.integrate import TimeGrid, rk4_model
 from cropguard.model import State
 from cropguard.stability import Verdict, params_with_alpha
@@ -102,3 +107,95 @@ class TestRunSweep:
         assert all(math.isnan(v) for v in bad.tail_min)
         assert bad.pest_free_verdict is None
         assert bad.coexistence_verdicts == ()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that ``run_sweep`` sees, whatever the host has."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return use
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The arguments of every ProcessPoolExecutor that gets constructed."""
+    made = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return made
+
+
+def _alpha_spec(n):
+    values = tuple(np.linspace(0.3, 1.2, n).tolist())
+    return SweepSpec(parameter_name="alpha", values=values, tf=200.0, dt=0.05)
+
+
+class TestParallelRows:
+    """Rows are dealt over the usable CPUs; the result is the one-CPU result."""
+
+    @pytest.mark.parametrize("n_values, n_cpus", [(10, 2), (7, 2), (7, 3), (1, 2)])
+    def test_rows_equal_the_one_cpu_rows(self, baseline, cpus, n_values, n_cpus):
+        spec = _alpha_spec(n_values)
+        cpus(1)
+        serial = run_sweep(baseline, spec)
+        cpus(n_cpus)
+        rows = run_sweep(baseline, spec)
+        assert rows == serial
+        assert [r.parameter_value for r in rows] == list(spec.values)
+
+    def test_failed_rows_in_a_worker_share(self, baseline, cpus, pools):
+        # with two CPUs the worker takes rows 1 and 3: an inadmissible
+        # override (r < 0) and a blow-up (r = 8 at h = 2)
+        spec = SweepSpec(parameter_name="r", values=(0.5, -1.0, 1.0, 8.0), tf=100.0, dt=2.0)
+        cpus(1)
+        serial = run_sweep(baseline, spec)
+        cpus(2)
+        rows = run_sweep(baseline, spec)
+        assert len(pools) == 1
+        assert [r.failed for r in rows] == [False, True, False, True]
+        assert rows[1].pest_free_verdict is None
+        assert isinstance(rows[3].pest_free_verdict, Verdict)
+        assert repr(rows) == repr(serial)  # NaN extrema compare by their text
+
+    @pytest.mark.parametrize("n_values, n_cpus", [(10, 1), (1, 4)])
+    def test_no_pool_for_one_cpu_or_one_row(self, baseline, cpus, pools, n_values, n_cpus):
+        cpus(n_cpus)
+        assert len(run_sweep(baseline, _alpha_spec(n_values))) == n_values
+        assert pools == []
+
+    def test_the_caller_takes_one_share(self, baseline, cpus, pools):
+        cpus(3)
+        run_sweep(baseline, _alpha_spec(5))
+        ((args, kwargs),) = pools
+        assert args == (2,)
+        assert kwargs["mp_context"].get_start_method() == "fork"
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, baseline, cpus, monkeypatch):
+        verdicts = bifurcation._verdicts
+        spec = _alpha_spec(4)
+
+        def failing(params):
+            if params.alpha == spec.values[1]:  # in the worker's share
+                raise BlowUpError(3.5, f"raised in process {os.getpid()}")
+            return verdicts(params)
+
+        monkeypatch.setattr(bifurcation, "_verdicts", failing)
+        cpus(2)
+        with pytest.raises(BlowUpError) as info:
+            run_sweep(baseline, spec)
+        assert info.value.t == 3.5
+        assert str(info.value) != f"raised in process {os.getpid()}"
+
+    def test_importing_the_package_loads_no_pool(self):
+        # the pool modules cost every command's start-up; only a sweep that
+        # forks imports them
+        code = ("import sys, cropguard.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -365,6 +365,8 @@ class TestRejectedInputs:
           "--steps", "2"), "sweep values must be finite"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
           "--steps", "2", "--transient", "1.5"), "transient_fraction must lie in [0, 1)"),
+        (("simulate", "--X0", "-1"), "state has negative component"),
+        (("optimize", "--X0", "-1"), "state has negative component"),
     ])
     def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):
         out = tmp_path / "x.csv"
