@@ -50,7 +50,7 @@ class SweepSpec:
             raise DomainError("sweep values must be finite")
         object.__setattr__(self, "values", vals)
         if not (math.isfinite(self.tf) and self.tf > 0.0):
-            raise DomainError(f"horizon must be positive, got {self.tf}")
+            raise DomainError(f"horizon must be positive and finite, got {self.tf}")
         if not 0.0 <= self.transient_fraction < 1.0:
             raise DomainError(
                 f"transient_fraction must lie in [0, 1), got {self.transient_fraction}"

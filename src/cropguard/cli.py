@@ -130,6 +130,10 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
     """Write CSV rows to ``path``, or to stdout when it is None or ``-``.
 
     Numeric cells are written as ``%.12g``, string cells as they are.
+    A tuple row of one number per header column is formatted by a
+    single ``%`` with a line template built once per call; any other
+    row (one with a string cell, a list, or a length other than the
+    header's) is formatted cell by cell, to the same bytes.
     """
     if path is None or path == "-":
         target = contextlib.nullcontext(sys.stdout)
@@ -138,11 +142,15 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
             target = open(path, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     with target as stream:
         stream.write(",".join(header) + "\n")
         for row in rows:
-            stream.write(",".join(c if isinstance(c, str) else "%.12g" % c for c in row))
-            stream.write("\n")
+            try:
+                text = line % row
+            except TypeError:  # not a tuple of len(header) numbers
+                text = ",".join(c if isinstance(c, str) else "%.12g" % c for c in row) + "\n"
+            stream.write(text)
 
 
 def _check_outputs(args: argparse.Namespace) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,11 +63,20 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t0: float, tf: float, dt: float) -> "TimeGrid":
-        """Grid whose step is as close to dt as a whole number of steps allows."""
+        """Grid whose step is as close to dt as a whole number of steps allows.
+
+        The step count (tf - t0)/dt must be finite and, rounded, at most
+        ``sys.maxsize``: the integration kernels index steps by it.
+        """
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
-        n = max(1, round((tf - t0) / dt))
-        return cls(t0, tf, n)
+        steps = (tf - t0) / dt
+        if not (math.isfinite(steps) and round(steps) <= sys.maxsize):
+            raise DomainError(
+                f"(tf - t0)/dt must be a finite step count of at most {sys.maxsize}, "
+                f"got {steps!r}"
+            )
+        return cls(t0, tf, max(1, round(steps)))
 
 
 def default_step(tf: float) -> float:

@@ -7,13 +7,16 @@ deploy a bio-pesticide that converts susceptible pests to infected ones,
 and awareness is driven by a global source plus reporting proportional
 to the pest burden.
 
-    dX/dt = r X (1 - X/K) - alpha X S/(c+X) - phi alpha X I/(c+X)
-    dS/dt = m1 alpha X S/(c+X) - lam A S/(a+A) - d S
-    dI/dt = m2 phi alpha X I/(c+X) + lam A S/(a+A) - (d+delta) I
+    dX/dt = r X (1 - X/K) - h S - phi h I
+    dS/dt = m1 h S - g S - d S
+    dI/dt = m2 phi h I + g S - (d+delta) I
     dA/dt = gamma + sigma (S+I) - eta A
 
-The controlled variant scales the bio-pesticide activity term by ``u1``
-and the global awareness source by ``u2``, both in [0, 1].
+    with h = alpha X/(c+X) and g = lam A/(a+A)
+
+The controlled variant scales the bio-pesticide activity rate by ``u1``
+(g = u1 lam A/(a+A)) and the global awareness source by ``u2`` (u2
+gamma in dA/dt), both in [0, 1].
 
 This module holds the parameter and state containers plus every
 right-hand side used elsewhere: the controlled field (the uncontrolled
@@ -197,15 +200,21 @@ def model_field(params: ModelParams) -> Callable[..., tuple]:
     the uncontrolled field exactly (1.0 * x == x).  Parameters are
     captured in locals so the closure stays cheap inside fixed-step
     integration loops; one closure is kept per recent parameter set.
+    The state-free terms ``m2 * phi`` and ``d + delta`` are formed once
+    here and the transfer ``g S`` once per call.  Python evaluates
+    ``m2 * phi * crop * I`` left to right, so every result is bit-identical
+    to the module docstring's equations evaluated as written.
     """
     r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
+    m2_phi = m2 * phi
+    loss_I = d + delta
 
     def f(X: float, S: float, I: float, A: float, u1: float, u2: float) -> tuple:
         crop = alpha * X / (c + X)
-        activity = u1 * lam * A / (a + A)
+        transfer = u1 * lam * A / (a + A) * S
         dX = r * X * (1.0 - X / K) - crop * S - phi * crop * I
-        dS = m1 * crop * S - activity * S - d * S
-        dI = m2 * phi * crop * I + activity * S - (d + delta) * I
+        dS = m1 * crop * S - transfer - d * S
+        dI = m2_phi * crop * I + transfer - loss_I * I
         dA = u2 * gamma + sigma * (S + I) - eta * A
         return (dX, dS, dI, dA)
 

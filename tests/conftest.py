@@ -7,6 +7,7 @@ scenario) so module tests and acceptance checks reuse them.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cropguard.integrate import TimeGrid, rk4_model
 from cropguard.model import ModelParams, ObjectiveWeights, State
@@ -35,6 +36,32 @@ def make_random_params(rng: np.random.Generator) -> ModelParams:
         gamma=rng.uniform(0.0, 0.05),
         sigma=rng.uniform(0.001, 0.2),
         eta=rng.uniform(0.001, 0.2),
+    )
+
+
+@st.composite
+def admissible_params(draw) -> ModelParams:
+    """The ranges of make_random_params, drawn by hypothesis."""
+
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    m2 = uniform(0.05, 0.85)
+    return ModelParams(
+        r=uniform(0.01, 1.0),
+        K=uniform(0.1, 5.0),
+        alpha=uniform(0.005, 1.0),
+        phi=uniform(0.05, 0.95),
+        c=uniform(0.1, 5.0),
+        a=uniform(0.05, 5.0),
+        lam=uniform(0.001, 0.5),
+        d=uniform(0.001, 0.2),
+        delta=uniform(0.001, 0.5),
+        m1=m2 + uniform(0.02, 1.0 - m2),
+        m2=m2,
+        gamma=uniform(0.0, 0.05),
+        sigma=uniform(0.001, 0.2),
+        eta=uniform(0.001, 0.2),
     )
 
 

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import inspect
+import io
 import math
 import os
 import subprocess
 import sys
 import types
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cropguard
 import cropguard.optimal_control as optimal_control
@@ -83,6 +88,66 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1, err
         assert "Traceback" not in err, err
+
+
+def reference_csv(header, rows):
+    """The CSV text of ``_emit_csv``, formatted one cell at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else "%.12g" % c for c in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+_numbers = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e300]),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+    st.floats().map(np.float64),
+)
+_cells = st.one_of(_numbers, st.text(), st.just(""))
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and rows: tuples of one number per column, which take the
+    one-``%`` path, mixed with rows of strings, lists, or other lengths."""
+    header = draw(st.lists(st.text("tXSIA_", min_size=1), min_size=1, max_size=12))
+    width = len(header)
+    rows = draw(st.lists(st.one_of(
+        st.tuples(*[_numbers] * width),
+        st.lists(_cells, max_size=width + 2).map(tuple),
+        st.lists(_numbers, min_size=width, max_size=width),
+    ), max_size=8))
+    return header, rows
+
+
+class TestCsvWriter:
+    """``_emit_csv`` writes the same bytes as the per-cell reference, to a
+    file and to stdout, whichever of its two formatting paths a row takes."""
+
+    EQUILIBRIA_HEADER = ("kind", "X", "S", "I", "A", "residual", "verdict",
+                         "max_real_eig", "R0", "reason")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_tables())
+    @example((EQUILIBRIA_HEADER, [
+        ("PestFree", 1.0, 0.0, 0.0, 0.2, 0.0, "Stable", -0.01, 0.5833333333333334, ""),
+        ("Coexistence", "", "", "", "", "", "Nonexistent", "", "", "no positive root"),
+    ]))
+    @example((("t", "X", "S", "I", "A"), [(0.0, 0.2, 0.07, 0.05, 0.5), (0.05, 1e300, -0.0,
+                                                                       5e-324, math.nan)]))
+    def test_bytes_match_the_per_cell_reference(self, table):
+        header, rows = table
+        expected = reference_csv(header, rows).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            cli._emit_csv(path, header, iter(rows))
+            assert Path(path).read_bytes() == expected
+        for target in (None, "-"):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                cli._emit_csv(target, header, iter(rows))
+            assert buffer.getvalue().encode("utf-8") == expected
 
 
 class TestConfig:
@@ -367,10 +432,16 @@ class TestRejectedInputs:
           "--steps", "2", "--transient", "1.5"), "transient_fraction must lie in [0, 1)"),
         (("simulate", "--X0", "-1"), "state has negative component"),
         (("optimize", "--X0", "-1"), "state has negative component"),
+        (("simulate", "--tf", "inf"), "(tf - t0)/dt must be a finite step count"),
+        (("optimize", "--tf", "inf"), "(tf - t0)/dt must be a finite step count"),
+        (("simulate", "--dt", "1e-300"), "(tf - t0)/dt must be a finite step count"),
+        (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
+          "--steps", "2", "--tf", "inf"), "horizon must be positive and finite"),
     ])
     def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert run_cli(*argv, "--tf", "1", "--dt", "0.1", "--out", str(out)) == 2
+        command, *flags = argv  # a flag in argv overrides the short default run
+        assert run_cli(command, "--tf", "1", "--dt", "0.1", *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, err
         assert not out.exists()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import make_random_params
+from conftest import admissible_params, make_random_params
 from cropguard.equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -24,32 +23,6 @@ from scan_oracle import scan_coexistence
 
 def _residual(params, point) -> float:
     return max(abs(v) for v in rhs_uncontrolled(params, point))
-
-
-@st.composite
-def admissible_params(draw) -> ModelParams:
-    """The ranges of conftest.make_random_params, drawn by hypothesis."""
-
-    def uniform(lo, hi):
-        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
-
-    m2 = uniform(0.05, 0.85)
-    return ModelParams(
-        r=uniform(0.01, 1.0),
-        K=uniform(0.1, 5.0),
-        alpha=uniform(0.005, 1.0),
-        phi=uniform(0.05, 0.95),
-        c=uniform(0.1, 5.0),
-        a=uniform(0.05, 5.0),
-        lam=uniform(0.001, 0.5),
-        d=uniform(0.001, 0.2),
-        delta=uniform(0.001, 0.5),
-        m1=m2 + uniform(0.02, 1.0 - m2),
-        m2=m2,
-        gamma=uniform(0.0, 0.05),
-        sigma=uniform(0.001, 0.2),
-        eta=uniform(0.001, 0.2),
-    )
 
 
 class TestBoundaryFamilies:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_params, make_random_state
+from conftest import admissible_params, make_random_params, make_random_state
 from cropguard.errors import DomainError, NonFiniteError
 from cropguard.model import (
     POSITIVITY_TOL,
@@ -19,6 +21,7 @@ from cropguard.model import (
     costate_rhs,
     hamiltonian,
     jacobian,
+    model_field,
     rhs_controlled,
     rhs_uncontrolled,
     running_cost,
@@ -114,6 +117,33 @@ def test_rhs_value_at_a_hand_computed_point(baseline):
     dA = 0.003 + 0.015 * 0.3 - 0.015 * 0.4
     got = rhs_uncontrolled(baseline, s)
     assert got == pytest.approx((dX, dS, dI, dA), rel=1e-12)
+
+
+def docstring_field(p, X, S, I, A, u1, u2):
+    """The four equations of the model module docstring, transcribed literally."""
+    h = p.alpha * X / (p.c + X)
+    g = u1 * p.lam * A / (p.a + A)
+    return (
+        p.r * X * (1 - X / p.K) - h * S - p.phi * h * I,
+        p.m1 * h * S - g * S - p.d * S,
+        p.m2 * p.phi * h * I + g * S - (p.d + p.delta) * I,
+        u2 * p.gamma + p.sigma * (S + I) - p.eta * A,
+    )
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_params(), unit, unit, unit, unit, unit, unit)
+def test_field_is_bit_identical_to_the_docstring_equations(p, fX, fS, fI, fA, u1, u2):
+    """Every term the field hoists or shares must leave each bit in place."""
+    box = attracting_region(p, p.K)
+    X = fX * box.M
+    S = fS * (box.W_max - X)
+    I = fI * (box.W_max - X - S)
+    A = fA * box.A_max
+    assert model_field(p)(X, S, I, A, u1, u2) == docstring_field(p, X, S, I, A, u1, u2)
 
 
 def test_full_intervention_reduces_to_uncontrolled():
