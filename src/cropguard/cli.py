@@ -170,6 +170,11 @@ def _check_outputs(args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options that were given: an unset one takes the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
     traj = rk4_model(cfg.params, cfg.y0, grid)
@@ -251,9 +256,9 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
         parameter_name=_PARAM_KEYS[args.parameter],
         values=values,
         tf=cfg.tf,
-        transient_fraction=args.transient,
         initial_state=cfg.y0,
         dt=cfg.dt,
+        **_given(args, "transient_fraction"),
     )
     rows = run_sweep(cfg.params, spec)
     _emit_csv(
@@ -278,11 +283,9 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
     opts = SweepOptions(
         grid=grid,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        relaxation_theta=args.theta,
         freeze_u1=args.freeze_u1,
         freeze_u2=args.freeze_u2,
+        **_given(args, "max_iterations", "tolerance", "relaxation_theta"),
     )
     sol = solve(cfg.params, cfg.weights, cfg.y0, opts)
     run = sol.states
@@ -342,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--from", dest="sweep_from", type=float, required=True)
     sub.add_argument("--to", dest="sweep_to", type=float, required=True)
     sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--transient", type=float, default=0.7,
+    sub.add_argument("--transient", dest="transient_fraction", type=float,
                      help="fraction of the horizon discarded before extrema")
 
     sub = subs["optimize"]
     sub.add_argument("--history-out", help="CSV path for per-iteration J and control change")
-    sub.add_argument("--max-iterations", dest="max_iterations", type=int, default=5000)
-    sub.add_argument("--tolerance", type=float, default=1e-6)
-    sub.add_argument("--theta", type=float, default=0.5,
+    sub.add_argument("--max-iterations", dest="max_iterations", type=int)
+    sub.add_argument("--tolerance", type=float)
+    sub.add_argument("--theta", dest="relaxation_theta", type=float,
                      help="mixing weight of the Anderson-accelerated sweep "
                           "(the relaxation weight of its plain steps)")
     sub.add_argument("--freeze-u1", dest="freeze_u1", action="store_true",

@@ -86,10 +86,12 @@ def default_step(tf: float) -> float:
 
 @dataclass
 class Trajectory:
-    """States (and optionally controls/costates) sampled on a TimeGrid.
+    """A run on a TimeGrid: states, and the controls and costates if any.
 
     Each array has one row per grid node; states are (X, S, I, A) rows,
-    controls (u1, u2) rows and costates (p1, p2, p3, p4) rows.
+    controls (u1, u2) rows and costates (p1, p2, p3, p4) rows.  A run
+    carries the controls that drove it (None if uncontrolled), and
+    ``rk4_adjoint`` and ``integrate_cost`` read them and the grid from it.
     """
 
     grid: TimeGrid
@@ -99,11 +101,11 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         n_nodes = self.grid.n_steps + 1
-        for name in ("states", "controls", "costates"):
+        for name, width in (("states", 4), ("controls", 2), ("costates", 4)):
             arr = getattr(self, name)
             if arr is None and name != "states":
                 continue
-            arr = _node_array(arr, n_nodes, name)
+            arr = _node_array(arr, n_nodes, name, width)
             if not np.isfinite(arr).all():
                 raise DomainError(f"trajectory {name} contain non-finite values")
             setattr(self, name, arr)
@@ -181,15 +183,15 @@ def rk4_forward(
     return Trajectory(grid, np.array(out, dtype=float))
 
 
-def _node_array(arr: np.ndarray | Trajectory, n_nodes: int, what: str) -> np.ndarray:
-    """Validate per-node data and return it as a 2-D float array."""
-    if isinstance(arr, Trajectory):
-        arr = arr.states
-    a = np.asarray(arr, dtype=float)
-    if a.ndim != 2 or a.shape[0] != n_nodes:
-        raise GridMismatchError(
-            f"{what} must have one row per grid node ({n_nodes}), got shape {a.shape}"
-        )
+def _node_array(arr, n_nodes: int, what: str, width: int) -> np.ndarray:
+    """Per-node data as an (n_nodes, width) float array; any other shape,
+    ragged rows or non-numeric cells raise a grid mismatch error."""
+    try:
+        a = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GridMismatchError(f"{what} must be {n_nodes} rows of {width}: {exc}") from exc
+    if a.shape != (n_nodes, width):
+        raise GridMismatchError(f"{what} must have shape ({n_nodes}, {width}), got {a.shape}")
     return a
 
 
@@ -203,34 +205,30 @@ def rk4_model(
 
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
-    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
-    It shares its step with ``rk4_forward``, so results and errors equal
-    those of ``rk4_forward`` on the matching field bit for bit.
+    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1);
+    the run carries ``u`` as its controls.  It shares its step with
+    ``rk4_forward``, so results and errors equal those of ``rk4_forward``
+    on the matching field bit for bit.
     """
     n = grid.n_steps
     if u is None:
         controls = [itertools.repeat(1.0, n) for _ in range(6)]
     else:
-        u = _node_array(u, n + 1, "controls")
+        u = _node_array(u, n + 1, "controls", 2)
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
     out = _rk4(model_field(params), y0, grid.t0, grid.h, controls)
-    return Trajectory(grid, np.array(out, dtype=float))
+    return Trajectory(grid, np.array(out, dtype=float), u)
 
 
-def rk4_adjoint(
-    params: ModelParams,
-    w: ObjectiveWeights,
-    state_traj: Trajectory | np.ndarray,
-    u: np.ndarray,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Integrate the model's costates from p(tf) = 0 down to t0.
+def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:
+    """Integrate the model's costates from p(tf) = 0 down to t0 along a run.
 
-    ``u`` holds the controls (u1, u2), one row per node.  The step from
-    node j+1 down to node j samples states and controls at node j+1,
-    at the midpoint of the two nodes and at node j.  The costate field
+    The grid, the states and the controls all come from the run; a run
+    without controls raises a grid mismatch error.  The step from node
+    j+1 down to node j samples states and controls at node j+1, at the
+    midpoint of the two nodes and at node j.  The costate field
     is affine in p, so that RK4 step is an exact affine map, a 5x5
     matrix T_j acting on (p_j, 1).  The maps are built in batches of
     steps, each from ``costate_matrix`` at its own nodes and midpoints,
@@ -241,12 +239,10 @@ def rk4_adjoint(
     (the tests allow 1e-13 of max|p|).  A non-finite costate raises a
     blow-up error at the time of the first such node back from tf.
     """
-    if isinstance(state_traj, Trajectory) and state_traj.grid != grid:
-        raise GridMismatchError("state trajectory was integrated on a different grid")
-    n = grid.n_steps
-    states = _node_array(state_traj, n + 1, "states")
-    u1 = _node_array(u, n + 1, "controls")[:, 0]
-    h = grid.h
+    if run.controls is None:
+        raise GridMismatchError("the costate pass needs a run with controls")
+    grid, states, u1 = run.grid, run.states, run.controls[:, 0]
+    n, h = grid.n_steps, grid.h
     L = math.isqrt(n - 1) + 1
     pad = -n % L
     eye = np.eye(5)
@@ -299,26 +295,11 @@ def _solve_backward(steps: np.ndarray) -> np.ndarray:
     return x[:, :4, 0]
 
 
-def integrate_cost(
-    traj: Trajectory,
-    u_traj: np.ndarray | None,
-    w: ObjectiveWeights,
-) -> float:
-    """Trapezoidal value of the objective integral along a trajectory.
-
-    Controls come from ``u_traj`` if given, else from the trajectory's
-    own stored controls; both must share the trajectory's grid.
-    """
-    states = traj.states
-    if states.ndim != 2 or states.shape[1] != 4:
-        raise DomainError(f"cost needs (X, S, I, A) states, got shape {states.shape}")
-    u = u_traj if u_traj is not None else traj.controls
-    if u is None:
-        raise GridMismatchError("no controls stored on the trajectory or supplied")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (states.shape[0], 2):
-        raise GridMismatchError(
-            f"controls must have shape ({states.shape[0]}, 2), got {u.shape}"
-        )
-    vals = running_cost(states.T, u.T, w)
-    return float(np.trapezoid(vals, dx=traj.grid.h))
+def integrate_cost(run: Trajectory, w: ObjectiveWeights) -> float:
+    """Trapezoidal value of the objective integral along a run, on its
+    grid with its controls; a run without controls raises a grid
+    mismatch error."""
+    if run.controls is None:
+        raise GridMismatchError("the cost needs a run with controls")
+    vals = running_cost(run.states.T, run.controls.T, w)
+    return float(np.trapezoid(vals, dx=run.grid.h))

@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, GridMismatchError
-from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_model
+from .errors import BlowUpError, DomainError
+from .integrate import TimeGrid, Trajectory, _node_array, integrate_cost, rk4_adjoint, rk4_model
 from .model import ControlValue, Costate, ModelParams, ObjectiveWeights, State, check_state
 
 _PIN_TOL = 1e-12
@@ -119,8 +119,9 @@ class SweepSolution:
     ``controls`` and ``costates`` are read-only tuples of
     ``ControlValue`` / ``Costate`` rows over them, built on first access.
     ``residual_history[k]`` is |Phi(u) - u|_inf at the k-th iterate, and
-    ``stop_reason`` says why the loop ended; ``converged`` is true
-    exactly when it is ``StopReason.CONVERGED``.  The first
+    ``stop_reason`` says why the loop ended.  ``iterations_used`` is the
+    length of ``change_history``, and ``converged`` is true exactly when
+    ``stop_reason`` is ``StopReason.CONVERGED``.  The first
     ``coarse_iterations`` entries of each history come from the coarse
     stage of a nested solve.
     """
@@ -129,14 +130,20 @@ class SweepSolution:
     objective_history: tuple[float, ...]
     change_history: tuple[float, ...]
     residual_history: tuple[float, ...]
-    iterations_used: int
-    converged: bool
     stop_reason: StopReason
     stationarity_residual: float
     final_objective: float
     coarse_iterations: int = 0
     freeze_u1: bool = False
     freeze_u2: bool = False
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.change_history)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason is StopReason.CONVERGED
 
     @cached_property
     def controls(self) -> tuple[ControlValue, ...]:
@@ -259,23 +266,14 @@ def solve(
     theta = opts.relaxation_theta
 
     if opts.initial_controls is not None:
-        try:
-            u = np.asarray(opts.initial_controls, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise GridMismatchError(
-                f"initial_controls must be {n_nodes} rows of (u1, u2): {exc}"
-            ) from exc
-        if u.shape != (n_nodes, 2):
-            raise GridMismatchError(
-                f"initial_controls must have shape ({n_nodes}, 2), got {u.shape}"
-            )
+        u = _node_array(opts.initial_controls, n_nodes, "initial_controls", 2)
         if not np.isfinite(u).all() or u.min() < -_PIN_TOL or u.max() > 1.0 + _PIN_TOL:
             raise DomainError("initial controls must be finite and lie in [0, 1]")
         u = np.clip(u, 0.0, 1.0) * free
 
     def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-        traj = rk4_model(params, y0, grid, u)
-        return traj, rk4_adjoint(params, w, traj, u, grid)
+        run = rk4_model(params, y0, grid, u)
+        return run, rk4_adjoint(params, w, run)
 
     objective_history: list[float] = []
     change_history: list[float] = []
@@ -292,9 +290,9 @@ def solve(
         d_f: list[np.ndarray] = []
         u_prev = f_prev = None
         for _ in range(opts.max_iterations - len(change_history)):
-            traj, costates = forward_backward(grid, u)
-            objective_history.append(integrate_cost(traj, u, w))
-            f = _candidates(traj.states, costates, params, w, free) - u
+            run, costates = forward_backward(grid, u)
+            objective_history.append(integrate_cost(run, w))
+            f = _candidates(run.states, costates, params, w, free) - u
             residual = float(np.abs(f).max())
             if residuals and residual > residuals[-1]:
                 d_u.clear()  # a grown residual restarts the mixing
@@ -347,20 +345,18 @@ def solve(
     # Snap to the exact pointwise minimizer so bound-clamped nodes sit at
     # 0/1 rather than a relaxation-limited distance away, then refresh the
     # state/costate pair for consistency with the returned controls.
-    traj, costates = forward_backward(grid, u)
-    u = _candidates(traj.states, costates, params, w, free)
-    traj, costates = forward_backward(grid, u)
+    run, costates = forward_backward(grid, u)
+    u = _candidates(run.states, costates, params, w, free)
+    run, costates = forward_backward(grid, u)
     return SweepSolution(
-        states=Trajectory(grid, traj.states, u, costates),
+        states=Trajectory(grid, run.states, u, costates),
         objective_history=tuple(objective_history),
         change_history=tuple(change_history),
-        iterations_used=len(change_history),
         coarse_iterations=coarse_iterations,
-        converged=stop is StopReason.CONVERGED,
         stop_reason=stop,
         residual_history=tuple(residual_history),
-        stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
-        final_objective=integrate_cost(traj, u, w),
+        stationarity_residual=_hinged_gradient(u, run.states, costates, params, w, free),
+        final_objective=integrate_cost(run, w),
         freeze_u1=opts.freeze_u1,
         freeze_u2=opts.freeze_u2,
     )

@@ -42,14 +42,14 @@ def plain_solve(
 
     def forward_backward(u: np.ndarray):
         traj = rk4_model(params, y0, grid, u)
-        return traj, rk4_adjoint(params, w, traj, u, grid)
+        return traj, rk4_adjoint(params, w, traj)
 
     theta = opts.relaxation_theta
     objective_history, change_history, residual_history = [], [], []
     stop = StopReason.BUDGET
     traj, costates = forward_backward(u)
     for _ in range(opts.max_iterations):
-        objective_history.append(integrate_cost(traj, u, w))
+        objective_history.append(integrate_cost(traj, w))
         f = _candidates(traj.states, costates, params, w, free) - u
         residual_history.append(float(np.abs(f).max()))
         u_new = u + theta * f
@@ -68,11 +68,9 @@ def plain_solve(
         objective_history=tuple(objective_history),
         change_history=tuple(change_history),
         residual_history=tuple(residual_history),
-        iterations_used=len(change_history),
-        converged=stop is StopReason.CONVERGED,
         stop_reason=stop,
         stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
-        final_objective=integrate_cost(traj, u, w),
+        final_objective=integrate_cost(traj, w),
         freeze_u1=opts.freeze_u1,
         freeze_u2=opts.freeze_u2,
     )

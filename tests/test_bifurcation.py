@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cropguard import bifurcation
 from cropguard.bifurcation import SweepRow, SweepSpec, run_sweep
-from cropguard.errors import BlowUpError, DomainError
+from cropguard.equilibria import coexistence
+from cropguard.errors import BlowUpError, DegenerateParameterError, DomainError
 from cropguard.integrate import TimeGrid, rk4_model
 from cropguard.model import State
 from cropguard.stability import Verdict, params_with_alpha
@@ -107,6 +109,22 @@ class TestRunSweep:
         assert all(math.isnan(v) for v in bad.tail_min)
         assert bad.pest_free_verdict is None
         assert bad.coexistence_verdicts == ()
+
+    def test_a_degenerate_coexistence_reduction_leaves_the_verdicts_empty(self, baseline):
+        # sigma = 0 is an admissible model but the coexistence reduction
+        # divides by it: the row is integrated and keeps its pest-free
+        # verdict, with no coexistence verdicts (an empty CLI cell)
+        params = params_with_alpha(baseline, 0.5)
+        with pytest.raises(DegenerateParameterError):
+            coexistence(replace(params, sigma=0.0))
+        spec = SweepSpec(parameter_name="sigma", values=(0.0, 0.015), tf=20.0, dt=0.1)
+        degenerate, regular = run_sweep(params, spec)
+        for row in (degenerate, regular):
+            assert not row.failed
+            assert all(np.isfinite(row.tail_min)) and all(np.isfinite(row.tail_max))
+            assert isinstance(row.pest_free_verdict, Verdict)
+        assert degenerate.coexistence_verdicts == ()
+        assert regular.coexistence_verdicts == (Verdict.STABLE,)
 
 
 @pytest.fixture

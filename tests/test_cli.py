@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 import cropguard
 import cropguard.optimal_control as optimal_control
 from cropguard import cli
+from cropguard.bifurcation import SweepSpec
 from cropguard.cli import main
+from cropguard.integrate import TimeGrid
+from cropguard.optimal_control import SweepOptions
 
 
 def run_cli(*argv):
@@ -437,6 +440,10 @@ class TestRejectedInputs:
         (("simulate", "--dt", "1e-300"), "(tf - t0)/dt must be a finite step count"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
           "--steps", "2", "--tf", "inf"), "horizon must be positive and finite"),
+        (("simulate", "--tf", "-1"), "tf must be positive, got -1.0"),
+        (("simulate", "--dt", "5"), "dt must lie in (0, tf], got 5.0"),
+        (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
+          "--steps", "0"), "--steps must be at least 1, got 0"),
     ])
     def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -459,6 +466,46 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, err
         assert not out.exists()
+
+
+class TestLibraryDefaults:
+    """A sweep option left unset takes the library's default, and a given
+    one reaches the library unchanged."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+
+        def spy(real):
+            def call(*args):
+                seen.append(args[-1])  # the SweepOptions or the SweepSpec
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(cli, "solve", spy(cli.solve))
+        monkeypatch.setattr(cli, "run_sweep", spy(cli.run_sweep))
+        return seen
+
+    @pytest.mark.parametrize("flags, given", [
+        ((), {}),
+        (("--max-iterations", "400"), dict(max_iterations=400)),
+        (("--tolerance", "1e-7"), dict(tolerance=1e-7)),
+        (("--theta", "0.7"), dict(relaxation_theta=0.7)),
+    ])
+    def test_optimize(self, flags, given, seen, capsys):
+        assert run_cli("optimize", "--tf", "2", "--dt", "0.1", *flags) == 0
+        grid = TimeGrid.from_step(0.0, 2.0, 0.1)
+        assert seen == [SweepOptions(grid=grid, **given)]
+
+    @pytest.mark.parametrize("flags, transient", [
+        ((), SweepSpec(parameter_name="alpha", values=(0.1,)).transient_fraction),
+        (("--transient", "0.25"), 0.25),
+    ])
+    def test_bifurcate(self, flags, transient, seen, capsys):
+        assert run_cli("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
+                       "--steps", "1", "--tf", "1", "--dt", "0.1", *flags) == 0
+        (spec,) = seen
+        assert spec.transient_fraction == transient
 
 
 class TestOutputPreflight:

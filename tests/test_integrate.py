@@ -212,7 +212,7 @@ class TestModelKernels:
         # stage order, so it agrees with the textbook oracle to rounding only
         params, u, fwd, ref = self._case(controls, seed)
         w = ObjectiveWeights()
-        back = rk4_adjoint(params, w, fwd, u, self.GRID)
+        back = rk4_adjoint(params, w, Trajectory(self.GRID, fwd.states, u))
         back_ref = textbook_costates(params, w, ref.states, u, self.GRID)
         assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
 
@@ -237,7 +237,7 @@ class TestModelKernels:
         states = rng.uniform([0.05, 0.01, 0.01, 0.02], [3.0, 2.0, 2.0, 3.0],
                              size=(n_steps + 1, 4))
         u = rng.uniform(0.0, 1.0, size=(n_steps + 1, 2))
-        back = rk4_adjoint(params, w, states, u, grid)
+        back = rk4_adjoint(params, w, Trajectory(grid, states, u))
         back_ref = textbook_costates(params, w, states, u, grid)
         assert back.shape == (n_steps + 1, 4)
         assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
@@ -253,7 +253,7 @@ class TestModelKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as info:
-                rk4_adjoint(params, ObjectiveWeights(), states, u, grid)
+                rk4_adjoint(params, ObjectiveWeights(), Trajectory(grid, states, u))
         assert info.value.t == pytest.approx(grid.t0 + k * grid.h, rel=1e-15)
 
     def test_blowup_time_matches_the_generic_path(self):
@@ -272,14 +272,27 @@ class TestModelKernels:
 
     def test_control_rows_must_match_the_grid(self):
         params, w, grid = ModelParams(), ObjectiveWeights(), self.GRID
-        short = np.full((grid.n_steps, 2), 0.5)
-        with pytest.raises(GridMismatchError):
-            rk4_model(params, self.Y0, grid, short)
+        n_nodes = grid.n_steps + 1
+        half = np.full((n_nodes, 2), 0.5)
+        for bad in (
+            half[:-1],  # a row short
+            half[:, :1],  # one column
+            np.full((n_nodes, 3), 0.5),  # three columns
+        ):
+            with pytest.raises(GridMismatchError):
+                rk4_model(params, self.Y0, grid, bad)
         traj = rk4_model(params, self.Y0, grid)
+        assert traj.controls is None
+        with pytest.raises(GridMismatchError):  # the costate pass needs controls
+            rk4_adjoint(params, w, traj)
         with pytest.raises(GridMismatchError):
-            rk4_adjoint(params, w, traj, short, grid)
+            rk4_adjoint(params, w, Trajectory(grid, traj.states, half[:-1]))
         with pytest.raises(GridMismatchError):
-            rk4_adjoint(params, w, traj.states[:-1], np.full((grid.n_steps + 1, 2), 0.5), grid)
+            rk4_adjoint(params, w, Trajectory(grid, traj.states[:-1], half))
+        with pytest.raises(GridMismatchError):  # three state columns
+            rk4_adjoint(params, w, Trajectory(grid, traj.states[:, :3], half))
+        run = rk4_model(params, self.Y0, grid, half)
+        assert run.controls is not None and np.array_equal(run.controls, half)
 
 
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
@@ -426,8 +439,19 @@ class TestTrajectory:
 
     def test_row_count_must_match_grid(self):
         grid = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(GridMismatchError):
-            Trajectory(grid=grid, states=np.zeros((3, 4)))
+        states = np.zeros((5, 4))
+        for bad in (
+            dict(states=np.zeros((3, 4))),
+            dict(states=np.zeros((5, 3))),  # three state columns
+            dict(states=np.zeros(5)),
+            dict(states=[[0.0] * 4] * 4 + [[0.0] * 3]),  # ragged
+            dict(states=[["x"] * 4] * 5),  # not numbers
+            dict(states=states, controls=np.zeros((5, 3))),
+            dict(states=states, controls=np.zeros((4, 2))),
+            dict(states=states, costates=np.zeros((5, 2))),
+        ):
+            with pytest.raises(GridMismatchError):
+                Trajectory(grid=grid, **bad)
 
 
 class TestIntegrateCost:
@@ -437,9 +461,9 @@ class TestIntegrateCost:
         grid = TimeGrid(0.0, 5.0, 50)
         states = np.tile([1.0, 0.5, 0.2, 0.3], (51, 1))
         u = np.tile([0.5, 1.0], (51, 1))
-        traj = Trajectory(grid=grid, states=states)
+        traj = Trajectory(grid=grid, states=states, controls=u)
         expected = 5.0 * (2.0 * 0.25 - 1.0 * 0.09 + 0.5 * (3.0 * 0.25 + 4.0 * 1.0))
-        assert integrate_cost(traj, u, w) == pytest.approx(expected, rel=1e-12)
+        assert integrate_cost(traj, w) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_reference_quadrature_on_random_data(self):
         rng = np.random.default_rng(5)
@@ -453,16 +477,8 @@ class TestIntegrateCost:
             + 0.5 * (w.B1 * u[:, 0] ** 2 + w.B2 * u[:, 1] ** 2)
         )
         expected = np.trapezoid(integrand, dx=grid.h)
-        traj = Trajectory(grid=grid, states=states)
-        assert integrate_cost(traj, u, w) == pytest.approx(expected, rel=1e-12)
-
-    def test_controls_default_to_the_stored_schedule(self):
-        w = ObjectiveWeights()
-        grid = TimeGrid(0.0, 1.0, 10)
-        states = np.tile([1.0, 0.1, 0.1, 0.1], (11, 1))
-        u = np.tile([0.25, 0.75], (11, 1))
         traj = Trajectory(grid=grid, states=states, controls=u)
-        assert integrate_cost(traj, None, w) == integrate_cost(traj, u, w)
+        assert integrate_cost(traj, w) == pytest.approx(expected, rel=1e-12)
 
     def test_declared_numpy_floor_provides_trapezoid(self):
         # integrate_cost and these tests call np.trapezoid, new in numpy 2.0
@@ -476,6 +492,6 @@ class TestIntegrateCost:
         grid = TimeGrid(0.0, 1.0, 10)
         traj = Trajectory(grid=grid, states=np.zeros((11, 4)))
         with pytest.raises(GridMismatchError):
-            integrate_cost(traj, None, w)
-        with pytest.raises(GridMismatchError):
-            integrate_cost(traj, np.zeros((7, 2)), w)
+            integrate_cost(traj, w)
+        with pytest.raises(GridMismatchError):  # a run's controls sit on its grid
+            Trajectory(grid=grid, states=traj.states, controls=np.zeros((7, 2)))
