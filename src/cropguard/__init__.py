@@ -54,14 +54,7 @@ from .stability import (
     routh_hurwitz,
 )
 from .bifurcation import SweepRow, SweepSpec, run_sweep
-from .optimal_control import (
-    StopReason,
-    SweepOptions,
-    SweepSolution,
-    control_update,
-    solve,
-    stationarity_residual,
-)
+from .optimal_control import StopReason, SweepOptions, SweepSolution, solve
 
 __version__ = "0.1.0"
 
@@ -98,7 +91,6 @@ __all__ = [
     "char_poly",
     "classify",
     "coexistence",
-    "control_update",
     "costate_rhs",
     "cubic_real_roots",
     "default_step",
@@ -118,7 +110,6 @@ __all__ = [
     "run_sweep",
     "running_cost",
     "solve",
-    "stationarity_residual",
     "susceptible_free",
     "__version__",
 ]

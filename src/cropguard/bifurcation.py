@@ -57,8 +57,7 @@ class SweepSpec:
             )
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be positive, got {self.dt}")
-        state = State(*map(float, self.initial_state))
-        check_state(state)
+        state = check_state(tuple(map(float, self.initial_state)))
         object.__setattr__(self, "initial_state", state)
 
     def grid(self) -> TimeGrid:

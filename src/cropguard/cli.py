@@ -8,8 +8,9 @@ state), bifurcate (tail-extrema parameter sweeps), optimize
 Configuration precedence: built-in defaults, then a ``key = value``
 config file (``#`` comments), then command-line flags.  ``lambda`` is
 the config/flag spelling of the aware-activity rate.  Output paths are
-checked before the run: a missing or unwritable directory, or a path
-that names an existing directory, is a configuration error, and so is
+checked before the run: a missing or unwritable directory, a path that
+names an existing directory, or a ``--history-out`` that names the same
+file as ``--out`` (stdout included) is a configuration error, and so is
 an option value, a parameter set or an initial state that the library
 rejects (a ``DomainError`` or ``DegenerateParameterError``).  Exit codes:
 0 success, 2 configuration error, 3 integration blow-up, 4 sweep
@@ -102,15 +103,11 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         if ns.get(key) is not None:
             merged[key] = ns[key]
 
-    try:
-        params = ModelParams(
-            **{field: merged[key] for key, field in _PARAM_KEYS.items() if key in merged}
-        )
-        weights = ObjectiveWeights(**{k: merged[k] for k in _WEIGHT_KEYS if k in merged})
-        y0 = check_state([merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)])
-    except (CropguardError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
+    params = ModelParams(
+        **{field: merged[key] for key, field in _PARAM_KEYS.items() if key in merged}
+    )
+    weights = ObjectiveWeights(**{k: merged[k] for k in _WEIGHT_KEYS if k in merged})
+    y0 = check_state([merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)])
     tf = merged.get("tf", 100.0 if args.command == "optimize" else 2000.0)
     if not tf > 0.0:
         raise ConfigError(f"tf must be positive, got {tf}")
@@ -154,8 +151,14 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Fail before the run when an output CSV path is a directory or not writable."""
-    for path in (args.out, getattr(args, "history_out", None)):
+    """Fail before the run when an output CSV path is a directory or not
+    writable, or when ``--history-out`` names the same file as ``--out``
+    (stdout included), which the history would overwrite."""
+    out, history = args.out, getattr(args, "history_out", None)
+    files = [None if path in (None, "-") else os.path.realpath(path) for path in (out, history)]
+    if history and files[0] == files[1]:
+        raise ConfigError(f"--history-out and --out both name {files[1] or 'stdout'}")
+    for path in (out, history):
         if path is None or path == "-":
             continue
         directory = os.path.dirname(path) or "."

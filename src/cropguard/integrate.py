@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,13 +29,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
-from .model import (ModelParams, ObjectiveWeights, State, costate_matrix, model_field,
-                    running_cost)
+from .model import (ModelParams, ObjectiveWeights, State, check_controls, costate_matrix,
+                    model_field, running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # Steps per batch of costate maps: ~200 KB temporaries are reused from the heap;
 # 10k steps at once faulted in ~4000 fresh pages per call, a third of its time.
 _MAP_CHUNK = 1024
+# Bytes a stored node takes at least: a 400k-step simulate peaks ~250 B per
+# step above a 40k-step one (``_rk4``'s node tuples, the result array).
+_NODE_BYTES = 256
+
+
+def _max_steps() -> int:
+    """The most steps whose stored nodes fit in physical memory, at
+    ``_NODE_BYTES`` each; ``sys.maxsize`` where the memory size is unknown."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+    return memory // _NODE_BYTES if memory > 0 else sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -65,16 +79,18 @@ class TimeGrid:
     def from_step(cls, t0: float, tf: float, dt: float) -> "TimeGrid":
         """Grid whose step is as close to dt as a whole number of steps allows.
 
-        The step count (tf - t0)/dt must be finite and, rounded, at most
-        ``sys.maxsize``: the integration kernels index steps by it.
+        The step count (tf - t0)/dt must be finite and, rounded, small
+        enough that the run's stored nodes fit in physical memory
+        (``_max_steps``): a longer run could only end killed.
         """
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         steps = (tf - t0) / dt
-        if not (math.isfinite(steps) and round(steps) <= sys.maxsize):
+        limit = _max_steps()
+        if not (math.isfinite(steps) and round(steps) <= limit):
             raise DomainError(
-                f"(tf - t0)/dt must be a finite step count of at most {sys.maxsize}, "
-                f"got {steps!r}"
+                f"(tf - t0)/dt must be a finite step count of at most {limit}, "
+                f"the nodes that fit in physical memory; got {steps:.6g}"
             )
         return cls(t0, tf, max(1, round(steps)))
 
@@ -206,15 +222,18 @@ def rk4_model(
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
     i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1);
-    the run carries ``u`` as its controls.  It shares its step with
-    ``rk4_forward``, so results and errors equal those of ``rk4_forward``
-    on the matching field bit for bit.
+    the run carries ``u`` as its controls.  Controls that
+    ``check_controls`` rejects raise its error before the first step.
+    Past that check it shares its step with ``rk4_forward``, so results
+    and errors equal those of ``rk4_forward`` on the matching field bit
+    for bit.
     """
     n = grid.n_steps
     if u is None:
         controls = [itertools.repeat(1.0, n) for _ in range(6)]
     else:
         u = _node_array(u, n + 1, "controls", 2)
+        check_controls(u)
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]

@@ -28,8 +28,10 @@ and ``rhs_controlled`` evaluate it at one state.  The costate field is
 affine in the costates; its coefficients are written once, as the
 negated transposed Jacobian plus the cost gradient, by
 ``costate_matrix``, which works on arrays for the costate kernel and
-on floats for the pointwise ``costate_rhs``.  All operations are pure
-functions evaluated in double precision.
+on floats for the pointwise ``costate_rhs``.  ``check_state`` and
+``check_controls`` hold the rules for a valid state and an admissible
+control.  All operations are pure functions evaluated in double
+precision.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .errors import DegenerateParameterError, DomainError, NonFiniteError
 # Components of a numerically integrated trajectory may dip this far
 # below zero from floating-point drift before validators complain.
 POSITIVITY_TOL = 1e-9
+# Controls may pass their bounds 0 and 1 by this much from rounding in a
+# caller's arithmetic and still count as admissible, and as on the bound.
+CONTROL_TOL = 1e-12
 
 
 class State(NamedTuple):
@@ -178,17 +183,27 @@ def _require_finite(*values: float) -> None:
             raise NonFiniteError(f"non-finite input value {v!r}")
 
 
-def check_state(s: Sequence[float], tol: float = POSITIVITY_TOL) -> State:
+def check_state(s: Sequence[float]) -> State:
     """Validate a state-like 4-sequence and return it as a State.
 
-    Components must be finite and no more than ``tol`` below zero
-    (tol=0 enforces true non-negativity on user-constructed states).
+    Components must be finite and no more than ``POSITIVITY_TOL`` below zero.
     """
     X, S, I, A = s
     _require_finite(X, S, I, A)
-    if min(X, S, I, A) < -tol:
-        raise DomainError(f"state has negative component beyond {tol:g}: {tuple(s)}")
+    if min(X, S, I, A) < -POSITIVITY_TOL:
+        raise DomainError(f"state has negative component beyond {POSITIVITY_TOL:g}: {tuple(s)}")
     return State(X, S, I, A)
+
+
+def check_controls(u) -> None:
+    """Reject inadmissible controls ``u``, one (u1, u2) pair or an array of
+    them: a non-finite value raises ``NonFiniteError``, one outside [0, 1]
+    by more than ``CONTROL_TOL`` ``DomainError``."""
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise NonFiniteError(f"controls must be finite, got {float(u[~np.isfinite(u)][0])!r}")
+    if u.min() < -CONTROL_TOL or u.max() > 1.0 + CONTROL_TOL:
+        raise DomainError(f"controls must lie in [0, 1], got values from {u.min()} to {u.max()}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -232,9 +247,8 @@ def rhs_controlled(params: ModelParams, s: Sequence[float], u: Sequence[float]) 
     """Time derivative of the controlled system at control values u = (u1, u2)."""
     X, S, I, A = s
     u1, u2 = u
-    _require_finite(X, S, I, A, u1, u2)
-    if not (-1e-12 <= u1 <= 1 + 1e-12 and -1e-12 <= u2 <= 1 + 1e-12):
-        raise DomainError(f"controls must lie in [0, 1], got {(u1, u2)}")
+    _require_finite(X, S, I, A)
+    check_controls((u1, u2))
     return model_field(params)(X, S, I, A, u1, u2)
 
 

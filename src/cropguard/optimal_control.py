@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .integrate import TimeGrid, Trajectory, _node_array, integrate_cost, rk4_adjoint, rk4_model
-from .model import ControlValue, Costate, ModelParams, ObjectiveWeights, State, check_state
+from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
+                    check_controls, check_state)
 
-_PIN_TOL = 1e-12
 # Anderson mixing: residual differences kept, and the condition number of
 # their least-squares problem above which the history is dropped.
 _DEPTH = 5
@@ -134,8 +134,6 @@ class SweepSolution:
     stationarity_residual: float
     final_objective: float
     coarse_iterations: int = 0
-    freeze_u1: bool = False
-    freeze_u2: bool = False
 
     @property
     def iterations_used(self) -> int:
@@ -154,23 +152,13 @@ class SweepSolution:
         return tuple(map(Costate._make, self.states.costates.tolist()))
 
 
-def _stationary_controls(s, p, params: ModelParams, w: ObjectiveWeights) -> tuple:
-    """Unclipped minimizer (u1*, u2*) of the Hamiltonian: dH/du_i = B_i (u_i - u_i*).
-
-    ``s`` = (X, S, I, A) and ``p`` = (p1, p2, p3, p4) hold floats or per-node arrays.
-    """
-    _X, S, _I, A = s
-    _p1, p2, p3, p4 = p
-    return ((p2 - p3) * params.lam * A * S / (w.B1 * (params.a + A)),
-            -p4 * params.gamma / w.B2)
-
-
-def control_update(
-    s: State, p: Costate, params: ModelParams, w: ObjectiveWeights
-) -> ControlValue:
-    """Pointwise minimizer of the Hamiltonian in (u1, u2), clipped to [0, 1]."""
-    raw1, raw2 = _stationary_controls(s, p, params, w)
-    return ControlValue(min(1.0, max(0.0, raw1)), min(1.0, max(0.0, raw2)))
+def _stationary_controls(states, costates, params: ModelParams, w: ObjectiveWeights):
+    """Unclipped minimizers (u1*, u2*) of the Hamiltonian, one row per node:
+    dH/du_i = B_i (u_i - u_i*)."""
+    S, A = states[:, 1], states[:, 3]
+    p2, p3, p4 = costates[:, 1], costates[:, 2], costates[:, 3]
+    return np.column_stack(((p2 - p3) * params.lam * A * S / (w.B1 * (params.a + A)),
+                            -p4 * params.gamma / w.B2))
 
 
 def _candidates(
@@ -178,7 +166,7 @@ def _candidates(
     free: np.ndarray,
 ) -> np.ndarray:
     """Clipped minimizers per node, zero in the channels that ``free`` marks 0."""
-    raw = np.column_stack(_stationary_controls(states.T, costates.T, params, w))
+    raw = _stationary_controls(states, costates, params, w)
     return (np.clip(raw, 0.0, 1.0) + 0.0) * free  # + 0.0 normalizes -0.0 from clipped negatives
 
 
@@ -189,25 +177,15 @@ def _hinged_gradient(
     """Max hinged |dH/du| over nodes and the channels that ``free`` marks 1:
     one-sided at the bounds, zero contribution from a bound the gradient
     pushes against."""
-    star = np.column_stack(_stationary_controls(states.T, costates.T, params, w))
-    g = (w.B1, w.B2) * (u - star)
-    vals = np.where(u <= _PIN_TOL, np.maximum(0.0, -g),
-                    np.where(u >= 1.0 - _PIN_TOL, np.maximum(0.0, g), np.abs(g)))
+    g = (w.B1, w.B2) * (u - _stationary_controls(states, costates, params, w))
+    vals = np.where(u <= CONTROL_TOL, np.maximum(0.0, -g),
+                    np.where(u >= 1.0 - CONTROL_TOL, np.maximum(0.0, g), np.abs(g)))
     return max(0.0, float((vals * free).max()))  # max(0.0, -0.0) is 0.0
 
 
 def _free_mask(freeze_u1: bool, freeze_u2: bool) -> np.ndarray:
     """1 for each control channel the sweep updates, 0 for a frozen one."""
     return np.array([not freeze_u1, not freeze_u2], dtype=float)
-
-
-def stationarity_residual(
-    sol: SweepSolution, params: ModelParams, w: ObjectiveWeights
-) -> float:
-    """Recompute the hinged Hamiltonian-gradient certificate of a solution."""
-    run = sol.states
-    return _hinged_gradient(run.controls, run.states, run.costates, params, w,
-                            _free_mask(sol.freeze_u1, sol.freeze_u2))
 
 
 def _mixed(u, f, d_u, d_f, theta, free) -> np.ndarray | None:
@@ -259,39 +237,33 @@ def solve(
     coarse passes.
     """
     grid = opts.grid
-    y0 = State(*map(float, y0))
-    check_state(y0)
+    y0 = check_state(tuple(map(float, y0)))
     n_nodes = grid.n_steps + 1
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta
 
     if opts.initial_controls is not None:
         u = _node_array(opts.initial_controls, n_nodes, "initial_controls", 2)
-        if not np.isfinite(u).all() or u.min() < -_PIN_TOL or u.max() > 1.0 + _PIN_TOL:
-            raise DomainError("initial controls must be finite and lie in [0, 1]")
+        check_controls(u)
         u = np.clip(u, 0.0, 1.0) * free
 
     def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
         run = rk4_model(params, y0, grid, u)
         return run, rk4_adjoint(params, w, run)
 
-    objective_history: list[float] = []
-    change_history: list[float] = []
-    residual_history: list[float] = []
-
-    def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float) -> tuple[np.ndarray, StopReason]:
-        """Iterate on ``grid`` from u within the budget left, appending to
-        the histories; returns the last updated iterate, on which no
-        forward/backward pass has run yet, and why the stage stopped."""
-        residuals: list[float] = []  # this stage's, for its restarts and stall window
+    def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float, budget: int):
+        """Iterate on ``grid`` from u for at most ``budget`` iterations.
+        Returns the last updated iterate, on which no forward/backward
+        pass has run yet, why the stage stopped, and the stage's
+        (objectives, changes, residuals) histories."""
+        history = objectives, changes, residuals = [], [], []
         # the last _DEPTH iterate differences u_k - u_(k-1) and residual
         # differences f_k - f_(k-1), flattened; f = Phi(u) - u
-        d_u: list[np.ndarray] = []
-        d_f: list[np.ndarray] = []
+        d_u, d_f = [], []
         u_prev = f_prev = None
-        for _ in range(opts.max_iterations - len(change_history)):
+        for _ in range(budget):
             run, costates = forward_backward(grid, u)
-            objective_history.append(integrate_cost(run, w))
+            objectives.append(integrate_cost(run, w))
             f = _candidates(run.states, costates, params, w, free) - u
             residual = float(np.abs(f).max())
             if residuals and residual > residuals[-1]:
@@ -302,7 +274,6 @@ def solve(
                 d_f.append((f - f_prev).ravel())
                 del d_u[:-_DEPTH], d_f[:-_DEPTH]
             residuals.append(residual)
-            residual_history.append(residual)
             u_prev, f_prev = u, f
 
             plain = u + theta * f
@@ -315,32 +286,33 @@ def solve(
                 d_u.clear()
                 d_f.clear()
                 u_new = plain
-            change_history.append(float(np.abs(u_new - u).max()))
-            converged = _meets_stop_rule(u_new, u, tolerance)
+            changes.append(float(np.abs(u_new - u).max()))
+            if _meets_stop_rule(u_new, u, tolerance):
+                return u_new, StopReason.CONVERGED, history
             u = u_new
-            if converged:
-                return u, StopReason.CONVERGED
             if len(residuals) - 1 - int(np.argmin(residuals)) >= _STALL_WINDOW:
-                return u, StopReason.STALLED
-        return u, StopReason.BUDGET
+                return u, StopReason.STALLED, history
+        return u, StopReason.BUDGET, history
 
-    coarse_iterations = 0
+    coarse_history = ((), (), ())  # kept only from a converged coarse stage
     if opts.initial_controls is None:
         u = np.full((n_nodes, 2), 0.5) * free
         if grid.n_steps >= _COARSEN * _MIN_COARSE_STEPS:
             coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
             u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
             try:
-                u_coarse, coarse_stop = sweep(coarse, u_coarse, max(opts.tolerance, _COARSE_TOL))
+                u_coarse, coarse_stop, stage_history = sweep(
+                    coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
             except BlowUpError:  # RK4 can be unstable at the longer coarse step
                 coarse_stop = None
             if coarse_stop is StopReason.CONVERGED:
-                coarse_iterations = len(change_history)
-                times, coarse_times = grid.times(), coarse.times()
-                u = np.column_stack([np.interp(times, coarse_times, c) for c in u_coarse.T])
-            else:  # drop the stage: the sweep runs as it would without it
-                del objective_history[:], change_history[:], residual_history[:]
-    u, stop = sweep(grid, u, opts.tolerance)
+                coarse_history = stage_history
+                u = np.column_stack([np.interp(grid.times(), coarse.times(), c)
+                                     for c in u_coarse.T])
+    coarse_iterations = len(coarse_history[1])
+    u, stop, fine_history = sweep(grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
+    objective_history, change_history, residual_history = (
+        (*coarse, *fine) for coarse, fine in zip(coarse_history, fine_history))
 
     # Snap to the exact pointwise minimizer so bound-clamped nodes sit at
     # 0/1 rather than a relaxation-limited distance away, then refresh the
@@ -350,13 +322,11 @@ def solve(
     run, costates = forward_backward(grid, u)
     return SweepSolution(
         states=Trajectory(grid, run.states, u, costates),
-        objective_history=tuple(objective_history),
-        change_history=tuple(change_history),
+        objective_history=objective_history,
+        change_history=change_history,
         coarse_iterations=coarse_iterations,
         stop_reason=stop,
-        residual_history=tuple(residual_history),
+        residual_history=residual_history,
         stationarity_residual=_hinged_gradient(u, run.states, costates, params, w, free),
         final_objective=integrate_cost(run, w),
-        freeze_u1=opts.freeze_u1,
-        freeze_u2=opts.freeze_u2,
     )

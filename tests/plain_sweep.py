@@ -71,6 +71,4 @@ def plain_solve(
         stop_reason=stop,
         stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
         final_objective=integrate_cost(traj, w),
-        freeze_u1=opts.freeze_u1,
-        freeze_u2=opts.freeze_u2,
     )

@@ -444,6 +444,7 @@ class TestRejectedInputs:
         (("simulate", "--dt", "5"), "dt must lie in (0, tf], got 5.0"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
           "--steps", "0"), "--steps must be at least 1, got 0"),
+        (("simulate", "--tf", "1e12"), "fit in physical memory; got 1e+13"),
     ])
     def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -518,6 +519,30 @@ class TestOutputPreflight:
         assert code == 2
         assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("history", ["opt.csv", "./sub/../opt.csv", "link.csv"])
+    def test_history_out_naming_the_out_file_exits_2_before_the_run(
+        self, history, tmp_path, capsys, monkeypatch
+    ):
+        # the history would overwrite the trajectory: the same path, another
+        # spelling of it, or a symlink to it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "opt.csv")
+        code = run_cli("optimize", "--tf", "1", "--dt", "0.1",
+                       "--out", "opt.csv", "--history-out", history)
+        assert code == 2
+        err = capsys.readouterr().err
+        opt = os.path.realpath(tmp_path / "opt.csv")
+        assert err == f"configuration error: --history-out and --out both name {opt}\n"
+        assert not (tmp_path / "opt.csv").exists()
+
+    @pytest.mark.parametrize("out", [(), ("--out", "-")])
+    def test_history_out_and_out_both_on_stdout_exit_2(self, out, capsys):
+        assert run_cli("optimize", "--tf", "1", "--dt", "0.1", *out, "--history-out", "-") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: --history-out and --out both name stdout\n"
 
     @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
     def test_out_naming_a_directory_is_rejected_before_dispatch(

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import make_random_params
-from cropguard.errors import BlowUpError, DomainError, GridMismatchError
+from cropguard import integrate
+from cropguard.errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from cropguard.integrate import (
     TimeGrid,
     Trajectory,
@@ -58,6 +59,15 @@ class TestTimeGrid:
 
     def test_from_step_never_returns_an_empty_grid(self):
         assert TimeGrid.from_step(0.0, 1.0, 5.0).n_steps == 1
+
+    def test_from_step_refuses_more_steps_than_memory_holds(self):
+        # 2e13 steps of at least _NODE_BYTES each: the run could only end killed
+        with pytest.raises(DomainError, match=r"step count of at most \d+, .* got 2e\+13"):
+            TimeGrid.from_step(0.0, 1e12, 0.05)
+        limit = integrate._max_steps()
+        assert TimeGrid.from_step(0.0, float(limit), 1.0).n_steps == limit
+        with pytest.raises(DomainError):
+            TimeGrid.from_step(0.0, float(limit + 1), 1.0)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(DomainError):
@@ -269,6 +279,24 @@ class TestModelKernels:
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(DomainError):
             rk4_model(ModelParams(), (math.nan, 0.07, 0.05, 0.5), self.GRID)
+
+    @pytest.mark.parametrize("value, error", [
+        (2.0, DomainError), (-1e-9, DomainError), (math.nan, NonFiniteError),
+        (math.inf, NonFiniteError),
+    ])
+    def test_inadmissible_controls_rejected_before_the_first_step(self, value, error):
+        # the rule rhs_controlled applies: an out-of-bounds control is a
+        # DomainError, a non-finite one is non-finite input, not a blow-up
+        u = np.full((self.GRID.n_steps + 1, 2), 0.5)
+        u[3, 1] = value
+        with pytest.raises(DomainError, match="controls must") as info:
+            rk4_model(ModelParams(), self.Y0, self.GRID, u)
+        assert type(info.value) is error
+
+    def test_controls_within_rounding_of_the_bounds_are_admissible(self):
+        u = np.full((self.GRID.n_steps + 1, 2), 0.5)
+        u[0] = (1.0 + 1e-13, -1e-13)
+        assert np.array_equal(rk4_model(ModelParams(), self.Y0, self.GRID, u).controls, u)
 
     def test_control_rows_must_match_the_grid(self):
         params, w, grid = ModelParams(), ObjectiveWeights(), self.GRID

@@ -96,7 +96,7 @@ def test_check_state_tolerates_roundoff_negatives():
     s = check_state((1.0, tiny, 0.0, 2.0))
     assert s == State(1.0, tiny, 0.0, 2.0)
     with pytest.raises(DomainError):
-        check_state((1.0, tiny, 0.0, 2.0), tol=0.0)
+        check_state((1.0, 4.0 * tiny, 0.0, 2.0))
 
 
 def test_check_state_rejects_genuine_negatives_and_nonfinite():
