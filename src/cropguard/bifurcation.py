@@ -4,8 +4,9 @@ A sweep overrides one model parameter at a time, integrates the
 uncontrolled system over a long horizon, discards a transient fraction,
 and records componentwise extrema of the tail together with stability
 verdicts of the pest-free and coexistence equilibria at that parameter
-value.  Tail extrema of a converged run collapse onto the stable
-equilibrium; a spread tail indicates sustained oscillation.
+value.  Tail extrema of a settled run collapse onto the stable
+equilibrium.  A spread tail may be a slow transient: at alpha = 0.5 the
+coexistence point's leading complex pair decays over ~5,000 days.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .equilibria import coexistence, pest_free
-from .errors import BlowUpError, DegenerateParameterError, DomainError
+from .errors import BlowUpError, DomainError
 from .integrate import TimeGrid, default_step, rk4_model
 from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, State, check_state
 from .stability import Verdict, classify
@@ -89,7 +90,7 @@ def _verdicts(params: ModelParams) -> tuple[Verdict | None, tuple[Verdict, ...]]
     pf = classify(params, pest_free(params)).verdict
     try:
         stars = coexistence(params)
-    except (DegenerateParameterError, DomainError):
+    except DomainError:
         return pf, ()
     return pf, tuple(classify(params, eq).verdict for eq in stars)
 
@@ -98,7 +99,7 @@ def _row(params: ModelParams, spec: SweepSpec, value: float) -> SweepRow:
     """Integrate and summarise the sweep at one parameter value."""
     try:
         p = replace(params, **{spec.parameter_name: value})
-    except (DomainError, DegenerateParameterError):
+    except DomainError:
         return SweepRow(value, _NAN_STATE, _NAN_STATE, None, (), failed=True)
     pf_verdict, star_verdicts = _verdicts(p)
     grid = spec.grid()

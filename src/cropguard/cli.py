@@ -12,10 +12,10 @@ checked before the run: a missing or unwritable directory, a path that
 names an existing directory, or a ``--history-out`` that names the same
 file as ``--out`` (stdout included) is a configuration error, and so is
 an option value, a parameter set or an initial state that the library
-rejects (a ``DomainError`` or ``DegenerateParameterError``).  Exit codes:
-0 success, 2 configuration error, 3 integration blow-up, 4 sweep
-non-convergence, 1 when the reader closes stdout early (``cropguard
-... | head``); the rest of the output is discarded without a traceback.
+rejects.  Exit codes: 0 success, 2 configuration error (any
+``DomainError``), 3 integration blow-up, 4 sweep non-convergence, 1
+when the reader closes stdout early (``cropguard ... | head``); the
+rest of the output is discarded without a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
-from .errors import BlowUpError, CropguardError, DegenerateParameterError, DomainError
+from .errors import BlowUpError, DomainError
 from .integrate import TimeGrid, default_step, rk4_model
 from .model import (
     _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
@@ -55,8 +55,8 @@ _COMMANDS = {  # subcommand -> its --help line
 }
 
 
-class ConfigError(CropguardError, ValueError):
-    """Raised for unusable configuration input."""
+class ConfigError(DomainError):
+    """Raised for an unusable config file, flag value or output path."""
 
 
 @dataclass(frozen=True)
@@ -400,7 +400,7 @@ def _run(argv: Sequence[str] | None) -> int:
             return 0
         _check_outputs(args)
         return _DISPATCH[args.command](cfg, args)
-    except (ConfigError, DomainError, DegenerateParameterError) as exc:
+    except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:

@@ -6,10 +6,12 @@ class CropguardError(Exception):
 
 
 class DomainError(CropguardError, ValueError):
-    """Raised when an input is outside the mathematical domain of an
-    operation: non-finite numbers, negative quantities that must be
-    non-negative, or parameter combinations that violate the model's
-    standing assumptions."""
+    """Raised when an input value is rejected: outside the domain of an
+    operation (non-finite numbers, negative quantities that must be
+    non-negative, controls outside [0, 1], parameters that violate the
+    model's standing assumptions) or degenerate for it.  The one type to
+    catch for a rejected value; arrays of the wrong shape raise
+    ``GridMismatchError``."""
 
 
 class NonFiniteError(DomainError):
@@ -18,10 +20,11 @@ class NonFiniteError(DomainError):
     reports it as a blow-up rather than as a rejected input."""
 
 
-class DegenerateParameterError(CropguardError, ValueError):
+class DegenerateParameterError(DomainError):
     """Raised when a formula's denominator is too close to zero for the
     requested quantity to be meaningful (for example a vanishing pest
-    conversion margin, or zero natural death rate in a long-run bound)."""
+    conversion margin, or zero natural death rate in a long-run bound),
+    though the parameters themselves are admissible."""
 
 
 class GridMismatchError(CropguardError, ValueError):

@@ -106,8 +106,9 @@ class Trajectory:
 
     Each array has one row per grid node; states are (X, S, I, A) rows,
     controls (u1, u2) rows and costates (p1, p2, p3, p4) rows.  A run
-    carries the controls that drove it (None if uncontrolled), and
-    ``rk4_adjoint`` and ``integrate_cost`` read them and the grid from it.
+    carries the controls that drove it (None if uncontrolled), which must
+    pass ``check_controls``; ``rk4_adjoint`` and ``integrate_cost`` read
+    them and the grid from it.
     """
 
     grid: TimeGrid
@@ -122,7 +123,9 @@ class Trajectory:
             if arr is None and name != "states":
                 continue
             arr = _node_array(arr, n_nodes, name, width)
-            if not np.isfinite(arr).all():
+            if name == "controls":
+                check_controls(arr)
+            elif not np.isfinite(arr).all():
                 raise DomainError(f"trajectory {name} contain non-finite values")
             setattr(self, name, arr)
 

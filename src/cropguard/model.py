@@ -318,12 +318,13 @@ def costate_rhs(
 
     Equals the negated gradient of the Hamiltonian with respect to the
     state; the cost gradient contributes -2 A1 S to dp2/dt and +2 A2 A
-    to dp4/dt.
+    to dp4/dt.  Controls that ``check_controls`` rejects raise its error.
     """
     X, S, I, A = s
     p1, p2, p3, p4 = p
     u1, u2 = u
-    _require_finite(X, S, I, A, p1, p2, p3, p4, u1, u2)
+    _require_finite(X, S, I, A, p1, p2, p3, p4)
+    check_controls((u1, u2))
     G = costate_matrix(params, w, X, S, I, A, u1)
     return tuple((G[:4] @ (p1, p2, p3, p4, 1.0)).tolist())
 

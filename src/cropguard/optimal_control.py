@@ -18,12 +18,12 @@ solution carries a stationarity residual: the hinged
 Hamiltonian-gradient magnitude, which vanishes at an exact interior
 optimum and is one-sided at the control bounds.
 
-Started without initial controls on a fine grid, the sweep is nested
-(mesh refinement; Betts, Practical Methods for Optimal Control and
-Estimation Using Nonlinear Programming, 2nd ed., SIAM 2010, ch. 4): it
-first runs on a grid ten times coarser to a looser stop rule, which
-finds the switching structure at a tenth of the cost per pass, and
-then continues on the fine grid from those controls, interpolated
+Every sweep starts from u = 0.5 on the free control channels.  On a
+fine grid it is nested (mesh refinement; Betts, Practical Methods for
+Optimal Control and Estimation Using Nonlinear Programming, 2nd ed.,
+SIAM 2010, ch. 4): it first runs on a grid ten times coarser to a
+looser stop rule, which finds the switching structure at a tenth of the
+cost per pass, and then continues on the fine grid from those controls, interpolated
 linearly.  The iteration histories, and so the rows of the CLI's
 ``history.csv``, begin with the coarse iterations.  A coarse stage that
 does not converge (it stalls, runs out of budget, or blows up because
@@ -37,14 +37,13 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .integrate import TimeGrid, Trajectory, _node_array, integrate_cost, rk4_adjoint, rk4_model
+from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_model
 from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
-                    check_controls, check_state)
+                    check_state)
 
 # Anderson mixing: residual differences kept, and the condition number of
 # their least-squares problem above which the history is dropped.
@@ -55,14 +54,14 @@ _MAX_CONDITION = 1e10
 # went at most 7 iterations without one; all 9 runs that stalled also left
 # the relaxed sweep unconverged after 300 iterations.
 _STALL_WINDOW = 15
-# Nested iteration: without initial controls, a grid of at least
-# _COARSEN * _MIN_COARSE_STEPS steps is first swept on one _COARSEN times
-# coarser, until the relative control change is below _COARSE_TOL.  At the
-# defaults, 1e-2 would save one coarse iteration but leave the fine result
-# 8e-9 in u from the direct solve's; 5e-3 lands within 1e-10 of it.  Over
-# the default problem and 20 random ones, nesting took 0.83-0.98 of the
-# direct solve's total time on 500- and 1000-step grids (tf = 20 and 100),
-# 0.95-1.01 on 250 steps and 1.66 on 100 steps.
+# Nested iteration: a grid of at least _COARSEN * _MIN_COARSE_STEPS steps
+# is first swept on one _COARSEN times coarser, until the relative control
+# change is below _COARSE_TOL.  At the defaults, 1e-2 would save one coarse
+# iteration but leave the fine result 8e-9 in u from the direct solve's;
+# 5e-3 lands within 1e-10 of it.  Over the default problem and 20 random
+# ones, nesting took 0.83-0.98 of the direct solve's total time on 500- and
+# 1000-step grids (tf = 20 and 100), 0.95-1.01 on 250 steps and 1.66 on 100
+# steps.
 _COARSEN = 10
 _MIN_COARSE_STEPS = 50
 _COARSE_TOL = 5e-3
@@ -82,18 +81,15 @@ class SweepOptions:
 
     ``relaxation_theta`` is the Anderson mixing weight, and the weight
     of the plain relaxed steps that start and restart the mixing.
-    ``initial_controls`` holds one (u1, u2) row per grid node; None
-    starts from the interior guess u = (0.5, 0.5) at every node,
-    avoiding dead clamps on the first backward pass.  ``freeze_u1``/``freeze_u2`` pin a control channel
-    to zero throughout (it is excluded from updates, convergence
-    measurement, and the stationarity residual).
+    ``freeze_u1``/``freeze_u2`` pin a control channel to zero
+    throughout (it is excluded from updates, convergence measurement,
+    and the stationarity residual).
     """
 
     grid: TimeGrid
     max_iterations: int = 5000
     tolerance: float = 1e-6
     relaxation_theta: float = 0.5
-    initial_controls: Sequence[ControlValue] | None = None
     freeze_u1: bool = False
     freeze_u2: bool = False
 
@@ -188,17 +184,18 @@ def _free_mask(freeze_u1: bool, freeze_u2: bool) -> np.ndarray:
     return np.array([not freeze_u1, not freeze_u2], dtype=float)
 
 
-def _mixed(u, f, d_u, d_f, theta, free) -> np.ndarray | None:
+def _mixed(u, f, d_u, d_f, theta) -> np.ndarray | None:
     """Type-II Anderson step from u with residual f = Phi(u) - u, mixed
     with weight theta and projected onto the admissible controls; None
     when the least-squares problem for the mixing coefficients is
-    rank-deficient or ill-conditioned."""
+    rank-deficient or ill-conditioned.  A frozen channel is 0 in u, in f
+    and in every stored difference, so its step is 0 too."""
     dF = np.column_stack(d_f)
     gamma, _, rank, sv = np.linalg.lstsq(dF, f.ravel(), rcond=None)
     if rank < len(d_f) or sv[0] > _MAX_CONDITION * sv[-1]:
         return None
     step = theta * f - ((np.column_stack(d_u) + theta * dF) @ gamma).reshape(u.shape)
-    return np.clip(u + step, 0.0, 1.0) * free
+    return np.clip(u + step, 0.0, 1.0)
 
 
 def _meets_stop_rule(u_new, u, tolerance: float) -> bool:
@@ -222,30 +219,24 @@ def solve(
     forward/backward refresh keeps states and costates consistent with
     the returned controls without extending the history.
 
-    Without ``initial_controls``, a grid of at least ``_COARSEN *
-    _MIN_COARSE_STEPS`` steps is first swept on a grid ``_COARSEN``
-    times coarser, to the looser stop rule ``_COARSE_TOL``, and the
-    sweep on the grid itself starts from those controls interpolated
-    linearly onto its nodes.  The histories then hold the coarse
-    iterations followed by the fine ones, ``coarse_iterations`` says how
-    many, ``iterations_used`` counts both, and ``max_iterations`` bounds
-    their sum.  Each stage starts with a plain step and counts its own
-    stall window.  Only a converged coarse stage is kept: one that stalls,
-    exhausts the budget or blows up is dropped with its history, and the
-    fine sweep starts from u = 0.5 with the whole budget, so the result
-    is the direct solve's at the cost of at most ``max_iterations``
-    coarse passes.
+    The sweep starts from u = 0.5 on the free channels.  A grid of at
+    least ``_COARSEN * _MIN_COARSE_STEPS`` steps is first swept on a
+    grid ``_COARSEN`` times coarser, to the looser stop rule
+    ``_COARSE_TOL``, and the sweep on the grid itself starts from those
+    controls interpolated linearly onto its nodes.  The histories then
+    hold the coarse iterations followed by the fine ones,
+    ``coarse_iterations`` says how many, ``iterations_used`` counts both,
+    and ``max_iterations`` bounds their sum.  Each stage starts with a
+    plain step and counts its own stall window.  Only a converged coarse
+    stage is kept: one that stalls, exhausts the budget or blows up is
+    dropped with its history, and the fine sweep starts from u = 0.5 with
+    the whole budget, so the result is the direct solve's at the cost of
+    at most ``max_iterations`` coarse passes.
     """
     grid = opts.grid
     y0 = check_state(tuple(map(float, y0)))
-    n_nodes = grid.n_steps + 1
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta
-
-    if opts.initial_controls is not None:
-        u = _node_array(opts.initial_controls, n_nodes, "initial_controls", 2)
-        check_controls(u)
-        u = np.clip(u, 0.0, 1.0) * free
 
     def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
         run = rk4_model(params, y0, grid, u)
@@ -277,7 +268,7 @@ def solve(
             u_prev, f_prev = u, f
 
             plain = u + theta * f
-            u_new = _mixed(u, f, d_u, d_f, theta, free) if d_f else None
+            u_new = _mixed(u, f, d_u, d_f, theta) if d_f else None
             # A mixed step can cancel to almost no move while u is far from a
             # fixed point (the stored u differences are then nearly dependent);
             # it must not pass the stop rule that the plain step would fail.
@@ -294,21 +285,20 @@ def solve(
                 return u, StopReason.STALLED, history
         return u, StopReason.BUDGET, history
 
+    u = np.full((grid.n_steps + 1, 2), 0.5) * free
     coarse_history = ((), (), ())  # kept only from a converged coarse stage
-    if opts.initial_controls is None:
-        u = np.full((n_nodes, 2), 0.5) * free
-        if grid.n_steps >= _COARSEN * _MIN_COARSE_STEPS:
-            coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
-            u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
-            try:
-                u_coarse, coarse_stop, stage_history = sweep(
-                    coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
-            except BlowUpError:  # RK4 can be unstable at the longer coarse step
-                coarse_stop = None
-            if coarse_stop is StopReason.CONVERGED:
-                coarse_history = stage_history
-                u = np.column_stack([np.interp(grid.times(), coarse.times(), c)
-                                     for c in u_coarse.T])
+    if grid.n_steps >= _COARSEN * _MIN_COARSE_STEPS:
+        coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
+        u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
+        try:
+            u_coarse, coarse_stop, stage_history = sweep(
+                coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
+        except BlowUpError:  # RK4 can be unstable at the longer coarse step
+            coarse_stop = None
+        if coarse_stop is StopReason.CONVERGED:
+            coarse_history = stage_history
+            u = np.column_stack([np.interp(grid.times(), coarse.times(), c)
+                                 for c in u_coarse.T])
     coarse_iterations = len(coarse_history[1])
     u, stop, fine_history = sweep(grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
     objective_history, change_history, residual_history = (

@@ -220,7 +220,7 @@ def _star_char_at(
     try:
         shifted = params_with_alpha(params, alpha)
         stars = coexistence(shifted)
-    except (DegenerateParameterError, DomainError):
+    except DomainError:
         return None
     if not stars:
         return None

@@ -34,11 +34,7 @@ def plain_solve(
     grid = opts.grid
     y0 = State(*map(float, y0))
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
-    if opts.initial_controls is None:
-        u = np.full((grid.n_steps + 1, 2), 0.5)
-    else:
-        u = np.clip(np.asarray(opts.initial_controls, dtype=float), 0.0, 1.0)
-    u = u * free
+    u = np.full((grid.n_steps + 1, 2), 0.5) * free
 
     def forward_backward(u: np.ndarray):
         traj = rk4_model(params, y0, grid, u)

@@ -1,5 +1,6 @@
 """Package errors: every class survives a pickle round trip, as a worker
-process's error must to reach the caller with its type."""
+process's error must to reach the caller with its type, and every
+rejected input is a ``DomainError``."""
 
 import inspect
 import pickle
@@ -7,6 +8,7 @@ import pickle
 import pytest
 
 from cropguard import errors
+from cropguard.cli import ConfigError
 
 _CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -33,3 +35,10 @@ def test_round_trip_keeps_type_message_and_time(cls):
 def test_blow_up_with_its_own_message_round_trips():
     back = pickle.loads(pickle.dumps(errors.BlowUpError(2.0, "integration failed at t = 2")))
     assert (str(back), back.t) == ("integration failed at t = 2", 2.0)
+
+
+def test_every_rejected_input_is_a_domain_error():
+    # one type to catch, and the one type the CLI maps to exit 2
+    for cls in (errors.NonFiniteError, errors.DegenerateParameterError, ConfigError):
+        assert issubclass(cls, errors.DomainError)
+    assert not issubclass(errors.BlowUpError, errors.DomainError)

@@ -482,6 +482,27 @@ class TestTrajectory:
                 Trajectory(grid=grid, **bad)
 
 
+class TestControlsCheckedOnEveryRun:
+    """A run built directly obeys the rule ``rk4_model`` applies before its
+    first step, so the costate pass and the cost, which read the controls
+    from the run, refuse u = 2 instead of returning finite numbers (a cost
+    of 10.2 and finite costates, before the run checked its controls)."""
+
+    GRID = TimeGrid(0.0, 1.0, 10)
+
+    def _run_at_two(self):
+        states = rk4_model(ModelParams(), State(0.2, 0.07, 0.05, 0.5), self.GRID).states
+        return Trajectory(self.GRID, states, np.full((self.GRID.n_steps + 1, 2), 2.0))
+
+    def test_integrate_cost_refuses_controls_of_2(self):
+        with pytest.raises(DomainError, match="controls must lie in"):
+            integrate_cost(self._run_at_two(), ObjectiveWeights())
+
+    def test_rk4_adjoint_refuses_controls_of_2(self):
+        with pytest.raises(DomainError, match="controls must lie in"):
+            rk4_adjoint(ModelParams(), ObjectiveWeights(), self._run_at_two())
+
+
 class TestIntegrateCost:
     def test_constant_integrand_is_exact(self):
         # trapezoid is exact for constants: J = tf * running cost

@@ -221,6 +221,16 @@ def test_costate_rhs_is_negative_state_gradient_of_hamiltonian():
             assert abs(g[j] - fd) / max(1.0, abs(g[j])) < 1e-5
 
 
+@pytest.mark.parametrize("u, error", [
+    ((2.0, 0.5), DomainError), ((0.5, -1e-9), DomainError), ((math.nan, 0.5), NonFiniteError),
+])
+def test_costate_rhs_rejects_inadmissible_controls(baseline, weights, u, error):
+    # the rule rhs_controlled and every run apply
+    with pytest.raises(DomainError, match="controls must") as info:
+        costate_rhs(baseline, State(0.4, 0.2, 0.1, 0.8), (1.0, -2.0, 0.5, 3.0), u, weights)
+    assert type(info.value) is error
+
+
 def test_hamiltonian_is_cost_plus_costate_dot_dynamics(baseline, weights):
     s = State(0.4, 0.2, 0.1, 0.8)
     lam = Costate(1.0, -2.0, 0.5, 3.0)

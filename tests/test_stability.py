@@ -1,6 +1,7 @@
 """Characteristic polynomial, Routh-Hurwitz margins, verdicts, Hopf scan."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 from conftest import make_random_params
 from cropguard.equilibria import axial, coexistence, pest_free
 from cropguard.errors import DegenerateParameterError
+from cropguard import stability
 from cropguard.model import ModelParams, jacobian
 from cropguard.stability import (
     EIG_TOL,
@@ -234,6 +236,73 @@ class TestHopfScan:
             p = params_with_alpha(baseline, alpha)
             reps = [classify(p, eq) for eq in coexistence(p)]
             assert any(rep.verdict is expected for rep in reps), alpha
+
+
+ALPHA_STAR = 0.52  # between the samples 0.5 and 0.6 of the synthetic scans
+
+
+class TestHopfScanRejections:
+    """Each check that turns a sign change of Psi away, driven by a stand-in
+    for the coexistence point: at each alpha its characteristic polynomial
+    has the roots ``pair(alpha)`` and ``others``.  By Orlando's formula Psi
+    is a multiple of the product of all pairwise root sums, so it changes
+    sign where the two roots of ``pair`` sum through zero."""
+
+    @staticmethod
+    def scan(monkeypatch, pair, others=(-1.0, -2.0), exists=lambda alpha: True):
+        def star_char_at(params, alpha, near):
+            if not exists(alpha):
+                return None
+            c = np.real(np.poly([*pair(alpha), *others]))
+            return SimpleNamespace(point=SimpleNamespace(A=alpha)), CharPoly4(*c[1:].tolist())
+
+        monkeypatch.setattr(stability, "_star_char_at", star_char_at)
+        return hopf_scan(ModelParams(), (0.3, 0.7), n_samples=5)
+
+    @staticmethod
+    def crossing_pair(alpha):
+        """A conjugate pair whose real part crosses zero at ALPHA_STAR."""
+        return complex(alpha - ALPHA_STAR, 1.0), complex(alpha - ALPHA_STAR, -1.0)
+
+    def test_the_stand_in_crossing_is_found(self, monkeypatch):
+        # the control for the rejections below: each changes one thing
+        (cand,) = self.scan(monkeypatch, self.crossing_pair)
+        assert cand.alpha_star == pytest.approx(ALPHA_STAR, abs=1e-12)
+        assert cand.transversality_slope == pytest.approx(1.0, rel=1e-6)
+
+    def test_a_bisection_that_loses_the_point_is_rejected(self, monkeypatch):
+        exists = lambda alpha: not 0.5 < alpha < 0.6  # noqa: E731
+        assert self.scan(monkeypatch, self.crossing_pair, exists=exists) == []
+
+    def test_a_jump_between_branches_is_rejected(self, monkeypatch):
+        # Psi changes sign at ALPHA_STAR without passing near zero
+        def pair(alpha):
+            re = -0.1 if alpha < ALPHA_STAR else 0.1
+            return complex(re, 1.0), complex(re, -1.0)
+
+        assert self.scan(monkeypatch, pair) == []
+
+    def test_a_crossing_with_a_failed_side_condition_is_rejected(self, monkeypatch):
+        # a positive real root makes C4 negative
+        assert self.scan(monkeypatch, self.crossing_pair, others=(1.0, -2.0)) == []
+
+    def test_a_crossing_without_a_complex_pair_beside_it_is_rejected(self, monkeypatch):
+        # the pair is complex only within 5e-5 of ALPHA_STAR, real at the
+        # transversality offsets of 1e-4
+        def pair(alpha):
+            mu = alpha - ALPHA_STAR
+            s = np.emath.sqrt(mu * mu - 5e-5 ** 2)
+            return mu + s, mu - s
+
+        assert self.scan(monkeypatch, pair) == []
+
+    def test_a_crossing_with_a_flat_real_part_is_rejected(self, monkeypatch):
+        # real part 0.1 (alpha - ALPHA_STAR)^3: slope 1e-9 over the offsets
+        def pair(alpha):
+            re = 0.1 * (alpha - ALPHA_STAR) ** 3
+            return complex(re, 1.0), complex(re, -1.0)
+
+        assert self.scan(monkeypatch, pair) == []
 
 
 class TestParamsWithAlpha:
