@@ -41,14 +41,14 @@ _MAP_CHUNK = 1024
 _NODE_BYTES = 256
 
 
-def _max_steps() -> int:
+def _max_steps(node_bytes: int = _NODE_BYTES) -> int:
     """The most steps whose stored nodes fit in physical memory, at
-    ``_NODE_BYTES`` each; ``sys.maxsize`` where the memory size is unknown."""
+    ``node_bytes`` each; ``sys.maxsize`` where the memory size is unknown."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return sys.maxsize
-    return memory // _NODE_BYTES if memory > 0 else sys.maxsize
+    return memory // node_bytes if memory > 0 else sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,21 @@ class TimeGrid:
         return np.linspace(self.t0, self.tf, self.n_steps + 1)
 
     @classmethod
-    def from_step(cls, t0: float, tf: float, dt: float) -> "TimeGrid":
+    def from_step(
+        cls, t0: float, tf: float, dt: float, node_bytes: int = _NODE_BYTES
+    ) -> "TimeGrid":
         """Grid whose step is as close to dt as a whole number of steps allows.
 
         The step count (tf - t0)/dt must be finite and, rounded, small
-        enough that the run's stored nodes fit in physical memory
-        (``_max_steps``): a longer run could only end killed.
+        enough that the run's nodes fit in physical memory at
+        ``node_bytes`` each (``_max_steps``): a longer run could only end
+        killed.  The default is a model run's cost per node; a caller that
+        holds more per node passes its own.
         """
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         steps = (tf - t0) / dt
-        limit = _max_steps()
+        limit = _max_steps(node_bytes)
         if not (math.isfinite(steps) and round(steps) <= limit):
             raise DomainError(
                 f"(tf - t0)/dt must be a finite step count of at most {limit}, "

@@ -23,8 +23,11 @@ fine grid it is nested (mesh refinement; Betts, Practical Methods for
 Optimal Control and Estimation Using Nonlinear Programming, 2nd ed.,
 SIAM 2010, ch. 4): it first runs on a grid ten times coarser to a
 looser stop rule, which finds the switching structure at a tenth of the
-cost per pass, and then continues on the fine grid from those controls, interpolated
-linearly.  The iteration histories, and so the rows of the CLI's
+cost per pass.  The fine grid then starts from Phi of the coarse stage's
+last pass: its states and costates, which are smooth, are interpolated
+linearly onto the fine nodes and minimize the Hamiltonian there, so the
+kinks of the clipped controls fall at fine resolution instead of being
+cut across.  The iteration histories, and so the rows of the CLI's
 ``history.csv``, begin with the coarse iterations.  A coarse stage that
 does not converge (it stalls, runs out of budget, or blows up because
 RK4 is unstable at the longer step) is dropped, and the sweep runs on
@@ -56,15 +59,18 @@ _MAX_CONDITION = 1e10
 _STALL_WINDOW = 15
 # Nested iteration: a grid of at least _COARSEN * _MIN_COARSE_STEPS steps
 # is first swept on one _COARSEN times coarser, until the relative control
-# change is below _COARSE_TOL.  At the defaults, 1e-2 would save one coarse
-# iteration but leave the fine result 8e-9 in u from the direct solve's;
-# 5e-3 lands within 1e-10 of it.  Over the default problem and 20 random
-# ones, nesting took 0.83-0.98 of the direct solve's total time on 500- and
-# 1000-step grids (tf = 20 and 100), 0.95-1.01 on 250 steps and 1.66 on 100
-# steps.
+# change is below _COARSE_TOL.  At the defaults, 1e-3 takes 8 coarse and 4
+# fine iterations, with a first fine residual of 5.9e-5.  Over the 120
+# problems of tests/stall_survey.py, 5e-3 left two more of them stalled
+# (112 converged), and 1e-4 took 930 coarse passes against 843 to save 2
+# of 829 fine ones.
 _COARSEN = 10
 _MIN_COARSE_STEPS = 50
-_COARSE_TOL = 5e-3
+_COARSE_TOL = 1e-3
+# Bytes a grid node costs ``solve`` at least: at the defaults on tf = 100,
+# peak RSS went 33 -> 137 -> 221 MB from 1k to 100k to 200k steps, 1,100 and
+# then 883 B a step, against 256 for a model run (``integrate._NODE_BYTES``).
+SOLVE_NODE_BYTES = 880
 
 
 class StopReason(enum.Enum):
@@ -222,8 +228,10 @@ def solve(
     The sweep starts from u = 0.5 on the free channels.  A grid of at
     least ``_COARSEN * _MIN_COARSE_STEPS`` steps is first swept on a
     grid ``_COARSEN`` times coarser, to the looser stop rule
-    ``_COARSE_TOL``, and the sweep on the grid itself starts from those
-    controls interpolated linearly onto its nodes.  The histories then
+    ``_COARSE_TOL``, and the sweep on the grid itself starts from the
+    candidate controls ``_candidates`` of the stage's last forward/backward
+    pass, its states and costates interpolated linearly onto the fine
+    nodes.  The histories then
     hold the coarse iterations followed by the fine ones,
     ``coarse_iterations`` says how many, ``iterations_used`` counts both,
     and ``max_iterations`` bounds their sum.  Each stage starts with a
@@ -245,15 +253,17 @@ def solve(
     def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float, budget: int):
         """Iterate on ``grid`` from u for at most ``budget`` iterations.
         Returns the last updated iterate, on which no forward/backward
-        pass has run yet, why the stage stopped, and the stage's
+        pass has run yet, why the stage stopped, the last pass's
+        (run, costates) (None if the budget is 0), and the stage's
         (objectives, changes, residuals) histories."""
         history = objectives, changes, residuals = [], [], []
+        last = None
         # the last _DEPTH iterate differences u_k - u_(k-1) and residual
         # differences f_k - f_(k-1), flattened; f = Phi(u) - u
         d_u, d_f = [], []
         u_prev = f_prev = None
         for _ in range(budget):
-            run, costates = forward_backward(grid, u)
+            run, costates = last = forward_backward(grid, u)
             objectives.append(integrate_cost(run, w))
             f = _candidates(run.states, costates, params, w, free) - u
             residual = float(np.abs(f).max())
@@ -279,11 +289,11 @@ def solve(
                 u_new = plain
             changes.append(float(np.abs(u_new - u).max()))
             if _meets_stop_rule(u_new, u, tolerance):
-                return u_new, StopReason.CONVERGED, history
+                return u_new, StopReason.CONVERGED, last, history
             u = u_new
             if len(residuals) - 1 - int(np.argmin(residuals)) >= _STALL_WINDOW:
-                return u, StopReason.STALLED, history
-        return u, StopReason.BUDGET, history
+                return u, StopReason.STALLED, last, history
+        return u, StopReason.BUDGET, last, history
 
     u = np.full((grid.n_steps + 1, 2), 0.5) * free
     coarse_history = ((), (), ())  # kept only from a converged coarse stage
@@ -291,16 +301,21 @@ def solve(
         coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
         u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
         try:
-            u_coarse, coarse_stop, stage_history = sweep(
+            _, coarse_stop, last, stage_history = sweep(
                 coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
         except BlowUpError:  # RK4 can be unstable at the longer coarse step
             coarse_stop = None
         if coarse_stop is StopReason.CONVERGED:
             coarse_history = stage_history
-            u = np.column_stack([np.interp(grid.times(), coarse.times(), c)
-                                 for c in u_coarse.T])
+            # Phi of the last coarse pass on the fine nodes: its states and
+            # costates are smooth, so linear interpolation does not cut
+            # across the kinks of the clipped controls.
+            run, costates = last
+            fine = np.column_stack([np.interp(grid.times(), coarse.times(), c)
+                                    for c in np.hstack((run.states, costates)).T])
+            u = _candidates(fine[:, :4], fine[:, 4:], params, w, free)
     coarse_iterations = len(coarse_history[1])
-    u, stop, fine_history = sweep(grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
+    u, stop, _, fine_history = sweep(grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
     objective_history, change_history, residual_history = (
         (*coarse, *fine) for coarse, fine in zip(coarse_history, fine_history))
 

@@ -7,7 +7,10 @@ and B2 log-uniform in [0.03, 10].  Each is solved on tf = 20 with 2000
 steps and ``max_iterations=300``.  Prints how many converged, stalled,
 ran out of budget or blew up, the number of forward passes on the fine
 grid (the fine iterations plus the snap and refresh passes of each
-solve), and the (seed, index) pairs of the stalled draws.
+solve) and on the 10x coarser one (dropped coarse stages included),
+their sum in fine-pass equivalents (fine + coarse / 10), and the
+(seed, index) pairs of the stalled draws.  Exits 1 when fewer than
+``MIN_CONVERGED`` problems converge or any blows up.
 
 Run from the repository root, not collected by pytest:
 
@@ -17,20 +20,25 @@ Run from the repository root, not collected by pytest:
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import Counter
 
 import numpy as np
 
 from conftest import make_random_params, make_random_state
+from cropguard import optimal_control
 from cropguard.errors import BlowUpError
-from cropguard.integrate import TimeGrid
+from cropguard.integrate import TimeGrid, rk4_model
 from cropguard.model import ObjectiveWeights
 from cropguard.optimal_control import StopReason, SweepOptions, solve
 
 SEEDS = (1, 2, 3)
 DRAWS = 40
 OPTIONS = SweepOptions(grid=TimeGrid(0.0, 20.0, 2000), max_iterations=300)
+# The sweep converges on 114 problems and stalls on 6, at (1,1) (1,2) (1,13)
+# (2,9) (2,14) (3,8).  Fewer converged, or any blow-up, fails the survey.
+MIN_CONVERGED = 114
 
 
 def draws(seed: int):
@@ -43,10 +51,16 @@ def draws(seed: int):
         yield params, ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2), y0
 
 
-def main() -> None:
+def main() -> int:
     start = time.perf_counter()
     outcomes = Counter()
-    fine_passes = 0
+    passes = Counter()  # forward passes per grid step count
+
+    def spy(params, y0, grid, u=None):
+        passes[grid.n_steps] += 1
+        return rk4_model(params, y0, grid, u)
+
+    optimal_control.rk4_model = spy
     stalled = []
     for seed in SEEDS:
         for index, (params, w, y0) in enumerate(draws(seed)):
@@ -56,20 +70,27 @@ def main() -> None:
                 outcomes["blow-up"] += 1
                 continue
             outcomes[sol.stop_reason.value] += 1
-            fine_passes += sol.iterations_used - sol.coarse_iterations + 2
             if sol.stop_reason is StopReason.STALLED:
                 stalled.append((seed, index))
+    fine = passes[OPTIONS.grid.n_steps]
+    coarse = passes[OPTIONS.grid.n_steps // optimal_control._COARSEN]
+    converged = outcomes[StopReason.CONVERGED.value]
     print(
         f"{sum(outcomes.values())} problems: "
-        f"{outcomes[StopReason.CONVERGED.value]} converged, "
+        f"{converged} converged, "
         f"{outcomes[StopReason.STALLED.value]} stalled, "
         f"{outcomes[StopReason.BUDGET.value]} out of budget, "
         f"{outcomes['blow-up']} blew up; "
-        f"{fine_passes} fine-grid passes; "
+        f"{fine} fine-grid + {coarse} coarse-grid passes = "
+        f"{fine + coarse / optimal_control._COARSEN:.1f} fine-pass equivalents; "
         f"stalled (seed, index): {' '.join(f'({s},{i})' for s, i in stalled) or 'none'}; "
         f"{time.perf_counter() - start:.1f} s"
     )
+    if converged < MIN_CONVERGED or outcomes["blow-up"]:
+        print(f"fail: need at least {MIN_CONVERGED} converged and no blow-up")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

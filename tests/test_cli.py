@@ -454,6 +454,20 @@ class TestRejectedInputs:
         assert err.startswith("configuration error: ") and reason in err, err
         assert not out.exists()
 
+    def test_optimize_bounds_its_grid_by_the_sweeps_memory(self, tmp_path, capsys, monkeypatch):
+        """With 1 MiB of physical memory, 2000 steps fit a model run (256 B
+        a node) but not the sweep (``SOLVE_NODE_BYTES`` a node)."""
+        sysconf = os.sysconf
+        small = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", lambda name: small.get(name) or sysconf(name))
+        out = tmp_path / "x.csv"
+        assert run_cli("optimize", "--tf", "20", "--dt", "0.01", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "fit in physical memory; got 2000" in err, err
+        assert not out.exists()
+        assert run_cli("simulate", "--tf", "20", "--dt", "0.01", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2002
+
     @pytest.mark.parametrize("command", ["equilibria", "stability"])
     @pytest.mark.parametrize("flag, reason", [
         ("--sigma", "the coexistence reduction needs sigma > 0"),

@@ -13,7 +13,7 @@ from conftest import make_random_params, make_random_state
 from plain_sweep import plain_solve
 from test_integrate import textbook_costates
 from cropguard.errors import DomainError
-from cropguard.integrate import TimeGrid, integrate_cost, rk4_model
+from cropguard.integrate import TimeGrid, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
     ControlValue,
     Costate,
@@ -445,6 +445,58 @@ class TestNestedSweep:
         assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-12)
         assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-6
         assert sol.stationarity_residual < 1e-6
+
+    @pytest.fixture(scope="class")
+    def default_passes(self, baseline, weights, y0, control_grid):
+        """The default solve, with the grid of every forward pass and the
+        (run, costates) of every forward/backward pair in call order."""
+        grids, pairs = [], []
+
+        def forward(params, y0, grid, u=None):
+            grids.append(grid.n_steps)
+            return rk4_model(params, y0, grid, u)
+
+        def backward(params, w, run):
+            costates = rk4_adjoint(params, w, run)
+            pairs.append((run, costates))
+            return costates
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimal_control, "rk4_model", forward)
+            mp.setattr(optimal_control, "rk4_adjoint", backward)
+            sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        return sol, grids, pairs
+
+    def test_the_default_solve_takes_six_fine_passes(self, default_passes, control_grid):
+        # 4 fine iterations, the snap and the refresh; a start from the
+        # interpolated coarse controls took 5 iterations, so 7 passes
+        sol, grids, _ = default_passes
+        assert sol.converged and grids.count(control_grid.n_steps) == 6
+
+    def test_the_fine_stage_starts_near_its_fixed_point(self, default_passes):
+        # the interpolated coarse controls cut the u2 switch's corner: 0.032
+        sol, _, _ = default_passes
+        assert sol.residual_history[sol.coarse_iterations] < 1e-3
+
+    def test_the_default_certificate_tightens(self, default_passes):
+        # 4.2998e-11 from the interpolated coarse controls
+        sol, _, _ = default_passes
+        assert sol.stationarity_residual <= 1e-11
+
+    def test_the_fine_stage_starts_from_phi_of_the_last_coarse_pass(
+        self, default_passes, baseline, weights, control_grid
+    ):
+        sol, _, pairs = default_passes
+        (last_run, last_costates), (first_fine, _) = pairs[sol.coarse_iterations - 1:][:2]
+        assert last_run.grid.n_steps * optimal_control._COARSEN == first_fine.grid.n_steps
+
+        def on_fine_nodes(a):
+            return np.column_stack([np.interp(control_grid.times(), last_run.times(), c)
+                                    for c in a.T])
+
+        start = _candidates(on_fine_nodes(last_run.states), on_fine_nodes(last_costates),
+                            baseline, weights, FREE)
+        assert np.array_equal(first_fine.controls, start)
 
 
 class TestStall:
