@@ -36,7 +36,7 @@ from .integrate import TimeGrid, default_step, rk4_model
 from .model import (
     _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
 )
-from .optimal_control import SOLVE_NODE_BYTES, StopReason, SweepOptions, solve
+from .optimal_control import StopReason, SweepOptions, solve
 from .stability import classify, r0
 
 _WEIGHT_KEYS = tuple(f.name for f in fields(ObjectiveWeights))
@@ -283,7 +283,7 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt, SOLVE_NODE_BYTES)
+    grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
     opts = SweepOptions(
         grid=grid,
         freeze_u1=args.freeze_u1,

@@ -15,9 +15,10 @@ class DomainError(CropguardError, ValueError):
 
 
 class NonFiniteError(DomainError):
-    """Raised when a value that must be finite is inf or NaN.  Inside an
-    integrator it marks a stage state that overflowed, so ``_rk4``
-    reports it as a blow-up rather than as a rejected input."""
+    """Raised when a value that must be finite is inf or NaN.  Raised by
+    a field that ``rk4_forward`` integrates, it marks a stage state that
+    overflowed, so the run reports it as a blow-up rather than as a
+    rejected input."""
 
 
 class DegenerateParameterError(DomainError):

@@ -8,36 +8,43 @@ objective functional is accumulated with the composite trapezoidal
 rule on the same grid.
 
 Fixed steps keep every run bit-for-bit reproducible; there is no
-adaptive error control here by design.  The RK4 step is written once,
-unrolled on four scalar components in ``_rk4``; ``rk4_model`` (the
-model's field with its controls) and ``rk4_forward`` (any ``f(t, y)``)
-are thin adapters over it.  ``rk4_adjoint`` is a separate kernel: it
-uses that the costate field is affine in the costates, builds every
-backward step's RK4 map by batched matrix products and solves the
-recurrence blockwise.
+adaptive error control here by design.  The generic RK4 step is
+unrolled on four scalar components in ``_rk4``, which ``rk4_forward``
+(any ``f(t, y)``) runs and the tests take as the reference.
+``rk4_model`` runs the model's own kernel, ``_KERNEL``: the same loop
+with the field's text (``model._FIELD``) inlined at each of the four
+stages, compiled once per process and bound to each parameter set, so
+a step makes no Python call.  Both give the same nodes and errors bit
+for bit.  ``rk4_adjoint`` is a separate kernel: it uses that the
+costate field is affine in the costates, builds every backward step's
+RK4 map by batched matrix products and solves the recurrence
+blockwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
+import re
 import sys
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
-from .model import (ModelParams, ObjectiveWeights, State, check_controls, costate_matrix,
-                    model_field, running_cost)
+from .model import (_FIELD, ModelParams, ObjectiveWeights, State, _bind_compiled, check_controls,
+                    costate_matrix, running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # Steps per batch of costate maps: ~200 KB temporaries are reused from the heap;
 # 10k steps at once faulted in ~4000 fresh pages per call, a third of its time.
 _MAP_CHUNK = 1024
 # Bytes a stored node takes at least: a 400k-step simulate peaks ~250 B per
-# step above a 40k-step one (``_rk4``'s node tuples, the result array).
+# step above a 40k-step one (the kernel's node tuples, the result array).
 _NODE_BYTES = 256
 
 
@@ -64,8 +71,13 @@ class TimeGrid:
             raise DomainError("grid endpoints must be finite")
         if not self.tf > self.t0:
             raise DomainError(f"need tf > t0, got [{self.t0}, {self.tf}]")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
+        try:  # any integral value but a bool, stored as a plain int
+            n = 0 if isinstance(self.n_steps, bool) else operator.index(self.n_steps)
+        except TypeError:
+            n = 0
+        if n < 1:
             raise DomainError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", n)
 
     @property
     def h(self) -> float:
@@ -75,22 +87,30 @@ class TimeGrid:
         """Node times, length n_steps + 1."""
         return np.linspace(self.t0, self.tf, self.n_steps + 1)
 
+    def check_memory(self, node_bytes: int) -> None:
+        """Raise a domain error unless the grid's nodes fit in physical
+        memory at ``node_bytes`` each (``_max_steps``): a longer run could
+        only end killed.  Each run checks its own cost per node before it
+        allocates."""
+        limit = _max_steps(node_bytes)
+        if self.n_steps > limit:
+            raise DomainError(f"n_steps must be at most {limit}, the nodes that fit in "
+                              f"physical memory; got {self.n_steps}")
+
     @classmethod
-    def from_step(
-        cls, t0: float, tf: float, dt: float, node_bytes: int = _NODE_BYTES
-    ) -> "TimeGrid":
+    def from_step(cls, t0: float, tf: float, dt: float) -> "TimeGrid":
         """Grid whose step is as close to dt as a whole number of steps allows.
 
         The step count (tf - t0)/dt must be finite and, rounded, small
-        enough that the run's nodes fit in physical memory at
-        ``node_bytes`` each (``_max_steps``): a longer run could only end
-        killed.  The default is a model run's cost per node; a caller that
-        holds more per node passes its own.
+        enough that a model run's nodes fit in physical memory
+        (``_max_steps`` at ``_NODE_BYTES``, the bound ``rk4_model``
+        applies), so that a step too small for any run is refused as a
+        step.
         """
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         steps = (tf - t0) / dt
-        limit = _max_steps(node_bytes)
+        limit = _max_steps()
         if not (math.isfinite(steps) and round(steps) <= limit):
             raise DomainError(
                 f"(tf - t0)/dt must be a finite step count of at most {limit}, "
@@ -143,6 +163,21 @@ class Trajectory:
         return self.node(-1)
 
 
+def _initial_state(y0) -> tuple:
+    """y0 as a tuple of floats; a non-finite component raises a domain error."""
+    y = tuple(float(v) for v in y0)
+    for v in y:
+        if not math.isfinite(v):
+            raise DomainError(f"initial state must be finite, got {y}")
+    return y
+
+
+def _failed_step(t: float, exc: Exception) -> BlowUpError:
+    """The blow-up error for a field evaluation that raised ``exc`` in the
+    step from time t."""
+    return BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}")
+
+
 def _rk4(f, y0, t0, h, stages):
     """Classical RK4 on four scalar components from y0 at t0 in steps of h.
 
@@ -155,10 +190,7 @@ def _rk4(f, y0, t0, h, stages):
     time.  A ``DomainError`` other than ``NonFiniteError`` passes
     through unchanged: the field rejected a finite input.
     """
-    y = tuple(float(v) for v in y0)
-    for v in y:
-        if not math.isfinite(v):
-            raise DomainError(f"initial state must be finite, got {y}")
+    y = _initial_state(y0)
     h2, h6 = 0.5 * h, h / 6.0
     isfinite = math.isfinite
     X, S, I, A = y
@@ -173,8 +205,7 @@ def _rk4(f, y0, t0, h, stages):
         except _ARITH_ERRORS as exc:
             if isinstance(exc, DomainError) and not isinstance(exc, NonFiniteError):
                 raise  # the field rejected its input: not a blow-up
-            t = t0 + i * h
-            raise BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}") from exc
+            raise _failed_step(t0 + i * h, exc) from exc
         X = X + h6 * (aX + 2.0 * (bX + cX) + dX)
         S = S + h6 * (aS + 2.0 * (bS + cS) + dS)
         I = I + h6 * (aI + 2.0 * (bI + cI) + dI)
@@ -183,6 +214,52 @@ def _rk4(f, y0, t0, h, stages):
             raise BlowUpError(t0 + i * h + h)
         out.append((X, S, I, A))
     return out
+
+
+def _stage(k: str, controls: str, step: str | None = None) -> str:
+    """Stage ``k`` (a to d) of ``_KERNEL``'s step as source text.  It sets
+    the stage state Xk, Sk, Ik, Ak to the node plus ``step`` ("h2 * a"
+    gives Xb = X + h2 * aX; with no step the stage reads the node
+    itself), then runs ``_FIELD`` on that state and the controls
+    ``controls``1 and ``controls``2, assigning the slopes kX, kS, kI, kA."""
+    names = {"u1": controls + "1", "u2": controls + "2"}
+    lines = []
+    for v in "XSIA":
+        names["d" + v] = k + v
+        if step is not None:
+            names[v] = v + k
+            lines.append(f"{v}{k} = {v} + {step}{v}\n")
+    field = re.sub(r"\b(?:[XSIA]|u[12]|d[XSIA])\b", lambda m: names.get(m[0], m[0]), _FIELD)
+    return textwrap.indent("".join(lines) + field, " " * 12)
+
+
+# The model's RK4 step: ``_rk4``'s loop with the field's text in place of
+# each of its four calls, so a step makes no Python call.  Python evaluates
+# every expression as ``_rk4`` and ``model_field`` do, so the nodes and the
+# errors are theirs bit for bit.
+_KERNEL = """\
+def kernel(X, S, I, A, t0, h, stages):
+    h2, h6 = 0.5 * h, h / 6.0
+    out = [(X, S, I, A)]
+    try:
+        # (u1, u2) at the step's start, (w1, w2) at its midpoint, (v1, v2) at its end
+        for i, u1, u2, w1, w2, v1, v2 in zip(count(), *stages):
+""" + _stage("a", "u") + _stage("b", "w", "h2 * a") + _stage("c", "w", "h2 * b") \
+    + _stage("d", "v", "h * c") + """\
+            X = X + h6 * (aX + 2.0 * (bX + cX) + dX)
+            S = S + h6 * (aS + 2.0 * (bS + cS) + dS)
+            I = I + h6 * (aI + 2.0 * (bI + cI) + dI)
+            A = A + h6 * (aA + 2.0 * (bA + cA) + dA)
+            if not (isfinite(X) and isfinite(S) and isfinite(I) and isfinite(A)):
+                raise BlowUpError(t0 + i * h + h)
+            out.append((X, S, I, A))
+    except _ARITH_ERRORS as exc:
+        raise _failed_step(t0 + i * h, exc) from exc
+    return out
+"""
+_bind_kernel = _bind_compiled(_KERNEL, "kernel", {
+    "count": itertools.count, "isfinite": math.isfinite, "BlowUpError": BlowUpError,
+    "_ARITH_ERRORS": _ARITH_ERRORS, "_failed_step": _failed_step})
 
 
 def rk4_forward(
@@ -229,12 +306,15 @@ def rk4_model(
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
     i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1);
-    the run carries ``u`` as its controls.  Controls that
+    the run carries ``u`` as its controls.  A grid whose nodes cannot
+    fit in memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises
+    a domain error before anything is allocated; controls that
     ``check_controls`` rejects raise its error before the first step.
-    Past that check it shares its step with ``rk4_forward``, so results
-    and errors equal those of ``rk4_forward`` on the matching field bit
-    for bit.
+    The steps run in ``_KERNEL``, ``_rk4``'s loop with the field's text
+    inlined, so results and errors equal those of ``rk4_forward`` on
+    ``model_field`` bit for bit.
     """
+    grid.check_memory(_NODE_BYTES)
     n = grid.n_steps
     if u is None:
         controls = [itertools.repeat(1.0, n) for _ in range(6)]
@@ -244,7 +324,7 @@ def rk4_model(
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
-    out = _rk4(model_field(params), y0, grid.t0, grid.h, controls)
+    out = _bind_kernel(params)(*_initial_state(y0), grid.t0, grid.h, controls)
     return Trajectory(grid, np.array(out, dtype=float), u)
 
 

@@ -22,9 +22,13 @@ This module holds the parameter and state containers plus every
 right-hand side used elsewhere: the controlled field (the uncontrolled
 one is its u = (1, 1) case), its Jacobian, the adjoint (costate) field
 of the optimal-control problem, and the running cost of the objective
-functional.  The field is written once, as the positional function
-``model_field`` that the integration kernels call; ``rhs_uncontrolled``
-and ``rhs_controlled`` evaluate it at one state.  The costate field is
+functional.  The field is written once, as the six assignments of the
+source text ``_FIELD``; ``_bind_compiled`` compiles code around that
+text once per process and binds it to a parameter set by a closure
+call.  The positional function ``model_field`` is compiled this way, and
+so is the model's RK4 kernel in ``integrate``, which inlines the text at
+each stage; ``rhs_uncontrolled`` and ``rhs_controlled`` evaluate
+``model_field`` at one state.  The costate field is
 affine in the costates; its coefficients are written once, as the
 negated transposed Jacobian plus the cost gradient, by
 ``costate_matrix``, which works on arrays for the costate kernel and
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
@@ -206,34 +211,66 @@ def check_controls(u) -> None:
         raise DomainError(f"controls must lie in [0, 1], got values from {u.min()} to {u.max()}")
 
 
+# The controlled field, written once: it reads the state X, S, I, A, the
+# controls u1, u2, the parameters by their field names and the state-free
+# terms of ``_STATE_FREE``, and assigns the derivatives dX, dS, dI, dA.
+# Python evaluates ``m2_phi * crop * I`` left to right, so every result is
+# bit-identical to the module docstring's equations evaluated as written.
+_FIELD = """\
+crop = alpha * X / (c + X)
+transfer = u1 * lam * A / (a + A) * S
+dX = r * X * (1.0 - X / K) - crop * S - phi * crop * I
+dS = m1 * crop * S - transfer - d * S
+dI = m2_phi * crop * I + transfer - loss_I * I
+dA = u2 * gamma + sigma * (S + I) - eta * A
+"""
+# Formed once per parameter set, not once per evaluation.
+_STATE_FREE = """\
+m2_phi = m2 * phi
+loss_I = d + delta
+"""
+
+
+def _bind_compiled(source: str, name: str, namespace: dict) -> Callable[[ModelParams], Callable]:
+    """Return ``bind(params)``: the function ``name`` that ``source``
+    defines, with the parameters it reads as ``_FIELD`` does bound to the
+    parameter set's values.  ``source`` is compiled on the first call,
+    once per process, with ``namespace`` as its globals.  The text that
+    reaches ``compile`` is ``source`` and this module's constants;
+    parameter values are arguments of the closure call, never formatted
+    into code.
+    """
+    code = textwrap.indent(f"{_STATE_FREE}{source}return {name}\n", "    ")
+
+    @functools.cache
+    def compiled() -> Callable:
+        scope = dict(namespace)
+        exec(compile(f"def closure({', '.join(_PARAM_FIELDS)}):\n{code}", f"<cropguard {name}>",
+                     "exec"), scope)
+        return scope["closure"]
+
+    def bind(params: ModelParams) -> Callable:
+        return compiled()(*_unpack(params))
+
+    return bind
+
+
+_bind_field = _bind_compiled(
+    "def f(X, S, I, A, u1, u2):\n" + textwrap.indent(f"{_FIELD}return (dX, dS, dI, dA)\n", "    "),
+    "f", {})
+
+
 @functools.lru_cache(maxsize=32)
 def model_field(params: ModelParams) -> Callable[..., tuple]:
     """Return the controlled field as a positional f(X, S, I, A, u1, u2).
 
     u1 scales the bio-pesticide activity term in dS/dt and dI/dt, u2
     scales the global awareness source in dA/dt.  At u = (1, 1) it is
-    the uncontrolled field exactly (1.0 * x == x).  Parameters are
-    captured in locals so the closure stays cheap inside fixed-step
-    integration loops; one closure is kept per recent parameter set.
-    The state-free terms ``m2 * phi`` and ``d + delta`` are formed once
-    here and the transfer ``g S`` once per call.  Python evaluates
-    ``m2 * phi * crop * I`` left to right, so every result is bit-identical
-    to the module docstring's equations evaluated as written.
+    the uncontrolled field exactly (1.0 * x == x).  It runs the text
+    ``_FIELD`` with the parameters captured in the closure; one closure
+    is kept per recent parameter set.
     """
-    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
-    m2_phi = m2 * phi
-    loss_I = d + delta
-
-    def f(X: float, S: float, I: float, A: float, u1: float, u2: float) -> tuple:
-        crop = alpha * X / (c + X)
-        transfer = u1 * lam * A / (a + A) * S
-        dX = r * X * (1.0 - X / K) - crop * S - phi * crop * I
-        dS = m1 * crop * S - transfer - d * S
-        dI = m2_phi * crop * I + transfer - loss_I * I
-        dA = u2 * gamma + sigma * (S + I) - eta * A
-        return (dX, dS, dI, dA)
-
-    return f
+    return _bind_field(params)
 
 
 def rhs_uncontrolled(params: ModelParams, s: Sequence[float]) -> tuple:

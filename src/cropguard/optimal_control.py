@@ -239,9 +239,12 @@ def solve(
     stage is kept: one that stalls, exhausts the budget or blows up is
     dropped with its history, and the fine sweep starts from u = 0.5 with
     the whole budget, so the result is the direct solve's at the cost of
-    at most ``max_iterations`` coarse passes.
+    at most ``max_iterations`` coarse passes.  A grid whose nodes cannot
+    fit in memory at ``SOLVE_NODE_BYTES`` each raises a domain error
+    before anything is allocated.
     """
     grid = opts.grid
+    grid.check_memory(SOLVE_NODE_BYTES)
     y0 = check_state(tuple(map(float, y0)))
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta

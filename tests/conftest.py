@@ -5,6 +5,8 @@ baseline trajectory and a converged control sweep on the 100-day
 scenario) so module tests and acceptance checks reuse them.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -82,6 +84,15 @@ def baseline() -> ModelParams:
 @pytest.fixture(scope="session")
 def weights() -> ObjectiveWeights:
     return ObjectiveWeights()
+
+
+@pytest.fixture
+def one_mib_of_memory(monkeypatch) -> int:
+    """Physical memory reads as 1 MiB (256 pages of 4096 B); returns its size."""
+    sysconf = os.sysconf
+    small = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", lambda name: small.get(name) or sysconf(name))
+    return 4096 * 256
 
 
 @pytest.fixture(scope="session")

@@ -69,6 +69,25 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             TimeGrid.from_step(0.0, float(limit + 1), 1.0)
 
+    def test_n_steps_takes_a_numpy_integer_as_a_plain_int(self):
+        g = TimeGrid(0.0, 1.0, np.int64(10))
+        assert type(g.n_steps) is int and g == TimeGrid(0.0, 1.0, 10)
+
+    def test_n_steps_refuses_a_bool(self):
+        with pytest.raises(DomainError, match="n_steps must be a positive integer, got True"):
+            TimeGrid(0.0, 1.0, True)
+
+    def test_rk4_model_refuses_a_grid_whose_nodes_cannot_fit(self, one_mib_of_memory):
+        """With 1 MiB of physical memory a model run (``_NODE_BYTES`` a
+        node) holds 4096 steps; a directly built grid of 4097 raises the
+        same kind of domain error as ``from_step`` before the run starts."""
+        steps, y0 = one_mib_of_memory // integrate._NODE_BYTES, State(0.2, 0.07, 0.05, 0.5)
+        assert len(rk4_model(ModelParams(), y0, TimeGrid(0.0, 1.0, steps)).states) == steps + 1
+        with pytest.raises(DomainError, match=f"fit in physical memory; got {steps + 1}$"):
+            rk4_model(ModelParams(), y0, TimeGrid(0.0, 1.0, steps + 1))
+        with pytest.raises(DomainError, match=f"fit in physical memory; got {steps + 1:.6g}$"):
+            TimeGrid.from_step(0.0, float(steps + 1), 1.0)
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(DomainError):
             TimeGrid(1.0, 1.0, 10)
@@ -184,6 +203,14 @@ def _stage_sampler(u: np.ndarray, grid: TimeGrid):
     return u_at
 
 
+def _outcome(run):
+    """A run's states, or the time and message of the blow-up that ended it."""
+    try:
+        return run().states
+    except BlowUpError as exc:
+        return exc.t, str(exc)
+
+
 class TestModelKernels:
     """The model kernels against ``rk4_forward`` on the pointwise field and
     against the textbook costate oracle."""
@@ -251,6 +278,34 @@ class TestModelKernels:
         back_ref = textbook_costates(params, w, states, u, grid)
         assert back.shape == (n_steps + 1, 4)
         assert _adjoint_deviation(back, back_ref) <= ADJOINT_TOL
+
+    # Steps up to 4 days: the fastest random rates then leave RK4's
+    # stability region, so some runs blow up and both paths must report the
+    # same time and message.
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64), h=st.floats(0.001, 4.0),
+           y0=st.tuples(*[st.floats(0.0, 3.0)] * 4), controlled=st.booleans())
+    # X0 = -c zeroes c + X in the first stage: the failed-evaluation path
+    @example(seed=0, n_steps=5, h=0.1, y0=(-ModelParams().c, 0.07, 0.05, 0.5), controlled=True)
+    def test_forward_kernel_matches_the_generic_path_on_random_input(
+        self, seed, n_steps, h, y0, controlled
+    ):
+        rng = np.random.default_rng(seed)
+        params = ModelParams() if seed == 0 else make_random_params(rng)
+        grid = TimeGrid(1.0, 1.0 + n_steps * h, n_steps)
+        f = model_field(params)
+        if controlled:
+            u = rng.uniform(0.0, 1.0, size=(n_steps + 1, 2))
+            u_at = _stage_sampler(u, grid)
+            field = lambda t, y: f(*y, *u_at(t))
+        else:
+            u, field = None, lambda t, y: f(*y, 1.0, 1.0)
+        got = _outcome(lambda: rk4_model(params, y0, grid, u))
+        ref = _outcome(lambda: rk4_forward(field, y0, grid))
+        if isinstance(ref, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+        else:
+            assert got == ref
 
     @pytest.mark.parametrize("k", [0, 17, 49])
     def test_adjoint_blowup_names_the_first_nonfinite_node(self, k):

@@ -526,3 +526,14 @@ class TestStall:
         assert sol.stop_reason is StopReason.BUDGET
         assert not sol.converged
         assert len(sol.residual_history) == 2
+
+
+def test_solve_refuses_a_grid_whose_nodes_cannot_fit(baseline, weights, y0, one_mib_of_memory,
+                                                     monkeypatch):
+    """With 1 MiB of physical memory a directly built grid one step past
+    what ``SOLVE_NODE_BYTES`` a node allows raises the grid bound's domain
+    error before the first forward pass."""
+    monkeypatch.setattr(optimal_control, "rk4_model", lambda *args: pytest.fail("a pass ran"))
+    steps = one_mib_of_memory // optimal_control.SOLVE_NODE_BYTES + 1
+    with pytest.raises(DomainError, match=f"fit in physical memory; got {steps}$"):
+        solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, steps)))
