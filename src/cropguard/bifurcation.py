@@ -1,12 +1,13 @@
 """Long-horizon simulation sweeps for bifurcation-diagram data.
 
 A sweep overrides one model parameter at a time, integrates the
-uncontrolled system over a long horizon, discards a transient fraction,
-and records componentwise extrema of the tail together with stability
-verdicts of the pest-free and coexistence equilibria at that parameter
-value.  Tail extrema of a settled run collapse onto the stable
-equilibrium.  A spread tail may be a slow transient: at alpha = 0.5 the
-coexistence point's leading complex pair decays over ~5,000 days.
+uncontrolled system on the sweep's grid (by default 2000 days, 40,000
+steps), discards a transient fraction of its steps, and records
+componentwise extrema of the tail together with stability verdicts of
+the pest-free and coexistence equilibria at that parameter value.  Tail
+extrema of a settled run collapse onto the stable equilibrium.  A spread
+tail may be a slow transient: at alpha = 0.5 the coexistence point's
+leading complex pair decays over ~5,000 days.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .equilibria import coexistence, pest_free
 from .errors import BlowUpError, DomainError
-from .integrate import TimeGrid, default_step, rk4_model
+from .integrate import _NODE_BYTES, TimeGrid, rk4_model
 from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, State, check_state
 from .stability import Verdict, classify
 
@@ -28,16 +29,16 @@ _NAN_STATE = State(math.nan, math.nan, math.nan, math.nan)
 class SweepSpec:
     """One-parameter sweep description.
 
-    ``transient_fraction`` of the horizon is discarded before extrema
-    are taken; ``dt`` of None selects the horizon-based default step.
+    Every value is integrated on ``grid``, by default 2000 days at the
+    step 0.05; ``transient_fraction`` of its steps is discarded before
+    extrema are taken.
     """
 
     parameter_name: str
     values: tuple[float, ...]
-    tf: float = 2000.0
+    grid: TimeGrid = TimeGrid(0.0, 2000.0, 40000)
     transient_fraction: float = 0.7
     initial_state: State = DEFAULT_STATE
-    dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.parameter_name not in _PARAM_FIELDS:
@@ -50,20 +51,14 @@ class SweepSpec:
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("sweep values must be finite")
         object.__setattr__(self, "values", vals)
-        if not (math.isfinite(self.tf) and self.tf > 0.0):
-            raise DomainError(f"horizon must be positive and finite, got {self.tf}")
+        if not isinstance(self.grid, TimeGrid):
+            raise DomainError("grid must be a TimeGrid")
         if not 0.0 <= self.transient_fraction < 1.0:
             raise DomainError(
                 f"transient_fraction must lie in [0, 1), got {self.transient_fraction}"
             )
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be positive, got {self.dt}")
         state = check_state(tuple(map(float, self.initial_state)))
         object.__setattr__(self, "initial_state", state)
-
-    def grid(self) -> TimeGrid:
-        dt = self.dt if self.dt is not None else default_step(self.tf)
-        return TimeGrid.from_step(0.0, self.tf, dt)
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,11 @@ def _row(params: ModelParams, spec: SweepSpec, value: float) -> SweepRow:
     except DomainError:
         return SweepRow(value, _NAN_STATE, _NAN_STATE, None, (), failed=True)
     pf_verdict, star_verdicts = _verdicts(p)
-    grid = spec.grid()
     try:
-        traj = rk4_model(p, spec.initial_state, grid)
+        traj = rk4_model(p, spec.initial_state, spec.grid)
     except BlowUpError:
         return SweepRow(value, _NAN_STATE, _NAN_STATE, pf_verdict, star_verdicts, failed=True)
-    tail = traj.states[int(spec.transient_fraction * grid.n_steps):]
+    tail = traj.states[int(spec.transient_fraction * spec.grid.n_steps):]
     return SweepRow(
         parameter_value=value,
         tail_min=State(*(float(v) for v in tail.min(axis=0))),
@@ -124,14 +118,18 @@ def _rows(params: ModelParams, spec: SweepSpec, values: tuple[float, ...]) -> li
 def run_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRow]:
     """Integrate the uncontrolled system once per parameter value.
 
-    Rows come back in input order.  A blow-up at one value yields a
-    failed row and the sweep continues.  The rows are dealt round-robin
-    over the usable CPUs (``os.sched_getaffinity``, so ``taskset`` limits
-    them): the calling process computes the first share and forked
-    workers the others.  Each row is computed alone, so the result does
-    not depend on the CPU count.  With one row or one usable CPU, or
-    without ``fork``, no process is started.
+    Rows come back in input order.  A grid whose nodes cannot fit in
+    memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``, a model run's
+    bound) raises a domain error before any row is computed or process
+    started.  A blow-up at one value yields a failed row and the sweep
+    continues.  The rows are dealt round-robin over the usable CPUs
+    (``os.sched_getaffinity``, so ``taskset`` limits them): the calling
+    process computes the first share and forked workers the others.
+    Each row is computed alone, so the result does not depend on the CPU
+    count.  With one row or one usable CPU, or without ``fork``, no
+    process is started.
     """
+    spec.grid.check_memory(_NODE_BYTES)
     values = spec.values
     jobs = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):

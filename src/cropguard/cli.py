@@ -46,15 +46,6 @@ _GRID_KEYS = ("tf", "dt")
 _PARAM_KEYS = {("lambda" if f == "lam" else f): f for f in _PARAM_FIELDS}
 _ALL_KEYS = tuple(_PARAM_KEYS) + _WEIGHT_KEYS + _STATE_KEYS + _GRID_KEYS
 
-_COMMANDS = {  # subcommand -> its --help line
-    "simulate": "integrate the uncontrolled system",
-    "equilibria": "steady states with verdicts",
-    "stability": "characteristic-polynomial detail",
-    "bifurcate": "tail-extrema parameter sweep",
-    "optimize": "forward-backward sweep optimal control",
-}
-
-
 class ConfigError(DomainError):
     """Raised for an unusable config file, flag value or output path."""
 
@@ -66,6 +57,7 @@ class RunConfig:
     y0: State
     tf: float
     dt: float
+    grid: TimeGrid  # from tf and dt
 
 
 def parse_config_file(path: str) -> dict[str, float]:
@@ -109,12 +101,11 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     weights = ObjectiveWeights(**{k: merged[k] for k in _WEIGHT_KEYS if k in merged})
     y0 = check_state([merged.get(key, v) for key, v in zip(_STATE_KEYS, DEFAULT_STATE)])
     tf = merged.get("tf", 100.0 if args.command == "optimize" else 2000.0)
-    if not tf > 0.0:
-        raise ConfigError(f"tf must be positive, got {tf}")
     dt = merged.get("dt", default_step(tf))
-    if not 0.0 < dt <= tf:
+    grid = TimeGrid.from_step(0.0, tf, dt)
+    if not dt <= tf:
         raise ConfigError(f"dt must lie in (0, tf], got {dt}")
-    return RunConfig(params=params, weights=weights, y0=y0, tf=tf, dt=dt)
+    return RunConfig(params=params, weights=weights, y0=y0, tf=tf, dt=dt, grid=grid)
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -179,8 +170,8 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
-    traj = rk4_model(cfg.params, cfg.y0, grid)
+    """integrate the uncontrolled system"""
+    traj = rk4_model(cfg.params, cfg.y0, cfg.grid)
     _emit_csv(
         args.out,
         ("t", *State._fields),
@@ -213,6 +204,7 @@ def _equilibria_rows(cfg: RunConfig):
 
 
 def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """steady states with verdicts"""
     rows = list(_equilibria_rows(cfg))  # a degenerate parameter set fails before --out opens
     _emit_csv(
         args.out,
@@ -223,6 +215,7 @@ def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """characteristic-polynomial detail"""
     rows = [
         (
             eq.kind.value,
@@ -247,6 +240,7 @@ def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """tail-extrema parameter sweep"""
     if args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     if args.steps == 1:
@@ -258,9 +252,8 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = SweepSpec(
         parameter_name=_PARAM_KEYS[args.parameter],
         values=values,
-        tf=cfg.tf,
+        grid=cfg.grid,
         initial_state=cfg.y0,
-        dt=cfg.dt,
         **_given(args, "transient_fraction"),
     )
     rows = run_sweep(cfg.params, spec)
@@ -283,9 +276,9 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = TimeGrid.from_step(0.0, cfg.tf, cfg.dt)
+    """forward-backward sweep optimal control"""
     opts = SweepOptions(
-        grid=grid,
+        grid=cfg.grid,
         freeze_u1=args.freeze_u1,
         freeze_u2=args.freeze_u2,
         **_given(args, "max_iterations", "tolerance", "relaxation_theta"),
@@ -322,6 +315,15 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 4
 
 
+_DISPATCH = {
+    "simulate": cmd_simulate,
+    "equilibria": cmd_equilibria,
+    "stability": cmd_stability,
+    "bifurcate": cmd_bifurcate,
+    "optimize": cmd_optimize,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cropguard",
@@ -330,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for name, text in _COMMANDS.items():
-        sub = subs[name] = commands.add_parser(name, help=text)
+    for name, command in _DISPATCH.items():  # each command's docstring is its --help line
+        sub = subs[name] = commands.add_parser(name, help=command.__doc__)
         sub.add_argument("--config", help="key = value config file")
         sub.add_argument("--out", help="output CSV path (default: stdout)")
         sub.add_argument(
@@ -364,15 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="pin u2 to 0")
 
     return parser
-
-
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "equilibria": cmd_equilibria,
-    "stability": cmd_stability,
-    "bifurcate": cmd_bifurcate,
-    "optimize": cmd_optimize,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -48,7 +48,7 @@ _MAP_CHUNK = 1024
 _NODE_BYTES = 256
 
 
-def _max_steps(node_bytes: int = _NODE_BYTES) -> int:
+def _max_steps(node_bytes: int) -> int:
     """The most steps whose stored nodes fit in physical memory, at
     ``node_bytes`` each; ``sys.maxsize`` where the memory size is unknown."""
     try:
@@ -90,32 +90,25 @@ class TimeGrid:
     def check_memory(self, node_bytes: int) -> None:
         """Raise a domain error unless the grid's nodes fit in physical
         memory at ``node_bytes`` each (``_max_steps``): a longer run could
-        only end killed.  Each run checks its own cost per node before it
-        allocates."""
+        only end killed.  This is the one memory rule: each run applies it
+        at its own cost per node before it allocates."""
         limit = _max_steps(node_bytes)
-        if self.n_steps > limit:
+        if self.n_steps > limit:  # a count past any float cannot take :.6g
+            got = f"{self.n_steps:.6g}" if self.n_steps < 1e308 else "more than 1e+308"
             raise DomainError(f"n_steps must be at most {limit}, the nodes that fit in "
-                              f"physical memory; got {self.n_steps}")
+                              f"physical memory; got {got}")
 
     @classmethod
     def from_step(cls, t0: float, tf: float, dt: float) -> "TimeGrid":
-        """Grid whose step is as close to dt as a whole number of steps allows.
-
-        The step count (tf - t0)/dt must be finite and, rounded, small
-        enough that a model run's nodes fit in physical memory
-        (``_max_steps`` at ``_NODE_BYTES``, the bound ``rk4_model``
-        applies), so that a step too small for any run is refused as a
-        step.
-        """
+        """Grid whose step is as close to dt as a whole number of steps
+        allows; the step count (tf - t0)/dt must be finite.  Whether the
+        grid's nodes fit in memory is for the run to check
+        (``check_memory``)."""
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         steps = (tf - t0) / dt
-        limit = _max_steps()
-        if not (math.isfinite(steps) and round(steps) <= limit):
-            raise DomainError(
-                f"(tf - t0)/dt must be a finite step count of at most {limit}, "
-                f"the nodes that fit in physical memory; got {steps:.6g}"
-            )
+        if not math.isfinite(steps):
+            raise DomainError(f"(tf - t0)/dt must be a finite step count, got {steps}")
         return cls(t0, tf, max(1, round(steps)))
 
 
@@ -158,9 +151,6 @@ class Trajectory:
 
     def node(self, i: int) -> State:
         return State(*self.states[i])
-
-    def final_state(self) -> State:
-        return self.node(-1)
 
 
 def _initial_state(y0) -> tuple:
@@ -269,14 +259,17 @@ def rk4_forward(
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) over the grid with classical RK4.
 
-    y has four components.  Node 0 of the result equals y0.  A
+    y has four components.  Node 0 of the result equals y0.  A grid
+    whose nodes cannot fit in memory (``TimeGrid.check_memory`` at
+    ``_NODE_BYTES``) raises a domain error before the first step.  A
     non-finite state after any step aborts with a blow-up error naming
     the offending time.
     """
-    t0, h = grid.t0, grid.h
-    starts = [t0 + i * h for i in range(grid.n_steps)]
-    mids = [t + 0.5 * h for t in starts]
-    ends = [t + h for t in starts]
+    grid.check_memory(_NODE_BYTES)
+    t0, h, steps = grid.t0, grid.h, range(grid.n_steps)
+    starts = (t0 + i * h for i in steps)
+    mids = (t0 + i * h + 0.5 * h for i in steps)
+    ends = (t0 + i * h + h for i in steps)
     none = itertools.repeat(None)
     out = _rk4(lambda X, S, I, A, t, _: f(t, (X, S, I, A)), y0, t0, h,
                (starts, none, mids, none, ends, none))

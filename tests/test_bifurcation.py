@@ -22,15 +22,15 @@ from cropguard.stability import Verdict, params_with_alpha
 class TestSweepSpec:
     def test_defaults(self):
         spec = SweepSpec(parameter_name="alpha", values=(0.1,))
-        assert spec.tf == 2000.0
+        assert spec.grid == TimeGrid.from_step(0.0, 2000.0, 0.05)
+        assert spec.grid.n_steps == 40000
         assert spec.transient_fraction == 0.7
         assert spec.initial_state == State(0.2, 0.07, 0.05, 0.5)
-        assert spec.dt is None
-        assert spec.grid().h == pytest.approx(0.05)
 
     def test_explicit_step_controls_the_grid(self):
-        spec = SweepSpec(parameter_name="alpha", values=(0.1,), tf=10.0, dt=0.5)
-        assert spec.grid() == TimeGrid.from_step(0.0, 10.0, 0.5)
+        grid = TimeGrid.from_step(0.0, 10.0, 0.5)
+        spec = SweepSpec(parameter_name="alpha", values=(0.1,), grid=grid)
+        assert spec.grid is grid and spec.grid.n_steps == 20
 
     @pytest.mark.parametrize(
         "bad",
@@ -38,7 +38,7 @@ class TestSweepSpec:
             dict(parameter_name="not_a_knob", values=(0.1,)),
             dict(parameter_name="alpha", values=()),
             dict(parameter_name="alpha", values=(math.nan,)),
-            dict(parameter_name="alpha", values=(0.1,), tf=0.0),
+            dict(parameter_name="alpha", values=(0.1,), grid=2000.0),
             dict(parameter_name="alpha", values=(0.1,), transient_fraction=1.0),
             dict(parameter_name="alpha", values=(0.1,), transient_fraction=-0.1),
         ],
@@ -51,7 +51,7 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_rows_preserve_input_order_and_carry_verdicts(self, baseline):
         spec = SweepSpec(
-            parameter_name="alpha", values=(0.06, 0.1), tf=200.0, dt=0.05
+            parameter_name="alpha", values=(0.06, 0.1), grid=TimeGrid.from_step(0.0, 200.0, 0.05)
         )
         rows = run_sweep(baseline, spec)
         assert [r.parameter_value for r in rows] == [0.06, 0.1]
@@ -69,8 +69,7 @@ class TestRunSweep:
         spec = SweepSpec(
             parameter_name="alpha",
             values=(0.06,),
-            tf=10.0,
-            dt=1.0,
+            grid=TimeGrid.from_step(0.0, 10.0, 1.0),
             transient_fraction=0.7,
         )
         (row,) = run_sweep(baseline, spec)
@@ -90,7 +89,8 @@ class TestRunSweep:
         assert cycling.tail_gap().X > 0.05
 
     def test_blowup_marks_the_row_failed_but_keeps_verdicts(self, baseline):
-        spec = SweepSpec(parameter_name="r", values=(8.0,), tf=100.0, dt=2.0)
+        spec = SweepSpec(parameter_name="r", values=(8.0,),
+                         grid=TimeGrid.from_step(0.0, 100.0, 2.0))
         (row,) = run_sweep(baseline, spec)
         assert row.failed
         assert all(math.isnan(v) for v in row.tail_min)
@@ -101,7 +101,7 @@ class TestRunSweep:
         # m2 above m1 violates the conversion ordering; the sweep keeps
         # going and reports the bad value as a failed row
         spec = SweepSpec(
-            parameter_name="m2", values=(0.3, 0.9), tf=20.0, dt=0.1
+            parameter_name="m2", values=(0.3, 0.9), grid=TimeGrid.from_step(0.0, 20.0, 0.1)
         )
         ok, bad = run_sweep(baseline, spec)
         assert not ok.failed
@@ -117,7 +117,8 @@ class TestRunSweep:
         params = params_with_alpha(baseline, 0.5)
         with pytest.raises(DegenerateParameterError):
             coexistence(replace(params, sigma=0.0))
-        spec = SweepSpec(parameter_name="sigma", values=(0.0, 0.015), tf=20.0, dt=0.1)
+        spec = SweepSpec(parameter_name="sigma", values=(0.0, 0.015),
+                         grid=TimeGrid.from_step(0.0, 20.0, 0.1))
         degenerate, regular = run_sweep(params, spec)
         for row in (degenerate, regular):
             assert not row.failed
@@ -151,7 +152,8 @@ def pools(monkeypatch):
 
 def _alpha_spec(n):
     values = tuple(np.linspace(0.3, 1.2, n).tolist())
-    return SweepSpec(parameter_name="alpha", values=values, tf=200.0, dt=0.05)
+    return SweepSpec(parameter_name="alpha", values=values,
+                     grid=TimeGrid.from_step(0.0, 200.0, 0.05))
 
 
 class TestParallelRows:
@@ -170,7 +172,8 @@ class TestParallelRows:
     def test_failed_rows_in_a_worker_share(self, baseline, cpus, pools):
         # with two CPUs the worker takes rows 1 and 3: an inadmissible
         # override (r < 0) and a blow-up (r = 8 at h = 2)
-        spec = SweepSpec(parameter_name="r", values=(0.5, -1.0, 1.0, 8.0), tf=100.0, dt=2.0)
+        spec = SweepSpec(parameter_name="r", values=(0.5, -1.0, 1.0, 8.0),
+                         grid=TimeGrid.from_step(0.0, 100.0, 2.0))
         cpus(1)
         serial = run_sweep(baseline, spec)
         cpus(2)
@@ -185,6 +188,17 @@ class TestParallelRows:
     def test_no_pool_for_one_cpu_or_one_row(self, baseline, cpus, pools, n_values, n_cpus):
         cpus(n_cpus)
         assert len(run_sweep(baseline, _alpha_spec(n_values))) == n_values
+        assert pools == []
+
+    def test_a_grid_too_large_for_memory_is_refused_before_any_row(
+        self, baseline, cpus, pools, one_mib_of_memory, monkeypatch
+    ):
+        monkeypatch.setattr(bifurcation, "_rows", lambda *args: pytest.fail("a row ran"))
+        spec = SweepSpec(parameter_name="alpha", values=(0.3, 0.6),
+                         grid=TimeGrid(0.0, 1.0, one_mib_of_memory // 256 + 1))
+        cpus(2)
+        with pytest.raises(DomainError, match="fit in physical memory; got 4097$"):
+            run_sweep(baseline, spec)
         assert pools == []
 
     def test_the_caller_takes_one_share(self, baseline, cpus, pools):

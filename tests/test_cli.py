@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import inspect
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import cropguard
 import cropguard.optimal_control as optimal_control
-from cropguard import cli
+from cropguard import bifurcation, cli
 from cropguard.bifurcation import SweepSpec
 from cropguard.cli import main
 from cropguard.integrate import TimeGrid
@@ -437,10 +438,10 @@ class TestRejectedInputs:
         (("optimize", "--X0", "-1"), "state has negative component"),
         (("simulate", "--tf", "inf"), "(tf - t0)/dt must be a finite step count"),
         (("optimize", "--tf", "inf"), "(tf - t0)/dt must be a finite step count"),
-        (("simulate", "--dt", "1e-300"), "(tf - t0)/dt must be a finite step count"),
+        (("simulate", "--dt", "1e-300"), "fit in physical memory; got 1e+300"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
-          "--steps", "2", "--tf", "inf"), "horizon must be positive and finite"),
-        (("simulate", "--tf", "-1"), "tf must be positive, got -1.0"),
+          "--steps", "2", "--tf", "inf"), "(tf - t0)/dt must be a finite step count"),
+        (("simulate", "--tf", "-1"), "need tf > t0, got [0.0, -1.0]"),
         (("simulate", "--dt", "5"), "dt must lie in (0, tf], got 5.0"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
           "--steps", "0"), "--steps must be at least 1, got 0"),
@@ -453,6 +454,37 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tf, reason", [
+        ("inf", "(tf - t0)/dt must be a finite step count, got inf"),
+        ("-1", "need tf > t0, got [0.0, -1.0]"),
+    ])
+    def test_every_command_refuses_a_bad_horizon_alike(self, tf, reason, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        sweep = ("--parameter", "alpha", "--from", "0.3", "--to", "1", "--steps", "2")
+        errors = set()
+        for command in cli._DISPATCH:
+            extra = sweep if command == "bifurcate" else ()
+            assert run_cli(command, "--tf", tf, *extra, "--out", str(out)) == 2, command
+            errors.add(capsys.readouterr().err)
+        assert errors == {f"configuration error: {reason}\n"}
+        assert not out.exists()
+
+    def test_bifurcate_refuses_a_grid_too_large_for_memory_before_any_work(
+        self, one_mib_of_memory, tmp_path, capsys, monkeypatch
+    ):
+        """With 1 MiB of physical memory a model run holds 4096 steps: a
+        10,000-step sweep exits 2 before it deals a row or starts a worker."""
+        work = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: work.append("pool"))
+        monkeypatch.setattr(bifurcation, "_rows", lambda *args: work.append("rows"))
+        out = tmp_path / "x.csv"
+        assert run_cli("bifurcate", "--parameter", "alpha", "--from", "0.3", "--to", "1",
+                       "--steps", "2", "--tf", "1000", "--dt", "0.1", "--out", str(out)) == 2
+        assert "fit in physical memory; got 10000" in capsys.readouterr().err
+        assert work == [] and not out.exists()
 
     def test_optimize_bounds_its_grid_by_the_sweeps_memory(self, tmp_path, capsys, monkeypatch):
         """With 1 MiB of physical memory, 2000 steps fit a model run (256 B

@@ -61,13 +61,20 @@ class TestTimeGrid:
         assert TimeGrid.from_step(0.0, 1.0, 5.0).n_steps == 1
 
     def test_from_step_refuses_more_steps_than_memory_holds(self):
-        # 2e13 steps of at least _NODE_BYTES each: the run could only end killed
-        with pytest.raises(DomainError, match=r"step count of at most \d+, .* got 2e\+13"):
-            TimeGrid.from_step(0.0, 1e12, 0.05)
-        limit = integrate._max_steps()
-        assert TimeGrid.from_step(0.0, float(limit), 1.0).n_steps == limit
+        """``from_step`` builds any finite step count; the run refuses one
+        whose nodes, at least ``_NODE_BYTES`` each, could not fit in memory."""
+        grid = TimeGrid.from_step(0.0, 1e12, 0.05)
+        assert grid.n_steps == 2 * 10**13
+        with pytest.raises(DomainError, match=r"at most \d+, .* got 2e\+13$"):
+            rk4_model(ModelParams(), (0.2, 0.07, 0.05, 0.5), grid)
+        limit = integrate._max_steps(integrate._NODE_BYTES)
+        TimeGrid.from_step(0.0, float(limit), 1.0).check_memory(integrate._NODE_BYTES)
         with pytest.raises(DomainError):
-            TimeGrid.from_step(0.0, float(limit + 1), 1.0)
+            TimeGrid.from_step(0.0, float(limit + 1), 1.0).check_memory(integrate._NODE_BYTES)
+        with pytest.raises(DomainError, match=r"got more than 1e\+308$"):
+            TimeGrid(0.0, 1.0, 10**400).check_memory(integrate._NODE_BYTES)
+        with pytest.raises(DomainError, match="must be a finite step count, got inf"):
+            TimeGrid.from_step(0.0, 1.0, 1e-320)
 
     def test_n_steps_takes_a_numpy_integer_as_a_plain_int(self):
         g = TimeGrid(0.0, 1.0, np.int64(10))
@@ -79,14 +86,17 @@ class TestTimeGrid:
 
     def test_rk4_model_refuses_a_grid_whose_nodes_cannot_fit(self, one_mib_of_memory):
         """With 1 MiB of physical memory a model run (``_NODE_BYTES`` a
-        node) holds 4096 steps; a directly built grid of 4097 raises the
-        same kind of domain error as ``from_step`` before the run starts."""
+        node) holds 4096 steps; a grid of 4097, built directly or by
+        ``from_step``, raises a domain error before the run starts."""
         steps, y0 = one_mib_of_memory // integrate._NODE_BYTES, State(0.2, 0.07, 0.05, 0.5)
         assert len(rk4_model(ModelParams(), y0, TimeGrid(0.0, 1.0, steps)).states) == steps + 1
-        with pytest.raises(DomainError, match=f"fit in physical memory; got {steps + 1}$"):
-            rk4_model(ModelParams(), y0, TimeGrid(0.0, 1.0, steps + 1))
-        with pytest.raises(DomainError, match=f"fit in physical memory; got {steps + 1:.6g}$"):
-            TimeGrid.from_step(0.0, float(steps + 1), 1.0)
+        for grid in TimeGrid(0.0, 1.0, steps + 1), TimeGrid.from_step(0.0, steps + 1.0, 1.0):
+            with pytest.raises(DomainError, match=f"fit in physical memory; got {steps + 1}$"):
+                rk4_model(ModelParams(), y0, grid)
+
+    def test_rk4_forward_refuses_a_grid_whose_nodes_cannot_fit(self, one_mib_of_memory):
+        with pytest.raises(DomainError, match="fit in physical memory; got 5000$"):
+            rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), TimeGrid(0.0, 1.0, 5000))
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(DomainError):
@@ -517,7 +527,7 @@ class TestTrajectory:
     def test_node_access_and_final_state(self):
         traj = rk4_forward(_exp_decay, (1.0, 1.0, 1.0, 1.0), TimeGrid(0.0, 1.0, 4))
         assert traj.node(0) == State(1.0, 1.0, 1.0, 1.0)
-        assert traj.final_state() == traj.node(4)
+        assert traj.node(-1) == traj.node(4) == State(*traj.states[4])
         assert len(traj.times()) == 5
 
     def test_row_count_must_match_grid(self):
