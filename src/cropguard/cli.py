@@ -142,9 +142,9 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Fail before the run when an output CSV path is a directory or not
-    writable, or when ``--history-out`` names the same file as ``--out``
-    (stdout included), which the history would overwrite."""
+    """Fail before the run when an output CSV path is empty, a directory
+    or not writable, or when ``--history-out`` names the same file as
+    ``--out`` (stdout included), which the history would overwrite."""
     out, history = args.out, getattr(args, "history_out", None)
     files = [None if path in (None, "-") else os.path.realpath(path) for path in (out, history)]
     if history and files[0] == files[1]:
@@ -155,7 +155,7 @@ def _check_outputs(args: argparse.Namespace) -> None:
         directory = os.path.dirname(path) or "."
         if os.path.isdir(path):
             code = errno.EISDIR
-        elif not os.path.isdir(directory):
+        elif not (path and os.path.isdir(directory)):
             code = errno.ENOENT
         elif not os.access(directory, os.W_OK | os.X_OK):
             code = errno.EACCES

@@ -6,12 +6,12 @@ class CropguardError(Exception):
 
 
 class DomainError(CropguardError, ValueError):
-    """Raised when an input value is rejected: outside the domain of an
+    """Raised when an input is rejected: outside the domain of an
     operation (non-finite numbers, negative quantities that must be
     non-negative, controls outside [0, 1], parameters that violate the
-    model's standing assumptions) or degenerate for it.  The one type to
-    catch for a rejected value; arrays of the wrong shape raise
-    ``GridMismatchError``."""
+    model's standing assumptions), degenerate for it, or an array of the
+    wrong shape (``GridMismatchError``).  The one type to catch for a
+    rejected input."""
 
 
 class NonFiniteError(DomainError):
@@ -28,9 +28,10 @@ class DegenerateParameterError(DomainError):
     though the parameters themselves are admissible."""
 
 
-class GridMismatchError(CropguardError, ValueError):
+class GridMismatchError(DomainError):
     """Raised when arrays that must share a time grid have inconsistent
-    lengths or incompatible grids."""
+    lengths or incompatible grids, or a run lacks the controls that a
+    pass over it needs."""
 
 
 class BlowUpError(CropguardError, RuntimeError):

@@ -8,24 +8,22 @@ objective functional is accumulated with the composite trapezoidal
 rule on the same grid.
 
 Fixed steps keep every run bit-for-bit reproducible; there is no
-adaptive error control here by design.  The generic RK4 step is
-unrolled on four scalar components in ``_rk4``, which ``rk4_forward``
-(any ``f(t, y)``) runs and the tests take as the reference.
-``rk4_model`` runs the model's own kernel, ``_KERNEL``: the same loop
-with the field's text (``model._FIELD``) inlined at each of the four
-stages, compiled once per process and bound to each parameter set, so
-a step makes no Python call.  Both give the same nodes and errors bit
-for bit.  ``rk4_adjoint`` is a separate kernel: it uses that the
-costate field is affine in the costates, builds every backward step's
-RK4 map by batched matrix products and solves the recurrence
-blockwise.
+adaptive error control here by design.  ``rk4_forward`` runs the
+generic RK4 loop, unrolled on four scalar components, for any
+``f(t, y)``; the tests take it as the reference.  ``rk4_model`` runs
+the model's own kernel, ``_KERNEL``: the same loop with the field's
+text (``model._FIELD``) inlined at each of the four stages, compiled
+once per process and bound to each parameter set, so a step makes no
+Python call.  Both give the same nodes and errors bit for bit.
+``rk4_adjoint`` is a separate kernel: it uses that the costate field
+is affine in the costates, builds every backward step's RK4 map by
+batched matrix products and solves the recurrence blockwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import re
 import sys
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from .model import (_FIELD, ModelParams, ObjectiveWeights, State, _bind_compiled, check_controls,
-                    costate_matrix, running_cost)
+                    check_count, costate_matrix, running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # Steps per batch of costate maps: ~200 KB temporaries are reused from the heap;
@@ -71,13 +69,7 @@ class TimeGrid:
             raise DomainError("grid endpoints must be finite")
         if not self.tf > self.t0:
             raise DomainError(f"need tf > t0, got [{self.t0}, {self.tf}]")
-        try:  # any integral value but a bool, stored as a plain int
-            n = 0 if isinstance(self.n_steps, bool) else operator.index(self.n_steps)
-        except TypeError:
-            n = 0
-        if n < 1:
-            raise DomainError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        object.__setattr__(self, "n_steps", n)
+        object.__setattr__(self, "n_steps", check_count(self.n_steps, "n_steps"))
 
     @property
     def h(self) -> float:
@@ -168,42 +160,9 @@ def _failed_step(t: float, exc: Exception) -> BlowUpError:
     return BlowUpError(t, f"integration failed at t = {t:.6g}: {exc}")
 
 
-def _rk4(f, y0, t0, h, stages):
-    """Classical RK4 on four scalar components from y0 at t0 in steps of h.
-
-    ``f(X, S, I, A, a, b)`` is the field.  ``stages`` holds six
-    iterables with one item per step: the (a, b) arguments at the
-    step's start, at its midpoint and at its end; the run takes as many
-    steps as the shortest of them has items.  Returns the nodes as a
-    list of 4-tuples, y0 first.  A failing evaluation raises a blow-up
-    error at the step's start time, a non-finite node one at the node's
-    time.  A ``DomainError`` other than ``NonFiniteError`` passes
-    through unchanged: the field rejected a finite input.
-    """
-    y = _initial_state(y0)
-    h2, h6 = 0.5 * h, h / 6.0
-    isfinite = math.isfinite
-    X, S, I, A = y
-    out = [y]
-    # (u1, u2) at the step's start, (m1, m2) at its midpoint, (v1, v2) at its end
-    for i, u1, u2, m1, m2, v1, v2 in zip(itertools.count(), *stages):
-        try:
-            aX, aS, aI, aA = f(X, S, I, A, u1, u2)
-            bX, bS, bI, bA = f(X + h2 * aX, S + h2 * aS, I + h2 * aI, A + h2 * aA, m1, m2)
-            cX, cS, cI, cA = f(X + h2 * bX, S + h2 * bS, I + h2 * bI, A + h2 * bA, m1, m2)
-            dX, dS, dI, dA = f(X + h * cX, S + h * cS, I + h * cI, A + h * cA, v1, v2)
-        except _ARITH_ERRORS as exc:
-            if isinstance(exc, DomainError) and not isinstance(exc, NonFiniteError):
-                raise  # the field rejected its input: not a blow-up
-            raise _failed_step(t0 + i * h, exc) from exc
-        X = X + h6 * (aX + 2.0 * (bX + cX) + dX)
-        S = S + h6 * (aS + 2.0 * (bS + cS) + dS)
-        I = I + h6 * (aI + 2.0 * (bI + cI) + dI)
-        A = A + h6 * (aA + 2.0 * (bA + cA) + dA)
-        if not (isfinite(X) and isfinite(S) and isfinite(I) and isfinite(A)):
-            raise BlowUpError(t0 + i * h + h)
-        out.append((X, S, I, A))
-    return out
+def _nodes(out: list) -> np.ndarray:
+    """A run's list of 4-tuple nodes as an (n, 4) float array."""
+    return np.fromiter(itertools.chain.from_iterable(out), float, 4 * len(out)).reshape(-1, 4)
 
 
 def _stage(k: str, controls: str, step: str | None = None) -> str:
@@ -223,10 +182,10 @@ def _stage(k: str, controls: str, step: str | None = None) -> str:
     return textwrap.indent("".join(lines) + field, " " * 12)
 
 
-# The model's RK4 step: ``_rk4``'s loop with the field's text in place of
-# each of its four calls, so a step makes no Python call.  Python evaluates
-# every expression as ``_rk4`` and ``model_field`` do, so the nodes and the
-# errors are theirs bit for bit.
+# The model's RK4 step: ``rk4_forward``'s loop with the field's text in
+# place of each call of ``f``, so a step makes no Python call.  Python
+# evaluates every expression as ``rk4_forward`` and ``model_field`` do, so
+# the nodes and the errors are theirs bit for bit.
 _KERNEL = """\
 def kernel(X, S, I, A, t0, h, stages):
     h2, h6 = 0.5 * h, h / 6.0
@@ -259,21 +218,40 @@ def rk4_forward(
 ) -> Trajectory:
     """Integrate dy/dt = f(t, y) over the grid with classical RK4.
 
-    y has four components.  Node 0 of the result equals y0.  A grid
+    y has four components.  Node 0 of the result equals y0.  The step
+    from t evaluates f at t, twice at t + h/2 and at t + h.  A grid
     whose nodes cannot fit in memory (``TimeGrid.check_memory`` at
     ``_NODE_BYTES``) raises a domain error before the first step.  A
-    non-finite state after any step aborts with a blow-up error naming
-    the offending time.
+    failing evaluation raises a blow-up error at its step's start time,
+    a non-finite node one at the node's time.  A ``DomainError`` other
+    than ``NonFiniteError`` passes through unchanged: f rejected a
+    finite input.
     """
     grid.check_memory(_NODE_BYTES)
-    t0, h, steps = grid.t0, grid.h, range(grid.n_steps)
-    starts = (t0 + i * h for i in steps)
-    mids = (t0 + i * h + 0.5 * h for i in steps)
-    ends = (t0 + i * h + h for i in steps)
-    none = itertools.repeat(None)
-    out = _rk4(lambda X, S, I, A, t, _: f(t, (X, S, I, A)), y0, t0, h,
-               (starts, none, mids, none, ends, none))
-    return Trajectory(grid, np.array(out, dtype=float))
+    t0, h = grid.t0, grid.h
+    h2, h6 = 0.5 * h, h / 6.0
+    isfinite = math.isfinite
+    out = [_initial_state(y0)]
+    X, S, I, A = out[0]
+    for i in range(grid.n_steps):
+        t = t0 + i * h
+        try:
+            aX, aS, aI, aA = f(t, (X, S, I, A))
+            bX, bS, bI, bA = f(t + h2, (X + h2 * aX, S + h2 * aS, I + h2 * aI, A + h2 * aA))
+            cX, cS, cI, cA = f(t + h2, (X + h2 * bX, S + h2 * bS, I + h2 * bI, A + h2 * bA))
+            dX, dS, dI, dA = f(t + h, (X + h * cX, S + h * cS, I + h * cI, A + h * cA))
+        except _ARITH_ERRORS as exc:
+            if isinstance(exc, DomainError) and not isinstance(exc, NonFiniteError):
+                raise  # the field rejected its input: not a blow-up
+            raise _failed_step(t, exc) from exc
+        X = X + h6 * (aX + 2.0 * (bX + cX) + dX)
+        S = S + h6 * (aS + 2.0 * (bS + cS) + dS)
+        I = I + h6 * (aI + 2.0 * (bI + cI) + dI)
+        A = A + h6 * (aA + 2.0 * (bA + cA) + dA)
+        if not (isfinite(X) and isfinite(S) and isfinite(I) and isfinite(A)):
+            raise BlowUpError(t + h)
+        out.append((X, S, I, A))
+    return Trajectory(grid, _nodes(out))
 
 
 def _node_array(arr, n_nodes: int, what: str, width: int) -> np.ndarray:
@@ -303,9 +281,9 @@ def rk4_model(
     fit in memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises
     a domain error before anything is allocated; controls that
     ``check_controls`` rejects raise its error before the first step.
-    The steps run in ``_KERNEL``, ``_rk4``'s loop with the field's text
-    inlined, so results and errors equal those of ``rk4_forward`` on
-    ``model_field`` bit for bit.
+    The steps run in ``_KERNEL``, ``rk4_forward``'s loop with the
+    field's text inlined, so results and errors equal those of
+    ``rk4_forward`` on ``model_field`` bit for bit.
     """
     grid.check_memory(_NODE_BYTES)
     n = grid.n_steps
@@ -318,7 +296,7 @@ def rk4_model(
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
     out = _bind_kernel(params)(*_initial_state(y0), grid.t0, grid.h, controls)
-    return Trajectory(grid, np.array(out, dtype=float), u)
+    return Trajectory(grid, _nodes(out), u)
 
 
 def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:

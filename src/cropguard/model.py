@@ -32,16 +32,17 @@ each stage; ``rhs_uncontrolled`` and ``rhs_controlled`` evaluate
 affine in the costates; its coefficients are written once, as the
 negated transposed Jacobian plus the cost gradient, by
 ``costate_matrix``, which works on arrays for the costate kernel and
-on floats for the pointwise ``costate_rhs``.  ``check_state`` and
-``check_controls`` hold the rules for a valid state and an admissible
-control.  All operations are pure functions evaluated in double
-precision.
+on floats for the pointwise ``costate_rhs``.  ``check_state``,
+``check_controls`` and ``check_count`` hold the rules for a valid
+state, an admissible control and a count.  All operations are pure
+functions evaluated in double precision.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import textwrap
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
@@ -209,6 +210,18 @@ def check_controls(u) -> None:
         raise NonFiniteError(f"controls must be finite, got {float(u[~np.isfinite(u)][0])!r}")
     if u.min() < -CONTROL_TOL or u.max() > 1.0 + CONTROL_TOL:
         raise DomainError(f"controls must lie in [0, 1], got values from {u.min()} to {u.max()}")
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain int: any integral value but a bool, at least
+    ``least``; anything else raises ``DomainError``."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
 
 
 # The controlled field, written once: it reads the state X, S, I, A, the

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_model
 from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
-                    check_state)
+                    check_count, check_state)
 
 # Anderson mixing: residual differences kept, and the condition number of
 # their least-squares problem above which the history is dropped.
@@ -102,8 +102,8 @@ class SweepOptions:
     def __post_init__(self) -> None:
         if not isinstance(self.grid, TimeGrid):
             raise DomainError("grid must be a TimeGrid")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
-            raise DomainError(f"max_iterations must be a positive count, got {self.max_iterations}")
+        count = check_count(self.max_iterations, "max_iterations")
+        object.__setattr__(self, "max_iterations", count)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         if not (math.isfinite(self.relaxation_theta) and 0.0 < self.relaxation_theta <= 1.0):

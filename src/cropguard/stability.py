@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibria import Equilibrium, EquilibriumKind, coexistence
 from .errors import CropguardError, DegenerateParameterError, DomainError
-from .model import ModelParams, jacobian
+from .model import ModelParams, check_count, jacobian
 from .quartic import quartic_roots
 
 logger = logging.getLogger(__name__)
@@ -265,8 +265,7 @@ def hopf_scan(
     lo, hi = alpha_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise DomainError(f"alpha range must satisfy 0 < lo < hi, got {alpha_range}")
-    if n_samples < 2:
-        raise DomainError("need at least two samples")
+    n_samples = check_count(n_samples, "n_samples", least=2)
 
     samples: list[tuple[float, float, float] | None] = []
     near: float | None = None

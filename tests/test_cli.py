@@ -429,7 +429,7 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("argv, reason", [
         (("optimize", "--theta", "2"), "relaxation_theta must lie in (0, 1]"),
-        (("optimize", "--max-iterations", "0"), "max_iterations must be a positive count"),
+        (("optimize", "--max-iterations", "0"), "max_iterations must be an integer of at least 1"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "inf",
           "--steps", "2"), "sweep values must be finite"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
@@ -589,6 +589,24 @@ class TestOutputPreflight:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "configuration error: --history-out and --out both name stdout\n"
+
+    def test_empty_out_exits_2_before_the_run(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("simulate ran despite an empty --out")
+
+        monkeypatch.setattr(cli, "rk4_model", never)
+        assert run_cli("simulate", "--tf", "1", "--dt", "0.1", "--out", "") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: cannot write : No such file or directory\n"
+
+    def test_empty_history_out_exits_2_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run_cli("optimize", "--tf", "1", "--dt", "0.1",
+                       "--out", str(out), "--history-out", "")
+        assert code == 2
+        assert "cannot write : No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
     def test_out_naming_a_directory_is_rejected_before_dispatch(

@@ -39,6 +39,7 @@ def test_blow_up_with_its_own_message_round_trips():
 
 def test_every_rejected_input_is_a_domain_error():
     # one type to catch, and the one type the CLI maps to exit 2
-    for cls in (errors.NonFiniteError, errors.DegenerateParameterError, ConfigError):
+    for cls in (errors.NonFiniteError, errors.DegenerateParameterError, errors.GridMismatchError,
+                ConfigError):
         assert issubclass(cls, errors.DomainError)
     assert not issubclass(errors.BlowUpError, errors.DomainError)

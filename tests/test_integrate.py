@@ -81,7 +81,7 @@ class TestTimeGrid:
         assert type(g.n_steps) is int and g == TimeGrid(0.0, 1.0, 10)
 
     def test_n_steps_refuses_a_bool(self):
-        with pytest.raises(DomainError, match="n_steps must be a positive integer, got True"):
+        with pytest.raises(DomainError, match="n_steps must be an integer of at least 1, got True"):
             TimeGrid(0.0, 1.0, True)
 
     def test_rk4_model_refuses_a_grid_whose_nodes_cannot_fit(self, one_mib_of_memory):
@@ -186,6 +186,22 @@ class TestForward:
                 TimeGrid.from_step(0.0, 100.0, 2.0),
             )
         assert info.value.t == pytest.approx(4.0)
+
+    def test_each_step_evaluates_at_its_start_midpoint_twice_and_end(self):
+        grid = TimeGrid(1.5, 2.2, 7)
+        seen = []
+
+        def f(t, y):
+            seen.append(t)
+            return (0.0, 0.0, 0.0, 0.0)
+
+        rk4_forward(f, (1.0, 1.0, 1.0, 1.0), grid)
+        t0, h = grid.t0, grid.h
+        expected = []
+        for i in range(grid.n_steps):
+            mid = t0 + i * h + 0.5 * h
+            expected += [t0 + i * h, mid, mid, t0 + i * h + h]
+        assert seen == expected
 
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(DomainError):

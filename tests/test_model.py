@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import admissible_params, make_random_params, make_random_state
 from cropguard.errors import DomainError, NonFiniteError
+from cropguard.integrate import TimeGrid
 from cropguard.model import (
     POSITIVITY_TOL,
     ControlValue,
@@ -26,6 +27,8 @@ from cropguard.model import (
     rhs_uncontrolled,
     running_cost,
 )
+from cropguard.optimal_control import SweepOptions
+from cropguard.stability import hopf_scan
 
 
 def test_default_parameter_values(baseline):
@@ -104,6 +107,22 @@ def test_check_state_rejects_genuine_negatives_and_nonfinite():
         check_state((1.0, -1e-6, 0.0, 0.1))
     with pytest.raises(NonFiniteError):  # a DomainError of its own type
         check_state((math.nan, 0.0, 0.0, 0.1))
+
+
+@pytest.mark.parametrize("name, least, count", [
+    ("n_steps", 1, lambda n: TimeGrid(0.0, 1.0, n).n_steps),
+    ("max_iterations", 1,
+     lambda n: SweepOptions(TimeGrid(0.0, 1.0, 10), max_iterations=n).max_iterations),
+    ("n_samples", 2, lambda n: hopf_scan(ModelParams(), (0.3, 0.7), n_samples=n)),
+], ids=["n_steps", "max_iterations", "n_samples"])
+def test_every_count_input_takes_an_integer_of_at_least_its_minimum(name, least, count):
+    # one rule (check_count): a numpy integer is a count, kept as a plain int
+    kept = count(np.int64(least))
+    if name != "n_samples":  # the scan keeps no count
+        assert type(kept) is int and kept == least
+    for bad in (True, 5.0, least - 1):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer of at least {least}"):
+            count(bad)
 
 
 def test_rhs_value_at_a_hand_computed_point(baseline):
