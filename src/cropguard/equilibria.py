@@ -124,7 +124,8 @@ def _reduction(params: ModelParams):
     balance gives S + I = (eta A - gamma)/sigma and the crop balance
     S + phi I = r (K-X)(c+X)/(alpha K), so den^2 S* and den^2 I* are
     polynomials, and the infected-pest balance h(A) times (a+A) den^2 is
-    the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I*.
+    the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I* as float
+    lists; np.convolve keeps a zero slope of den (alpha m1 = lam + d).
     """
     p = params
     if p.sigma == 0.0 or p.alpha == 0.0:
@@ -136,15 +137,22 @@ def _reduction(params: ModelParams):
     a_plus = np.array([1.0, a])
     N = np.array([lam + d, d * a])
     den = m1 * alpha * a_plus - N
-    total = np.polymul([p.eta / p.sigma, -p.gamma / p.sigma], np.polymul(den, den))
-    crop = np.polymul(r * c * m1 * a_plus, K * den - c * N) / K
+    total = np.convolve([p.eta / p.sigma, -p.gamma / p.sigma], np.convolve(den, den))
+    crop = np.convolve(r * c * m1 * a_plus, K * den - c * N) / K
     I_den2 = np.polysub(total, crop) / (1.0 - phi)
     S_den2 = total - I_den2
     P = np.polyadd(
-        np.polymul(m2 * phi / m1 * N - (d + delta) * a_plus, I_den2),
-        np.polymul([lam, 0.0], S_den2),
+        np.convolve(m2 * phi / m1 * N - (d + delta) * a_plus, I_den2),
+        np.convolve([lam, 0.0], S_den2),
     )
-    return P, N, den, S_den2, I_den2
+    return P.tolist(), N.tolist(), den.tolist(), S_den2.tolist(), I_den2.tolist()
+
+
+def _horner(coeffs: list[float], x: float) -> float:  # np.polyval's order, so its floats
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
 
 
 def coexistence(params: ModelParams) -> list[Equilibrium]:
@@ -159,15 +167,15 @@ def coexistence(params: ModelParams) -> list[Equilibrium]:
     """
     P, N, den, S_den2, I_den2 = _reduction(params)
     a_cap = attracting_region(params, params.K).A_max
-    dP = np.polyder(P)
+    dP = [c * (4 - i) for i, c in enumerate(P[:4])]  # np.polyder's products
     roots: list[float] = []
     for z in np.roots(P):
         if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
             continue
         A = float(z.real)
-        slope = float(np.polyval(dP, A))
+        slope = _horner(dP, A)
         if slope != 0.0:
-            A -= float(np.polyval(P, A)) / slope
+            A -= _horner(P, A) / slope
         if 0.0 < A <= a_cap:
             roots.append(A)
 
@@ -177,13 +185,13 @@ def coexistence(params: ModelParams) -> list[Equilibrium]:
         if last_a is not None and abs(A - last_a) <= 1e-9 * max(1.0, abs(A)):
             continue
         last_a = A
-        dn = float(np.polyval(den, A))
+        dn = _horner(den, A)
         if dn <= 0.0:
             continue
         dn2 = dn * dn
-        X = params.c * float(np.polyval(N, A)) / dn
-        S = float(np.polyval(S_den2, A)) / dn2
-        I = float(np.polyval(I_den2, A)) / dn2
+        X = params.c * _horner(N, A) / dn
+        S = _horner(S_den2, A) / dn2
+        I = _horner(I_den2, A) / dn2
         if min(X, S, I) < -POSITIVITY_TOL:
             continue
         out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))

@@ -8,8 +8,8 @@ threshold R0 = alpha K / R separates stability of the pest-free state.
 
 The Hopf scan samples the attack rate alpha, recomputes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
-at each sample, brackets sign changes, bisects them to the width floor,
-and confirms each crossing with positivity side conditions plus a
+at each sample, closes each sign change by regula falsi steps with a
+bisection safeguard, and confirms it with positivity side conditions plus a
 finite-difference transversality slope of the leading real part.
 """
 
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 # definite sign; separates genuine Hopf loci from floating-point noise.
 EIG_TOL = 1e-9
 
-# A bisected Psi sign change counts as a crossing only when |Psi| at its
+# A Psi sign change counts as a crossing only when |Psi| at its
 # end is this small relative to the bracket ends.
 _PSI_REL_TOL = 1e-6
 _TRANSVERSALITY_EPS = 1e-4
@@ -245,6 +245,39 @@ def params_with_alpha(params: ModelParams, alpha: float) -> ModelParams:
     return replace(params, alpha=alpha)
 
 
+def _regula_falsi(params: ModelParams, x0: float, f0: float, x1: float, f1: float,
+                 near: float) -> tuple[float, float, float, CharPoly4] | None:
+    """Last (alpha, Psi, A, char-poly) of Anderson-Bjorck regula falsi on Psi over
+    x0 < x1 (f0, f1 of opposite sign) down to the width floor, or None: an end kept
+    twice running (x1 counts as the last step) has its Psi scaled by 1 - fm/f (or 1/2
+    if not positive), f the Psi replaced; bisect when two steps have not halved it."""
+    best, kept_lo, before_last, last = None, True, math.inf, math.inf
+    while x1 - x0 >= 1e-15 * max(1.0, x1):
+        xm = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if x1 - x0 > 0.5 * before_last or not x0 < xm < x1:
+            xm = 0.5 * (x0 + x1)
+        before_last, last = last, x1 - x0
+        at = _star_char_at(params, xm, near)
+        if at is None:
+            break
+        fm = psi(at[1])
+        best = (xm, fm, at[0].point.A, at[1])
+        if fm == 0.0:
+            break
+        if (f0 < 0.0) != (fm < 0.0):
+            m = 1.0 - fm / f1
+            if kept_lo:
+                f0 *= m if m > 0.0 else 0.5
+            x1, f1 = xm, fm
+        else:
+            m = 1.0 - fm / f0
+            if not kept_lo:
+                f1 *= m if m > 0.0 else 0.5
+            x0, f0 = xm, fm
+        kept_lo = x1 == xm
+    return best
+
+
 def hopf_scan(
     params: ModelParams,
     alpha_range: tuple[float, float],
@@ -253,11 +286,12 @@ def hopf_scan(
     """Locate Hopf crossings of the coexistence point over an alpha range.
 
     Samples Psi(alpha) on a uniform grid, skips (and logs) samples where
-    no coexistence point exists, and bisects each sign change until the
-    bracket is 1e-15 (relative) wide.  A crossing becomes a candidate when
-    |Psi| there is below 1e-6 of the larger bracket-end |Psi| (a jump
-    between coexistence branches is not a crossing), its side conditions
-    (C2, C3, C4, C1C2-C3) are positive, and its central-difference
+    no coexistence point exists, and closes each sign change between two
+    samples with _regula_falsi; a sample with Psi exactly zero between
+    neighbours of opposite sign is itself the crossing.  A crossing becomes
+    a candidate when |Psi| there is below 1e-6 of the larger bracket-end
+    |Psi| (a jump between coexistence branches is not a crossing), its side
+    conditions (C2, C3, C4, C1C2-C3) are positive, and its central-difference
     transversality slope of the leading complex pair exceeds 1e-8 in
     magnitude.  Returns an empty list (with a logged diagnostic) when the
     coexistence point exists nowhere in the range.
@@ -267,7 +301,7 @@ def hopf_scan(
         raise DomainError(f"alpha range must satisfy 0 < lo < hi, got {alpha_range}")
     n_samples = check_count(n_samples, "n_samples", least=2)
 
-    samples: list[tuple[float, float, float] | None] = []
+    samples: list[tuple[float, float, float, CharPoly4] | None] = []
     near: float | None = None
     for alpha in np.linspace(lo, hi, n_samples):
         at = _star_char_at(params, float(alpha), near)
@@ -275,7 +309,7 @@ def hopf_scan(
             samples.append(None)
             continue
         near = at[0].point.A
-        samples.append((float(alpha), psi(at[1]), near))
+        samples.append((float(alpha), psi(at[1]), near, at[1]))
 
     valid = [s for s in samples if s is not None]
     if not valid:
@@ -289,50 +323,30 @@ def hopf_scan(
         logger.info("hopf_scan: %d of %d samples had no coexistence point", n_skipped, len(samples))
 
     out: list[HopfCandidate] = []
-    for left, right in zip(samples, samples[1:]):
+    padded = [None, *samples, None]
+    for before, here, after in zip(padded, padded[1:], padded[2:]):
+        on_sample = here is not None and here[1] == 0.0
+        left, right = (before, after) if on_sample else (here, after)
         if left is None or right is None:
             continue
-        a0, psi0, near0 = left
-        a1, psi1, _ = right
-        if psi0 == 0.0 or (psi0 < 0.0) == (psi1 < 0.0):
+        ends = (left[1], right[1])
+        if not min(ends) < 0.0 < max(ends):
             continue
-        # bisect Psi(alpha) over the bracket down to the width floor
-        x0, x1, f0 = a0, a1, psi0
-        best = None
-        while x1 - x0 >= 1e-15 * max(1.0, x1):
-            xm = 0.5 * (x0 + x1)
-            at = _star_char_at(params, xm, near0)
-            if at is None:
-                break
-            fm = psi(at[1])
-            best = (xm, fm, *at)
-            if fm == 0.0:
-                break
-            if (f0 < 0.0) != (fm < 0.0):
-                x1 = xm
-            else:
-                x0, f0 = xm, fm
+        best = here if on_sample else _regula_falsi(params, *left[:2], *right[:2], left[2])
         if best is None:
             continue
-        x_star, f_star, star, char = best
-        if abs(f_star) >= _PSI_REL_TOL * max(abs(psi0), abs(psi1)):
+        x_star, f_star, a_star, char = best
+        if abs(f_star) >= _PSI_REL_TOL * max(abs(ends[0]), abs(ends[1])):
             continue
         side = routh_hurwitz(char)[1][:4]
         if not all(v > 0.0 for v in side):
             continue
-        re_hi = _leading_complex_real_part(params, x_star + _TRANSVERSALITY_EPS, star.point.A)
-        re_lo = _leading_complex_real_part(params, x_star - _TRANSVERSALITY_EPS, star.point.A)
+        re_hi = _leading_complex_real_part(params, x_star + _TRANSVERSALITY_EPS, a_star)
+        re_lo = _leading_complex_real_part(params, x_star - _TRANSVERSALITY_EPS, a_star)
         if re_hi is None or re_lo is None:
             continue
         slope = (re_hi - re_lo) / (2.0 * _TRANSVERSALITY_EPS)
         if abs(slope) <= _TRANSVERSALITY_MIN_SLOPE:
             continue
-        out.append(
-            HopfCandidate(
-                alpha_star=x_star,
-                psi_values=(psi0, psi1),
-                transversality_slope=slope,
-                side_conditions=side,
-            )
-        )
+        out.append(HopfCandidate(x_star, ends, slope, side))
     return out

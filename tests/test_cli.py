@@ -254,6 +254,15 @@ class TestEquilibria:
         assert float(interior[0][4]) == pytest.approx(0.52527274625, rel=1e-9)
         assert float(interior[0][5]) < 1e-10
 
+    def test_constant_denominator_adds_interior_row(self, capsys):
+        # alpha m1 == lam + d at the default m1: den(A) is constant
+        argv = ("equilibria", "--alpha", "0.5", "--lam", "0.375", "--d", "0.025", "--out", "-")
+        assert run_cli(*argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        (interior,) = [r for r in rows if r[0] == "Coexistence"]
+        assert interior[6] != "Nonexistent"
+        assert float(interior[5]) < 1e-16
+
 
 class TestStability:
     def test_margin_columns(self, tmp_path):

@@ -17,6 +17,7 @@ from cropguard.equilibria import (
 )
 from cropguard.model import ModelParams, rhs_uncontrolled
 from cropguard.stability import Verdict, classify, params_with_alpha
+from polymul_reduction import reduction, reference_coexistence
 from published_quartic import quartic_coefficients, quartic_residuals
 from scan_oracle import scan_coexistence
 
@@ -155,6 +156,27 @@ class TestCoexistence:
         assert eq.point.A == pytest.approx(1.8655512299990, rel=1e-12)
         assert eq.point.A == pytest.approx(ref.point.A, rel=1e-9)
         assert eq.residual_norm < 1e-12
+
+    def test_a_constant_denominator_gives_its_one_point(self):
+        # alpha m1 == lam + d makes den(A) constant; np.polymul would strip
+        # its zero slope and leave the reduction's pieces different lengths
+        p = ModelParams(alpha=0.5, lam=0.375, d=0.025)
+        assert p.alpha * p.m1 == p.lam + p.d
+        with pytest.raises(ValueError):
+            reduction(p)
+        (eq,) = coexistence(p)
+        (ref,) = scan_coexistence(p)
+        for got, want in zip(eq.point, ref.point):
+            assert got == pytest.approx(want, rel=1e-10)
+        assert eq.residual_norm < 1e-16
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(admissible_params())
+    def test_points_equal_the_polymul_transcription(self, p):
+        got = coexistence(p)
+        want = reference_coexistence(p)
+        assert [eq.point for eq in got] == [eq.point for eq in want]
+        assert [eq.residual_norm for eq in got] == [eq.residual_norm for eq in want]
 
 
 def _fold_draw() -> ModelParams:

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import make_random_params
+from polymul_reduction import reference_coexistence
 from cropguard.equilibria import axial, coexistence, pest_free
 from cropguard.errors import DegenerateParameterError
 from cropguard import stability
@@ -217,6 +218,28 @@ class TestHopfScan:
         assert len(candidates) == 1
         assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-8)
 
+    def test_regula_falsi_cuts_the_solves_and_keeps_the_crossing(self, baseline, monkeypatch):
+        # the reference roots the complex pair's real part as above, but at
+        # the polymul-transcription points: the scan oracle's own bisection
+        # to |h| < 1e-12 leaves its crossing ~5e-12 off
+        def pair_real(alpha):
+            p = params_with_alpha(baseline, alpha)
+            eigs = np.linalg.eigvals(jacobian(p, reference_coexistence(p)[-1].point))
+            return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
+
+        ref = brentq(pair_real, 0.8, 0.9, xtol=1e-15, rtol=1e-15)
+        calls = []
+        star_char_at = stability._star_char_at
+
+        def spy(params, alpha, near):
+            calls.append(alpha)
+            return star_char_at(params, alpha, near)
+
+        monkeypatch.setattr(stability, "_star_char_at", spy)
+        (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
+        assert len(calls) <= 100  # 127 when the bracket was bisected
+        assert cand.alpha_star == pytest.approx(ref, rel=1e-12)
+
     def test_no_crossing_in_the_weak_consumption_window(self, baseline):
         # the interior point only exists above alpha ~ 0.043 and stays
         # firmly damped through this window; verified by direct
@@ -281,6 +304,31 @@ class TestHopfScanRejections:
             return complex(re, 1.0), complex(re, -1.0)
 
         assert self.scan(monkeypatch, pair) == []
+
+    def test_the_safeguard_bounds_the_steps_on_a_jump(self, monkeypatch):
+        # regula falsi crawls on a jump; the bisection steps hold it to
+        # twice the 52 stand-in calls that bisection alone took
+        calls = []
+
+        def pair(alpha):
+            re = -0.1 if alpha < ALPHA_STAR else 0.1
+            return complex(re, 1.0), complex(re, -1.0)
+
+        assert self.scan(monkeypatch, pair, exists=lambda alpha: not calls.append(alpha)) == []
+        assert len(calls) <= 104
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_crossing_on_a_sample_is_reported_once(self, monkeypatch, sign):
+        # the real part is zero at the sample alpha = 0.6, so Psi is too
+        def pair(alpha):
+            re = sign * (alpha - 0.6)
+            return complex(re, 1.0), complex(re, -1.0)
+
+        (cand,) = self.scan(monkeypatch, pair)
+        assert cand.alpha_star == 0.6
+        lo, hi = cand.psi_values
+        assert lo * hi < 0.0
+        assert cand.transversality_slope == pytest.approx(sign, rel=1e-6)
 
     def test_a_crossing_with_a_failed_side_condition_is_rejected(self, monkeypatch):
         # a positive real root makes C4 negative
