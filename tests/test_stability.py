@@ -314,7 +314,11 @@ class TestHopfScanRejections:
             re = -0.1 if alpha < ALPHA_STAR else 0.1
             return complex(re, 1.0), complex(re, -1.0)
 
-        assert self.scan(monkeypatch, pair, exists=lambda alpha: not calls.append(alpha)) == []
+        def exists(alpha):
+            calls.append(alpha)
+            return True
+
+        assert self.scan(monkeypatch, pair, exists=exists) == []
         assert len(calls) <= 104
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
