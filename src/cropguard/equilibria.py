@@ -90,18 +90,14 @@ def pest_free(params: ModelParams) -> Equilibrium:
 def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
     """Steady state with only infected pests, or why it does not exist.
 
-    Exists iff d + delta < m2 phi alpha K / (c + K); then
-    X = c (d+delta) / (m2 phi alpha - (d+delta)),
-    I = r (c+X)(K-X) / (phi alpha K) and A = (gamma + sigma I) / eta.
+    Exists iff d + delta < m2 phi alpha K / (c + K), so never at alpha = 0;
+    then X = c (d+delta) / (m2 phi alpha - (d+delta)), that divisor being
+    above m2 phi alpha c / (c + K) > 0, I = r (c+X)(K-X) / (phi alpha K)
+    and A = (gamma + sigma I) / eta.
     """
     p = params
     consumption = p.m2 * p.phi * p.alpha
     death = p.d + p.delta
-    if abs(consumption - death) <= 1e-14:
-        raise DegenerateParameterError(
-            "m2*phi*alpha is within 1e-14 of d+delta; the susceptible-free "
-            "crop level is undefined"
-        )
     threshold = consumption * p.K / (p.c + p.K)
     if not death < threshold:
         return Nonexistent(
@@ -126,12 +122,12 @@ def _reduction(params: ModelParams):
     polynomials, and the infected-pest balance h(A) times (a+A) den^2 is
     the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I* as float
     lists; np.convolve keeps a zero slope of den (alpha m1 = lam + d).
+    Only sigma divides (the crop balance's 1/alpha cancels); at alpha = 0,
+    den = -N < 0 for A > 0, so ``coexistence`` keeps no root.
     """
     p = params
-    if p.sigma == 0.0 or p.alpha == 0.0:
-        raise DegenerateParameterError(
-            "the coexistence reduction needs sigma > 0 and alpha > 0"
-        )
+    if p.sigma == 0.0:
+        raise DegenerateParameterError("the coexistence reduction needs sigma > 0")
     r, K, alpha, phi, c, a = p.r, p.K, p.alpha, p.phi, p.c, p.a
     lam, d, delta, m1, m2 = p.lam, p.d, p.delta, p.m1, p.m2
     a_plus = np.array([1.0, a])
@@ -204,13 +200,7 @@ def all_equilibria(params: ModelParams) -> list[Union[Equilibrium, Nonexistent]]
     Nonexistent families appear as Nonexistent entries; coexistence
     contributes zero or more points.
     """
-    found: list[Union[Equilibrium, Nonexistent]] = [axial(params), pest_free(params)]
-    found.append(susceptible_free(params))
-    stars = coexistence(params)
-    if stars:
-        found.extend(stars)
-    else:
-        found.append(
-            Nonexistent(EquilibriumKind.COEXISTENCE, "no admissible root of the reduced residual")
-        )
-    return found
+    found: list[Union[Equilibrium, Nonexistent]] = [
+        axial(params), pest_free(params), susceptible_free(params)]
+    no_root = Nonexistent(EquilibriumKind.COEXISTENCE, "no admissible root of the reduced residual")
+    return found + (coexistence(params) or [no_root])

@@ -73,8 +73,10 @@ def cubic_real_roots(b: float, c: float, d: float) -> list[float]:
 
 
 def _polish(root: complex, b: float, c: float, d: float, e: float) -> complex:
-    """Newton iterations on the monic quartic in complex arithmetic."""
-    scale = 1.0 + max(abs(b), abs(c), abs(d), abs(e))
+    """Newton iterations on the monic quartic in complex arithmetic; a last
+    step that raises a passing residual by more than the tolerance is
+    undone, as f' nearly vanishes beside a multiple root and f/f' jumps."""
+    tol = 1e-15 * (1.0 + max(abs(b), abs(c), abs(d), abs(e)))
     z = root
     for _ in range(12):
         f = (((z + b) * z + c) * z + d) * z + e
@@ -85,8 +87,11 @@ def _polish(root: complex, b: float, c: float, d: float, e: float) -> complex:
         z_new = z - step
         if not (cmath.isfinite(z_new)):
             break
+        if abs(f) <= tol:
+            f_new = (((z_new + b) * z_new + c) * z_new + d) * z_new + e
+            return z if abs(f_new) - abs(f) > tol else z_new
         z = z_new
-        if abs(step) <= 1e-16 * max(1.0, abs(z)) or abs(f) <= 1e-15 * scale:
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
             break
     return z
 
@@ -114,24 +119,19 @@ def quartic_roots(b: float, c: float, d: float, e: float) -> list[complex]:
     r = e - 0.25 * b * d + b2 * c / 16.0 - 3.0 * b2 * b2 / 256.0
     shift = 0.25 * b
 
-    scale = 1.0 + max(abs(p), abs(r))
-    if abs(q) <= 1e-14 * scale:
-        # biquadratic: y^2 solves u^2 + p u + r = 0
+    # largest real root of the resolvent z^3 + 2p z^2 + (p^2-4r) z - q^2:
+    # positive for q != 0 unless rounding loses it, 0 for a negligible q
+    z0 = 0.0
+    if abs(q) > 1e-14 * (1.0 + max(abs(p), abs(r))):
+        z0 = max(cubic_real_roots(2.0 * p, p * p - 4.0 * r, -q * q))
+    if z0 <= 0.0:
+        # biquadratic, y^2 solving u^2 + p u + r = 0: the polish absorbs q y
         u1, u2 = _quadratic_roots(p, r)
         ys = [cmath.sqrt(u1), -cmath.sqrt(u1), cmath.sqrt(u2), -cmath.sqrt(u2)]
     else:
-        # largest real root of the resolvent z^3 + 2p z^2 + (p^2-4r) z - q^2
-        zs = cubic_real_roots(2.0 * p, p * p - 4.0 * r, -q * q)
-        z0 = max(zs)
-        if z0 <= 0.0:
-            # cannot happen for exact arithmetic with q != 0; recover by
-            # treating the quartic as biquadratic plus polish
-            u1, u2 = _quadratic_roots(p, r)
-            ys = [cmath.sqrt(u1), -cmath.sqrt(u1), cmath.sqrt(u2), -cmath.sqrt(u2)]
-        else:
-            s = math.sqrt(z0)
-            t = 0.5 * (p + z0 + q / s)
-            v = 0.5 * (p + z0 - q / s)
-            # (y^2 + s y + v)(y^2 - s y + t)
-            ys = list(_quadratic_roots(s, v)) + list(_quadratic_roots(-s, t))
+        s = math.sqrt(z0)
+        t = 0.5 * (p + z0 + q / s)
+        v = 0.5 * (p + z0 - q / s)
+        # (y^2 + s y + v)(y^2 - s y + t)
+        ys = list(_quadratic_roots(s, v)) + list(_quadratic_roots(-s, t))
     return [_polish(y - shift, b, c, d, e) for y in ys]

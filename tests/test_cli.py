@@ -93,6 +93,20 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 1, err
         assert "Traceback" not in err, err
 
+    def test_the_module_entry_point_exits_1_without_a_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cropguard.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cropguard.cli", "simulate", "--tf", "200", "--dt", "0.01",
+             "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"t,X,S,I,A\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, err
+        assert "Traceback" not in err, err
+
 
 def reference_csv(header, rows):
     """The CSV text of ``_emit_csv``, formatted one cell at a time."""
@@ -280,6 +294,33 @@ class TestStability:
         assert float(ax[9]) == pytest.approx(0.0421428571429, rel=1e-9)
         assert ax[7] == "false" and pf[7] == "false"
         assert all(float(pf[i]) > 0.0 for i in range(9, 15))
+
+
+class TestAlphaAtTheEdgesOfExistence:
+    """At alpha = 0 no pest-carrying point exists; at the susceptible-free
+    threshold (d+delta)/(m2 phi) that point does not, but a stable
+    coexistence point does.  Both commands answer."""
+
+    @pytest.mark.parametrize("alpha, reason, coexistence", [
+        ("0", "0.11 >= 0", "Nonexistent"),
+        ("0.6111111111111112", "0.11 >= 0.055", "Stable"),
+    ])
+    def test_equilibria(self, alpha, reason, coexistence, capsys):
+        assert run_cli("equilibria", "--alpha", alpha, "--out", "-") == 0
+        rows = {row[0]: row for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert rows["SusceptibleFree"][6] == "Nonexistent"
+        assert rows["SusceptibleFree"][9].endswith(f": {reason}"), rows["SusceptibleFree"]
+        assert rows["Coexistence"][6] == coexistence
+
+    @pytest.mark.parametrize("alpha, verdicts", [
+        ("0", [("Axial", "Unstable"), ("PestFree", "Stable")]),
+        ("0.6111111111111112",
+         [("Axial", "Unstable"), ("PestFree", "Unstable"), ("Coexistence", "Stable")]),
+    ])
+    def test_stability(self, alpha, verdicts, capsys):
+        assert run_cli("stability", "--alpha", alpha, "--out", "-") == 0
+        _, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert [(row[0], row[5]) for row in rows] == verdicts
 
 
 class TestBifurcate:
@@ -629,6 +670,20 @@ class TestOutputPreflight:
         argv = [command, "--tf", "1", "--dt", "0.1", "--out", str(tmp_path)]
         assert run_cli(*argv, *(extra if command == "bifurcate" else ())) == 2
         assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, name, stand_in, out, reason", [
+        # an --out that passes the preflight but cannot be opened
+        (cli, "_check_outputs", lambda args: None, "missing/x.csv", "No such file or directory"),
+        (os, "access", lambda path, mode: False, "x.csv", "Permission denied"),
+    ])
+    def test_an_out_that_cannot_be_written_exits_2(
+        self, module, name, stand_in, out, reason, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(module, name, stand_in)
+        path = tmp_path / out
+        assert run_cli("simulate", "--tf", "1", "--dt", "0.1", "--out", str(path)) == 2
+        assert capsys.readouterr().err == f"configuration error: cannot write {path}: {reason}\n"
+        assert not path.exists()
 
 
 class TestParser:

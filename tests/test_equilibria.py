@@ -1,20 +1,25 @@
 """Equilibrium families: existence conditions, residuals, root finding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import admissible_params, make_random_params
 from cropguard.equilibria import (
     Equilibrium,
     EquilibriumKind,
     Nonexistent,
+    _make,
     all_equilibria,
     axial,
     coexistence,
     pest_free,
     susceptible_free,
 )
+from cropguard.errors import DomainError
 from cropguard.model import ModelParams, rhs_uncontrolled
 from cropguard.stability import Verdict, classify, params_with_alpha
 from polymul_reduction import reduction, reference_coexistence
@@ -46,6 +51,17 @@ class TestBoundaryFamilies:
             p = make_random_params(rng)
             assert _residual(p, axial(p).point) < 1e-10
             assert _residual(p, pest_free(p).point) < 1e-10
+
+    @pytest.mark.parametrize("component, cleaned", [(-1e-12, 0.0), (-1e-6, None)])
+    def test_negative_dust_is_cleared_and_a_real_negative_rejected(
+        self, baseline, component, cleaned
+    ):
+        point = (baseline.K, 0.0, component, 0.2)
+        if cleaned is None:
+            with pytest.raises(DomainError, match="equilibrium has negative component"):
+                _make(EquilibriumKind.PEST_FREE, baseline, point)
+        else:
+            assert _make(EquilibriumKind.PEST_FREE, baseline, point).point.I == cleaned
 
 
 class TestSusceptibleFree:
@@ -82,10 +98,34 @@ class TestSusceptibleFree:
         assert out.point.A == pytest.approx(0.3171875, abs=1e-12)
         assert out.residual_norm < 1e-12
 
+    @pytest.mark.parametrize("alpha, reason", [
+        (0.0, "0.11 >= 0"),
+        # (d+delta)/(m2 phi): m2 phi alpha equals d+delta to rounding
+        (0.6111111111111112, "0.11 >= 0.055"),
+    ])
+    def test_nonexistent_without_consumption_and_at_the_threshold(self, alpha, reason):
+        out = susceptible_free(ModelParams(alpha=alpha))
+        assert isinstance(out, Nonexistent)
+        assert out.reason.endswith(f": {reason}"), out.reason
+
 
 class TestCoexistence:
     def test_no_interior_root_at_defaults(self, baseline):
         assert coexistence(baseline) == []
+
+    def test_no_interior_root_without_consumption(self):
+        # alpha cancels from the reduction; at alpha = 0 its X* denominator
+        # is negative for every A > 0, so no root qualifies
+        assert coexistence(ModelParams(alpha=0.0)) == []
+
+    def test_a_root_numpy_reports_twice_gives_one_point(self, baseline, monkeypatch):
+        # numpy.roots splits a true double root by ~3e-8 (above the 1e-9
+        # cut) or makes it complex, so a doubled root list stands in for it
+        p = params_with_alpha(baseline, 0.06)
+        (want,) = coexistence(p)
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.repeat(roots(coeffs), 2))
+        assert coexistence(p) == [want]
 
     def test_single_root_at_moderate_consumption(self, baseline):
         roots = coexistence(params_with_alpha(baseline, 0.06))
@@ -239,6 +279,18 @@ class TestAllEquilibria:
             for entry in all_equilibria(p):
                 if isinstance(entry, Equilibrium):
                     assert entry.residual_norm < 1e-10
+
+    @settings(max_examples=1200, deadline=None, derandomize=True, database=None)
+    @given(admissible_params(), st.data())
+    def test_every_family_answers_at_the_edges_of_existence(self, p, data):
+        # alpha = 0, the susceptible-free threshold (d+delta)/(m2 phi) and
+        # anything in between: each family reports a point or Nonexistent
+        threshold = (p.d + p.delta) / (p.m2 * p.phi)
+        alpha = data.draw(st.sampled_from([0.0, threshold]) | st.floats(0.0, 1.0))
+        p = replace(p, alpha=alpha)
+        for entry in all_equilibria(p):
+            if isinstance(entry, Equilibrium):
+                classify(p, entry)
 
 
 class TestQuarticDiagnostics:

@@ -1,7 +1,9 @@
 """Grid construction, RK4 forward/backward, and the cost quadrature."""
 
 import math
+import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -75,6 +77,23 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 10**400).check_memory(integrate._NODE_BYTES)
         with pytest.raises(DomainError, match="must be a finite step count, got inf"):
             TimeGrid.from_step(0.0, 1.0, 1e-320)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TimeGrid(0.0, math.inf, 10), "grid endpoints must be finite"),
+        (lambda: TimeGrid.from_step(0.0, 1.0, 0.0), "dt must be positive and finite, got 0.0"),
+        (lambda: Trajectory(TimeGrid(0.0, 1.0, 2), [[1.0] * 4, [math.nan] * 4, [1.0] * 4]),
+         "trajectory states contain non-finite values"),
+    ])
+    def test_non_finite_and_zero_inputs_are_rejected(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
+    def test_an_unknown_memory_size_sets_no_limit(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert integrate._max_steps(integrate._NODE_BYTES) == sys.maxsize
 
     def test_n_steps_takes_a_numpy_integer_as_a_plain_int(self):
         g = TimeGrid(0.0, 1.0, np.int64(10))

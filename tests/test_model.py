@@ -92,6 +92,15 @@ def test_invalid_weights_rejected():
         ObjectiveWeights(A1=math.nan)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ObjectiveWeights(A1=-1.0), "state weights A1 and A2 must be >= 0"),
+    (lambda: attracting_region(ModelParams(), -1.0), "x0 must be finite and >= 0, got -1.0"),
+])
+def test_negative_weights_and_initial_crop_are_rejected(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
 def test_check_state_tolerates_roundoff_negatives():
     # values within the positivity band pass through unchanged; the
     # band exists for integrator output, not to silently repair inputs

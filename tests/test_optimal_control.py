@@ -75,6 +75,10 @@ class TestSweepOptions:
         with pytest.raises(DomainError):
             SweepOptions(grid=control_grid, **bad)
 
+    def test_a_grid_that_is_not_a_time_grid_is_rejected(self):
+        with pytest.raises(DomainError, match="grid must be a TimeGrid"):
+            SweepOptions(grid=100.0)
+
 
 class TestConvergedScenario:
     """Properties of the converged 100-day sweep (session fixture)."""

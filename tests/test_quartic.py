@@ -1,11 +1,15 @@
 """Closed-form cubic and quartic root solvers against a numpy oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from cropguard import quartic
+from cropguard.errors import DomainError
 from cropguard.model import jacobian
-from cropguard.quartic import cubic_real_roots, quartic_roots
+from cropguard.quartic import _polish, cubic_real_roots, quartic_roots
 from cropguard.stability import char_poly
 from conftest import make_random_params, make_random_state
 
@@ -134,3 +138,63 @@ class TestQuartic:
             s = make_random_state(rng)
             cp = char_poly(jacobian(p, s))
             _assert_matches_numpy(cp.c1, cp.c2, cp.c3, cp.c4, 1e-9)
+
+
+class TestEdgesOfTheMethod:
+    @pytest.mark.parametrize("solve, coefficients, kind", [
+        (cubic_real_roots, (math.nan, 0.0, 0.0), "cubic"),
+        (quartic_roots, (0.0, math.inf, 0.0, 0.0), "quartic"),
+    ])
+    def test_non_finite_coefficients_are_rejected(self, solve, coefficients, kind):
+        with pytest.raises(DomainError, match=f"{kind} coefficients must be finite"):
+            solve(*coefficients)
+
+    @pytest.mark.parametrize("solve, coefficients, roots", [
+        # x^3 - 3x + 2 = (x-1)^2 (x+2): a zero discriminant
+        (cubic_real_roots, (0.0, -3.0, 2.0), [-2.0, 1.0]),
+        (quartic_roots, (0.0, 0.0, 0.0, 0.0), [0j, 0j, 0j, 0j]),
+    ])
+    def test_exact_degenerate_cases(self, solve, coefficients, roots):
+        assert solve(*coefficients) == roots
+
+    def test_a_resolvent_root_lost_to_rounding_falls_back_to_the_biquadratic(
+        self, monkeypatch
+    ):
+        # q = -8.2e-13 is above the negligible-q cut, so the resolvent is
+        # solved, but its largest real root comes out -1.1e-21 instead of
+        # a positive one
+        seen = []
+        solve = quartic.cubic_real_roots
+
+        def spy(*resolvent):
+            seen.append(solve(*resolvent))
+            return seen[-1]
+
+        monkeypatch.setattr(quartic, "cubic_real_roots", spy)
+        coefficients = (0.0, -0.9920992145357101, -8.227079899687556e-13, -0.08223089024411223)
+        got = _sorted(quartic_roots(*coefficients))
+        (zs,) = seen
+        assert -1.2e-21 < max(zs) < -1.1e-21
+        ref = _sorted([complex(z) for z in np.roots([1.0, *coefficients])])
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 4.5e-16
+
+    @pytest.mark.parametrize("coefficients, roots", [
+        # pest-free Jacobians at alpha = 0, gamma = 0 and d = eta, with the
+        # double eigenvalue -d: Ferrari's estimates are exact, and a Newton
+        # step from there through f' ~ 0 lands at 0.21 and at -0.041
+        ((0.416875, 0.037982421875000005, 0.0008968811035156253, 6.271362304687479e-06),
+         [-0.3, -0.085625, -0.015625, -0.015625]),
+        ((0.47175, 0.036471750000000004, 7.153225000000044e-05, 3.553124999993708e-08),
+         [-0.375, -0.09475, -0.001, -0.001]),
+    ])
+    def test_a_double_root_keeps_its_estimates(self, coefficients, roots):
+        # the computed coefficients split the double root by ~1e-9
+        got = _sorted(quartic_roots(*coefficients))
+        for g, r in zip(got, roots):
+            assert abs(g - r) <= 2e-9
+
+    def test_an_overflowing_newton_step_is_not_taken(self):
+        # from 0, f = 1 over f' = 1e-299 steps to -1e299, where the next
+        # step overflows; quartic_roots scales its coefficients to O(1)
+        # first, so only a direct call starts this close to such a slope
+        assert _polish(0j, 0.0, 0.0, 1e-299, 1.0) == -1e299

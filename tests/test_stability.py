@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from conftest import make_random_params
 from polymul_reduction import reference_coexistence
 from cropguard.equilibria import axial, coexistence, pest_free
-from cropguard.errors import DegenerateParameterError
+from cropguard.errors import CropguardError, DegenerateParameterError, DomainError
 from cropguard import stability
 from cropguard.model import ModelParams, jacobian
 from cropguard.stability import (
@@ -186,6 +186,29 @@ class TestClassify:
         assert not rep.pure_imaginary
         assert rep.rh_stable
 
+    def test_a_verdict_at_the_hopf_point_is_marginal(self, baseline):
+        # 1e-13 below the crossing the leading pair's real part is -3.1e-17
+        p = params_with_alpha(baseline, 0.8307020425373)
+        (rep,) = [classify(p, eq) for eq in coexistence(p)]
+        assert rep.verdict is Verdict.MARGINAL
+        assert abs(rep.max_real_part) < 1e-16
+
+    @pytest.mark.parametrize("r, delta, d", [(0.3, 0.07, 0.015625), (0.375, 0.09375, 0.001)])
+    def test_a_double_eigenvalue_passes_the_cross_check(self, r, delta, d):
+        # alpha = 0, gamma = 0 and eta = d give the pest-free point the
+        # eigenvalue -d twice
+        p = ModelParams(r=r, alpha=0.0, phi=0.5, a=1.0, lam=0.5, d=d, delta=delta,
+                        m1=1.0, m2=0.5, gamma=0.0, sigma=0.125, eta=d)
+        rep = classify(p, pest_free(p))
+        assert rep.verdict is Verdict.STABLE
+        assert rep.max_real_part == pytest.approx(-d, rel=1e-6)
+
+    def test_a_failed_eigenvalue_cross_check_raises(self, baseline, monkeypatch):
+        solve = stability.quartic_roots
+        monkeypatch.setattr(stability, "quartic_roots", lambda *cp: [z + 1.0 for z in solve(*cp)])
+        with pytest.raises(CropguardError, match="eigenvalue cross-check failed at Axial"):
+            classify(baseline, axial(baseline))
+
     def test_char_poly_agrees_with_the_jacobian(self, baseline):
         eq = pest_free(baseline)
         rep = classify(baseline, eq)
@@ -254,6 +277,18 @@ class TestHopfScan:
         assert out == []
         assert any("no coexistence" in r.getMessage() for r in caplog.records)
 
+    def test_scan_without_a_coexistence_reduction_warns_and_returns_empty(
+        self, baseline, caplog
+    ):
+        # sigma = 0 leaves every sample without a coexistence point
+        with caplog.at_level("WARNING"):
+            assert hopf_scan(replace(baseline, sigma=0.0), (0.3, 1.2), n_samples=5) == []
+        assert any("no coexistence" in r.getMessage() for r in caplog.records)
+
+    def test_an_alpha_range_from_zero_is_rejected(self, baseline):
+        with pytest.raises(DomainError, match="alpha range must satisfy 0 < lo < hi"):
+            hopf_scan(baseline, (0.0, 1.0))
+
     def test_verdict_flips_across_the_crossing(self, baseline):
         for alpha, expected in ((0.8, Verdict.STABLE), (0.9, Verdict.UNSTABLE)):
             p = params_with_alpha(baseline, alpha)
@@ -295,6 +330,11 @@ class TestHopfScanRejections:
 
     def test_a_bisection_that_loses_the_point_is_rejected(self, monkeypatch):
         exists = lambda alpha: not 0.5 < alpha < 0.6  # noqa: E731
+        assert self.scan(monkeypatch, self.crossing_pair, exists=exists) == []
+
+    def test_a_point_missing_beside_the_crossing_is_rejected(self, monkeypatch):
+        # no point at the transversality offset alpha* + 1e-4
+        exists = lambda alpha: abs(alpha - ALPHA_STAR - 1e-4) > 1e-9  # noqa: E731
         assert self.scan(monkeypatch, self.crossing_pair, exists=exists) == []
 
     def test_a_jump_between_branches_is_rejected(self, monkeypatch):
