@@ -40,7 +40,6 @@ from .equilibria import (
     pest_free,
     susceptible_free,
 )
-from .quartic import cubic_real_roots, quartic_roots
 from .stability import (
     CharPoly4,
     HopfCandidate,
@@ -92,14 +91,12 @@ __all__ = [
     "classify",
     "coexistence",
     "costate_rhs",
-    "cubic_real_roots",
     "default_step",
     "hopf_scan",
     "integrate_cost",
     "jacobian",
     "pest_free",
     "psi",
-    "quartic_roots",
     "r0",
     "rhs_controlled",
     "rhs_uncontrolled",

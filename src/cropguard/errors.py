@@ -22,10 +22,10 @@ class NonFiniteError(DomainError):
 
 
 class DegenerateParameterError(DomainError):
-    """Raised when a formula's denominator is too close to zero for the
-    requested quantity to be meaningful (for example a vanishing pest
-    conversion margin, or zero natural death rate in a long-run bound),
-    though the parameters themselves are admissible."""
+    """Raised when a formula's denominator is zero for admissible
+    parameters: the long-run bounds at d = 0 (``attracting_region``), the
+    coexistence reduction at sigma = 0 (``coexistence``) and the threshold
+    denominator R = 0 in ``r0``."""
 
 
 class GridMismatchError(DomainError):

@@ -1,10 +1,10 @@
 """Linear stability analysis and a numeric Hopf-bifurcation scan.
 
 Characteristic polynomials of the 4x4 Jacobian come from the
-Faddeev-LeVerrier trace recursion; stability is decided both by
-Routh-Hurwitz sign conditions and by the roots themselves (closed-form
-quartic solver, no general eigensolver).  The basic reproduction-style
-threshold R0 = alpha K / R separates stability of the pest-free state.
+Faddeev-LeVerrier trace recursion and give the Routh-Hurwitz sign
+conditions; the verdict comes from the eigenvalues of the Jacobian itself
+(``numpy.linalg.eigvals``).  The basic reproduction-style threshold
+R0 = alpha K / R separates stability of the pest-free state.
 
 The Hopf scan samples the attack rate alpha, recomputes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
@@ -26,7 +26,6 @@ import numpy as np
 from .equilibria import Equilibrium, EquilibriumKind, coexistence
 from .errors import CropguardError, DegenerateParameterError, DomainError
 from .model import ModelParams, check_count, jacobian
-from .quartic import quartic_roots
 
 logger = logging.getLogger(__name__)
 
@@ -171,22 +170,23 @@ def _closed_form_eigs(params: ModelParams, kind: EquilibriumKind) -> tuple[float
 def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Stability report for an equilibrium of the uncontrolled system.
 
-    Eigenvalues come from the closed-form quartic solver on the
-    characteristic polynomial.  For the axial and pest-free points they
-    are cross-checked against their triangular-factorization closed
-    forms; disagreement beyond rounding raises.
+    Eigenvalues come from ``numpy.linalg.eigvals`` of the Jacobian, after
+    ``char_poly`` has rejected a non-finite one.  For the axial and
+    pest-free points they are cross-checked against their
+    triangular-factorization closed forms; disagreement beyond rounding
+    raises.
     """
     J = jacobian(params, eq.point)
     cp = char_poly(J)
     rh_stable, margins = routh_hurwitz(cp)
-    roots = quartic_roots(*cp)
+    roots = np.linalg.eigvals(J).astype(complex).tolist()
     if eq.kind in (EquilibriumKind.AXIAL, EquilibriumKind.PEST_FREE):
         for ev in _closed_form_eigs(params, eq.kind):
             nearest = min(abs(z - ev) for z in roots)
             if nearest > 1e-6 * max(1.0, abs(ev)):
                 raise CropguardError(
                     f"eigenvalue cross-check failed at {eq.kind.value}: "
-                    f"closed form {ev:.12g} vs quartic roots {roots}"
+                    f"closed form {ev:.12g} vs eigenvalues {roots}"
                 )
     max_re = max(z.real for z in roots)
     pure_imag = any(abs(z.real) <= EIG_TOL and abs(z.imag) > EIG_TOL for z in roots)
@@ -210,8 +210,8 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
 
 def _star_char_at(
     params: ModelParams, alpha: float, near: float | None
-) -> tuple[Equilibrium, CharPoly4] | None:
-    """Coexistence point at an overridden attack rate, with its char-poly.
+) -> tuple[Equilibrium, np.ndarray] | None:
+    """Coexistence point at an overridden attack rate, with its Jacobian.
 
     With several admissible points, prefer the one whose awareness level
     is nearest ``near`` (continuity along the scan); otherwise the
@@ -228,17 +228,16 @@ def _star_char_at(
         star = stars[-1]
     else:
         star = min(stars, key=lambda s: abs(s.point.A - near))
-    return star, char_poly(jacobian(shifted, star.point))
+    return star, jacobian(shifted, star.point)
 
 
 def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:
     at = _star_char_at(params, alpha, near)
     if at is None:
         return None
-    pairs = [z for z in quartic_roots(*at[1]) if abs(z.imag) > EIG_TOL]
-    if not pairs:
-        return None
-    return max(z.real for z in pairs)
+    eigs = np.linalg.eigvals(at[1])
+    pairs = eigs.real[np.abs(eigs.imag) > EIG_TOL]
+    return float(pairs.max()) if pairs.size else None
 
 
 def params_with_alpha(params: ModelParams, alpha: float) -> ModelParams:
@@ -260,8 +259,9 @@ def _regula_falsi(params: ModelParams, x0: float, f0: float, x1: float, f1: floa
         at = _star_char_at(params, xm, near)
         if at is None:
             break
-        fm = psi(at[1])
-        best = (xm, fm, at[0].point.A, at[1])
+        cp = char_poly(at[1])
+        fm = psi(cp)
+        best = (xm, fm, at[0].point.A, cp)
         if fm == 0.0:
             break
         if (f0 < 0.0) != (fm < 0.0):
@@ -309,7 +309,8 @@ def hopf_scan(
             samples.append(None)
             continue
         near = at[0].point.A
-        samples.append((float(alpha), psi(at[1]), near, at[1]))
+        cp = char_poly(at[1])
+        samples.append((float(alpha), psi(cp), near, cp))
 
     valid = [s for s in samples if s is not None]
     if not valid:

@@ -243,7 +243,7 @@ def _stage_sampler(u: np.ndarray, grid: TimeGrid):
     def u_at(t):
         k = min(max(int(round(2.0 * (t - grid.t0) / grid.h)), 0), 2 * grid.n_steps)
         row = mid[(k - 1) // 2] if k % 2 else u[k // 2]
-        return (row[0], row[1])
+        return (float(row[0]), float(row[1]))
 
     return u_at
 
@@ -332,6 +332,9 @@ class TestModelKernels:
            y0=st.tuples(*[st.floats(0.0, 3.0)] * 4), controlled=st.booleans())
     # X0 = -c zeroes c + X in the first stage: the failed-evaluation path
     @example(seed=0, n_steps=5, h=0.1, y0=(-ModelParams().c, 0.07, 0.05, 0.5), controlled=True)
+    # an overflowing controlled run: numpy-scalar controls would raise a
+    # RuntimeWarning where the kernel's floats give a BlowUpError
+    @example(seed=37, n_steps=3, h=1.0, y0=(3.0, 0.0, 0.0, 0.0), controlled=True)
     def test_forward_kernel_matches_the_generic_path_on_random_input(
         self, seed, n_steps, h, y0, controlled
     ):

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.linalg import block_diag
+from scipy.optimize import brentq, linear_sum_assignment
 
 from conftest import make_random_params
 from polymul_reduction import reference_coexistence
-from cropguard.equilibria import axial, coexistence, pest_free
+from cropguard.equilibria import Nonexistent, all_equilibria, axial, coexistence, pest_free
 from cropguard.errors import CropguardError, DegenerateParameterError, DomainError
 from cropguard import stability
 from cropguard.model import ModelParams, jacobian
@@ -204,10 +205,30 @@ class TestClassify:
         assert rep.max_real_part == pytest.approx(-d, rel=1e-6)
 
     def test_a_failed_eigenvalue_cross_check_raises(self, baseline, monkeypatch):
-        solve = stability.quartic_roots
-        monkeypatch.setattr(stability, "quartic_roots", lambda *cp: [z + 1.0 for z in solve(*cp)])
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda J: eigvals(J) + 1.0)
         with pytest.raises(CropguardError, match="eigenvalue cross-check failed at Axial"):
             classify(baseline, axial(baseline))
+
+    def test_eigenvalues_are_the_roots_of_the_characteristic_polynomial(self):
+        # an independent route to each report's eigenvalues: numpy.roots of
+        # its char-poly, matched one to one
+        rng = np.random.default_rng(37)
+        n_reports, worst = 0, 0.0
+        for _ in range(200):
+            p = make_random_params(rng)
+            for eq in all_equilibria(p):
+                if isinstance(eq, Nonexistent):
+                    continue
+                rep = classify(p, eq)
+                assert all(type(z) is complex for z in rep.eigenvalues)
+                ref = np.roots([1.0, *rep.char])
+                cost = np.abs(np.subtract.outer(rep.eigenvalues, ref))
+                rows, cols = linear_sum_assignment(cost)
+                worst = max(worst, cost[rows, cols].max() / np.abs(ref).max())
+                n_reports += 1
+        assert n_reports > 400
+        assert worst <= 1e-9
 
     def test_char_poly_agrees_with_the_jacobian(self, baseline):
         eq = pest_free(baseline)
@@ -240,6 +261,10 @@ class TestHopfScan:
         candidates = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
         assert len(candidates) == 1
         assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-8)
+
+    def test_the_transversality_slope_is_a_python_float(self, baseline):
+        (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
+        assert type(cand.transversality_slope) is float
 
     def test_regula_falsi_cuts_the_solves_and_keeps_the_crossing(self, baseline, monkeypatch):
         # the reference roots the complex pair's real part as above, but at
@@ -301,18 +326,23 @@ ALPHA_STAR = 0.52  # between the samples 0.5 and 0.6 of the synthetic scans
 
 class TestHopfScanRejections:
     """Each check that turns a sign change of Psi away, driven by a stand-in
-    for the coexistence point: at each alpha its characteristic polynomial
-    has the roots ``pair(alpha)`` and ``others``.  By Orlando's formula Psi
-    is a multiple of the product of all pairwise root sums, so it changes
-    sign where the two roots of ``pair`` sum through zero."""
+    for the coexistence point: at each alpha its Jacobian is block diagonal
+    with the eigenvalues ``pair(alpha)`` and ``others``.  By Orlando's
+    formula Psi is a multiple of the product of all pairwise root sums, so
+    it changes sign where the two roots of ``pair`` sum through zero."""
 
     @staticmethod
     def scan(monkeypatch, pair, others=(-1.0, -2.0), exists=lambda alpha: True):
         def star_char_at(params, alpha, near):
             if not exists(alpha):
                 return None
-            c = np.real(np.poly([*pair(alpha), *others]))
-            return SimpleNamespace(point=SimpleNamespace(A=alpha)), CharPoly4(*c[1:].tolist())
+            z1, z2 = pair(alpha)
+            if np.imag(z1):  # a rotation block for a complex pair
+                re, im = np.real(z1), np.imag(z1)
+                block = [[re, im], [-im, re]]
+            else:
+                block = np.diag([z1, z2])
+            return SimpleNamespace(point=SimpleNamespace(A=alpha)), block_diag(block, np.diag(others))
 
         monkeypatch.setattr(stability, "_star_char_at", star_char_at)
         return hopf_scan(ModelParams(), (0.3, 0.7), n_samples=5)
