@@ -17,7 +17,7 @@ in the paper do not withstand a residual check, so they are not used.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -111,7 +111,17 @@ def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
     return _make(EquilibriumKind.SUSCEPTIBLE_FREE, params, (X, 0.0, I, A))
 
 
-def _reduction(params: ModelParams):
+def _times_linear(f, g) -> list:
+    """Coefficients (highest first) of f g for f = (f1, f0) of degree one.
+
+    Each is a sum of at most two products, as np.convolve forms them, of
+    floats or of arrays alike.
+    """
+    f1, f0 = f
+    return [f1 * g[0], *(f1 * g[k] + f0 * g[k - 1] for k in range(1, len(g))), f0 * g[-1]]
+
+
+def _reduction(params: ModelParams, alpha):
     """Coefficients (highest first) of the coexistence quartic and its pieces.
 
     The susceptible-pest balance pins crop uptake,
@@ -120,28 +130,30 @@ def _reduction(params: ModelParams):
     balance gives S + I = (eta A - gamma)/sigma and the crop balance
     S + phi I = r (K-X)(c+X)/(alpha K), so den^2 S* and den^2 I* are
     polynomials, and the infected-pest balance h(A) times (a+A) den^2 is
-    the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I* as float
-    lists; np.convolve keeps a zero slope of den (alpha m1 = lam + d).
-    Only sigma divides (the crop balance's 1/alpha cancels); at alpha = 0,
+    the quartic P(A).  Returns P, N, den, den^2 S* and den^2 I* as lists
+    of coefficients, at the attack rate ``alpha``: a float, or an array
+    of rates, which makes every coefficient but N's an array over them.
+    Every product has a factor of degree one (``_times_linear``), and a
+    zero slope of den (alpha m1 = lam + d) stays in place.  Only sigma
+    divides (the crop balance's 1/alpha cancels); at alpha = 0,
     den = -N < 0 for A > 0, so ``coexistence`` keeps no root.
     """
     p = params
     if p.sigma == 0.0:
         raise DegenerateParameterError("the coexistence reduction needs sigma > 0")
-    r, K, alpha, phi, c, a = p.r, p.K, p.alpha, p.phi, p.c, p.a
+    r, K, phi, c, a = p.r, p.K, p.phi, p.c, p.a
     lam, d, delta, m1, m2 = p.lam, p.d, p.delta, p.m1, p.m2
-    a_plus = np.array([1.0, a])
-    N = np.array([lam + d, d * a])
-    den = m1 * alpha * a_plus - N
-    total = np.convolve([p.eta / p.sigma, -p.gamma / p.sigma], np.convolve(den, den))
-    crop = np.convolve(r * c * m1 * a_plus, K * den - c * N) / K
-    I_den2 = np.polysub(total, crop) / (1.0 - phi)
-    S_den2 = total - I_den2
-    P = np.polyadd(
-        np.convolve(m2 * phi / m1 * N - (d + delta) * a_plus, I_den2),
-        np.convolve([lam, 0.0], S_den2),
-    )
-    return P.tolist(), N.tolist(), den.tolist(), S_den2.tolist(), I_den2.tolist()
+    N = [lam + d, d * a]
+    den = [m1 * alpha - N[0], m1 * alpha * a - N[1]]
+    total = _times_linear((p.eta / p.sigma, -p.gamma / p.sigma), _times_linear(den, den))
+    rcm1 = r * c * m1
+    crop = _times_linear((rcm1, rcm1 * a), [K * den[0] - c * N[0], K * den[1] - c * N[1]])
+    I_den2 = [(t - v / K) / (1.0 - phi) for t, v in zip(total, [0.0, *crop])]
+    S_den2 = [t - v for t, v in zip(total, I_den2)]
+    scale = m2 * phi / m1
+    w = (scale * N[0] - (d + delta), scale * N[1] - (d + delta) * a)
+    P = [u + v for u, v in zip(_times_linear(w, I_den2), _times_linear((lam, 0.0), S_den2))]
+    return P, N, den, S_den2, I_den2
 
 
 def _horner(coeffs: list[float], x: float) -> float:  # np.polyval's order, so its floats
@@ -151,21 +163,47 @@ def _horner(coeffs: list[float], x: float) -> float:  # np.polyval's order, so i
     return y
 
 
-def coexistence(params: ModelParams) -> list[Equilibrium]:
-    """All admissible coexistence equilibria, sorted by awareness level.
+def _roots(P: np.ndarray) -> list[np.ndarray]:
+    """numpy.roots of each row of P, an (n, 5) array.
 
-    The awareness levels are the real roots of the quartic P(A) (see
-    _reduction), taken with numpy.roots, polished by one Newton step on P
-    and kept in (0, A_max], with A_max the containment bound started at
-    the carrying capacity, which bounds every steady state (X* <= K).
-    Only roots with a positive X* denominator and all components >= 0
-    qualify.  Returns an empty list when no admissible root exists.
+    Rows with both end coefficients nonzero share one eigvals call over
+    their companion matrices, built as numpy.roots builds them, so each
+    keeps numpy.roots' floats; numpy.roots itself takes the others, whose
+    zero ends it strips.
     """
-    P, N, den, S_den2, I_den2 = _reduction(params)
+    full = (P[:, 0] != 0.0) & (P[:, 4] != 0.0)
+    lead = P[full]
+    companion = np.empty((len(lead), 4, 4))
+    companion[:, 0] = -lead[:, 1:] / lead[:, :1]
+    companion[:, 1:] = np.eye(3, 4)
+    eigs = iter(np.linalg.eigvals(companion))
+    return [next(eigs) if f else np.roots(row) for f, row in zip(full.tolist(), P)]
+
+
+def _coexistence_at(params: ModelParams, alpha) -> list[list[Equilibrium]]:
+    """``coexistence`` at each attack rate of ``alpha``, a float or a 1-D
+    array, the other rates from ``params``: one list of points per rate.
+
+    The reduction runs once over all rates and the quartics' roots come
+    from one ``_roots`` call; each rate's roots are then polished, filtered
+    and back-substituted on their own.
+    """
+    P, N, den, S_den2, I_den2 = _reduction(params, alpha)
     a_cap = attracting_region(params, params.K).A_max
+    table = np.array([*P, *den, *S_den2, *I_den2]).reshape(15, -1).T
+    return [
+        _points(params, rate, (row[:5], N, row[5:7], row[7:11], row[11:]), zs, a_cap)
+        for rate, row, zs in zip(np.atleast_1d(alpha).tolist(), table.tolist(), _roots(table[:, :5]))
+    ]
+
+
+def _points(params: ModelParams, alpha: float, reduction, zs, a_cap: float) -> list[Equilibrium]:
+    """The coexistence points at one attack rate from the roots ``zs`` of
+    its P, ``reduction`` being its ``_reduction`` as float lists."""
+    P, N, den, S_den2, I_den2 = reduction
     dP = [c * (4 - i) for i, c in enumerate(P[:4])]  # np.polyder's products
     roots: list[float] = []
-    for z in np.roots(P):
+    for z in zs:
         if abs(z.imag) > 1e-9 * max(1.0, abs(z)):
             continue
         A = float(z.real)
@@ -190,8 +228,24 @@ def coexistence(params: ModelParams) -> list[Equilibrium]:
         I = _horner(I_den2, A) / dn2
         if min(X, S, I) < -POSITIVITY_TOL:
             continue
+        if params.alpha != alpha:  # the residual is taken at this rate
+            params = replace(params, alpha=alpha)
         out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))
     return out
+
+
+def coexistence(params: ModelParams) -> list[Equilibrium]:
+    """All admissible coexistence equilibria, sorted by awareness level.
+
+    The awareness levels are the real roots of the quartic P(A) (see
+    _reduction), taken as numpy.roots takes them (see _roots), polished by
+    one Newton step on P and kept in (0, A_max], with A_max the containment
+    bound started at the carrying capacity, which bounds every steady state
+    (X* <= K).  Only roots with a positive X* denominator and all
+    components >= 0 qualify.  Returns an empty list when no admissible root
+    exists.  This is the one-rate case of ``_coexistence_at``.
+    """
+    return _coexistence_at(params, params.alpha)[0]
 
 
 def all_equilibria(params: ModelParams) -> list[Union[Equilibrium, Nonexistent]]:

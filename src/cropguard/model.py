@@ -311,18 +311,21 @@ def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
     X, S, I, A = s
     _require_finite(X, S, I, A)
     J = np.zeros((4, 4))
-    for (i, j), value in _jacobian_entries(params, X, S, I, A, 1.0):
+    for (i, j), value in _jacobian_entries(vars(params), X, S, I, A, 1.0):
         J[i, j] = value
     return J
 
 
-def _jacobian_entries(params: ModelParams, X, S, I, A, u1) -> list:
+def _jacobian_entries(values, X, S, I, A, u1) -> list:
     """Nonzero entries ((row, column), value) of the controlled field's Jacobian.
 
-    Arguments are floats or arrays of one shape.  At u1 = 1 these are
-    the uncontrolled Jacobian's entries exactly (1.0 * x == x).
+    ``values`` maps each parameter name to its value, as ``vars(params)``
+    does.  Arguments and values are floats or arrays of one shape, so a
+    parameter may vary with the state.  At u1 = 1 these are the
+    uncontrolled Jacobian's entries exactly (1.0 * x == x).
     """
-    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = _unpack(params)
+    r, K, alpha, phi, c, a, lam, d, delta, m1, m2, gamma, sigma, eta = (
+        values[name] for name in _PARAM_FIELDS)
     cx = c + X
     crop = alpha * X / cx
     crop_dX = alpha * c / (cx * cx)
@@ -350,7 +353,7 @@ def costate_matrix(params: ModelParams, w: ObjectiveWeights, X, S, I, A, u1) -> 
     Arguments are floats or arrays of one shape; G has shape (..., 5, 5).
     """
     G = np.zeros((5, 5) + np.shape(X))  # entry-major: each entry is filled contiguously
-    for (i, j), value in _jacobian_entries(params, X, S, I, A, u1):
+    for (i, j), value in _jacobian_entries(vars(params), X, S, I, A, u1):
         G[j, i] = -value
     G[1, 4] = -2.0 * w.A1 * S
     G[3, 4] = 2.0 * w.A2 * A

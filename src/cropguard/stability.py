@@ -6,11 +6,13 @@ conditions; the verdict comes from the eigenvalues of the Jacobian itself
 (``numpy.linalg.eigvals``).  The basic reproduction-style threshold
 R0 = alpha K / R separates stability of the pest-free state.
 
-The Hopf scan samples the attack rate alpha, recomputes the coexistence
+The Hopf scan samples the attack rate alpha and computes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
-at each sample, closes each sign change by regula falsi steps with a
-bisection safeguard, and confirms it with positivity side conditions plus a
-finite-difference transversality slope of the leading real part.
+at every sample in one batch: one coexistence solve over all rates, one
+stack of Jacobians and one stacked Faddeev-LeVerrier recursion.  It closes
+each sign change by regula falsi steps with a bisection safeguard, one
+coexistence solve a step, and confirms it with positivity side conditions
+plus a finite-difference transversality slope of the leading real part.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, coexistence
+from .equilibria import Equilibrium, EquilibriumKind, _coexistence_at, coexistence
 from .errors import CropguardError, DegenerateParameterError, DomainError
-from .model import ModelParams, check_count, jacobian
+from .model import ModelParams, _jacobian_entries, check_count, jacobian
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +90,22 @@ class HopfCandidate:
     side_conditions: tuple[float, float, float, float]
 
 
+def _char_coeffs(J: np.ndarray) -> list[np.ndarray]:
+    """[C1, C2, C3, C4] of each matrix of a (..., 4, 4) stack, each (...,).
+
+    The Faddeev-LeVerrier recursion: M1 = J, Ck = -tr(Mk)/k and
+    M(k+1) = J (Mk + Ck I).  Each trace is summed left to right, as
+    np.trace sums one matrix's.
+    """
+    eye = np.eye(4)
+    M, coeffs = J, []
+    for k in (1, 2, 3, 4):
+        if coeffs:
+            M = J @ (M + coeffs[-1][..., None, None] * eye)
+        coeffs.append(-np.add.accumulate(M.diagonal(0, -2, -1), axis=-1)[..., -1] / k)
+    return coeffs
+
+
 def char_poly(J: Sequence[Sequence[float]]) -> CharPoly4:
     """Characteristic polynomial of a 4x4 matrix (Faddeev-LeVerrier).
 
@@ -98,16 +116,7 @@ def char_poly(J: Sequence[Sequence[float]]) -> CharPoly4:
         raise DomainError(f"need a 4x4 matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError("matrix entries must be finite")
-    eye = np.eye(4)
-    M = A
-    c1 = -float(np.trace(M))
-    M = A @ (M + c1 * eye)
-    c2 = -float(np.trace(M)) / 2.0
-    M = A @ (M + c2 * eye)
-    c3 = -float(np.trace(M)) / 3.0
-    M = A @ (M + c3 * eye)
-    c4 = -float(np.trace(M)) / 4.0
-    return CharPoly4(c1, c2, c3, c4)
+    return CharPoly4(*map(float, _char_coeffs(A)))
 
 
 def routh_hurwitz(cp: CharPoly4) -> tuple[bool, tuple[float, float, float, float, float]]:
@@ -208,27 +217,75 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     )
 
 
-def _star_char_at(
-    params: ModelParams, alpha: float, near: float | None
-) -> tuple[Equilibrium, np.ndarray] | None:
-    """Coexistence point at an overridden attack rate, with its Jacobian.
-
-    With several admissible points, prefer the one whose awareness level
-    is nearest ``near`` (continuity along the scan); otherwise the
-    highest-awareness point.  None when no admissible point exists.
-    """
-    try:
-        shifted = params_with_alpha(params, alpha)
-        stars = coexistence(shifted)
-    except DomainError:
-        return None
+def _nearest(stars: list[Equilibrium], near: float | None) -> Equilibrium | None:
+    """The point whose awareness level is nearest ``near`` (continuity along
+    the scan), the highest-awareness point when ``near`` is None, or None
+    when there is no point."""
     if not stars:
         return None
     if near is None:
-        star = stars[-1]
-    else:
-        star = min(stars, key=lambda s: abs(s.point.A - near))
-    return star, jacobian(shifted, star.point)
+        return stars[-1]
+    return min(stars, key=lambda s: abs(s.point.A - near))
+
+
+def _star_char_at(
+    params: ModelParams, alpha: float, near: float | None
+) -> tuple[Equilibrium, np.ndarray] | None:
+    """Coexistence point at an overridden attack rate (see ``_nearest``),
+    with its Jacobian; None when no admissible point exists."""
+    try:
+        shifted = params_with_alpha(params, alpha)
+        star = _nearest(coexistence(shifted), near)
+    except DomainError:
+        return None
+    return None if star is None else (star, jacobian(shifted, star.point))
+
+
+def _star_chars(
+    params: ModelParams, alphas: np.ndarray
+) -> tuple[list[Equilibrium | None], np.ndarray]:
+    """``_star_char_at`` at each attack rate of ``alphas`` in one batch.
+
+    ``near`` is the awareness level of the last point found.  Returns the
+    points (None where there is none) and their Jacobians as one
+    (m, 4, 4) stack, m the number of points.
+    """
+    try:
+        rows = _coexistence_at(params, alphas)
+    except DomainError:
+        rows = [[]] * len(alphas)
+    stars, near = [], None
+    for points in rows:
+        star = _nearest(points, near)
+        if star is not None:
+            near = star.point.A
+        stars.append(star)
+    found = [star is not None for star in stars]
+    points = np.array([star.point for star in stars if star is not None], dtype=float)
+    X, S, I, A = points.reshape(-1, 4).T
+    values = {**vars(params), "alpha": alphas[found]}
+    J = np.zeros((len(X), 4, 4))
+    for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
+        J[:, i, j] = value
+    return stars, J
+
+
+_Sample = tuple[float, float, float, CharPoly4]  # (alpha, Psi, A, char-poly)
+
+
+def _scan_samples(params: ModelParams, alphas: np.ndarray) -> list[_Sample | None]:
+    """The ``_Sample`` of the coexistence point at each attack rate of
+    ``alphas`` (see ``_star_chars``), or None where there is none."""
+    stars, jacobians = _star_chars(params, alphas)
+    chars = iter(np.transpose(_char_coeffs(jacobians)).tolist())
+    samples: list[_Sample | None] = []
+    for alpha, star in zip(alphas.tolist(), stars):
+        if star is None:
+            samples.append(None)
+            continue
+        cp = CharPoly4(*next(chars))
+        samples.append((alpha, psi(cp), star.point.A, cp))
+    return samples
 
 
 def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:
@@ -245,7 +302,7 @@ def params_with_alpha(params: ModelParams, alpha: float) -> ModelParams:
 
 
 def _regula_falsi(params: ModelParams, x0: float, f0: float, x1: float, f1: float,
-                 near: float) -> tuple[float, float, float, CharPoly4] | None:
+                 near: float) -> _Sample | None:
     """Last (alpha, Psi, A, char-poly) of Anderson-Bjorck regula falsi on Psi over
     x0 < x1 (f0, f1 of opposite sign) down to the width floor, or None: an end kept
     twice running (x1 counts as the last step) has its Psi scaled by 1 - fm/f (or 1/2
@@ -285,33 +342,23 @@ def hopf_scan(
 ) -> list[HopfCandidate]:
     """Locate Hopf crossings of the coexistence point over an alpha range.
 
-    Samples Psi(alpha) on a uniform grid, skips (and logs) samples where
-    no coexistence point exists, and closes each sign change between two
-    samples with _regula_falsi; a sample with Psi exactly zero between
-    neighbours of opposite sign is itself the crossing.  A crossing becomes
-    a candidate when |Psi| there is below 1e-6 of the larger bracket-end
-    |Psi| (a jump between coexistence branches is not a crossing), its side
-    conditions (C2, C3, C4, C1C2-C3) are positive, and its central-difference
-    transversality slope of the leading complex pair exceeds 1e-8 in
-    magnitude.  Returns an empty list (with a logged diagnostic) when the
-    coexistence point exists nowhere in the range.
+    Samples Psi(alpha) on a uniform grid in one batch (``_scan_samples``),
+    skips (and logs) samples where no coexistence point exists, and closes
+    each sign change between two samples with _regula_falsi; a sample with
+    Psi exactly zero between neighbours of opposite sign is itself the
+    crossing.  A crossing becomes a candidate when |Psi| there is below 1e-6
+    of the larger bracket-end |Psi| (a jump between coexistence branches is
+    not a crossing), its side conditions (C2, C3, C4, C1C2-C3) are positive,
+    and its central-difference transversality slope of the leading complex
+    pair exceeds 1e-8 in magnitude.  Returns an empty list (with a logged
+    diagnostic) when the coexistence point exists nowhere in the range.
     """
     lo, hi = alpha_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise DomainError(f"alpha range must satisfy 0 < lo < hi, got {alpha_range}")
     n_samples = check_count(n_samples, "n_samples", least=2)
 
-    samples: list[tuple[float, float, float, CharPoly4] | None] = []
-    near: float | None = None
-    for alpha in np.linspace(lo, hi, n_samples):
-        at = _star_char_at(params, float(alpha), near)
-        if at is None:
-            samples.append(None)
-            continue
-        near = at[0].point.A
-        cp = char_poly(at[1])
-        samples.append((float(alpha), psi(cp), near, cp))
-
+    samples = _scan_samples(params, np.linspace(lo, hi, n_samples))
     valid = [s for s in samples if s is not None]
     if not valid:
         logger.warning(

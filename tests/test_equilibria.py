@@ -12,6 +12,7 @@ from cropguard.equilibria import (
     Equilibrium,
     EquilibriumKind,
     Nonexistent,
+    _coexistence_at,
     _make,
     all_equilibria,
     axial,
@@ -120,11 +121,12 @@ class TestCoexistence:
 
     def test_a_root_numpy_reports_twice_gives_one_point(self, baseline, monkeypatch):
         # numpy.roots splits a true double root by ~3e-8 (above the 1e-9
-        # cut) or makes it complex, so a doubled root list stands in for it
+        # cut) or makes it complex, so a doubled root list stands in for it;
+        # the roots are the companion matrix's eigenvalues
         p = params_with_alpha(baseline, 0.06)
         (want,) = coexistence(p)
-        roots = np.roots
-        monkeypatch.setattr(np, "roots", lambda coeffs: np.repeat(roots(coeffs), 2))
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.repeat(eigvals(a), 2, axis=-1))
         assert coexistence(p) == [want]
 
     def test_single_root_at_moderate_consumption(self, baseline):
@@ -209,6 +211,18 @@ class TestCoexistence:
         for got, want in zip(eq.point, ref.point):
             assert got == pytest.approx(want, rel=1e-10)
         assert eq.residual_norm < 1e-16
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_params(), st.lists(st.floats(0.005, 2.0), min_size=1, max_size=12))
+    def test_each_rate_of_a_batch_equals_the_polymul_transcription(self, p, alphas):
+        got = _coexistence_at(p, np.array(alphas))
+        for alpha, points in zip(alphas, got):
+            shifted = params_with_alpha(p, alpha)
+            if shifted.alpha * shifted.m1 == shifted.lam + shifted.d:
+                continue  # the transcription's polymul cannot take this rate
+            want = reference_coexistence(shifted)
+            assert [eq.point for eq in points] == [eq.point for eq in want]
+            assert [eq.residual_norm for eq in points] == [eq.residual_norm for eq in want]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(admissible_params())

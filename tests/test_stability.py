@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 from scipy.optimize import brentq, linear_sum_assignment
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_params
+from conftest import admissible_params, make_random_params
 from polymul_reduction import reference_coexistence
-from cropguard.equilibria import Nonexistent, all_equilibria, axial, coexistence, pest_free
+from cropguard.equilibria import (
+    Nonexistent, _coexistence_at, all_equilibria, axial, coexistence, pest_free)
 from cropguard.errors import CropguardError, DegenerateParameterError, DomainError
 from cropguard import stability
 from cropguard.model import ModelParams, jacobian
@@ -26,7 +29,7 @@ from cropguard.stability import (
     r0,
     routh_hurwitz,
 )
-from scan_oracle import scan_coexistence
+from test_equilibria import _fold_draw
 
 
 class TestCharPoly:
@@ -38,6 +41,22 @@ class TestCharPoly:
             ref = np.poly(J)  # leading 1, then c1..c4
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.allclose(got, ref[1:], atol=1e-10 * scale)
+
+    def test_equals_the_trace_transcription(self):
+        # the recursion on one matrix with np.trace and Python floats in
+        # between; the stacked recursion must give its floats
+        def transcription(J):
+            eye, M, coeffs = np.eye(4), J, []
+            for k in (1, 2, 3, 4):
+                if coeffs:
+                    M = J @ (M + coeffs[-1] * eye)
+                coeffs.append(-float(np.trace(M)) / k)
+            return coeffs
+
+        rng = np.random.default_rng(61)
+        for _ in range(500):
+            J = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-6, 6, (4, 4))
+            assert list(char_poly(J)) == transcription(J)
 
     def test_known_diagonal_matrix(self):
         # eigenvalues 1, 2, 3, 4
@@ -250,17 +269,19 @@ class TestHopfScan:
 
     def test_crossing_matches_an_eigenvalue_reference(self, baseline):
         # the reference roots the real part of the coexistence point's
-        # complex eigenvalue pair: points from the bracket-scan oracle,
-        # eigenvalues from numpy.linalg, the crossing from brentq
+        # complex eigenvalue pair: points from the polymul transcription
+        # (the bracket-scan oracle's bisection to |h| < 1e-12 would leave
+        # its crossing ~5e-12 off), eigenvalues from numpy.linalg, the
+        # crossing from brentq
         def pair_real(alpha):
             p = params_with_alpha(baseline, alpha)
-            eigs = np.linalg.eigvals(jacobian(p, scan_coexistence(p)[-1].point))
+            eigs = np.linalg.eigvals(jacobian(p, reference_coexistence(p)[-1].point))
             return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
 
         ref = brentq(pair_real, 0.8, 0.9, xtol=1e-14, rtol=1e-14)
         candidates = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
         assert len(candidates) == 1
-        assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-8)
+        assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-12)
 
     def test_the_transversality_slope_is_a_python_float(self, baseline):
         (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
@@ -285,7 +306,9 @@ class TestHopfScan:
 
         monkeypatch.setattr(stability, "_star_char_at", spy)
         (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
-        assert len(calls) <= 100  # 127 when the bracket was bisected
+        # the 81 samples are one batch: only the regula falsi steps and the
+        # transversality pair take a point one attack rate at a time
+        assert len(calls) <= 19
         assert cand.alpha_star == pytest.approx(ref, rel=1e-12)
 
     def test_no_crossing_in_the_weak_consumption_window(self, baseline):
@@ -324,6 +347,60 @@ class TestHopfScan:
 ALPHA_STAR = 0.52  # between the samples 0.5 and 0.6 of the synthetic scans
 
 
+def _samples_one_by_one(params, alphas):
+    """The scan's samples one attack rate at a time: _star_char_at with the
+    last point's awareness level as ``near``, then char_poly and psi."""
+    out, near = [], None
+    for alpha in alphas.tolist():
+        at = stability._star_char_at(params, alpha, near)
+        if at is None:
+            out.append(None)
+            continue
+        near = at[0].point.A
+        cp = char_poly(at[1])
+        out.append((alpha, psi(cp), near, cp))
+    return out
+
+
+class TestBatchedSamples:
+    """The batched samples (alpha, Psi, A, C1..C4) are == to the per-alpha
+    ones, and None exactly where those are."""
+
+    def test_the_default_scan(self, baseline):
+        alphas = np.linspace(0.3, 1.2, 81)
+        got = stability._scan_samples(baseline, alphas)
+        assert got == _samples_one_by_one(baseline, alphas)
+        assert None not in got
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_params(), st.floats(0.005, 1.5), st.floats(1e-3, 1.0),
+           st.integers(2, 30))
+    def test_random_parameters_over_alpha_grids(self, p, lo, width, n):
+        alphas = np.linspace(lo, lo + width, n)
+        assert stability._scan_samples(p, alphas) == _samples_one_by_one(p, alphas)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_the_fold_window_where_near_picks_among_three_points(self, step):
+        # upward the scan enters the window on the upper branch, downward
+        # on the lower one, which is not the highest-awareness point
+        p = _fold_draw()
+        alphas = np.linspace(0.4598, 0.4859, 40)[::step]
+        assert max(len(points) for points in _coexistence_at(p, alphas)) == 3
+        got = stability._scan_samples(p, alphas)
+        assert got == _samples_one_by_one(p, alphas)
+        assert None not in got
+
+    def test_a_grid_through_a_constant_denominator(self):
+        # at alpha = (lam + d)/m1 = 0.5 the quartic's leading coefficient is
+        # 0, so that row's roots come from numpy.roots, not the batch
+        p = ModelParams(lam=0.375, d=0.025)
+        alphas = np.sort(np.append(np.linspace(0.3, 0.7, 20), 0.5))
+        assert 0.5 * p.m1 == p.lam + p.d
+        got = stability._scan_samples(p, alphas)
+        assert got == _samples_one_by_one(p, alphas)
+        assert got[alphas.tolist().index(0.5)] is not None
+
+
 class TestHopfScanRejections:
     """Each check that turns a sign change of Psi away, driven by a stand-in
     for the coexistence point: at each alpha its Jacobian is block diagonal
@@ -344,7 +421,14 @@ class TestHopfScanRejections:
                 block = np.diag([z1, z2])
             return SimpleNamespace(point=SimpleNamespace(A=alpha)), block_diag(block, np.diag(others))
 
+        def star_chars(params, alphas):
+            # the batched samples: the same Jacobians, one attack rate at a time
+            ats = [star_char_at(params, alpha, None) for alpha in alphas.tolist()]
+            jacobians = np.array([at[1] for at in ats if at is not None]).reshape(-1, 4, 4)
+            return [None if at is None else at[0] for at in ats], jacobians
+
         monkeypatch.setattr(stability, "_star_char_at", star_char_at)
+        monkeypatch.setattr(stability, "_star_chars", star_chars)
         return hopf_scan(ModelParams(), (0.3, 0.7), n_samples=5)
 
     @staticmethod
