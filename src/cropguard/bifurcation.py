@@ -20,7 +20,7 @@ from .equilibria import coexistence, pest_free
 from .errors import BlowUpError, DomainError
 from .integrate import _NODE_BYTES, TimeGrid, rk4_model
 from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, State, check_state
-from .stability import Verdict, classify
+from .stability import Verdict, _reports
 
 _NAN_STATE = State(math.nan, math.nan, math.nan, math.nan)
 
@@ -82,12 +82,12 @@ class SweepRow:
 
 
 def _verdicts(params: ModelParams) -> tuple[Verdict | None, tuple[Verdict, ...]]:
-    pf = classify(params, pest_free(params)).verdict
     try:
         stars = coexistence(params)
     except DomainError:
-        return pf, ()
-    return pf, tuple(classify(params, eq).verdict for eq in stars)
+        stars = []
+    pf, *rest = _reports(params, [pest_free(params), *stars])
+    return pf.verdict, tuple(report.verdict for report in rest)
 
 
 def _row(params: ModelParams, spec: SweepSpec, value: float) -> SweepRow:

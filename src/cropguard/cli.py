@@ -37,7 +37,7 @@ from .model import (
     _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
 )
 from .optimal_control import StopReason, SweepOptions, solve
-from .stability import classify, r0
+from .stability import _reports, r0
 
 _WEIGHT_KEYS = tuple(f.name for f in fields(ObjectiveWeights))
 _STATE_KEYS = tuple(f"{c}0" for c in State._fields)
@@ -181,9 +181,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _classified(params: ModelParams):
-    """Each ``all_equilibria`` entry with its stability report (None if Nonexistent)."""
-    for eq in all_equilibria(params):
-        yield eq, None if isinstance(eq, Nonexistent) else classify(params, eq)
+    """Each ``all_equilibria`` entry with its ``_reports`` report (None if Nonexistent)."""
+    found = all_equilibria(params)
+    reports = iter(_reports(params, [eq for eq in found if not isinstance(eq, Nonexistent)]))
+    return [(eq, None if isinstance(eq, Nonexistent) else next(reports)) for eq in found]
 
 
 def _equilibria_rows(cfg: RunConfig):

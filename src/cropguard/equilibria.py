@@ -17,19 +17,16 @@ in the paper do not withstand a residual check, so they are not used.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError
-from .model import (
-    POSITIVITY_TOL,
-    ModelParams,
-    State,
-    attracting_region,
-    rhs_uncontrolled,
-)
+from .errors import DegenerateParameterError, DomainError, NonFiniteError
+from .model import (POSITIVITY_TOL, ModelParams, State, _bind_field, _require_finite,
+                    attracting_region, model_field)
+
+_SHIFT = np.eye(3, 4)  # the rows below the first of each companion matrix
 
 
 class EquilibriumKind(enum.Enum):
@@ -60,7 +57,7 @@ class Nonexistent:
     reason: str
 
 
-def _make(kind: EquilibriumKind, params: ModelParams, point: Sequence[float]) -> Equilibrium:
+def _make(kind: EquilibriumKind, field: Callable, point: Sequence[float]) -> Equilibrium:
     # Tiny negative components are floating-point dust from the closed
     # forms; anything larger means the caller's admissibility check failed.
     clean = []
@@ -71,20 +68,21 @@ def _make(kind: EquilibriumKind, params: ModelParams, point: Sequence[float]) ->
             v = 0.0
         clean.append(v)
     s = State(*clean)
-    residual = max(abs(v) for v in rhs_uncontrolled(params, s))
+    _require_finite(*s)
+    residual = max(abs(v) for v in field(*s, 1.0, 1.0))
     return Equilibrium(kind, s, residual)
 
 
 def axial(params: ModelParams) -> Equilibrium:
     """Bare-ground steady state (0, 0, 0, gamma/eta)."""
-    return _make(EquilibriumKind.AXIAL, params, (0.0, 0.0, 0.0, params.gamma / params.eta))
+    return _make(EquilibriumKind.AXIAL, model_field(params),
+                 (0.0, 0.0, 0.0, params.gamma / params.eta))
 
 
 def pest_free(params: ModelParams) -> Equilibrium:
     """Pest-free steady state (K, 0, 0, gamma/eta)."""
-    return _make(
-        EquilibriumKind.PEST_FREE, params, (params.K, 0.0, 0.0, params.gamma / params.eta)
-    )
+    return _make(EquilibriumKind.PEST_FREE, model_field(params),
+                 (params.K, 0.0, 0.0, params.gamma / params.eta))
 
 
 def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
@@ -108,7 +106,7 @@ def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
     X = p.c * death / (consumption - death)
     I = p.r * (p.c + X) * (p.K - X) / (p.phi * p.alpha * p.K)
     A = (p.gamma + p.sigma * I) / p.eta
-    return _make(EquilibriumKind.SUSCEPTIBLE_FREE, params, (X, 0.0, I, A))
+    return _make(EquilibriumKind.SUSCEPTIBLE_FREE, model_field(params), (X, 0.0, I, A))
 
 
 def _times_linear(f, g) -> list:
@@ -163,43 +161,49 @@ def _horner(coeffs: list[float], x: float) -> float:  # np.polyval's order, so i
     return y
 
 
-def _roots(P: np.ndarray) -> list[np.ndarray]:
-    """numpy.roots of each row of P, an (n, 5) array.
+def _roots(P: np.ndarray) -> list[np.ndarray | None]:
+    """numpy.roots of each row of P, an (n, 5) array; None for a non-finite row.
 
     Rows with both end coefficients nonzero share one eigvals call over
     their companion matrices, built as numpy.roots builds them, so each
     keeps numpy.roots' floats; numpy.roots itself takes the others, whose
     zero ends it strips.
     """
-    full = (P[:, 0] != 0.0) & (P[:, 4] != 0.0)
+    finite = np.isfinite(P).all(axis=1)
+    full = finite & (P[:, 0] != 0.0) & (P[:, 4] != 0.0)
     lead = P[full]
     companion = np.empty((len(lead), 4, 4))
     companion[:, 0] = -lead[:, 1:] / lead[:, :1]
-    companion[:, 1:] = np.eye(3, 4)
+    companion[:, 1:] = _SHIFT
     eigs = iter(np.linalg.eigvals(companion))
-    return [next(eigs) if f else np.roots(row) for f, row in zip(full.tolist(), P)]
+    return [next(eigs) if f else np.roots(row) if ok else None
+            for f, ok, row in zip(full.tolist(), finite.tolist(), P)]
 
 
-def _coexistence_at(params: ModelParams, alpha) -> list[list[Equilibrium]]:
+def _coexistence_at(params: ModelParams, alpha) -> list[list[Equilibrium] | None]:
     """``coexistence`` at each attack rate of ``alpha``, a float or a 1-D
-    array, the other rates from ``params``: one list of points per rate.
+    array, the other rates from ``params``: one list of points per rate
+    (None where the reduction overflows).
 
     The reduction runs once over all rates and the quartics' roots come
     from one ``_roots`` call; each rate's roots are then polished, filtered
-    and back-substituted on their own.
+    and back-substituted on their own, at ``vars(params)`` with the rate
+    put in for alpha, so no ModelParams is built per rate.
     """
     P, N, den, S_den2, I_den2 = _reduction(params, alpha)
     a_cap = attracting_region(params, params.K).A_max
     table = np.array([*P, *den, *S_den2, *I_den2]).reshape(15, -1).T
+    values = vars(params)
     return [
-        _points(params, rate, (row[:5], N, row[5:7], row[7:11], row[11:]), zs, a_cap)
+        None if zs is None else _points(
+            {**values, "alpha": rate}, (row[:5], N, row[5:7], row[7:11], row[11:]), zs, a_cap)
         for rate, row, zs in zip(np.atleast_1d(alpha).tolist(), table.tolist(), _roots(table[:, :5]))
     ]
 
 
-def _points(params: ModelParams, alpha: float, reduction, zs, a_cap: float) -> list[Equilibrium]:
-    """The coexistence points at one attack rate from the roots ``zs`` of
-    its P, ``reduction`` being its ``_reduction`` as float lists."""
+def _points(values: dict, reduction, zs, a_cap: float) -> list[Equilibrium]:
+    """The coexistence points, residuals from the field bound to ``values``, from
+    the roots ``zs`` of P, ``reduction`` being its ``_reduction`` as float lists."""
     P, N, den, S_den2, I_den2 = reduction
     dP = [c * (4 - i) for i, c in enumerate(P[:4])]  # np.polyder's products
     roots: list[float] = []
@@ -214,7 +218,7 @@ def _points(params: ModelParams, alpha: float, reduction, zs, a_cap: float) -> l
             roots.append(A)
 
     out: list[Equilibrium] = []
-    last_a = None
+    last_a, field = None, _bind_field(values)
     for A in sorted(roots):
         if last_a is not None and abs(A - last_a) <= 1e-9 * max(1.0, abs(A)):
             continue
@@ -223,14 +227,12 @@ def _points(params: ModelParams, alpha: float, reduction, zs, a_cap: float) -> l
         if dn <= 0.0:
             continue
         dn2 = dn * dn
-        X = params.c * _horner(N, A) / dn
+        X = values["c"] * _horner(N, A) / dn
         S = _horner(S_den2, A) / dn2
         I = _horner(I_den2, A) / dn2
         if min(X, S, I) < -POSITIVITY_TOL:
             continue
-        if params.alpha != alpha:  # the residual is taken at this rate
-            params = replace(params, alpha=alpha)
-        out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))
+        out.append(_make(EquilibriumKind.COEXISTENCE, field, (X, S, I, A)))
     return out
 
 
@@ -243,9 +245,13 @@ def coexistence(params: ModelParams) -> list[Equilibrium]:
     bound started at the carrying capacity, which bounds every steady state
     (X* <= K).  Only roots with a positive X* denominator and all
     components >= 0 qualify.  Returns an empty list when no admissible root
-    exists.  This is the one-rate case of ``_coexistence_at``.
+    exists.  This is the one-rate case of ``_coexistence_at``; a reduction
+    that overflows (from alpha ~ 1e155 at the defaults) raises NonFiniteError.
     """
-    return _coexistence_at(params, params.alpha)[0]
+    (points,) = _coexistence_at(params, params.alpha)
+    if points is None:
+        raise NonFiniteError(f"the coexistence reduction overflows at alpha = {params.alpha!r}")
+    return points
 
 
 def all_equilibria(params: ModelParams) -> list[Union[Equilibrium, Nonexistent]]:

@@ -295,7 +295,7 @@ def rk4_model(
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
-    out = _bind_kernel(params)(*_initial_state(y0), grid.t0, grid.h, controls)
+    out = _bind_kernel(vars(params))(*_initial_state(y0), grid.t0, grid.h, controls)
     return Trajectory(grid, _nodes(out), u)
 
 

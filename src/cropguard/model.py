@@ -45,7 +45,7 @@ import math
 import operator
 import textwrap
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,6 +154,7 @@ class ModelParams:
 
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+_param_values = operator.itemgetter(*_PARAM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,6 @@ class ObjectiveWeights:
             raise DomainError("control weights B1 and B2 must be > 0")
         if self.A1 < 0 or self.A2 < 0:
             raise DomainError("state weights A1 and A2 must be >= 0")
-
-
-def _unpack(p: ModelParams) -> tuple[float, ...]:
-    return tuple(getattr(p, name) for name in _PARAM_FIELDS)
 
 
 def _require_finite(*values: float) -> None:
@@ -244,10 +241,10 @@ loss_I = d + delta
 """
 
 
-def _bind_compiled(source: str, name: str, namespace: dict) -> Callable[[ModelParams], Callable]:
-    """Return ``bind(params)``: the function ``name`` that ``source``
-    defines, with the parameters it reads as ``_FIELD`` does bound to the
-    parameter set's values.  ``source`` is compiled on the first call,
+def _bind_compiled(source: str, name: str, namespace: dict) -> Callable[[Mapping], Callable]:
+    """Return ``bind(values)``: the function ``name`` that ``source`` defines,
+    with the parameters it reads as ``_FIELD`` does bound to ``values``, a
+    mapping such as ``vars(params)``.  ``source`` is compiled on the first call,
     once per process, with ``namespace`` as its globals.  The text that
     reaches ``compile`` is ``source`` and this module's constants;
     parameter values are arguments of the closure call, never formatted
@@ -262,8 +259,8 @@ def _bind_compiled(source: str, name: str, namespace: dict) -> Callable[[ModelPa
                      "exec"), scope)
         return scope["closure"]
 
-    def bind(params: ModelParams) -> Callable:
-        return compiled()(*_unpack(params))
+    def bind(values: Mapping) -> Callable:
+        return compiled()(*_param_values(values))
 
     return bind
 
@@ -283,7 +280,7 @@ def model_field(params: ModelParams) -> Callable[..., tuple]:
     ``_FIELD`` with the parameters captured in the closure; one closure
     is kept per recent parameter set.
     """
-    return _bind_field(params)
+    return _bind_field(vars(params))
 
 
 def rhs_uncontrolled(params: ModelParams, s: Sequence[float]) -> tuple:
@@ -310,8 +307,13 @@ def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
     """
     X, S, I, A = s
     _require_finite(X, S, I, A)
-    J = np.zeros((4, 4))
-    for (i, j), value in _jacobian_entries(vars(params), X, S, I, A, 1.0):
+    return _fill_jacobian(np.zeros((4, 4)), vars(params), X, S, I, A)
+
+
+def _fill_jacobian(J: np.ndarray, values: Mapping, X, S, I, A) -> np.ndarray:
+    """``J``, 4x4 for floats or (4, 4, m) for arrays of length m, with the
+    uncontrolled Jacobian at (X, S, I, A) from ``_jacobian_entries`` written in."""
+    for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
         J[i, j] = value
     return J
 

@@ -3,8 +3,10 @@
 Characteristic polynomials of the 4x4 Jacobian come from the
 Faddeev-LeVerrier trace recursion and give the Routh-Hurwitz sign
 conditions; the verdict comes from the eigenvalues of the Jacobian itself
-(``numpy.linalg.eigvals``).  The basic reproduction-style threshold
-R0 = alpha K / R separates stability of the pest-free state.
+(``numpy.linalg.eigvals``), for all of a parameter set's equilibria in one
+stacked pass, of which ``classify`` is the one-row case.  The basic
+reproduction-style threshold R0 = alpha K / R separates stability of the
+pest-free state.
 
 The Hopf scan samples the attack rate alpha and computes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
@@ -13,6 +15,7 @@ stack of Jacobians and one stacked Faddeev-LeVerrier recursion.  It closes
 each sign change by regula falsi steps with a bisection safeguard, one
 coexistence solve a step, and confirms it with positivity side conditions
 plus a finite-difference transversality slope of the leading real part.
+Solves and Jacobians take the parameter values with alpha set to the rate.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, _coexistence_at, coexistence
+from .equilibria import Equilibrium, EquilibriumKind, _coexistence_at
 from .errors import CropguardError, DegenerateParameterError, DomainError
-from .model import ModelParams, _jacobian_entries, check_count, jacobian
+from .model import ModelParams, _fill_jacobian, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +43,7 @@ EIG_TOL = 1e-9
 _PSI_REL_TOL = 1e-6
 _TRANSVERSALITY_EPS = 1e-4
 _TRANSVERSALITY_MIN_SLOPE = 1e-8
+_EYE = np.eye(4)
 
 
 class Verdict(enum.Enum):
@@ -93,16 +97,15 @@ class HopfCandidate:
 def _char_coeffs(J: np.ndarray) -> list[np.ndarray]:
     """[C1, C2, C3, C4] of each matrix of a (..., 4, 4) stack, each (...,).
 
-    The Faddeev-LeVerrier recursion: M1 = J, Ck = -tr(Mk)/k and
-    M(k+1) = J (Mk + Ck I).  Each trace is summed left to right, as
-    np.trace sums one matrix's.
+    The Faddeev-LeVerrier recursion: M1 = J, Ck = -tr(Mk)/k (the float
+    tr(Mk)/(-k)) and M(k+1) = J (Mk + Ck I).  Each trace is summed left to
+    right, as np.trace sums one matrix's.
     """
-    eye = np.eye(4)
     M, coeffs = J, []
     for k in (1, 2, 3, 4):
         if coeffs:
-            M = J @ (M + coeffs[-1][..., None, None] * eye)
-        coeffs.append(-np.add.accumulate(M.diagonal(0, -2, -1), axis=-1)[..., -1] / k)
+            M = J @ (M + coeffs[-1][..., None, None] * _EYE)
+        coeffs.append(np.add.accumulate(M.diagonal(0, -2, -1), axis=-1)[..., -1] / -k)
     return coeffs
 
 
@@ -180,41 +183,44 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Stability report for an equilibrium of the uncontrolled system.
 
     Eigenvalues come from ``numpy.linalg.eigvals`` of the Jacobian, after
-    ``char_poly`` has rejected a non-finite one.  For the axial and
-    pest-free points they are cross-checked against their
-    triangular-factorization closed forms; disagreement beyond rounding
-    raises.
+    a non-finite one has been rejected.  For the axial and pest-free
+    points they are cross-checked against their triangular-factorization
+    closed forms; disagreement beyond rounding raises.  This is the
+    one-row case of ``_reports``.
     """
-    J = jacobian(params, eq.point)
-    cp = char_poly(J)
-    rh_stable, margins = routh_hurwitz(cp)
-    roots = np.linalg.eigvals(J).astype(complex).tolist()
-    if eq.kind in (EquilibriumKind.AXIAL, EquilibriumKind.PEST_FREE):
-        for ev in _closed_form_eigs(params, eq.kind):
-            nearest = min(abs(z - ev) for z in roots)
-            if nearest > 1e-6 * max(1.0, abs(ev)):
-                raise CropguardError(
-                    f"eigenvalue cross-check failed at {eq.kind.value}: "
-                    f"closed form {ev:.12g} vs eigenvalues {roots}"
-                )
-    max_re = max(z.real for z in roots)
-    pure_imag = any(abs(z.real) <= EIG_TOL and abs(z.imag) > EIG_TOL for z in roots)
-    if max_re < -EIG_TOL:
-        verdict = Verdict.STABLE
-    elif abs(max_re) <= EIG_TOL:
-        verdict = Verdict.MARGINAL
-    else:
-        verdict = Verdict.UNSTABLE
-    return StabilityReport(
-        equilibrium=eq,
-        verdict=verdict,
-        max_real_part=max_re,
-        pure_imaginary=pure_imag,
-        rh_stable=rh_stable,
-        rh_margins=margins,
-        char=cp,
-        eigenvalues=tuple(roots),
-    )
+    return _reports(params, [eq])[0]
+
+
+def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityReport]:
+    """``classify`` of each of ``eqs`` at ``params``: one (n, 4, 4) Jacobian stack, built point
+    by point from floats, one ``_char_coeffs`` and one ``eigvals`` call, then each report."""
+    values, J = vars(params), np.zeros((len(eqs), 4, 4))
+    for Jk, eq in zip(J, eqs):
+        _fill_jacobian(Jk, values, *eq.point)
+    if not np.isfinite(J).all():
+        raise DomainError("matrix entries must be finite")
+    J = J[0] if len(J) == 1 else J  # numpy costs less on one matrix than on a stack of one
+    chars = np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()
+    eigs = np.linalg.eigvals(J).reshape(-1, 4).astype(complex).tolist()
+    reports = []
+    for eq, char, roots in zip(eqs, chars, eigs):
+        cp = CharPoly4(*char)
+        rh_stable, margins = routh_hurwitz(cp)
+        if eq.kind in (EquilibriumKind.AXIAL, EquilibriumKind.PEST_FREE):
+            for ev in _closed_form_eigs(params, eq.kind):
+                nearest = min(abs(z - ev) for z in roots)
+                if nearest > 1e-6 * max(1.0, abs(ev)):
+                    raise CropguardError(
+                        f"eigenvalue cross-check failed at {eq.kind.value}: "
+                        f"closed form {ev:.12g} vs eigenvalues {roots}"
+                    )
+        max_re = max(z.real for z in roots)
+        pure_imag = any(abs(z.real) <= EIG_TOL and abs(z.imag) > EIG_TOL for z in roots)
+        verdict = (Verdict.STABLE if max_re < -EIG_TOL else
+                   Verdict.MARGINAL if abs(max_re) <= EIG_TOL else Verdict.UNSTABLE)
+        reports.append(StabilityReport(
+            eq, verdict, max_re, pure_imag, rh_stable, margins, cp, tuple(roots)))
+    return reports
 
 
 def _nearest(stars: list[Equilibrium], near: float | None) -> Equilibrium | None:
@@ -234,11 +240,11 @@ def _star_char_at(
     """Coexistence point at an overridden attack rate (see ``_nearest``),
     with its Jacobian; None when no admissible point exists."""
     try:
-        shifted = params_with_alpha(params, alpha)
-        star = _nearest(coexistence(shifted), near)
+        (points,) = _coexistence_at(params, alpha)
     except DomainError:
         return None
-    return None if star is None else (star, jacobian(shifted, star.point))
+    star, values = _nearest(points, near), {**vars(params), "alpha": alpha}
+    return None if star is None else (star, _fill_jacobian(np.zeros((4, 4)), values, *star.point))
 
 
 def _star_chars(
@@ -248,10 +254,12 @@ def _star_chars(
 
     ``near`` is the awareness level of the last point found.  Returns the
     points (None where there is none) and their Jacobians as one
-    (m, 4, 4) stack, m the number of points.
+    (m, 4, 4) stack, m the number of points.  A rate whose reduction
+    overflows has no point.
     """
     try:
-        rows = _coexistence_at(params, alphas)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing rate's row is None
+            rows = _coexistence_at(params, alphas)
     except DomainError:
         rows = [[]] * len(alphas)
     stars, near = [], None
@@ -264,10 +272,8 @@ def _star_chars(
     points = np.array([star.point for star in stars if star is not None], dtype=float)
     X, S, I, A = points.reshape(-1, 4).T
     values = {**vars(params), "alpha": alphas[found]}
-    J = np.zeros((len(X), 4, 4))
-    for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
-        J[:, i, j] = value
-    return stars, J
+    J = _fill_jacobian(np.zeros((4, 4, len(X))), values, X, S, I, A)
+    return stars, np.ascontiguousarray(J.transpose(2, 0, 1))
 
 
 _Sample = tuple[float, float, float, CharPoly4]  # (alpha, Psi, A, char-poly)

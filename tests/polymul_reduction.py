@@ -14,7 +14,7 @@ import numpy as np
 
 from cropguard.equilibria import Equilibrium, EquilibriumKind, _make
 from cropguard.errors import DegenerateParameterError
-from cropguard.model import POSITIVITY_TOL, ModelParams, attracting_region
+from cropguard.model import POSITIVITY_TOL, ModelParams, attracting_region, model_field
 
 
 def reduction(params: ModelParams):
@@ -71,5 +71,5 @@ def reference_coexistence(params: ModelParams) -> list[Equilibrium]:
         I = float(np.polyval(I_den2, A)) / dn2
         if min(X, S, I) < -POSITIVITY_TOL:
             continue
-        out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))
+        out.append(_make(EquilibriumKind.COEXISTENCE, model_field(params), (X, S, I, A)))
     return out

@@ -16,7 +16,7 @@ from typing import Callable
 
 from cropguard.equilibria import Equilibrium, EquilibriumKind, _make
 from cropguard.errors import DegenerateParameterError, DomainError
-from cropguard.model import POSITIVITY_TOL, ModelParams, attracting_region
+from cropguard.model import POSITIVITY_TOL, ModelParams, attracting_region, model_field
 
 # Bisection targets for the coexistence residual h(A).
 _ROOT_RESIDUAL_TOL = 1e-12
@@ -145,5 +145,5 @@ def scan_coexistence(
         X, S, I = point_at(A)
         if min(X, S, I) < -POSITIVITY_TOL or den(A) <= 0.0:
             continue
-        out.append(_make(EquilibriumKind.COEXISTENCE, params, (X, S, I, A)))
+        out.append(_make(EquilibriumKind.COEXISTENCE, model_field(params), (X, S, I, A)))
     return out

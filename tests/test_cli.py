@@ -296,6 +296,50 @@ class TestStability:
         assert all(float(pf[i]) > 0.0 for i in range(9, 15))
 
 
+class TestOneStackedPass:
+    def test_stability_makes_two_eigvals_calls(self, monkeypatch, capsys):
+        # one for the coexistence quartic, one for the three points' Jacobians
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert run_cli("stability", "--alpha", "0.9", "--out", "-") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert shapes == [(1, 4, 4), (3, 4, 4)]
+
+
+class TestOverflowingAttackRate:
+    """From alpha ~ 1e155 at the defaults the coexistence reduction
+    overflows: equilibria and stability exit 2 with one line, and a sweep
+    row there is a failed row without coexistence verdicts."""
+
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_exits_2_with_one_line(self, command, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(command, "--alpha", "1e200", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the coexistence reduction overflows at alpha = 1e+200\n")
+        assert not out.exists()
+
+    def test_a_sweep_row_there_fails_without_a_traceback(self):
+        # in a subprocess: the pest-free point's char-poly overflows there
+        # too, and this suite turns its RuntimeWarnings into errors
+        env = dict(os.environ, PYTHONPATH=str(Path(cropguard.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cropguard.cli", "bifurcate", "--parameter", "alpha",
+             "--from", "1e200", "--to", "1e200", "--steps", "1", "--out", "-"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        (row,) = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+        assert row[0] == "1e+200" and row[9] == "true" and row[11] == ""
+
+
 class TestAlphaAtTheEdgesOfExistence:
     """At alpha = 0 no pest-carrying point exists; at the susceptible-free
     threshold (d+delta)/(m2 phi) that point does not, but a stable

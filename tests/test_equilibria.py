@@ -21,7 +21,7 @@ from cropguard.equilibria import (
     susceptible_free,
 )
 from cropguard.errors import DomainError
-from cropguard.model import ModelParams, rhs_uncontrolled
+from cropguard.model import ModelParams, model_field, rhs_uncontrolled
 from cropguard.stability import Verdict, classify, params_with_alpha
 from polymul_reduction import reduction, reference_coexistence
 from published_quartic import quartic_coefficients, quartic_residuals
@@ -60,9 +60,9 @@ class TestBoundaryFamilies:
         point = (baseline.K, 0.0, component, 0.2)
         if cleaned is None:
             with pytest.raises(DomainError, match="equilibrium has negative component"):
-                _make(EquilibriumKind.PEST_FREE, baseline, point)
+                _make(EquilibriumKind.PEST_FREE, model_field(baseline), point)
         else:
-            assert _make(EquilibriumKind.PEST_FREE, baseline, point).point.I == cleaned
+            assert _make(EquilibriumKind.PEST_FREE, model_field(baseline), point).point.I == cleaned
 
 
 class TestSusceptibleFree:
@@ -231,6 +231,29 @@ class TestCoexistence:
         want = reference_coexistence(p)
         assert [eq.point for eq in got] == [eq.point for eq in want]
         assert [eq.residual_norm for eq in got] == [eq.residual_norm for eq in want]
+
+
+class TestResidualAtTheRate:
+    """Each batched point's residual is the one ``rhs_uncontrolled`` gives at
+    a ModelParams with that attack rate, bit for bit."""
+
+    @staticmethod
+    def check(p, alphas):
+        rows = _coexistence_at(p, alphas)
+        assert sum(map(len, rows)) >= len(alphas) - 2
+        for alpha, points in zip(alphas.tolist(), rows):
+            for eq in points:
+                assert eq.residual_norm == _residual(replace(p, alpha=alpha), eq.point)
+
+    def test_the_default_scan_grid(self, baseline):
+        self.check(baseline, np.linspace(0.3, 1.2, 81))
+
+    def test_the_fold_window(self):
+        self.check(_fold_draw(), np.linspace(0.4598, 0.4859, 40))
+
+    def test_a_grid_through_a_constant_denominator(self):
+        p = ModelParams(lam=0.375, d=0.025)
+        self.check(p, np.sort(np.append(np.linspace(0.3, 0.7, 20), 0.5)))
 
 
 def _fold_draw() -> ModelParams:

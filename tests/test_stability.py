@@ -14,12 +14,13 @@ from conftest import admissible_params, make_random_params
 from polymul_reduction import reference_coexistence
 from cropguard.equilibria import (
     Nonexistent, _coexistence_at, all_equilibria, axial, coexistence, pest_free)
-from cropguard.errors import CropguardError, DegenerateParameterError, DomainError
+from cropguard.errors import CropguardError, DegenerateParameterError, DomainError, NonFiniteError
 from cropguard import stability
 from cropguard.model import ModelParams, jacobian
 from cropguard.stability import (
     EIG_TOL,
     CharPoly4,
+    StabilityReport,
     Verdict,
     char_poly,
     classify,
@@ -256,6 +257,84 @@ class TestClassify:
         assert rep.char == pytest.approx(tuple(direct), rel=1e-12)
 
 
+def _report_one_by_one(params, eq):
+    """The per-matrix recipe: ``jacobian``, ``char_poly``, ``routh_hurwitz``
+    and ``eigvals`` of one Jacobian, the verdict set by EIG_TOL."""
+    J = jacobian(params, eq.point)
+    cp = char_poly(J)
+    rh_stable, margins = routh_hurwitz(cp)
+    roots = np.linalg.eigvals(J).astype(complex).tolist()
+    max_re = max(z.real for z in roots)
+    if max_re < -EIG_TOL:
+        verdict = Verdict.STABLE
+    elif abs(max_re) <= EIG_TOL:
+        verdict = Verdict.MARGINAL
+    else:
+        verdict = Verdict.UNSTABLE
+    pure_imag = any(abs(z.real) <= EIG_TOL and abs(z.imag) > EIG_TOL for z in roots)
+    return StabilityReport(eq, verdict, max_re, pure_imag, rh_stable, margins, cp, tuple(roots))
+
+
+# the unshifted alpha grid of the benchmark's analysis workload
+ANALYSIS_ALPHAS = [0.02 + i * (1.2 - 0.02) / 11 for i in range(12)]
+
+
+class TestStackedReports:
+    """The reports of one stacked pass over a parameter set's equilibria,
+    and ``classify`` of each, are == to the per-matrix recipe's."""
+
+    @staticmethod
+    def check(p):
+        eqs = [eq for eq in all_equilibria(p) if not isinstance(eq, Nonexistent)]
+        want = [_report_one_by_one(p, eq) for eq in eqs]
+        assert stability._reports(p, eqs) == want
+        assert [classify(p, eq) for eq in eqs] == want
+        return eqs
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_params())
+    def test_random_parameters(self, p):
+        self.check(p)
+
+    @pytest.mark.parametrize("alpha", ANALYSIS_ALPHAS)
+    def test_the_analysis_grid(self, baseline, alpha):
+        self.check(params_with_alpha(baseline, alpha))
+
+    def test_without_consumption_and_at_the_susceptible_free_threshold(self, baseline):
+        edge = (baseline.d + baseline.delta) / (baseline.m2 * baseline.phi)
+        assert edge == 0.6111111111111112
+        assert len(self.check(params_with_alpha(baseline, 0.0))) == 2
+        assert len(self.check(params_with_alpha(baseline, edge))) == 3
+
+    def test_a_non_finite_jacobian_raises_before_eigvals(self, baseline, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("eigvals called"))
+        eq = pest_free(baseline)
+        bad = replace(eq, point=eq.point._replace(S=float("inf")))
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            stability._reports(baseline, [eq, bad])
+
+
+class TestOverflowingReduction:
+    """From alpha ~ 1e155 at the defaults the coexistence reduction's
+    coefficients overflow: one rate raises a typed error naming it, and a
+    batch loses only the samples of the rates that overflow."""
+
+    def test_one_rate_raises_a_non_finite_error(self, baseline):
+        with pytest.raises(NonFiniteError, match=r"overflows at alpha = 1e\+160"):
+            coexistence(params_with_alpha(baseline, 1e160))
+        assert len(coexistence(params_with_alpha(baseline, 1e154))) == 1
+
+    def test_only_the_overflowing_rates_lose_their_samples(self, baseline):
+        alphas = np.array([0.5, 0.9, 1e200, 1e300])
+        got = stability._scan_samples(baseline, alphas)
+        assert got[:2] == stability._scan_samples(baseline, alphas[:2])
+        assert got[2:] == [None, None]
+        assert stability._star_char_at(baseline, 1e200, None) is None
+
+    def test_a_scan_over_overflowing_rates_finds_nothing(self, baseline):
+        assert hopf_scan(baseline, (1e299, 1e300), 3) == []
+
+
 class TestHopfScan:
     def test_crossing_found_at_strong_consumption(self, baseline):
         candidates = hopf_scan(baseline, (0.3, 2.0), n_samples=120)
@@ -310,6 +389,19 @@ class TestHopfScan:
         # transversality pair take a point one attack rate at a time
         assert len(calls) <= 19
         assert cand.alpha_star == pytest.approx(ref, rel=1e-12)
+
+    def test_the_default_scan_builds_no_model_params(self, baseline, monkeypatch):
+        built = []
+        post_init = ModelParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counted)
+        (cand,) = hopf_scan(baseline, (0.3, 1.2), 81)
+        assert cand.alpha_star == pytest.approx(0.830702042537439, abs=1e-12)
+        assert built == []
 
     def test_no_crossing_in_the_weak_consumption_window(self, baseline):
         # the interior point only exists above alpha ~ 0.043 and stays
