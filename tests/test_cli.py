@@ -295,9 +295,7 @@ class TestStability:
         assert ax[7] == "false" and pf[7] == "false"
         assert all(float(pf[i]) > 0.0 for i in range(9, 15))
 
-
-class TestOneStackedPass:
-    def test_stability_makes_two_eigvals_calls(self, monkeypatch, capsys):
+    def test_one_stacked_pass_makes_two_eigvals_calls(self, monkeypatch, capsys):
         # one for the coexistence quartic, one for the three points' Jacobians
         shapes = []
         eigvals = np.linalg.eigvals
