@@ -14,9 +14,14 @@ fails, takes the plain relaxed step u + theta (Phi(u) - u) instead and
 restarts the mixing history.  The loop stops when the
 applied control change is small relative to the control magnitude, and
 gives up early when the best residual stops improving.  The returned
-solution carries a stationarity residual: the hinged
-Hamiltonian-gradient magnitude, which vanishes at an exact interior
-optimum and is one-sided at the control bounds.
+controls are snapped, so that bound-clamped nodes sit at 0 or 1 rather
+than a relaxation-limited distance away: a converged sweep whose last Phi(u) also meets the stop rule snaps to
+the Anderson estimate at weight 1 from that pass, and one forward/backward
+pass refreshes the states and costates; any other stop, or a certificate
+above the tolerance there, snaps to Phi at the last updated iterate,
+which takes one pass more.  The returned solution carries a stationarity
+residual: the hinged Hamiltonian-gradient magnitude, which vanishes at
+an exact interior optimum and is one-sided at the control bounds.
 
 Every sweep starts from u = 0.5 on the free control channels.  On a
 fine grid it is nested (mesh refinement; Betts, Practical Methods for
@@ -120,6 +125,8 @@ class SweepSolution:
     (n+1, 4) arrays ``states.controls`` and ``states.costates``.
     ``controls`` and ``costates`` are read-only tuples of
     ``ControlValue`` / ``Costate`` rows over them, built on first access.
+    The controls are the snap ``solve`` describes, and the states and
+    costates are the forward and backward passes on them.
     ``residual_history[k]`` is |Phi(u) - u|_inf at the k-th iterate, and
     ``stop_reason`` says why the loop ended.  ``iterations_used`` is the
     length of ``change_history``, and ``converged`` is true exactly when
@@ -221,9 +228,18 @@ def solve(
     iterations; the sweep then stops with ``StopReason.STALLED``.  The
     objective of each iterate is recorded before its update, so
     objective_history[k] is the cost of the controls the k-th forward
-    pass used, and residual_history[k] its residual.  A final
-    forward/backward refresh keeps states and costates consistent with
-    the returned controls without extending the history.
+    pass used, and residual_history[k] its residual.
+
+    The returned controls are snapped without extending the history.
+    When the sweep converges and Phi(u_k) of the last pass also meets
+    the stop rule against u_k, the snap is the type-II Anderson estimate
+    at weight 1 from that pass's data (Phi(u_k) itself when the mixing
+    history is empty), and one forward/backward refresh gives its states
+    and costates.  If the stationarity residual there is above
+    ``tolerance``, or the sweep stalled, ran out of budget or converged
+    without that check, the snap is Phi at the last updated iterate,
+    followed by its own refresh: one pass more.  Either way the states
+    and costates are those of the returned controls.
 
     The sweep starts from u = 0.5 on the free channels.  A grid of at
     least ``_COARSEN * _MIN_COARSE_STEPS`` steps is first swept on a
@@ -257,8 +273,12 @@ def solve(
         """Iterate on ``grid`` from u for at most ``budget`` iterations.
         Returns the last updated iterate, on which no forward/backward
         pass has run yet, why the stage stopped, the last pass's
-        (run, costates) (None if the budget is 0), and the stage's
-        (objectives, changes, residuals) histories."""
+        (run, costates) (None if the budget is 0), the stage's
+        (objectives, changes, residuals) histories, and the controls to
+        snap to without another pass: on convergence, when Phi of the
+        last pass itself meets the stop rule, the type-II Anderson
+        estimate at weight 1 from that pass's data, or that Phi when
+        there is no mixing history; None otherwise."""
         history = objectives, changes, residuals = [], [], []
         last = None
         # the last _DEPTH iterate differences u_k - u_(k-1) and residual
@@ -268,7 +288,8 @@ def solve(
         for _ in range(budget):
             run, costates = last = forward_backward(grid, u)
             objectives.append(integrate_cost(run, w))
-            f = _candidates(run.states, costates, params, w, free) - u
+            phi = _candidates(run.states, costates, params, w, free)
+            f = phi - u
             residual = float(np.abs(f).max())
             if residuals and residual > residuals[-1]:
                 d_u.clear()  # a grown residual restarts the mixing
@@ -292,11 +313,15 @@ def solve(
                 u_new = plain
             changes.append(float(np.abs(u_new - u).max()))
             if _meets_stop_rule(u_new, u, tolerance):
-                return u_new, StopReason.CONVERGED, last, history
+                snap = None
+                if _meets_stop_rule(phi, u, tolerance):
+                    snap = _mixed(u, f, d_u, d_f, 1.0) if d_f else None
+                    snap = phi if snap is None else snap
+                return u_new, StopReason.CONVERGED, last, history, snap
             u = u_new
             if len(residuals) - 1 - int(np.argmin(residuals)) >= _STALL_WINDOW:
-                return u, StopReason.STALLED, last, history
-        return u, StopReason.BUDGET, last, history
+                return u, StopReason.STALLED, last, history, None
+        return u, StopReason.BUDGET, last, history, None
 
     u = np.full((grid.n_steps + 1, 2), 0.5) * free
     coarse_history = ((), (), ())  # kept only from a converged coarse stage
@@ -304,7 +329,7 @@ def solve(
         coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
         u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
         try:
-            _, coarse_stop, last, stage_history = sweep(
+            _, coarse_stop, last, stage_history, _ = sweep(
                 coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
         except BlowUpError:  # RK4 can be unstable at the longer coarse step
             coarse_stop = None
@@ -318,16 +343,28 @@ def solve(
                                     for c in np.hstack((run.states, costates)).T])
             u = _candidates(fine[:, :4], fine[:, 4:], params, w, free)
     coarse_iterations = len(coarse_history[1])
-    u, stop, _, fine_history = sweep(grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
+    u, stop, _, fine_history, snap = sweep(
+        grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
     objective_history, change_history, residual_history = (
         (*coarse, *fine) for coarse, fine in zip(coarse_history, fine_history))
 
-    # Snap to the exact pointwise minimizer so bound-clamped nodes sit at
-    # 0/1 rather than a relaxation-limited distance away, then refresh the
-    # state/costate pair for consistency with the returned controls.
-    run, costates = forward_backward(grid, u)
-    u = _candidates(run.states, costates, params, w, free)
-    run, costates = forward_backward(grid, u)
+    # A converged sweep returns the snap its last pass already gives, after
+    # one refresh pair, when the certificate there meets the tolerance.
+    # Otherwise snap to the exact pointwise minimizer at the returned
+    # iterate, so bound-clamped nodes sit at 0/1 rather than a
+    # relaxation-limited distance away, and refresh the state/costate pair
+    # for consistency with the returned controls.
+    certificate = math.inf
+    if snap is not None:
+        run, costates = forward_backward(grid, snap)
+        certificate = _hinged_gradient(snap, run.states, costates, params, w, free)
+    if certificate <= opts.tolerance:
+        u = snap
+    else:
+        run, costates = forward_backward(grid, u)
+        u = _candidates(run.states, costates, params, w, free)
+        run, costates = forward_backward(grid, u)
+        certificate = _hinged_gradient(u, run.states, costates, params, w, free)
     return SweepSolution(
         states=Trajectory(grid, run.states, u, costates),
         objective_history=objective_history,
@@ -335,6 +372,6 @@ def solve(
         coarse_iterations=coarse_iterations,
         stop_reason=stop,
         residual_history=residual_history,
-        stationarity_residual=_hinged_gradient(u, run.states, costates, params, w, free),
+        stationarity_residual=certificate,
         final_objective=integrate_cost(run, w),
     )

@@ -193,14 +193,20 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
 
 def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityReport]:
     """``classify`` of each of ``eqs`` at ``params``: one (n, 4, 4) Jacobian stack, built point
-    by point from floats, one ``_char_coeffs`` and one ``eigvals`` call, then each report."""
+    by point from floats, one ``_char_coeffs`` and one ``eigvals`` call, then each report.
+
+    At attack rates near the coexistence quartic's overflow (alpha ~ 1e100 and up), the
+    recursion's matrix products overflow, so the C1-C4 and H1/H2 margins read inf or nan;
+    numpy's warnings for that are silenced here.  The verdicts still come from ``eigvals``
+    of the finite Jacobians."""
     values, J = vars(params), np.zeros((len(eqs), 4, 4))
     for Jk, eq in zip(J, eqs):
         _fill_jacobian(Jk, values, *eq.point)
     if not np.isfinite(J).all():
         raise DomainError("matrix entries must be finite")
     J = J[0] if len(J) == 1 else J  # numpy costs less on one matrix than on a stack of one
-    chars = np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        chars = np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()
     eigs = np.linalg.eigvals(J).reshape(-1, 4).astype(complex).tolist()
     reports = []
     for eq, char, roots in zip(eqs, chars, eigs):

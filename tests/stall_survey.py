@@ -6,11 +6,14 @@ and ``(3)``: parameters and initial state from ``make_random_params`` /
 and B2 log-uniform in [0.03, 10].  Each is solved on tf = 20 with 2000
 steps and ``max_iterations=300``.  Prints how many converged, stalled,
 ran out of budget or blew up, the number of forward passes on the fine
-grid (the fine iterations plus the snap and refresh passes of each
-solve) and on the 10x coarser one (dropped coarse stages included),
-their sum in fine-pass equivalents (fine + coarse / 10), and the
+grid (the fine iterations plus the one to three passes each solve runs
+after them) and on the 10x coarser one (dropped coarse stages included),
+their sum in fine-pass equivalents (fine + coarse / 10), the largest and
+the median stationarity residual of the converged draws, and the
 (seed, index) pairs of the stalled draws.  Exits 1 when fewer than
-``MIN_CONVERGED`` problems converge or any blows up.
+``MIN_CONVERGED`` problems converge, any blows up, a converged draw's
+residual is above ``MAX_CERTIFICATE`` or the fine-grid passes exceed
+``MAX_FINE_PASSES``.
 
 Run from the repository root, not collected by pytest:
 
@@ -39,6 +42,9 @@ OPTIONS = SweepOptions(grid=TimeGrid(0.0, 20.0, 2000), max_iterations=300)
 # The sweep converges on 114 problems and stalls on 6, at (1,1) (1,2) (1,13)
 # (2,9) (2,14) (3,8).  Fewer converged, or any blow-up, fails the survey.
 MIN_CONVERGED = 114
+# The bench's stationarity gate, and the fine-grid passes the survey takes.
+MAX_CERTIFICATE = 1e-6
+MAX_FINE_PASSES = 716
 
 
 def draws(seed: int):
@@ -61,7 +67,7 @@ def main() -> int:
         return rk4_model(params, y0, grid, u)
 
     optimal_control.rk4_model = spy
-    stalled = []
+    stalled, certificates = [], []
     for seed in SEEDS:
         for index, (params, w, y0) in enumerate(draws(seed)):
             try:
@@ -72,6 +78,8 @@ def main() -> int:
             outcomes[sol.stop_reason.value] += 1
             if sol.stop_reason is StopReason.STALLED:
                 stalled.append((seed, index))
+            elif sol.converged:
+                certificates.append(sol.stationarity_residual)
     fine = passes[OPTIONS.grid.n_steps]
     coarse = passes[OPTIONS.grid.n_steps // optimal_control._COARSEN]
     converged = outcomes[StopReason.CONVERGED.value]
@@ -83,11 +91,16 @@ def main() -> int:
         f"{outcomes['blow-up']} blew up; "
         f"{fine} fine-grid + {coarse} coarse-grid passes = "
         f"{fine + coarse / optimal_control._COARSEN:.1f} fine-pass equivalents; "
+        f"converged residual max {max(certificates, default=math.nan):.3g}, "
+        f"median {np.median(certificates) if certificates else math.nan:.3g}; "
         f"stalled (seed, index): {' '.join(f'({s},{i})' for s, i in stalled) or 'none'}; "
         f"{time.perf_counter() - start:.1f} s"
     )
-    if converged < MIN_CONVERGED or outcomes["blow-up"]:
-        print(f"fail: need at least {MIN_CONVERGED} converged and no blow-up")
+    if (converged < MIN_CONVERGED or outcomes["blow-up"]
+            or max(certificates, default=0.0) > MAX_CERTIFICATE or fine > MAX_FINE_PASSES):
+        print(f"fail: need at least {MIN_CONVERGED} converged, no blow-up, converged "
+              f"residuals at most {MAX_CERTIFICATE:g} and at most {MAX_FINE_PASSES} "
+              f"fine-grid passes")
         return 1
     return 0
 

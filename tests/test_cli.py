@@ -323,6 +323,20 @@ class TestOverflowingAttackRate:
             "configuration error: the coexistence reduction overflows at alpha = 1e+200\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_below_it_answers_without_a_warning(self, command, capsys):
+        # the char-poly recursion overflows at 1e120; its margins read nan,
+        # and the verdicts come from eigvals of the finite Jacobians
+        assert run_cli(command, "--alpha", "1e120", "--out", "-") == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        verdict = header.index("verdict")
+        assert [(row[0], row[verdict]) for row in rows] == [
+            ("Axial", "Unstable"), ("PestFree", "Unstable"),
+            ("SusceptibleFree", "Unstable"), ("Coexistence", "Marginal")]
+        if command == "stability":
+            assert rows[1][header.index("H2")] == "nan"
+
     def test_a_sweep_row_there_fails_without_a_traceback(self):
         # in a subprocess: the pest-free point's char-poly overflows there
         # too, and this suite turns its RuntimeWarnings into errors

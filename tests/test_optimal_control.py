@@ -292,7 +292,7 @@ class TestPlainSweepOracle:
 
         monkeypatch.setattr(optimal_control, "rk4_model", spy)
         sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
-        assert len(seen) == sol.iterations_used + 2
+        assert len(seen) == sol.iterations_used + 1
         assert all(0.0 <= lo and hi <= 1.0 for lo, hi in seen)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -403,7 +403,7 @@ class TestNestedSweep:
         n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
         sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, n)))
         k = sol.coarse_iterations
-        assert k >= 1 and grids_seen == [coarse] * k + [n] * (sol.iterations_used + 2 - k)
+        assert k >= 1 and grids_seen == [coarse] * k + [n] * (sol.iterations_used + 1 - k)
         # the histories begin with the coarse iterations: the first J is
         # that of u = 0.5 on the coarse grid
         half = np.full((coarse + 1, 2), 0.5)
@@ -471,11 +471,75 @@ class TestNestedSweep:
             sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         return sol, grids, pairs
 
-    def test_the_default_solve_takes_six_fine_passes(self, default_passes, control_grid):
-        # 4 fine iterations, the snap and the refresh; a start from the
-        # interpolated coarse controls took 5 iterations, so 7 passes
+    def test_the_default_solve_takes_five_fine_passes(self, default_passes, control_grid):
+        # 4 fine iterations and the refresh; a snap pair on the returned
+        # iterate made it 6, and a start from the interpolated coarse
+        # controls took 5 iterations, so 7 passes
         sol, grids, _ = default_passes
-        assert sol.converged and grids.count(control_grid.n_steps) == 6
+        assert sol.converged and grids.count(control_grid.n_steps) == 5
+
+    def test_the_default_solve_makes_eight_coarse_and_five_fine_pairs(
+        self, default_passes, control_grid
+    ):
+        sol, grids, pairs = default_passes
+        n = control_grid.n_steps
+        assert sol.coarse_iterations == 8
+        assert grids == [n // optimal_control._COARSEN] * 8 + [n] * 5
+        assert [run.grid.n_steps for run, _ in pairs] == grids
+
+    def test_the_returned_pair_is_that_of_the_returned_controls(
+        self, default_passes, baseline, weights, y0
+    ):
+        sol, _, pairs = default_passes
+        run = rk4_model(baseline, y0, sol.states.grid, sol.states.controls)
+        assert np.array_equal(sol.states.states, run.states)
+        assert np.array_equal(sol.states.costates, rk4_adjoint(baseline, weights, run))
+        assert np.array_equal(pairs[-1][0].controls, sol.states.controls)
+
+    def test_a_last_phi_that_fails_the_stop_rule_takes_the_two_pair_snap(self, grids_seen):
+        """The direct solve of this problem converges on a mixed step while
+        Phi of its last pass is 1.4e-6 away: no snap comes from that pass,
+        and the solve snaps to Phi at the returned iterate and refreshes."""
+        params, w, y0 = _random_problem(16)
+        sol = _direct(params, w, y0, TimeGrid(0.0, 20.0, 2000))
+        assert sol.converged and sol.residual_history[-1] > 1e-6
+        assert len(grids_seen) == sol.iterations_used + 2
+        assert sol.stationarity_residual < 1e-6
+
+    def test_a_rejected_snap_falls_back_to_the_two_pair_snap(
+        self, baseline, weights, y0, monkeypatch
+    ):
+        """A certificate above the tolerance after the refresh pair rejects
+        the snap from the last pass: the solve then snaps to Phi at the
+        returned iterate and refreshes, as when no snap comes from the stage."""
+        opts = SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN))
+        fast = solve(baseline, weights, y0, opts)
+        certificates, pairs = [], []
+        hinged = optimal_control._hinged_gradient
+
+        def reject_the_first(*args):
+            certificates.append(hinged(*args))
+            return math.inf if len(certificates) == 1 else certificates[-1]
+
+        def backward(params, w, run):
+            pairs.append((run, rk4_adjoint(params, w, run)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(optimal_control, "_hinged_gradient", reject_the_first)
+        monkeypatch.setattr(optimal_control, "rk4_adjoint", backward)
+        sol = solve(baseline, weights, y0, opts)
+        assert sol.converged and fast.converged
+        assert sol.objective_history == fast.objective_history
+        assert sol.residual_history == fast.residual_history
+        assert len(pairs) == sol.iterations_used + 3
+        (last_pass, _), (rejected, _), (iterate, costates), (refresh, _) = pairs[-4:]
+        assert np.array_equal(rejected.controls, fast.states.controls)
+        assert np.abs(iterate.controls - last_pass.controls).max() == sol.change_history[-1]
+        u = _candidates(iterate.states, costates, baseline, weights, FREE)
+        assert np.array_equal(sol.states.controls, u)
+        assert np.array_equal(refresh.controls, u)
+        assert np.array_equal(sol.states.costates, pairs[-1][1])
+        assert sol.stationarity_residual == certificates[-1] <= opts.tolerance
 
     def test_the_fine_stage_starts_near_its_fixed_point(self, default_passes):
         # the interpolated coarse controls cut the u2 switch's corner: 0.032
