@@ -15,11 +15,9 @@ restarts the mixing history.  The loop stops when the
 applied control change is small relative to the control magnitude, and
 gives up early when the best residual stops improving.  The returned
 controls are snapped, so that bound-clamped nodes sit at 0 or 1 rather
-than a relaxation-limited distance away: a converged sweep whose last Phi(u) also meets the stop rule snaps to
-the Anderson estimate at weight 1 from that pass, and one forward/backward
-pass refreshes the states and costates; any other stop, or a certificate
-above the tolerance there, snaps to Phi at the last updated iterate,
-which takes one pass more.  The returned solution carries a stationarity
+than a relaxation-limited distance away; a converged sweep usually
+snaps from its last pass and needs one more forward/backward pass, not
+two (see ``solve``).  The returned solution carries a stationarity
 residual: the hinged Hamiltonian-gradient magnitude, which vanishes at
 an exact interior optimum and is one-sided at the control bounds.
 
@@ -235,11 +233,11 @@ def solve(
     the stop rule against u_k, the snap is the type-II Anderson estimate
     at weight 1 from that pass's data (Phi(u_k) itself when the mixing
     history is empty), and one forward/backward refresh gives its states
-    and costates.  If the stationarity residual there is above
-    ``tolerance``, or the sweep stalled, ran out of budget or converged
-    without that check, the snap is Phi at the last updated iterate,
-    followed by its own refresh: one pass more.  Either way the states
-    and costates are those of the returned controls.
+    and costates.  If Phi(u_k) misses the stop rule, the stationarity
+    residual there is above ``tolerance``, or the sweep stalled or ran
+    out of budget, the snap is Phi at the last updated iterate, followed
+    by its own refresh: one pass more.  Either way the states and
+    costates are those of the returned controls.
 
     The sweep starts from u = 0.5 on the free channels.  A grid of at
     least ``_COARSEN * _MIN_COARSE_STEPS`` steps is first swept on a
@@ -348,12 +346,8 @@ def solve(
     objective_history, change_history, residual_history = (
         (*coarse, *fine) for coarse, fine in zip(coarse_history, fine_history))
 
-    # A converged sweep returns the snap its last pass already gives, after
-    # one refresh pair, when the certificate there meets the tolerance.
-    # Otherwise snap to the exact pointwise minimizer at the returned
-    # iterate, so bound-clamped nodes sit at 0/1 rather than a
-    # relaxation-limited distance away, and refresh the state/costate pair
-    # for consistency with the returned controls.
+    # Keep the snap from the last pass if its refreshed certificate meets the
+    # tolerance; otherwise snap to Phi at the returned iterate and refresh.
     certificate = math.inf
     if snap is not None:
         run, costates = forward_backward(grid, snap)
