@@ -7,9 +7,9 @@ of the Hamiltonian on the states and costates of u, and takes the relaxed
 step u <- u + theta (Phi(u) - u); it stops when the applied change is at
 most tolerance * max(1, |u|_inf).  Like ``solve`` when its last pass
 gives no snap, it then snaps u to Phi(u) and refreshes the states and
-costates once more.  It shares the
-forward and costate passes, Phi and the certificate with ``solve``, so
-comparing the two checks the iteration, not the integrators.
+costates once more.  It shares the forward and costate passes, Phi and
+the certificate with ``solve``, so comparing the two checks the
+iteration, not the integrators.
 """
 
 from __future__ import annotations

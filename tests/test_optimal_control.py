@@ -472,9 +472,7 @@ class TestNestedSweep:
         return sol, grids, pairs
 
     def test_the_default_solve_takes_five_fine_passes(self, default_passes, control_grid):
-        # 4 fine iterations and the refresh; a snap pair on the returned
-        # iterate made it 6, and a start from the interpolated coarse
-        # controls took 5 iterations, so 7 passes
+        # 4 fine iterations and the refresh
         sol, grids, _ = default_passes
         assert sol.converged and grids.count(control_grid.n_steps) == 5
 
