@@ -43,6 +43,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -195,18 +196,30 @@ def _free_mask(freeze_u1: bool, freeze_u2: bool) -> np.ndarray:
     return np.array([not freeze_u1, not freeze_u2], dtype=float)
 
 
-def _mixed(u, f, d_u, d_f, theta) -> np.ndarray | None:
-    """Type-II Anderson step from u with residual f = Phi(u) - u, mixed
-    with weight theta and projected onto the admissible controls; None
-    when the least-squares problem for the mixing coefficients is
-    rank-deficient or ill-conditioned.  A frozen channel is 0 in u, in f
-    and in every stored difference, so its step is 0 too."""
+def _anderson(u, f, d_u, d_f) -> Callable[[float], np.ndarray] | None:
+    """Type-II Anderson steps from u with residual f = Phi(u) - u: a
+    function of the weight theta giving the step mixed with that weight
+    and projected onto the admissible controls.  The mixing coefficients
+    do not depend on theta, so every weight shares one least-squares
+    solve.  None when that problem is rank-deficient or ill-conditioned.
+    A frozen channel is 0 in u, in f and in every stored difference, so
+    its step is 0 too."""
     dF = np.column_stack(d_f)
     gamma, _, rank, sv = np.linalg.lstsq(dF, f.ravel(), rcond=None)
     if rank < len(d_f) or sv[0] > _MAX_CONDITION * sv[-1]:
         return None
-    step = theta * f - ((np.column_stack(d_u) + theta * dF) @ gamma).reshape(u.shape)
-    return np.clip(u + step, 0.0, 1.0)
+    dU = np.column_stack(d_u)
+
+    def mixed(theta: float) -> np.ndarray:
+        step = theta * f - ((dU + theta * dF) @ gamma).reshape(u.shape)
+        return np.clip(u + step, 0.0, 1.0)
+    return mixed
+
+
+def _mixed(u, f, d_u, d_f, theta) -> np.ndarray | None:
+    """The ``_anderson`` step at the one weight theta, or None."""
+    mixed = _anderson(u, f, d_u, d_f)
+    return None if mixed is None else mixed(theta)
 
 
 def _meets_stop_rule(u_new, u, tolerance: float) -> bool:
@@ -300,7 +313,8 @@ def solve(
             u_prev, f_prev = u, f
 
             plain = u + theta * f
-            u_new = _mixed(u, f, d_u, d_f, theta) if d_f else None
+            mixed = _anderson(u, f, d_u, d_f) if d_f else None
+            u_new = None if mixed is None else mixed(theta)
             # A mixed step can cancel to almost no move while u is far from a
             # fixed point (the stored u differences are then nearly dependent);
             # it must not pass the stop rule that the plain step would fail.
@@ -308,13 +322,12 @@ def solve(
                                  and not _meets_stop_rule(plain, u, tolerance)):
                 d_u.clear()
                 d_f.clear()
-                u_new = plain
+                mixed, u_new = None, plain
             changes.append(float(np.abs(u_new - u).max()))
             if _meets_stop_rule(u_new, u, tolerance):
                 snap = None
-                if _meets_stop_rule(phi, u, tolerance):
-                    snap = _mixed(u, f, d_u, d_f, 1.0) if d_f else None
-                    snap = phi if snap is None else snap
+                if _meets_stop_rule(phi, u, tolerance):  # weight 1 on this pass's history
+                    snap = phi if mixed is None else mixed(1.0)
                 return u_new, StopReason.CONVERGED, last, history, snap
             u = u_new
             if len(residuals) - 1 - int(np.argmin(residuals)) >= _STALL_WINDOW:

@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import errno
 import inspect
 import io
 import math
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 
 import cropguard
 import cropguard.optimal_control as optimal_control
-from cropguard import bifurcation, cli
+from cropguard import bifurcation, cli, integrate
 from cropguard.bifurcation import SweepSpec
 from cropguard.cli import main
-from cropguard.integrate import TimeGrid
+from cropguard.integrate import TimeGrid, rk4_model
+from cropguard.model import DEFAULT_STATE, ModelParams
 from cropguard.optimal_control import SweepOptions
 
 
@@ -74,6 +76,100 @@ class TestSimulate:
         assert run_cli("simulate", "--tf", "1", "--dt", "0.1", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"cannot write {out}: No such file or directory" in err, err
+
+
+CHUNK = integrate._CHUNK_STEPS
+
+
+class TestStreamedSimulate:
+    """Past one chunk of steps, on more than one usable CPU, ``simulate``
+    formats its CSV in a forked child while it integrates; on one CPU it
+    formats in-process.  The bytes are the same either way."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that ``os.fork`` returned to this process."""
+        made, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return made
+
+    def _simulate(self, monkeypatch, capsys, cpus, out, n_steps):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        argv = ["simulate", "--tf", repr(n_steps * 0.05), "--dt", "0.05"]
+        assert run_cli(*argv, "--out", str(out) if out else "-") == 0
+        return out.read_bytes() if out else capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_forked_and_in_process_output_are_the_same_bytes(
+        self, n_steps, to_file, tmp_path, monkeypatch, capsys, forks
+    ):
+        files = (tmp_path / "two.csv", tmp_path / "one.csv") if to_file else (None, None)
+        two = self._simulate(monkeypatch, capsys, 2, files[0], n_steps)
+        assert len(forks) == (n_steps > CHUNK)
+        one = self._simulate(monkeypatch, capsys, 1, files[1], n_steps)
+        assert len(forks) == (n_steps > CHUNK)
+        assert two == one
+        run = rk4_model(ModelParams(), DEFAULT_STATE, TimeGrid(0.0, n_steps * 0.05, n_steps))
+        rows = zip(run.times().tolist(), *run.states.T.tolist())
+        assert one.decode() == reference_csv(("t", "X", "S", "I", "A"), rows)
+
+    def test_a_reader_closing_mid_write_exits_1(self, tmp_path, monkeypatch):
+        """Unbuffered (python -u), stdout hands each write to the file
+        as it is.  This one takes 64 KiB, as a pipe whose reader leaves
+        would: that write comes back short without an error, and only the
+        next one fails.  One write of the whole text would exit 0."""
+        class Pipe(io.FileIO):
+            taken = 0
+
+            def write(self, data):
+                if self.taken == 65536:
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+                n = min(len(data), 65536 - self.taken)
+                self.taken += n
+                return super().write(data[:n])
+
+        stdout = io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli("simulate", "--tf", "500", "--out", "-") == 1
+
+    def test_a_formatter_that_fails_raises_and_leaves_no_process(
+        self, tmp_path, monkeypatch, forks
+    ):
+        def fail(times, blocks):
+            raise MemoryError
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "_node_lines", fail)  # the child inherits it
+        out = tmp_path / "x.csv"
+        with pytest.raises(ChildProcessError, match="exit code 1"):
+            run_cli("simulate", "--tf", "500", "--out", str(out))
+        assert len(forks) == 1 and not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_blowup_in_a_later_chunk_exits_3_and_leaves_no_process(
+        self, tmp_path, monkeypatch, capsys, forks
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\n")
+        # RK4 just outside its stability interval on A's decay: the run
+        # blows up at step 8586, past the first chunk
+        assert run_cli("simulate", "--eta", "10", "--dt", "0.284", "--tf", "3000",
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "integration blow-up: state became non-finite at t = 2438.51\n")
+        assert len(forks) == 1
+        assert out.read_bytes() == b"kept\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestClosedStdout:
@@ -337,18 +433,14 @@ class TestOverflowingAttackRate:
         if command == "stability":
             assert rows[1][header.index("H2")] == "nan"
 
-    def test_a_sweep_row_there_fails_without_a_traceback(self):
-        # in a subprocess: the pest-free point's char-poly overflows there
-        # too, and this suite turns its RuntimeWarnings into errors
-        env = dict(os.environ, PYTHONPATH=str(Path(cropguard.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cropguard.cli", "bifurcate", "--parameter", "alpha",
-             "--from", "1e200", "--to", "1e200", "--steps", "1", "--out", "-"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr, proc.stderr
-        (row,) = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_sweep_row_there_fails_without_a_traceback(self, capsys):
+        # the pest-free point's char-poly overflows there too, silently
+        assert run_cli("bifurcate", "--parameter", "alpha", "--from", "1e200",
+                       "--to", "1e200", "--steps", "1", "--out", "-") == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, captured.err
+        (row,) = list(csv.reader(io.StringIO(captured.out)))[1:]
         assert row[0] == "1e+200" and row[9] == "true" and row[11] == ""
 
 

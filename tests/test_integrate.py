@@ -426,6 +426,47 @@ class TestModelKernels:
         assert run.controls is not None and np.array_equal(run.controls, half)
 
 
+CHUNK = integrate._CHUNK_STEPS
+
+
+class TestChunkedKernel:
+    """``rk4_model`` runs its kernel in chunks of ``_CHUNK_STEPS`` steps;
+    the nodes and blow-up times are those of one generic run."""
+
+    Y0 = (0.2, 0.07, 0.05, 0.5)
+
+    @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_nodes_equal_the_generic_path(self, n_steps, controlled):
+        params, grid = ModelParams(), TimeGrid(0.0, n_steps * 0.05, n_steps)
+        f = model_field(params)
+        if controlled:
+            u = np.random.default_rng(n_steps).uniform(0.0, 1.0, size=(n_steps + 1, 2))
+            u_at = _stage_sampler(u, grid)
+            field = lambda t, y: f(*y, *u_at(t))
+        else:
+            u, field = None, lambda t, y: f(*y, 1.0, 1.0)
+        chunks = list(integrate._model_chunks(params, self.Y0, grid, u))
+        later = [min(CHUNK, n_steps - a) for a in range(CHUNK, n_steps, CHUNK)]
+        assert [len(c) for c in chunks] == [min(n_steps, CHUNK) + 1, *later]
+        got = rk4_model(params, self.Y0, grid, u).states
+        assert np.array_equal(got, rk4_forward(field, self.Y0, grid).states)
+        assert np.array_equal(got, np.concatenate(chunks))
+
+    def test_a_blowup_past_the_first_chunk_raises_at_the_generic_time(self):
+        # RK4 just outside its stability interval on A's decay (-eta): the
+        # oscillation grows slowly and ends at step 8586
+        params, grid = ModelParams(eta=10.0), TimeGrid.from_step(0.0, 3000.0, 0.284)
+        f = model_field(params)
+        with pytest.raises(BlowUpError) as generic:
+            rk4_forward(lambda t, y: f(*y, 1.0, 1.0), self.Y0, grid)
+        with pytest.raises(BlowUpError) as kernel:
+            rk4_model(params, self.Y0, grid)
+        assert kernel.value.t == generic.value.t
+        assert str(kernel.value) == str(generic.value)
+        assert kernel.value.t / grid.h > CHUNK
+
+
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
     """Classical RK4 written out stage by stage on numpy 4-vectors.
 
