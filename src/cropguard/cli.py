@@ -34,7 +34,6 @@ import errno
 import io
 import itertools
 import os
-import signal
 import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Iterator, Sequence
@@ -230,6 +229,7 @@ def _lines_from_child(times: np.ndarray, chunks: Iterator[np.ndarray]) -> str:
                 os.close(to_child)
             text = source.read()
         except BaseException:
+            import signal  # here: at start-up it would cost every command ~1 ms
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
