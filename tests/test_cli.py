@@ -135,9 +135,10 @@ class TestStreamedSimulate:
                 self.taken += n
                 return super().write(data[:n])
 
-        stdout = io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True)
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert run_cli("simulate", "--tf", "500", "--out", "-") == 1
+        with io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run_cli("simulate", "--tf", "500", "--out", "-") == 1
+            monkeypatch.undo()
 
     def test_a_formatter_that_fails_raises_and_leaves_no_process(
         self, tmp_path, monkeypatch, forks
