@@ -13,11 +13,12 @@ leading complex pair decays over ~5,000 days.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .equilibria import coexistence, pest_free
 from .errors import BlowUpError, DomainError
-from .integrate import _NODE_BYTES, TimeGrid, _usable_cpus, rk4_model
+from .integrate import _NODE_BYTES, TimeGrid, rk4_model
 from .model import _PARAM_FIELDS, DEFAULT_STATE, ModelParams, State, check_state
 from .stability import Verdict, _reports
 
@@ -122,7 +123,7 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRow]:
     bound) raises a domain error before any row is computed or process
     started.  A blow-up at one value yields a failed row and the sweep
     continues.  The rows are dealt round-robin over the usable CPUs
-    (``integrate._usable_cpus``, so ``taskset`` limits them): the calling
+    (``os.sched_getaffinity``, so ``taskset`` limits them): the calling
     process computes the first share and forked workers the others.
     Each row is computed alone, so the result does not depend on the CPU
     count.  With one row or one usable CPU, or without ``fork``, no
@@ -130,7 +131,9 @@ def run_sweep(params: ModelParams, spec: SweepSpec) -> list[SweepRow]:
     """
     spec.grid.check_memory(_NODE_BYTES)
     values = spec.values
-    jobs = min(len(values), _usable_cpus())
+    jobs = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        jobs = min(len(values), len(os.sched_getaffinity(0)))
     if jobs == 1:
         return _rows(params, spec, values)
 

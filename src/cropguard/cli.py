@@ -17,12 +17,7 @@ rejects.  Exit codes: 0 success, 2 configuration error (any
 when the reader closes stdout early (``cropguard ... | head``); the
 rest of the output is discarded without a traceback.
 
-``simulate`` formats its CSV while it integrates: a run longer than one
-chunk of steps, on more than one usable CPU, streams each chunk's nodes
-to a forked child that formats them, and writes the child's text once
-the run is done.  On one CPU, without ``fork``, or for a single chunk,
-it formats in-process; the bytes are the same.  Every open and write of
-an output happens in the main process, after the run succeeded, so a
+``simulate`` writes its output only after the run succeeded, so a
 blow-up leaves an existing ``--out`` untouched.
 """
 
@@ -43,9 +38,7 @@ import numpy as np
 from .bifurcation import SweepSpec, run_sweep
 from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, DomainError
-from .integrate import (
-    _CHUNK_STEPS, TimeGrid, _model_chunks, _usable_cpus, default_step, rk4_model,
-)
+from .integrate import _CHUNK_STEPS, TimeGrid, default_step, rk4_model
 from .model import (
     _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
 )
@@ -165,78 +158,15 @@ def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
             stream.write(text)
 
 
-def _node_lines(times: np.ndarray, blocks: Iterable[np.ndarray]) -> list[str]:
-    """``simulate``'s rows as CSV text, one string per block: ``blocks``
-    holds the run's nodes in order as (m, 4) arrays, and each row is a
-    node's time from ``times`` and its state, formatted by ``_line``'s
+def _node_blocks(times: np.ndarray, nodes: np.ndarray) -> Iterator[str]:
+    """``simulate``'s rows as CSV text, one string per block of
+    ``_CHUNK_STEPS`` rows: each row a node's time from ``times`` and its
+    state from the (n, 4) array ``nodes``, formatted by ``_line``'s
     template with one ``%`` per block."""
-    line, text, row = _line(5), [], 0
-    for nodes in blocks:
-        m = len(nodes)
-        cells = np.column_stack((times[row:row + m], nodes)).ravel().tolist()
-        text.append((line * m) % tuple(cells))
-        row += m
-    return text
-
-
-def _send(fd: int, nodes: np.ndarray) -> None:
-    """Write all of ``nodes``' doubles to the pipe ``fd``."""
-    view = memoryview(nodes).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _received(source) -> Iterator[np.ndarray]:
-    """The nodes read from the binary stream ``source`` until it ends, in
-    (m, 4) arrays of up to ``_CHUNK_STEPS`` nodes."""
-    while data := source.read(32 * _CHUNK_STEPS):
-        yield np.frombuffer(data).reshape(-1, 4)
-
-
-def _lines_from_child(times: np.ndarray, chunks: Iterator[np.ndarray]) -> str:
-    """``_node_lines`` of ``chunks``, formatted by a forked child while
-    this process computes the chunks that follow.
-
-    Each chunk's doubles go to the child through a pipe as it comes.
-    The child formats them, and once the pipe is closed it sends the
-    whole text back and ends with ``os._exit``; it never touches the
-    output.  An exception here (a blow-up in a later chunk, say) kills
-    and reaps the child before it propagates, so no process outlives
-    the call.
-    """
-    inbox, to_child = os.pipe()
-    from_child, reply = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(to_child)  # else the inbox would never end
-            os.close(from_child)
-            with open(inbox, "rb") as source, open(reply, "w", encoding="ascii") as sink:
-                sink.writelines(_node_lines(times, _received(source)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(inbox)
-    os.close(reply)
-    with open(from_child, encoding="ascii", newline="") as source:
-        try:
-            try:
-                with contextlib.suppress(BrokenPipeError):  # the child ended: see its status
-                    for nodes in chunks:
-                        _send(to_child, nodes)
-            finally:
-                os.close(to_child)
-            text = source.read()
-        except BaseException:
-            import signal  # here: at start-up it would cost every command ~1 ms
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        raise ChildProcessError(f"the CSV formatter process ended with exit code {code}")
-    return text
+    line, cells = _line(5), np.column_stack((times, nodes))
+    for a in range(0, len(cells), _CHUNK_STEPS):
+        block = cells[a:a + _CHUNK_STEPS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
@@ -269,21 +199,15 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """integrate the uncontrolled system"""
-    grid = cfg.grid
-    if grid.n_steps > _CHUNK_STEPS and _usable_cpus() > 1:
-        chunks = _model_chunks(cfg.params, cfg.y0, grid)  # checks the grid before the fork
-        text = _lines_from_child(grid.times(), chunks)
-    else:  # nothing to overlap: format the whole run's nodes here, block by block
-        nodes = rk4_model(cfg.params, cfg.y0, grid).states
-        blocks = (nodes[a:a + _CHUNK_STEPS] for a in range(0, len(nodes), _CHUNK_STEPS))
-        text = "".join(_node_lines(grid.times(), blocks))
+    traj = rk4_model(cfg.params, cfg.y0, cfg.grid)
     with _output(args.out) as stream:
         stream.write(",".join(("t", *State._fields)) + "\n")
-        # in pieces: unbuffered (python -u), one write is one write(2), which
-        # a reader closing the pipe cuts short without an error, and the
-        # text layer drops the rest; only the write after it fails (exit 1)
-        for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-            stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+        for text in _node_blocks(traj.times(), traj.states):
+            # in pieces: unbuffered (python -u), one write is one write(2),
+            # which a reader closing the pipe cuts short without an error, and
+            # the text layer drops the rest; only the write after it fails
+            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
     return 0
 
 

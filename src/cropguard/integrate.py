@@ -15,10 +15,9 @@ the model's own kernel, ``_KERNEL``: the same loop with the field's
 text (``model._FIELD``) inlined at each of the four stages, compiled
 once per process and bound to each parameter set, so a step makes no
 Python call.  Both give the same nodes and errors bit for bit.  The
-kernel runs the grid in chunks of ``_CHUNK_STEPS`` steps
-(``_model_chunks``), each carrying the global step index, so a caller
-can use one chunk's nodes while the next is computed; ``rk4_model``
-joins them into one array.
+kernel runs the grid in chunks of ``_CHUNK_STEPS`` steps, each carrying
+the global step index, and ``rk4_model`` joins their nodes into one
+array.
 ``rk4_adjoint`` is a separate kernel: it uses that the costate field
 is affine in the costates, builds every backward step's RK4 map by
 batched matrix products and solves the recurrence blockwise.
@@ -33,7 +32,7 @@ import re
 import sys
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,23 +45,12 @@ _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # 10k steps at once faulted in ~4000 fresh pages per call, a third of its time.
 _MAP_CHUNK = 1024
 # Bytes per node that a model run's memory bound assumes: a 400k-step
-# simulate peaks ~125 B per step above a 40k-step one (its nodes and its CSV
-# text, in the main process).
+# simulate peaks ~80 B per step above a 40k-step one (its nodes and the CSV's
+# cells), ~240 B before the kernel ran in chunks.
 _NODE_BYTES = 256
-# Steps ``_KERNEL`` runs at a time.  A chunk's node tuples (~0.18 MB) are
-# all a run holds before it stores them as an array, and ``simulate``'s
-# formatter works one chunk behind the steps, so the run waits only for the
-# last one: a default simulate on 2 cores took ~10% less time at 1024 than at
-# 4096 (in-process medians).
+# Steps ``_KERNEL`` runs at a time: a chunk's node tuples (~0.18 MB) are all
+# a run holds before it stores them as an array.
 _CHUNK_STEPS = 1024
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (``os.sched_getaffinity``, so
-    ``taskset`` limits them), or 1 where it cannot fork a worker."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
 
 
 def _max_steps(node_bytes: int) -> int:
@@ -299,55 +287,34 @@ def rk4_model(
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
     i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1);
-    the run carries ``u`` as its controls.  Controls that
-    ``check_controls`` rejects raise its error, and a grid whose nodes
-    cannot fit in memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``)
-    a domain error, before the run allocates anything.
+    the run carries ``u`` as its controls.  A grid whose nodes cannot
+    fit in memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises
+    a domain error before anything is allocated; controls that
+    ``check_controls`` rejects raise its error before the first step.
     The steps run in ``_KERNEL``, ``rk4_forward``'s loop with the
     field's text inlined, so results and errors equal those of
-    ``rk4_forward`` on ``model_field`` bit for bit; they run in chunks
-    (``_model_chunks``), whose nodes this joins into one array.
-    """
-    if u is not None:
-        u = _node_array(u, grid.n_steps + 1, "controls", 2)
-        check_controls(u)
-    return Trajectory(grid, np.concatenate(list(_model_chunks(params, y0, grid, u))), u)
-
-
-def _model_chunks(
-    params: ModelParams,
-    y0: Sequence[float],
-    grid: TimeGrid,
-    u: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """``rk4_model``'s run as chunks of ``_CHUNK_STEPS`` steps: an iterator
-    of (m, 4) node arrays, node 0 and the first chunk's nodes, then the
-    nodes of each later chunk.  ``u`` is None or controls that passed
-    ``check_controls``.  The grid's memory bound and the initial state are
-    checked at the call, before any step; a blow-up raises from the
-    iteration, in the chunk where it happens.  Each chunk runs ``_KERNEL``
-    from the last node of the one before, with its global step index and
-    the grid's own t0 and h, so the nodes and the errors are those of one
-    run over the whole grid bit for bit.
+    ``rk4_forward`` on ``model_field`` bit for bit.  They run in chunks
+    of ``_CHUNK_STEPS`` steps, each from the last node of the one before
+    with its global step index and the grid's own t0 and h, so the
+    nodes and the errors are those of one run over the whole grid.
     """
     grid.check_memory(_NODE_BYTES)
-    node = _initial_state(y0)
-    kernel = _bind_kernel(vars(params))
     n, t0, h = grid.n_steps, grid.t0, grid.h
     if u is None:
         controls = [[1.0] * n] * 6
     else:
+        u = _node_array(u, n + 1, "controls", 2)
+        check_controls(u)
         mid = 0.5 * (u[:-1] + u[1:])
         controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
                                           u[1:, 0], u[1:, 1])]
-
-    def chunks() -> Iterator[np.ndarray]:
-        out = [node]  # node 0 opens the first chunk; a later one starts empty
-        for a in range(0, n, _CHUNK_STEPS):
-            stages = [c[a:a + _CHUNK_STEPS] for c in controls]
-            out = kernel(*out[-1], t0, h, a, stages, [] if a else out)
-            yield _nodes(out)
-    return chunks()
+    kernel = _bind_kernel(vars(params))
+    out, chunks = [_initial_state(y0)], []  # node 0 opens the first chunk
+    for a in range(0, n, _CHUNK_STEPS):
+        stages = [c[a:a + _CHUNK_STEPS] for c in controls]
+        out = kernel(*out[-1], t0, h, a, stages, [] if a else out)
+        chunks.append(_nodes(out))
+    return Trajectory(grid, np.concatenate(chunks), u)
 
 
 def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:

@@ -81,44 +81,20 @@ class TestSimulate:
 CHUNK = integrate._CHUNK_STEPS
 
 
-class TestStreamedSimulate:
-    """Past one chunk of steps, on more than one usable CPU, ``simulate``
-    formats its CSV in a forked child while it integrates; on one CPU it
-    formats in-process.  The bytes are the same either way."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids that ``os.fork`` returned to this process."""
-        made, fork = [], os.fork
-
-        def spy():
-            pid = fork()
-            made.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", spy)
-        return made
-
-    def _simulate(self, monkeypatch, capsys, cpus, out, n_steps):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        argv = ["simulate", "--tf", repr(n_steps * 0.05), "--dt", "0.05"]
-        assert run_cli(*argv, "--out", str(out) if out else "-") == 0
-        return out.read_bytes() if out else capsys.readouterr().out.encode()
+class TestSimulateBlocks:
+    """``simulate`` formats its rows in blocks of ``_CHUNK_STEPS``, one
+    ``%`` per block, to the bytes of a cell-by-cell ``%.12g``."""
 
     @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     @pytest.mark.parametrize("to_file", [True, False])
-    def test_forked_and_in_process_output_are_the_same_bytes(
-        self, n_steps, to_file, tmp_path, monkeypatch, capsys, forks
-    ):
-        files = (tmp_path / "two.csv", tmp_path / "one.csv") if to_file else (None, None)
-        two = self._simulate(monkeypatch, capsys, 2, files[0], n_steps)
-        assert len(forks) == (n_steps > CHUNK)
-        one = self._simulate(monkeypatch, capsys, 1, files[1], n_steps)
-        assert len(forks) == (n_steps > CHUNK)
-        assert two == one
+    def test_rows_equal_a_cell_by_cell_reference(self, n_steps, to_file, tmp_path, capsys):
+        out = tmp_path / "x.csv" if to_file else None
+        assert run_cli("simulate", "--tf", repr(n_steps * 0.05), "--dt", "0.05",
+                       "--out", str(out) if out else "-") == 0
+        got = out.read_text() if out else capsys.readouterr().out
         run = rk4_model(ModelParams(), DEFAULT_STATE, TimeGrid(0.0, n_steps * 0.05, n_steps))
         rows = zip(run.times().tolist(), *run.states.T.tolist())
-        assert one.decode() == reference_csv(("t", "X", "S", "I", "A"), rows)
+        assert got == reference_csv(("t", "X", "S", "I", "A"), rows)
 
     def test_a_reader_closing_mid_write_exits_1(self, tmp_path, monkeypatch):
         """Unbuffered (python -u), stdout hands each write to the file
@@ -140,25 +116,7 @@ class TestStreamedSimulate:
             assert run_cli("simulate", "--tf", "500", "--out", "-") == 1
             monkeypatch.undo()
 
-    def test_a_formatter_that_fails_raises_and_leaves_no_process(
-        self, tmp_path, monkeypatch, forks
-    ):
-        def fail(times, blocks):
-            raise MemoryError
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(cli, "_node_lines", fail)  # the child inherits it
-        out = tmp_path / "x.csv"
-        with pytest.raises(ChildProcessError, match="exit code 1"):
-            run_cli("simulate", "--tf", "500", "--out", str(out))
-        assert len(forks) == 1 and not out.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_blowup_in_a_later_chunk_exits_3_and_leaves_no_process(
-        self, tmp_path, monkeypatch, capsys, forks
-    ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    def test_a_blowup_in_a_later_chunk_exits_3_and_keeps_the_out_file(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         out.write_bytes(b"kept\n")
         # RK4 just outside its stability interval on A's decay: the run
@@ -167,10 +125,7 @@ class TestStreamedSimulate:
                        "--out", str(out)) == 3
         assert capsys.readouterr().err == (
             "integration blow-up: state became non-finite at t = 2438.51\n")
-        assert len(forks) == 1
         assert out.read_bytes() == b"kept\n"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestClosedStdout:
