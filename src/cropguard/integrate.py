@@ -46,7 +46,7 @@ _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 _MAP_CHUNK = 1024
 # Bytes per node that a model run's memory bound assumes: a 400k-step
 # simulate peaks ~80 B per step above a 40k-step one (its nodes and the CSV's
-# cells), ~240 B before the kernel ran in chunks.
+# cells).
 _NODE_BYTES = 256
 # Steps ``_KERNEL`` runs at a time: a chunk's node tuples (~0.18 MB) are all
 # a run holds before it stores them as an array.

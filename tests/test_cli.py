@@ -100,7 +100,8 @@ class TestSimulateBlocks:
         """Unbuffered (python -u), stdout hands each write to the file
         as it is.  This one takes 64 KiB, as a pipe whose reader leaves
         would: that write comes back short without an error, and only the
-        next one fails.  One write of the whole text would exit 0."""
+        next one fails.  This run's rows (~66 KB) are one block, which in
+        one write would exit 0."""
         class Pipe(io.FileIO):
             taken = 0
 
@@ -113,7 +114,7 @@ class TestSimulateBlocks:
 
         with io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True) as stdout:
             monkeypatch.setattr(sys, "stdout", stdout)
-            assert run_cli("simulate", "--tf", "500", "--out", "-") == 1
+            assert run_cli("simulate", "--tf", "50", "--dt", "0.05", "--out", "-") == 1
             monkeypatch.undo()
 
     def test_a_blowup_in_a_later_chunk_exits_3_and_keeps_the_out_file(self, tmp_path, capsys):
