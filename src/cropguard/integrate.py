@@ -17,7 +17,10 @@ once per process and bound to each parameter set, so a step makes no
 Python call.  Both give the same nodes and errors bit for bit.  The
 kernel runs the grid in chunks of ``_CHUNK_STEPS`` steps, each carrying
 the global step index, and ``rk4_model`` joins their nodes into one
-array.
+array.  Given an earlier run on the same grid (``prior``), it keeps that
+run's nodes up to the first node whose controls changed and starts the
+chunks from the step before it, so a sweep's later passes re-integrate
+only what their new controls can reach.
 ``rk4_adjoint`` is a separate kernel: it uses that the costate field
 is affine in the costates, builds every backward step's RK4 map by
 batched matrix products and solves the recurrence blockwise.
@@ -281,6 +284,8 @@ def rk4_model(
     y0: Sequence[float],
     grid: TimeGrid,
     u: np.ndarray | None = None,
+    *,
+    prior: Trajectory | None = None,
 ) -> Trajectory:
     """Integrate the model over the grid with classical RK4.
 
@@ -297,24 +302,58 @@ def rk4_model(
     of ``_CHUNK_STEPS`` steps, each from the last node of the one before
     with its global step index and the grid's own t0 and h, so the
     nodes and the errors are those of one run over the whole grid.
+
+    ``prior`` is an earlier run of this function with the same
+    parameters, on the same grid from the same initial node, and with
+    its controls unchanged since; one with another grid, another node 0
+    or no controls raises a grid mismatch error.  If the controls first
+    differ from the prior's (bit for bit) at node m, nodes 0..m-1 of the
+    prior are kept and the chunks start at step m-1 (none run when no
+    row differs, step 0 when m is 0): the nodes and the errors are still
+    a fresh run's.
     """
     grid.check_memory(_NODE_BYTES)
     n, t0, h = grid.n_steps, grid.t0, grid.h
-    if u is None:
-        controls = [[1.0] * n] * 6
-    else:
+    y = _initial_state(y0)
+    if u is not None:
         u = _node_array(u, n + 1, "controls", 2)
         check_controls(u)
-        mid = 0.5 * (u[:-1] + u[1:])
-        controls = [c.tolist() for c in (u[:-1, 0], u[:-1, 1], mid[:, 0], mid[:, 1],
-                                          u[1:, 0], u[1:, 1])]
+    start = 0 if prior is None else _resume_step(prior, grid, y, u)
+    if u is None:
+        controls = [[1.0] * (n - start)] * 6
+    else:
+        v = u[start:]
+        mid = 0.5 * (v[:-1] + v[1:])
+        controls = [c.tolist() for c in (v[:-1, 0], v[:-1, 1], mid[:, 0], mid[:, 1],
+                                          v[1:, 0], v[1:, 1])]
     kernel = _bind_kernel(vars(params))
-    out, chunks = [_initial_state(y0)], []  # node 0 opens the first chunk
-    for a in range(0, n, _CHUNK_STEPS):
-        stages = [c[a:a + _CHUNK_STEPS] for c in controls]
-        out = kernel(*out[-1], t0, h, a, stages, [] if a else out)
+    chunks = [np.array([y]) if prior is None else prior.states[:start + 1]]
+    y = tuple(chunks[0][-1].tolist())
+    for a in range(start, n, _CHUNK_STEPS):
+        stages = [c[a - start:a - start + _CHUNK_STEPS] for c in controls]
+        out = kernel(*y, t0, h, a, stages, [])
+        y = out[-1]
         chunks.append(_nodes(out))
     return Trajectory(grid, np.concatenate(chunks), u)
+
+
+def _resume_step(prior: Trajectory, grid: TimeGrid, y0: tuple, u: np.ndarray | None) -> int:
+    """The step from which a run on ``grid`` from ``y0`` with controls ``u``
+    (None for (1, 1)) can continue ``prior``: the one before the first node
+    whose control row differs from the prior's bit for bit, n_steps when
+    none does.  A prior on another grid, from another node 0 or without
+    controls raises a grid mismatch error."""
+    if prior.controls is None:
+        raise GridMismatchError("a run to resume needs its controls")
+    if prior.grid != grid:
+        raise GridMismatchError(f"a run to resume must be on {grid}, got {prior.grid}")
+    if prior.states[0].tobytes() != np.array(y0).tobytes():
+        raise GridMismatchError(f"a run to resume must start from {y0}, "
+                                f"got {tuple(prior.states[0].tolist())}")
+    if u is None:
+        u = np.ones_like(prior.controls)
+    changed = np.flatnonzero(u.view(np.int64) != prior.controls.view(np.int64))
+    return max(0, int(changed[0]) // 2 - 1) if changed.size else grid.n_steps
 
 
 def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:

@@ -269,6 +269,13 @@ def solve(
     at most ``max_iterations`` coarse passes.  A grid whose nodes cannot
     fit in memory at ``SOLVE_NODE_BYTES`` each raises a domain error
     before anything is allocated.
+
+    Each forward pass after the first on a grid continues the last one
+    on that grid (``rk4_model``'s ``prior``): it keeps that run's nodes
+    up to the first node whose controls changed, where both controls
+    usually sit on their bounds, and integrates only from there.  The
+    nodes are those of a fresh run bit for bit.  The costate pass runs
+    from tf down, so it is always run whole.
     """
     grid = opts.grid
     grid.check_memory(SOLVE_NODE_BYTES)
@@ -276,8 +283,10 @@ def solve(
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta
 
+    last_runs: dict[TimeGrid, Trajectory] = {}  # the last forward pass on each grid
+
     def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-        run = rk4_model(params, y0, grid, u)
+        run = last_runs[grid] = rk4_model(params, y0, grid, u, prior=last_runs.get(grid))
         return run, rk4_adjoint(params, w, run)
 
     def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float, budget: int):

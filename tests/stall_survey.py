@@ -8,9 +8,11 @@ steps and ``max_iterations=300``.  Prints how many converged, stalled,
 ran out of budget or blew up, the number of forward passes on the fine
 grid (the fine iterations plus the one to three passes each solve runs
 after them) and on the 10x coarser one (dropped coarse stages included),
-their sum in fine-pass equivalents (fine + coarse / 10), the largest and
-the median stationarity residual of the converged draws, and the
-(seed, index) pairs of the stalled draws.  Exits 1 when fewer than
+their sum in fine-pass equivalents (fine + coarse / 10), the share of
+forward steps on each grid that were reused from the pass before rather
+than run (``rk4_model``'s ``prior``), the largest and the median
+stationarity residual of the converged draws, and the (seed, index)
+pairs of the stalled draws.  Exits 1 when fewer than
 ``MIN_CONVERGED`` problems converge, any blows up, a converged draw's
 residual is above ``MAX_CERTIFICATE`` or the fine-grid passes exceed
 ``MAX_FINE_PASSES``.
@@ -30,7 +32,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import make_random_params, make_random_state
-from cropguard import optimal_control
+from cropguard import integrate, optimal_control
 from cropguard.errors import BlowUpError
 from cropguard.integrate import TimeGrid, rk4_model
 from cropguard.model import ObjectiveWeights
@@ -57,16 +59,35 @@ def draws(seed: int):
         yield params, ObjectiveWeights(A1=A1, A2=A2, B1=B1, B2=B2), y0
 
 
+def _reused(total: int, run: int) -> str:
+    """Forward steps reused out of ``total`` when ``run`` of them ran."""
+    return f"{total - run:,} of {total:,} ({(total - run) / total:.0%})" if total else "none"
+
+
 def main() -> int:
     start = time.perf_counter()
     outcomes = Counter()
     passes = Counter()  # forward passes per grid step count
+    run = Counter()  # kernel steps those passes ran, per grid step count
+    pass_grid = None  # the step count of the pass in progress
+    bind = integrate._bind_kernel
 
-    def spy(params, y0, grid, u=None):
-        passes[grid.n_steps] += 1
-        return rk4_model(params, y0, grid, u)
+    def counting_bind(values):
+        kernel = bind(values)
+
+        def counted(X, S, I, A, t0, h, first, stages, out):
+            run[pass_grid] += len(stages[0])
+            return kernel(X, S, I, A, t0, h, first, stages, out)
+        return counted
+
+    def spy(params, y0, grid, u=None, *, prior=None):
+        nonlocal pass_grid
+        pass_grid = grid.n_steps
+        passes[pass_grid] += 1
+        return rk4_model(params, y0, grid, u, prior=prior)
 
     optimal_control.rk4_model = spy
+    integrate._bind_kernel = counting_bind
     stalled, certificates = [], []
     for seed in SEEDS:
         for index, (params, w, y0) in enumerate(draws(seed)):
@@ -80,8 +101,9 @@ def main() -> int:
                 stalled.append((seed, index))
             elif sol.converged:
                 certificates.append(sol.stationarity_residual)
-    fine = passes[OPTIONS.grid.n_steps]
-    coarse = passes[OPTIONS.grid.n_steps // optimal_control._COARSEN]
+    n_fine = OPTIONS.grid.n_steps
+    n_coarse = n_fine // optimal_control._COARSEN
+    fine, coarse = passes[n_fine], passes[n_coarse]
     converged = outcomes[StopReason.CONVERGED.value]
     print(
         f"{sum(outcomes.values())} problems: "
@@ -91,6 +113,8 @@ def main() -> int:
         f"{outcomes['blow-up']} blew up; "
         f"{fine} fine-grid + {coarse} coarse-grid passes = "
         f"{fine + coarse / optimal_control._COARSEN:.1f} fine-pass equivalents; "
+        f"{_reused(fine * n_fine, run[n_fine])} fine and "
+        f"{_reused(coarse * n_coarse, run[n_coarse])} coarse forward steps reused; "
         f"converged residual max {max(certificates, default=math.nan):.3g}, "
         f"median {np.median(certificates) if certificates else math.nan:.3g}; "
         f"stalled (seed, index): {' '.join(f'({s},{i})' for s, i in stalled) or 'none'}; "

@@ -463,6 +463,106 @@ class TestChunkedKernel:
         assert kernel.value.t / grid.h > CHUNK
 
 
+def _kernel_steps(monkeypatch) -> list:
+    """A one-item list counting the steps ``rk4_model``'s kernel runs from now on."""
+    steps, bind = [0], integrate._bind_kernel
+
+    def counting_bind(values):
+        kernel = bind(values)
+
+        def counted(X, S, I, A, t0, h, first, stages, out):
+            steps[0] += len(stages[0])
+            return kernel(X, S, I, A, t0, h, first, stages, out)
+        return counted
+
+    monkeypatch.setattr(integrate, "_bind_kernel", counting_bind)
+    return steps
+
+
+class TestResumedRun:
+    """``rk4_model(..., prior=run)`` keeps the nodes of an earlier run up to
+    the first node whose controls changed and runs the kernel from the step
+    before it; its nodes and blow-up times are a fresh run's."""
+
+    Y0 = (0.2, 0.07, 0.05, 0.5)
+    GRID = TimeGrid(0.0, 40.0, 4000)
+
+    def _controls(self, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(self.GRID.n_steps + 1, 2))
+
+    @pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 4000, None])
+    def test_equals_a_fresh_run_bit_for_bit(self, m, monkeypatch):
+        params, grid, n = ModelParams(), self.GRID, self.GRID.n_steps
+        prior = rk4_model(params, self.Y0, grid, self._controls(1))
+        u = prior.controls.copy()
+        if m is not None:  # None: the same controls again
+            u[m:] = self._controls(2)[m:]
+        fresh = rk4_model(params, self.Y0, grid, u)
+        steps = _kernel_steps(monkeypatch)
+        run = rk4_model(params, self.Y0, grid, u, prior=prior)
+        assert np.array_equal(run.states, fresh.states)
+        assert run.controls is u
+        assert not np.shares_memory(run.states, prior.states)
+        assert steps == [0 if m is None else n - max(m - 1, 0)]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(0, 2 * CHUNK + 100), length=st.integers(1, 2 * CHUNK + 101),
+           size=st.floats(1e-15, 0.25), channel=st.integers(0, 1))
+    def test_any_perturbation_gives_the_fresh_run(self, m, length, size, channel):
+        params, grid = ModelParams(), TimeGrid(0.0, 20.0, 2 * CHUNK + 100)
+        u = np.random.default_rng(3).uniform(0.25, 0.75, size=(grid.n_steps + 1, 2))
+        prior = rk4_model(params, self.Y0, grid, u)
+        v = u.copy()
+        v[m:m + length, channel] += size
+        run = rk4_model(params, self.Y0, grid, v, prior=prior)
+        assert np.array_equal(run.states, rk4_model(params, self.Y0, grid, v).states)
+
+    def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self, monkeypatch):
+        params, grid = ModelParams(), self.GRID
+        u = np.ones((grid.n_steps + 1, 2))
+        u[2500:] = 0.5
+        prior, fresh = rk4_model(params, self.Y0, grid, u), rk4_model(params, self.Y0, grid)
+        steps = _kernel_steps(monkeypatch)
+        run = rk4_model(params, self.Y0, grid, prior=prior)
+        assert np.array_equal(run.states, fresh.states)
+        assert run.controls is None and steps == [grid.n_steps - 2499]
+
+    def test_a_blowup_after_the_resume_point_raises_at_the_fresh_time(self):
+        # u2 = 1 from node 1000 feeds A at gamma = 1e307 a day until it
+        # overflows at node 3095, past two chunk boundaries
+        params, grid = ModelParams(gamma=1e307), self.GRID
+        u = np.zeros((grid.n_steps + 1, 2))
+        prior = rk4_model(params, self.Y0, grid, u)
+        v = u.copy()
+        v[1000:, 1] = 1.0
+        with pytest.raises(BlowUpError) as fresh:
+            rk4_model(params, self.Y0, grid, v)
+        with pytest.raises(BlowUpError) as resumed:
+            rk4_model(params, self.Y0, grid, v, prior=prior)
+        assert resumed.value.t == fresh.value.t and str(resumed.value) == str(fresh.value)
+        assert fresh.value.t / grid.h > 3 * CHUNK
+
+    @pytest.mark.parametrize("case", ["grid", "horizon", "node 0", "signed zero", "uncontrolled"])
+    def test_a_prior_from_another_run_is_refused(self, case):
+        params, grid = ModelParams(), self.GRID
+        u = self._controls(1)
+        y0 = self.Y0
+        if case == "grid":
+            prior = rk4_model(params, y0, TimeGrid(0.0, 40.0, 2000), u[::2])
+        elif case == "horizon":
+            prior = rk4_model(params, y0, TimeGrid(0.0, 41.0, 4000), u)
+        elif case == "uncontrolled":
+            prior = rk4_model(params, y0, grid)
+        else:  # another node 0, by value or by the sign of a zero
+            prior = rk4_model(params, y0, grid, u)
+            y0 = (0.2, 0.07, 0.05, 0.6) if case == "node 0" else (0.2, 0.07, 0.05, 0.5)
+            if case == "signed zero":
+                prior = rk4_model(params, (0.2, 0.07, 0.0, 0.5), grid, u)
+                y0 = (0.2, 0.07, -0.0, 0.5)
+        with pytest.raises(GridMismatchError, match="a run to resume"):
+            rk4_model(params, y0, grid, u, prior=prior)
+
+
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
     """Classical RK4 written out stage by stage on numpy 4-vectors.
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cropguard.integrate as integrate
 import cropguard.optimal_control as optimal_control
 from conftest import make_random_params, make_random_state
 from plain_sweep import plain_solve
@@ -286,9 +287,9 @@ class TestPlainSweepOracle:
         """Mixed iterates are projected onto [0, 1] before the next pass."""
         seen = []
 
-        def spy(params, y0, grid, u=None):
+        def spy(params, y0, grid, u=None, *, prior=None):
             seen.append((float(u.min()), float(u.max())))
-            return rk4_model(params, y0, grid, u)
+            return rk4_model(params, y0, grid, u, prior=prior)
 
         monkeypatch.setattr(optimal_control, "rk4_model", spy)
         sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
@@ -382,9 +383,9 @@ class TestNestedSweep:
     def grids_seen(self, monkeypatch):
         seen = []
 
-        def spy(params, y0, grid, u=None):
+        def spy(params, y0, grid, u=None, *, prior=None):
             seen.append(grid.n_steps)
-            return rk4_model(params, y0, grid, u)
+            return rk4_model(params, y0, grid, u, prior=prior)
 
         monkeypatch.setattr(optimal_control, "rk4_model", spy)
         return seen
@@ -456,9 +457,9 @@ class TestNestedSweep:
         (run, costates) of every forward/backward pair in call order."""
         grids, pairs = [], []
 
-        def forward(params, y0, grid, u=None):
+        def forward(params, y0, grid, u=None, *, prior=None):
             grids.append(grid.n_steps)
-            return rk4_model(params, y0, grid, u)
+            return rk4_model(params, y0, grid, u, prior=prior)
 
         def backward(params, w, run):
             costates = rk4_adjoint(params, w, run)
@@ -484,6 +485,36 @@ class TestNestedSweep:
         assert sol.coarse_iterations == 8
         assert grids == [n // optimal_control._COARSEN] * 8 + [n] * 5
         assert [run.grid.n_steps for run, _ in pairs] == grids
+
+    def test_later_fine_passes_resume_from_the_first_changed_node(
+        self, baseline, weights, y0, control_grid, monkeypatch
+    ):
+        """Each forward pass after the first on the fine grid continues the
+        one before from the first node whose controls changed: at the
+        defaults both controls sit on their bounds over the first ~58% of
+        the nodes in every later pass, so each runs at most 4,200 steps."""
+        passes = []  # [grid steps, kernel steps run] of each forward pass
+        bind = integrate._bind_kernel
+
+        def counting_bind(values):
+            kernel = bind(values)
+
+            def counted(X, S, I, A, t0, h, first, stages, out):
+                passes[-1][1] += len(stages[0])
+                return kernel(X, S, I, A, t0, h, first, stages, out)
+            return counted
+
+        def forward(params, y0, grid, u=None, *, prior=None):
+            passes.append([grid.n_steps, 0])
+            return rk4_model(params, y0, grid, u, prior=prior)
+
+        monkeypatch.setattr(integrate, "_bind_kernel", counting_bind)
+        monkeypatch.setattr(optimal_control, "rk4_model", forward)
+        solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        n = control_grid.n_steps
+        fine = [steps for grid_steps, steps in passes if grid_steps == n]
+        assert len(fine) == 5 and fine[0] == n
+        assert all(steps <= 4200 for steps in fine[1:]), fine
 
     def test_the_returned_pair_is_that_of_the_returned_controls(
         self, default_passes, baseline, weights, y0
