@@ -291,33 +291,34 @@ def rk4_model(
 
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
-    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1);
-    the run carries ``u`` as its controls.  A grid whose nodes cannot
-    fit in memory (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises
-    a domain error before anything is allocated; controls that
-    ``check_controls`` rejects raise its error before the first step.
-    The steps run in ``_KERNEL``, ``rk4_forward``'s loop with the
-    field's text inlined, so results and errors equal those of
-    ``rk4_forward`` on ``model_field`` bit for bit.  They run in chunks
-    of ``_CHUNK_STEPS`` steps, each from the last node of the one before
-    with its global step index and the grid's own t0 and h, so the
-    nodes and the errors are those of one run over the whole grid.
+    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
+    The run carries a copy of ``u`` as its controls, so that editing
+    ``u`` in place cannot change what a later resumed run compares
+    against.  A grid whose nodes cannot fit in memory
+    (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises a domain error
+    before anything is allocated; controls that ``check_controls``
+    rejects raise its error before the first step.  The steps run in
+    ``_KERNEL``, ``rk4_forward``'s loop with the field's text inlined, so
+    results and errors equal those of ``rk4_forward`` on ``model_field``
+    bit for bit.  They run in chunks of ``_CHUNK_STEPS`` steps, each from
+    the last node of the one before with its global step index and the
+    grid's own t0 and h, so the nodes and the errors are those of one
+    run over the whole grid.
 
     ``prior`` is an earlier run of this function with the same
-    parameters, on the same grid from the same initial node, and with
-    its controls unchanged since; one with another grid, another node 0
-    or no controls raises a grid mismatch error.  If the controls first
-    differ from the prior's (bit for bit) at node m, nodes 0..m-1 of the
-    prior are kept and the chunks start at step m-1 (none run when no
-    row differs, step 0 when m is 0): the nodes and the errors are still
-    a fresh run's.
+    parameters, on the same grid from the same initial node; one with
+    another grid, another node 0 or no controls raises a grid mismatch
+    error.  If the controls first differ from the prior's (bit for bit)
+    at node m, nodes 0..m-1 of the prior are kept and the chunks start
+    at step m-1 (step 0 when m is 0; none run when no row differs): the
+    nodes and the errors are still a fresh run's.
     """
     grid.check_memory(_NODE_BYTES)
     n, t0, h = grid.n_steps, grid.t0, grid.h
-    y = _initial_state(y0)
     if u is not None:
-        u = _node_array(u, n + 1, "controls", 2)
+        u = _node_array(u, n + 1, "controls", 2).copy()
         check_controls(u)
+    y = _initial_state(y0)
     start = 0 if prior is None else _resume_step(prior, grid, y, u)
     if u is None:
         controls = [[1.0] * (n - start)] * 6

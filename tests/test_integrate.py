@@ -463,7 +463,7 @@ class TestChunkedKernel:
         assert kernel.value.t / grid.h > CHUNK
 
 
-def _kernel_steps(monkeypatch) -> list:
+def kernel_steps(monkeypatch) -> list:
     """A one-item list counting the steps ``rk4_model``'s kernel runs from now on."""
     steps, bind = [0], integrate._bind_kernel
 
@@ -498,12 +498,21 @@ class TestResumedRun:
         if m is not None:  # None: the same controls again
             u[m:] = self._controls(2)[m:]
         fresh = rk4_model(params, self.Y0, grid, u)
-        steps = _kernel_steps(monkeypatch)
+        steps = kernel_steps(monkeypatch)
         run = rk4_model(params, self.Y0, grid, u, prior=prior)
         assert np.array_equal(run.states, fresh.states)
-        assert run.controls is u
+        assert np.array_equal(run.controls, u) and not np.shares_memory(run.controls, u)
         assert not np.shares_memory(run.states, prior.states)
         assert steps == [0 if m is None else n - max(m - 1, 0)]
+
+    def test_controls_edited_in_place_after_the_prior_still_give_the_fresh_run(self):
+        params, grid = ModelParams(), self.GRID
+        u = self._controls(1)
+        prior = rk4_model(params, self.Y0, grid, u)
+        u[2000:] = 0.5
+        run = rk4_model(params, self.Y0, grid, u, prior=prior)
+        assert np.array_equal(run.states, rk4_model(params, self.Y0, grid, u).states)
+        assert not np.array_equal(run.states, prior.states)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(0, 2 * CHUNK + 100), length=st.integers(1, 2 * CHUNK + 101),
@@ -522,7 +531,7 @@ class TestResumedRun:
         u = np.ones((grid.n_steps + 1, 2))
         u[2500:] = 0.5
         prior, fresh = rk4_model(params, self.Y0, grid, u), rk4_model(params, self.Y0, grid)
-        steps = _kernel_steps(monkeypatch)
+        steps = kernel_steps(monkeypatch)
         run = rk4_model(params, self.Y0, grid, prior=prior)
         assert np.array_equal(run.states, fresh.states)
         assert run.controls is None and steps == [grid.n_steps - 2499]
@@ -542,25 +551,22 @@ class TestResumedRun:
         assert resumed.value.t == fresh.value.t and str(resumed.value) == str(fresh.value)
         assert fresh.value.t / grid.h > 3 * CHUNK
 
-    @pytest.mark.parametrize("case", ["grid", "horizon", "node 0", "signed zero", "uncontrolled"])
-    def test_a_prior_from_another_run_is_refused(self, case):
-        params, grid = ModelParams(), self.GRID
-        u = self._controls(1)
-        y0 = self.Y0
-        if case == "grid":
-            prior = rk4_model(params, y0, TimeGrid(0.0, 40.0, 2000), u[::2])
-        elif case == "horizon":
-            prior = rk4_model(params, y0, TimeGrid(0.0, 41.0, 4000), u)
-        elif case == "uncontrolled":
-            prior = rk4_model(params, y0, grid)
-        else:  # another node 0, by value or by the sign of a zero
-            prior = rk4_model(params, y0, grid, u)
-            y0 = (0.2, 0.07, 0.05, 0.6) if case == "node 0" else (0.2, 0.07, 0.05, 0.5)
-            if case == "signed zero":
-                prior = rk4_model(params, (0.2, 0.07, 0.0, 0.5), grid, u)
-                y0 = (0.2, 0.07, -0.0, 0.5)
+    @pytest.mark.parametrize("grid, y0, controlled", [
+        (TimeGrid(0.0, 40.0, 2000), (0.2, 0.07, 0.05, 0.0), True),  # another step count
+        (TimeGrid(0.0, 41.0, 4000), (0.2, 0.07, 0.05, 0.0), True),  # another horizon
+        (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
+        (GRID, (0.2, 0.07, 0.05, -0.0), True),  # another node 0 by the sign of a zero
+        (GRID, (0.2, 0.07, 0.05, 0.0), False),  # no controls
+    ])
+    def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
+        """The run below starts from A = 0.0 on ``GRID``; each prior differs
+        from it in its grid, its node 0 or its lack of controls."""
+        params = ModelParams()
+        half = np.full((grid.n_steps + 1, 2), 0.5)
+        prior = rk4_model(params, y0, grid, half if controlled else None)
+        u = np.full((self.GRID.n_steps + 1, 2), 0.5)
         with pytest.raises(GridMismatchError, match="a run to resume"):
-            rk4_model(params, y0, grid, u, prior=prior)
+            rk4_model(params, (0.2, 0.07, 0.05, 0.0), self.GRID, u, prior=prior)
 
 
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cropguard.integrate as integrate
 import cropguard.optimal_control as optimal_control
 from conftest import make_random_params, make_random_state
 from plain_sweep import plain_solve
-from test_integrate import textbook_costates
+from test_integrate import kernel_steps, textbook_costates
 from cropguard.errors import DomainError
 from cropguard.integrate import TimeGrid, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
@@ -493,28 +492,20 @@ class TestNestedSweep:
         one before from the first node whose controls changed: at the
         defaults both controls sit on their bounds over the first ~58% of
         the nodes in every later pass, so each runs at most 4,200 steps."""
-        passes = []  # [grid steps, kernel steps run] of each forward pass
-        bind = integrate._bind_kernel
-
-        def counting_bind(values):
-            kernel = bind(values)
-
-            def counted(X, S, I, A, t0, h, first, stages, out):
-                passes[-1][1] += len(stages[0])
-                return kernel(X, S, I, A, t0, h, first, stages, out)
-            return counted
+        passes, steps = [], kernel_steps(monkeypatch)  # (grid steps, kernel steps) a pass
 
         def forward(params, y0, grid, u=None, *, prior=None):
-            passes.append([grid.n_steps, 0])
-            return rk4_model(params, y0, grid, u, prior=prior)
+            before = steps[0]
+            run = rk4_model(params, y0, grid, u, prior=prior)
+            passes.append((grid.n_steps, steps[0] - before))
+            return run
 
-        monkeypatch.setattr(integrate, "_bind_kernel", counting_bind)
         monkeypatch.setattr(optimal_control, "rk4_model", forward)
         solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         n = control_grid.n_steps
-        fine = [steps for grid_steps, steps in passes if grid_steps == n]
+        fine = [ran for grid_steps, ran in passes if grid_steps == n]
         assert len(fine) == 5 and fine[0] == n
-        assert all(steps <= 4200 for steps in fine[1:]), fine
+        assert all(ran <= 4200 for ran in fine[1:]), fine
 
     def test_the_returned_pair_is_that_of_the_returned_controls(
         self, default_passes, baseline, weights, y0
