@@ -17,8 +17,8 @@ rejects.  Exit codes: 0 success, 2 configuration error (any
 when the reader closes stdout early (``cropguard ... | head``); the
 rest of the output is discarded without a traceback.
 
-``simulate`` writes its output only after the run succeeded, so a
-blow-up leaves an existing ``--out`` untouched.
+Every command computes its rows before it opens ``--out``, so a blow-up
+(exit 3) or a rejected parameter set leaves an existing file untouched.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import errno
 import io
-import itertools
 import os
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -133,40 +132,36 @@ def _output(path: str | None):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _line(width: int) -> str:
-    """The line template of a row of ``width`` numbers: ``%.12g`` cells."""
-    return ",".join([_CELL] * width) + "\n"
-
-
-def _emit_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write CSV rows to ``path``, or to stdout when it is None or ``-``.
-
-    Numeric cells are written as ``%.12g``, string cells as they are.
-    A tuple row of one number per header column is formatted by a
-    single ``%`` with a line template built once per call; any other
-    row (one with a string cell, a list, or a length other than the
-    header's) is formatted cell by cell, to the same bytes.
-    """
-    line = _line(len(header))
+def _emit_csv(path: str | None, header: Sequence[str], body: Iterable[str]) -> None:
+    """Write a CSV table to ``path``, or to stdout when it is None or
+    ``-``: the header line, then each string of ``body``, the rows' text
+    from ``_numbers`` or ``_cells``."""
     with _output(path) as stream:
         stream.write(",".join(header) + "\n")
-        for row in rows:
-            try:
-                text = line % row
-            except TypeError:  # not a tuple of len(header) numbers
-                text = ",".join(c if isinstance(c, str) else _CELL % c for c in row) + "\n"
-            stream.write(text)
+        for text in body:
+            # in pieces: unbuffered (python -u), one write is one write(2),
+            # which a reader closing the pipe cuts short without an error, and
+            # the text layer drops the rest; only the write after it fails
+            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
-def _node_blocks(times: np.ndarray, nodes: np.ndarray) -> Iterator[str]:
-    """``simulate``'s rows as CSV text, one string per block of
-    ``_CHUNK_STEPS`` rows: each row a node's time from ``times`` and its
-    state from the (n, 4) array ``nodes``, formatted by ``_line``'s
-    template with one ``%`` per block."""
-    line, cells = _line(5), np.column_stack((times, nodes))
+def _numbers(*columns) -> Iterator[str]:
+    """Rows of numbers as CSV text: the 1-D or (n, k) ``columns`` side
+    by side, one string per block of ``_CHUNK_STEPS`` rows, each block
+    formatted by one ``%`` of a line of ``%.12g`` cells."""
+    cells = np.column_stack(columns)
+    line = ",".join([_CELL] * cells.shape[1]) + "\n"
     for a in range(0, len(cells), _CHUNK_STEPS):
         block = cells[a:a + _CHUNK_STEPS]
         yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def _cells(rows: Iterable[Sequence]) -> Iterator[str]:
+    """Rows of mixed cells as CSV text, one string per row: a string
+    cell as it is, a number as ``%.12g``."""
+    for row in rows:
+        yield ",".join(c if isinstance(c, str) else _CELL % c for c in row) + "\n"
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
@@ -200,14 +195,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """integrate the uncontrolled system"""
     traj = rk4_model(cfg.params, cfg.y0, cfg.grid)
-    with _output(args.out) as stream:
-        stream.write(",".join(("t", *State._fields)) + "\n")
-        for text in _node_blocks(traj.times(), traj.states):
-            # in pieces: unbuffered (python -u), one write is one write(2),
-            # which a reader closing the pipe cuts short without an error, and
-            # the text layer drops the rest; only the write after it fails
-            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-                stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+    _emit_csv(args.out, ("t", *State._fields), _numbers(traj.times(), traj.states))
     return 0
 
 
@@ -241,7 +229,7 @@ def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
     _emit_csv(
         args.out,
         ("kind", *State._fields, "residual", "verdict", "max_real_eig", "R0", "reason"),
-        rows,
+        _cells(rows),
     )
     return 0
 
@@ -266,7 +254,7 @@ def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
         args.out,
         ("kind", *State._fields, "verdict", "max_real_eig", "pure_imaginary", "rh_stable",
          "C1", "C2", "C3", "C4", "H1", "H2"),
-        rows,
+        _cells(rows),
     )
     return 0
 
@@ -293,7 +281,7 @@ def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
         args.out,
         ("value", *(f"{c}_{end}" for c in State._fields for end in ("min", "max")),
          "failed", "pest_free", "coexistence"),
-        (
+        _cells(
             (
                 row.parameter_value,
                 *(v for pair in zip(row.tail_min, row.tail_max) for v in pair),
@@ -320,14 +308,14 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     _emit_csv(
         args.out,
         ("t", *State._fields, "u1", "u2", "p1", "p2", "p3", "p4"),
-        zip(run.times().tolist(), *run.states.T.tolist(), *run.controls.T.tolist(),
-            *run.costates.T.tolist()),
+        _numbers(run.times(), run.states, run.controls, run.costates),
     )
     if args.history_out:
         _emit_csv(
             args.history_out,
             ("iter", "J", "control_change"),
-            zip(itertools.count(1.0), sol.objective_history, sol.change_history),
+            _numbers(np.arange(1.0, sol.iterations_used + 1), sol.objective_history,
+                     sol.change_history),
         )
     if sol.converged:
         return 0

@@ -216,12 +216,6 @@ def _anderson(u, f, d_u, d_f) -> Callable[[float], np.ndarray] | None:
     return mixed
 
 
-def _mixed(u, f, d_u, d_f, theta) -> np.ndarray | None:
-    """The ``_anderson`` step at the one weight theta, or None."""
-    mixed = _anderson(u, f, d_u, d_f)
-    return None if mixed is None else mixed(theta)
-
-
 def _meets_stop_rule(u_new, u, tolerance: float) -> bool:
     """The stop rule: max-norm change <= tolerance * max(1, |u_new|_inf)."""
     return float(np.abs(u_new - u).max()) <= tolerance * max(1.0, float(np.abs(u_new).max()))

@@ -26,8 +26,8 @@ from cropguard import bifurcation, cli, integrate
 from cropguard.bifurcation import SweepSpec
 from cropguard.cli import main
 from cropguard.integrate import TimeGrid, rk4_model
-from cropguard.model import DEFAULT_STATE, ModelParams
-from cropguard.optimal_control import SweepOptions
+from cropguard.model import DEFAULT_STATE, ModelParams, ObjectiveWeights
+from cropguard.optimal_control import SweepOptions, solve
 
 
 def run_cli(*argv):
@@ -100,8 +100,8 @@ class TestSimulateBlocks:
         """Unbuffered (python -u), stdout hands each write to the file
         as it is.  This one takes 64 KiB, as a pipe whose reader leaves
         would: that write comes back short without an error, and only the
-        next one fails.  This run's rows (~66 KB) are one block, which in
-        one write would exit 0."""
+        next one fails.  Each run's rows (~66 KB for simulate, ~142 KB
+        for optimize) are one block, which in one write would exit 0."""
         class Pipe(io.FileIO):
             taken = 0
 
@@ -112,10 +112,12 @@ class TestSimulateBlocks:
                 self.taken += n
                 return super().write(data[:n])
 
-        with io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True) as stdout:
-            monkeypatch.setattr(sys, "stdout", stdout)
-            assert run_cli("simulate", "--tf", "50", "--dt", "0.05", "--out", "-") == 1
-            monkeypatch.undo()
+        for argv in (("simulate", "--tf", "50", "--dt", "0.05"),
+                     ("optimize", "--tf", "10", "--dt", "0.01")):
+            with io.TextIOWrapper(Pipe(tmp_path / "pipe", "w"), write_through=True) as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert run_cli(*argv, "--out", "-") == 1, argv
+                monkeypatch.undo()
 
     def test_a_blowup_in_a_later_chunk_exits_3_and_keeps_the_out_file(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -126,6 +128,54 @@ class TestSimulateBlocks:
                        "--out", str(out)) == 3
         assert capsys.readouterr().err == (
             "integration blow-up: state became non-finite at t = 2438.51\n")
+        assert out.read_bytes() == b"kept\n"
+
+
+class TestOptimizeBlocks:
+    """``optimize`` formats its solution and its history in blocks of
+    ``_CHUNK_STEPS`` rows too, to the bytes of a cell-by-cell ``%.12g`` of
+    a direct ``solve``, whether each goes to a file or to stdout."""
+
+    @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_both_csvs_equal_a_cell_by_cell_reference(self, n_steps, tmp_path, capsys):
+        grid = TimeGrid(0.0, n_steps * 0.05, n_steps)
+        sol = solve(ModelParams(), ObjectiveWeights(), DEFAULT_STATE, SweepOptions(grid=grid))
+        run = sol.states
+        expected = [
+            reference_csv(("t", "X", "S", "I", "A", "u1", "u2", "p1", "p2", "p3", "p4"), zip(
+                run.times().tolist(), *run.states.T.tolist(), *run.controls.T.tolist(),
+                *run.costates.T.tolist())),
+            reference_csv(("iter", "J", "control_change"), zip(
+                range(1, sol.iterations_used + 1), sol.objective_history, sol.change_history)),
+        ]
+        out, hist = tmp_path / "opt.csv", tmp_path / "hist.csv"
+        for targets in ((out, hist), ("-", hist), (out, "-")):
+            out.unlink(missing_ok=True)
+            hist.unlink(missing_ok=True)
+            code = run_cli("optimize", "--tf", repr(n_steps * 0.05), "--dt", "0.05",
+                           "--out", str(targets[0]), "--history-out", str(targets[1]))
+            assert code in (0, 4)  # a sweep that stops short still writes its result
+            printed = capsys.readouterr().out
+            got = [printed if t == "-" else t.read_bytes().decode() for t in targets]
+            assert got == expected
+
+
+class TestFailingRunKeepsTheOutFile:
+    """Every command computes its rows before it opens ``--out``: a run
+    that blows up (exit 3) or whose values the library rejects (exit 2)
+    leaves an existing file as it was.  ``TestSimulateBlocks`` and
+    ``TestOverflowingAttackRate`` hold the other three commands' cases."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("optimize", "--r", "8", "--tf", "100", "--dt", "2"), 3),
+        (("bifurcate", "--parameter", "alpha", "--from", "0.3", "--to", "1.2",
+          "--steps", "2", "--transient", "2"), 2),
+    ])
+    def test_the_out_file_is_untouched(self, argv, code, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\n")
+        assert run_cli(*argv, "--out", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
         assert out.read_bytes() == b"kept\n"
 
 
@@ -175,26 +225,55 @@ _numbers = st.one_of(
     st.booleans(),
     st.floats().map(np.float64),
 )
-_cells = st.one_of(_numbers, st.text(), st.just(""))
+_cell_values = st.one_of(_numbers, st.text(), st.just(""))
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
 
 
 @st.composite
 def _csv_tables(draw):
-    """A header and rows: tuples of one number per column, which take the
-    one-``%`` path, mixed with rows of strings, lists, or other lengths."""
+    """A header and mixed rows: tuples of one number per column, rows of
+    strings and numbers of any length, and lists of numbers."""
     header = draw(st.lists(st.text("tXSIA_", min_size=1), min_size=1, max_size=12))
     width = len(header)
     rows = draw(st.lists(st.one_of(
         st.tuples(*[_numbers] * width),
-        st.lists(_cells, max_size=width + 2).map(tuple),
+        st.lists(_cell_values, max_size=width + 2).map(tuple),
         st.lists(_numbers, min_size=width, max_size=width),
     ), max_size=8))
     return header, rows
 
 
+@st.composite
+def _float_columns(draw):
+    """Columns of floats of one length, 1-D or (n, k), drawn from a pool
+    that always holds nan, +-inf, -0.0, 5e-324 and 1e300; the length sits
+    at and around the block size ``_CHUNK_STEPS``."""
+    n = draw(st.sampled_from([0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1]))
+    pool = np.array(_SPECIAL + draw(st.lists(st.floats(), max_size=10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.sampled_from([None, 1, 2, 4]), min_size=1, max_size=4))
+    return [rng.choice(pool, n if k is None else (n, k)) for k in widths]
+
+
+def _assert_emitted(header, body, expected):
+    """``_emit_csv`` of ``header`` and ``body()`` writes ``expected`` to a
+    file and to stdout."""
+    expected = expected.encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        cli._emit_csv(path, header, body())
+        assert Path(path).read_bytes() == expected
+    for target in (None, "-"):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli._emit_csv(target, header, body())
+        assert buffer.getvalue().encode("utf-8") == expected
+
+
 class TestCsvWriter:
     """``_emit_csv`` writes the same bytes as the per-cell reference, to a
-    file and to stdout, whichever of its two formatting paths a row takes."""
+    file and to stdout, from either formatter: ``_cells`` for mixed rows,
+    ``_numbers`` for float columns formatted in blocks."""
 
     EQUILIBRIA_HEADER = ("kind", "X", "S", "I", "A", "residual", "verdict",
                          "max_real_eig", "R0", "reason")
@@ -209,16 +288,22 @@ class TestCsvWriter:
                                                                        5e-324, math.nan)]))
     def test_bytes_match_the_per_cell_reference(self, table):
         header, rows = table
-        expected = reference_csv(header, rows).encode("utf-8")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "out.csv")
-            cli._emit_csv(path, header, iter(rows))
-            assert Path(path).read_bytes() == expected
-        for target in (None, "-"):
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                cli._emit_csv(target, header, iter(rows))
-            assert buffer.getvalue().encode("utf-8") == expected
+        _assert_emitted(header, lambda: cli._cells(iter(rows)), reference_csv(header, rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_float_columns())
+    def test_numbers_match_the_per_cell_reference(self, columns):
+        rows = [tuple(np.hstack([c[i] for c in columns])) for i in range(len(columns[0]))]
+        header = [f"c{j}" for j in range(sum(1 if c.ndim == 1 else c.shape[1] for c in columns))]
+        _assert_emitted(header, lambda: cli._numbers(*columns), reference_csv(header, rows))
+
+    @pytest.mark.parametrize("n_rows", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_numbers_at_the_block_edges(self, n_rows):
+        times = np.arange(n_rows) * 0.05
+        states = np.resize(np.array(_SPECIAL + [0.1, -2.5]), (n_rows, 4))
+        rows = [(t, *s) for t, s in zip(times, states)]
+        header = ("t", "X", "S", "I", "A")
+        _assert_emitted(header, lambda: cli._numbers(times, states), reference_csv(header, rows))
 
 
 class TestConfig:

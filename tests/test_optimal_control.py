@@ -348,10 +348,10 @@ class TestPlainSweepOracle:
         f = rng.uniform(-0.1, 0.1, size=(50, 2))
         v, x = rng.normal(size=100), rng.normal(size=100)
         d_u = [rng.normal(size=100), rng.normal(size=100)]
-        assert optimal_control._mixed(u, f, d_u, [v, 2.0 * v], 0.5) is None
+        assert optimal_control._anderson(u, f, d_u, [v, 2.0 * v]) is None
         nearly = [v, v + 1e-12 * x]
-        assert optimal_control._mixed(u, f, d_u, nearly, 0.5) is None
-        mixed = optimal_control._mixed(u, f, d_u, [v, x], 0.5)
+        assert optimal_control._anderson(u, f, d_u, nearly) is None
+        mixed = optimal_control._anderson(u, f, d_u, [v, x])(0.5)
         assert mixed.shape == u.shape and 0.0 <= mixed.min() and mixed.max() <= 1.0
 
 
