@@ -23,7 +23,11 @@ chunks from the step before it, so a sweep's later passes re-integrate
 only what their new controls can reach.
 ``rk4_adjoint`` is a separate kernel: it uses that the costate field
 is affine in the costates, builds every backward step's RK4 map by
-batched matrix products and solves the recurrence blockwise.
+batched matrix products and solves the recurrence blockwise.  Given the
+maps of an earlier pass on the same grid (``CostateMaps``), it keeps
+those of the steps before the first node whose state or controls
+changed, and the products of the blocks they fill, and builds only the
+rest: the steps that ``rk4_model`` re-ran.
 """
 
 from __future__ import annotations
@@ -353,11 +357,37 @@ def _resume_step(prior: Trajectory, grid: TimeGrid, y0: tuple, u: np.ndarray | N
                                 f"got {tuple(prior.states[0].tolist())}")
     if u is None:
         u = np.ones_like(prior.controls)
-    changed = np.flatnonzero(u.view(np.int64) != prior.controls.view(np.int64))
-    return max(0, int(changed[0]) // 2 - 1) if changed.size else grid.n_steps
+    return max(0, _first_changed_row(u, prior.controls) - 1)
 
 
-def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:
+def _first_changed_row(a: np.ndarray, b: np.ndarray) -> int:
+    """The first row in which two float arrays of one shape differ bit for
+    bit; their length when none does."""
+    changed = np.flatnonzero((a.view(np.int64) != b.view(np.int64)).any(axis=1))
+    return int(changed[0]) if changed.size else len(a)
+
+
+@dataclass
+class CostateMaps:
+    """The step maps of a costate pass, kept for the next pass on its grid.
+
+    ``run`` is a copy of the run the maps were built along (None while
+    there is none), ``steps`` the maps T_j in the block-padded array of
+    shape (blocks, L, 5, 5) that ``_solve_backward`` walks, and
+    ``composites`` each block's product, shape (blocks, 5, 5).
+    ``rk4_adjoint`` reads them as its ``prior`` and rewrites them in
+    place for the run it integrates along.
+    """
+
+    run: Trajectory | None = None
+    steps: np.ndarray | None = None
+    composites: np.ndarray | None = None
+
+
+def rk4_adjoint(
+    params: ModelParams, w: ObjectiveWeights, run: Trajectory, *,
+    prior: CostateMaps | None = None,
+) -> np.ndarray:
     """Integrate the model's costates from p(tf) = 0 down to t0 along a run.
 
     The grid, the states and the controls all come from the run; a run
@@ -366,27 +396,49 @@ def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np
     midpoint of the two nodes and at node j.  The costate field
     is affine in p, so that RK4 step is an exact affine map, a 5x5
     matrix T_j acting on (p_j, 1).  The maps are built in batches of
-    steps, each from ``costate_matrix`` at its own nodes and midpoints,
-    and written in place into the block-padded array that
+    ``_MAP_CHUNK`` steps, each from ``costate_matrix`` at its own nodes
+    and midpoints, and written in place into the block-padded array that
     ``_solve_backward`` walks.  The result matches a stage-by-stage
     backward RK4 on ``costate_rhs`` (the oracle in the tests) to
     rounding, not bit for bit, as terms are summed in another order
     (the tests allow 1e-13 of max|p|).  A non-finite costate raises a
     blow-up error at the time of the first such node back from tf.
+
+    ``prior`` holds the maps of an earlier pass with the same parameters
+    and weights (an empty ``CostateMaps`` holds none, and neither does
+    None); one whose run is on another grid, from another node 0 or
+    without controls raises a grid mismatch error.  If the states or the
+    controls first differ from that run's (bit for bit) at node m, the
+    maps T_0..T_(m-2), which read no later node, and the products of the
+    blocks they fill are kept, and the batches start at step m-1 (step 0
+    when m is 0; none run when no row differs): the step ``rk4_model``
+    resumes from.  The costates are still a whole pass's bit for bit.
+    The pass then rewrites ``prior`` in place, so a caller keeps one map
+    array per grid.
     """
     if run.controls is None:
         raise GridMismatchError("the costate pass needs a run with controls")
     grid, states, u1 = run.grid, run.states, run.controls[:, 0]
     n, h = grid.n_steps, grid.h
-    L = math.isqrt(n - 1) + 1
-    pad = -n % L
+    maps = CostateMaps() if prior is None else prior
     eye = np.eye(5)
-    # blocks of L = ceil(sqrt(n)) steps; T[pad + j] maps the costate at node
-    # j+1 to node j, and identity maps below node 0 fill the lowest block
-    T = np.empty((n + pad, 5, 5))
-    T[:pad] = eye
+    if maps.run is None:
+        first = 0
+        # blocks of L = ceil(sqrt(n)) steps; T[pad + j] maps the costate at
+        # node j+1 to node j, and identity maps below node 0 fill the lowest block
+        L = math.isqrt(n - 1) + 1
+        pad = -n % L
+        maps.steps = np.empty(((n + pad) // L, L, 5, 5))
+        maps.composites = np.empty((len(maps.steps), 5, 5))
+        maps.steps.reshape(-1, 5, 5)[:pad] = eye
+    else:
+        first = min(_resume_step(maps.run, grid, tuple(states[0].tolist()), run.controls),
+                    _first_changed_row(states, maps.run.states) - 1)  # node 0 is the same
+    maps.run = None  # no run matches the maps while they are rewritten
+    T = maps.steps.reshape(-1, 5, 5)
+    L, pad = maps.steps.shape[1], len(T) - n
     with np.errstate(all="ignore"):
-        for a in range(0, n, _MAP_CHUNK):
+        for a in range(first, n, _MAP_CHUNK):
             b = min(a + _MAP_CHUNK, n)
             # rows 0..b-a sample nodes a..b, the rest the midpoints between them
             s = np.concatenate((states[a:b + 1], 0.5 * (states[a:b] + states[a + 1:b + 1])))
@@ -398,31 +450,34 @@ def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np
             k3 = Gh @ (eye - 0.5 * h * k2)
             k4 = G0 @ (eye - h * k3)
             T[pad + a:pad + b] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
-        p = _solve_backward(T.reshape(-1, L, 5, 5))[pad:]
+        p = _solve_backward(maps.steps, maps.composites, (pad + first) // L)[pad:]
+    maps.run = Trajectory(grid, states.copy(), run.controls.copy())
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
     if bad.size:
         raise BlowUpError(grid.t0 + bad[-1] * h)
     return p
 
 
-def _solve_backward(steps: np.ndarray) -> np.ndarray:
+def _solve_backward(steps: np.ndarray, composites: np.ndarray, kept: int) -> np.ndarray:
     """Solve x_k = T_k x_{k+1}, k = K-1..0, from x_K = (0, 0, 0, 0, 1).
 
     ``steps`` holds T_0..T_{K-1} cut into blocks of equal length, shape
     (blocks, L, 5, 5).  Returns the first four components of x_0..x_K,
-    one row per node.  Pass 1 composes each block's map, vectorized
-    across blocks; a loop from the top block down carries the value
-    from each block to the next; pass 2 applies the maps inside all
-    blocks at once, from the top of each block down.
+    one row per node.  Pass 1 composes each block's map into
+    ``composites``, vectorized across blocks; the first ``kept`` blocks
+    already hold theirs.  A loop from the top block down carries the
+    value from each block to the next; pass 2 applies the maps inside
+    all blocks at once, from the top of each block down.
     """
     blocks, L = steps.shape[:2]
-    composite = steps[:, -1]
+    composite = steps[kept:, -1]
     for i in range(L - 2, -1, -1):
-        composite = steps[:, i] @ composite
+        composite = steps[kept:, i] @ composite
+    composites[kept:] = composite
     entry = np.empty((blocks, 5, 1))
     entry[-1] = [[0.0], [0.0], [0.0], [0.0], [1.0]]
     for b in range(blocks - 2, -1, -1):
-        entry[b] = composite[b + 1] @ entry[b + 1]
+        entry[b] = composites[b + 1] @ entry[b + 1]
     x = np.zeros((blocks * L + 1, 5, 1))
     inner = x[:-1].reshape(blocks, L, 5, 1)
     for i in range(L - 1, -1, -1):

@@ -48,7 +48,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .integrate import TimeGrid, Trajectory, integrate_cost, rk4_adjoint, rk4_model
+from .integrate import (CostateMaps, TimeGrid, Trajectory, integrate_cost, rk4_adjoint,
+                        rk4_model)
 from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
                     check_count, check_state)
 
@@ -72,9 +73,12 @@ _COARSEN = 10
 _MIN_COARSE_STEPS = 50
 _COARSE_TOL = 1e-3
 # Bytes a grid node costs ``solve`` at least: at the defaults on tf = 100,
-# peak RSS went 33 -> 137 -> 221 MB from 1k to 100k to 200k steps, 1,100 and
-# then 883 B a step, against 256 for a model run (``integrate._NODE_BYTES``).
-SOLVE_NODE_BYTES = 880
+# peak RSS went 33 -> 124 -> 217 -> 313 MB from 1k to 100k, 200k and 300k
+# steps, 970 and then 1,000 B a step, against 256 for a model run
+# (``integrate._NODE_BYTES``).  Each grid's costate maps (200 B a step) and a
+# copy of its last run (48 B) live between passes, so the forward passes
+# peak on top of them.
+SOLVE_NODE_BYTES = 1000
 
 
 class StopReason(enum.Enum):
@@ -264,12 +268,14 @@ def solve(
     fit in memory at ``SOLVE_NODE_BYTES`` each raises a domain error
     before anything is allocated.
 
-    Each forward pass after the first on a grid continues the last one
-    on that grid (``rk4_model``'s ``prior``): it keeps that run's nodes
-    up to the first node whose controls changed, where both controls
-    usually sit on their bounds, and integrates only from there.  The
-    nodes are those of a fresh run bit for bit.  The costate pass runs
-    from tf down, so it is always run whole.
+    Each pass after the first on a grid continues the last one on that
+    grid: the forward pass (``rk4_model``'s ``prior``) keeps that run's
+    nodes up to the first node whose controls changed, where both
+    controls usually sit on their bounds, and integrates only from
+    there; the costate pass (``rk4_adjoint``'s ``prior``) keeps the step
+    maps that read no later node and builds only those of the steps the
+    forward pass ran.  The nodes and the costates are those of whole
+    passes bit for bit.
     """
     grid = opts.grid
     grid.check_memory(SOLVE_NODE_BYTES)
@@ -277,11 +283,12 @@ def solve(
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta
 
-    last_runs: dict[TimeGrid, Trajectory] = {}  # the last forward pass on each grid
+    last_maps: dict[TimeGrid, CostateMaps] = {}  # the last pass on each grid and its maps
 
     def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-        run = last_runs[grid] = rk4_model(params, y0, grid, u, prior=last_runs.get(grid))
-        return run, rk4_adjoint(params, w, run)
+        maps = last_maps.setdefault(grid, CostateMaps())
+        run = rk4_model(params, y0, grid, u, prior=maps.run)
+        return run, rk4_adjoint(params, w, run, prior=maps)
 
     def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float, budget: int):
         """Iterate on ``grid`` from u for at most ``budget`` iterations.

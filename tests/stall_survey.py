@@ -10,12 +10,14 @@ grid (the fine iterations plus the one to three passes each solve runs
 after them) and on the 10x coarser one (dropped coarse stages included),
 their sum in fine-pass equivalents (fine + coarse / 10), the share of
 forward steps on each grid that were reused from the pass before rather
-than run (``rk4_model``'s ``prior``), the largest and the median
-stationarity residual of the converged draws, and the (seed, index)
-pairs of the stalled draws.  Exits 1 when fewer than
+than run (``rk4_model``'s ``prior``), the share of costate maps on each
+grid reused rather than built (``rk4_adjoint``'s ``prior``), the largest
+and the median stationarity residual of the converged draws, and the
+(seed, index) pairs of the stalled draws.  Exits 1 when fewer than
 ``MIN_CONVERGED`` problems converge, any blows up, a converged draw's
-residual is above ``MAX_CERTIFICATE`` or the fine-grid passes exceed
-``MAX_FINE_PASSES``.
+residual is above ``MAX_CERTIFICATE``, the fine-grid passes exceed
+``MAX_FINE_PASSES`` or any costate pass builds another number of maps
+than the kernel steps its forward pass ran.
 
 Run from the repository root, not collected by pytest:
 
@@ -34,7 +36,7 @@ import numpy as np
 from conftest import make_random_params, make_random_state
 from cropguard import integrate, optimal_control
 from cropguard.errors import BlowUpError
-from cropguard.integrate import TimeGrid, rk4_model
+from cropguard.integrate import TimeGrid, rk4_adjoint, rk4_model
 from cropguard.model import ObjectiveWeights
 from cropguard.optimal_control import StopReason, SweepOptions, solve
 
@@ -60,7 +62,7 @@ def draws(seed: int):
 
 
 def _reused(total: int, run: int) -> str:
-    """Forward steps reused out of ``total`` when ``run`` of them ran."""
+    """Steps (or maps) reused out of ``total`` when ``run`` of them ran."""
     return f"{total - run:,} of {total:,} ({(total - run) / total:.0%})" if total else "none"
 
 
@@ -69,25 +71,47 @@ def main() -> int:
     outcomes = Counter()
     passes = Counter()  # forward passes per grid step count
     run = Counter()  # kernel steps those passes ran, per grid step count
+    backward = Counter()  # costate passes per grid step count
+    built = Counter()  # costate maps those passes built, per grid step count
     pass_grid = None  # the step count of the pass in progress
-    bind = integrate._bind_kernel
+    pass_work = [0, 0]  # the kernel steps and the costate maps of the pass in progress
+    mismatched = 0  # costate passes that built other than their forward pass's steps
+    bind, matrix = integrate._bind_kernel, integrate.costate_matrix
 
     def counting_bind(values):
         kernel = bind(values)
 
         def counted(X, S, I, A, t0, h, first, stages, out):
             run[pass_grid] += len(stages[0])
+            pass_work[0] += len(stages[0])
             return kernel(X, S, I, A, t0, h, first, stages, out)
         return counted
+
+    def counting_matrix(params, w, X, S, I, A, u1):
+        # a batch of k maps samples k + 1 nodes and k midpoints
+        built[pass_grid] += len(X) // 2
+        pass_work[1] += len(X) // 2
+        return matrix(params, w, X, S, I, A, u1)
 
     def spy(params, y0, grid, u=None, *, prior=None):
         nonlocal pass_grid
         pass_grid = grid.n_steps
         passes[pass_grid] += 1
+        pass_work[:] = 0, 0
         return rk4_model(params, y0, grid, u, prior=prior)
 
+    def backward_spy(params, w, run, *, prior=None):
+        nonlocal mismatched
+        backward[pass_grid] += 1
+        try:
+            return rk4_adjoint(params, w, run, prior=prior)
+        finally:
+            mismatched += pass_work[0] != pass_work[1]
+
     optimal_control.rk4_model = spy
+    optimal_control.rk4_adjoint = backward_spy
     integrate._bind_kernel = counting_bind
+    integrate.costate_matrix = counting_matrix
     stalled, certificates = [], []
     for seed in SEEDS:
         for index, (params, w, y0) in enumerate(draws(seed)):
@@ -115,16 +139,20 @@ def main() -> int:
         f"{fine + coarse / optimal_control._COARSEN:.1f} fine-pass equivalents; "
         f"{_reused(fine * n_fine, run[n_fine])} fine and "
         f"{_reused(coarse * n_coarse, run[n_coarse])} coarse forward steps reused; "
+        f"{_reused(backward[n_fine] * n_fine, built[n_fine])} fine and "
+        f"{_reused(backward[n_coarse] * n_coarse, built[n_coarse])} coarse costate maps "
+        f"reused, {mismatched} passes unlike their forward pass; "
         f"converged residual max {max(certificates, default=math.nan):.3g}, "
         f"median {np.median(certificates) if certificates else math.nan:.3g}; "
         f"stalled (seed, index): {' '.join(f'({s},{i})' for s, i in stalled) or 'none'}; "
         f"{time.perf_counter() - start:.1f} s"
     )
-    if (converged < MIN_CONVERGED or outcomes["blow-up"]
+    if (converged < MIN_CONVERGED or outcomes["blow-up"] or mismatched
             or max(certificates, default=0.0) > MAX_CERTIFICATE or fine > MAX_FINE_PASSES):
         print(f"fail: need at least {MIN_CONVERGED} converged, no blow-up, converged "
-              f"residuals at most {MAX_CERTIFICATE:g} and at most {MAX_FINE_PASSES} "
-              f"fine-grid passes")
+              f"residuals at most {MAX_CERTIFICATE:g}, at most {MAX_FINE_PASSES} "
+              f"fine-grid passes and as many costate maps built as kernel steps run "
+              f"in every pass")
         return 1
     return 0
 

@@ -1,5 +1,6 @@
 """Grid construction, RK4 forward/backward, and the cost quadrature."""
 
+import dataclasses
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from conftest import make_random_params
 from cropguard import integrate
 from cropguard.errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from cropguard.integrate import (
+    CostateMaps,
     TimeGrid,
     Trajectory,
     default_step,
@@ -567,6 +569,134 @@ class TestResumedRun:
         u = np.full((self.GRID.n_steps + 1, 2), 0.5)
         with pytest.raises(GridMismatchError, match="a run to resume"):
             rk4_model(params, (0.2, 0.07, 0.05, 0.0), self.GRID, u, prior=prior)
+
+
+def costate_maps(monkeypatch) -> list:
+    """A one-item list counting the step maps ``rk4_adjoint`` builds from now on."""
+    maps, matrix = [0], integrate.costate_matrix
+
+    def counting_matrix(params, w, X, S, I, A, u1):
+        maps[0] += len(X) // 2  # a batch of k maps samples k + 1 nodes and k midpoints
+        return matrix(params, w, X, S, I, A, u1)
+
+    monkeypatch.setattr(integrate, "costate_matrix", counting_matrix)
+    return maps
+
+
+MAP_CHUNK = integrate._MAP_CHUNK
+
+
+class TestResumedCostates:
+    """``rk4_adjoint(..., prior=maps)`` keeps the step maps of an earlier pass
+    up to the step before the first node whose state or controls changed,
+    and the products of the blocks below it; its costates are a whole
+    pass's bit for bit."""
+
+    Y0 = (0.2, 0.07, 0.05, 0.5)
+    # blocks of L = 55 steps, the lowest padded with 25 identity maps
+    GRID = TimeGrid(0.0, 30.0, 3000)
+    L, PAD = 55, 25
+    BLOCK_EDGE = 10 * L - PAD + 1  # step m - 1 opens block 10
+
+    def _controls(self, seed: int, grid: TimeGrid = GRID) -> np.ndarray:
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(grid.n_steps + 1, 2))
+
+    def _pass(self, u, grid: TimeGrid = GRID, y0=Y0) -> tuple:
+        """A run on ``u`` and the maps of its whole costate pass."""
+        params, w = ModelParams(), ObjectiveWeights()
+        run = rk4_model(params, y0, grid, u)
+        maps = CostateMaps()
+        rk4_adjoint(params, w, run, prior=maps)
+        return run, maps
+
+    @pytest.mark.parametrize("m", [
+        0, 1, 2, MAP_CHUNK - 1, MAP_CHUNK, MAP_CHUNK + 1, MAP_CHUNK + 2,
+        BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1, 3000, None])
+    def test_equals_a_whole_pass_bit_for_bit(self, m, monkeypatch):
+        params, w, n = ModelParams(), ObjectiveWeights(), self.GRID.n_steps
+        _, maps = self._pass(self._controls(1))
+        assert maps.steps.shape == ((n + self.PAD) // self.L, self.L, 5, 5)
+        steps, composites = maps.steps, maps.composites
+        u = maps.run.controls.copy()
+        if m is not None:  # None: the same controls again
+            u[m:] = self._controls(2)[m:]
+        run = rk4_model(params, self.Y0, self.GRID, u)
+        whole = CostateMaps()
+        p_whole = rk4_adjoint(params, w, run, prior=whole)
+        built = costate_maps(monkeypatch)
+        p = rk4_adjoint(params, w, run, prior=maps)
+        assert built == [0 if m is None else n - max(m - 1, 0)]
+        assert np.array_equal(p, p_whole)
+        assert np.array_equal(p, rk4_adjoint(params, w, run))
+        assert maps.steps is steps and maps.composites is composites  # rewritten in place
+        assert np.array_equal(maps.steps, whole.steps)
+        assert np.array_equal(maps.composites, whole.composites)
+        assert np.array_equal(maps.run.states, run.states)
+        assert np.array_equal(maps.run.controls, u) and not np.shares_memory(maps.run.controls, u)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 3001),
+                                    st.floats(1e-15, 0.25), st.integers(0, 1)),
+                          min_size=1, max_size=3))
+    def test_any_run_of_control_edits_gives_whole_passes(self, edits):
+        """Each edit of the controls is followed by a pass that reuses the
+        maps of the pass before."""
+        params, w = ModelParams(), ObjectiveWeights()
+        u = np.random.default_rng(3).uniform(0.0, 0.25, size=(self.GRID.n_steps + 1, 2))
+        _, maps = self._pass(u)
+        for m, length, size, channel in edits:
+            u = u.copy()
+            u[m:m + length, channel] += size
+            run = rk4_model(params, self.Y0, self.GRID, u)
+            assert np.array_equal(rk4_adjoint(params, w, run, prior=maps),
+                                  rk4_adjoint(params, w, run))
+
+    def test_states_that_change_before_the_controls_set_the_rebuild(self, monkeypatch):
+        """A caller-built run whose states differ from the prior's at node
+        700 and whose controls differ only from node 2000 on."""
+        params, w, n = ModelParams(), ObjectiveWeights(), self.GRID.n_steps
+        prior, maps = self._pass(self._controls(1))
+        states, u = prior.states.copy(), prior.controls.copy()
+        states[700:, 2] *= 1.0 + 1e-9
+        u[2000:] = 0.5
+        run = Trajectory(self.GRID, states, u)
+        whole = rk4_adjoint(params, w, run)
+        built = costate_maps(monkeypatch)
+        assert np.array_equal(rk4_adjoint(params, w, run, prior=maps), whole)
+        assert built == [n - 699]
+
+    def test_maps_kept_from_a_blown_up_pass_give_the_whole_pass_blowup(self):
+        # X = -c zeroes c + X at node 1000, so the costates blow up there
+        params, w, grid = ModelParams(), ObjectiveWeights(), self.GRID
+        states = np.tile(self.Y0, (grid.n_steps + 1, 1))
+        states[1000, 0] = -params.c
+        u = self._controls(1)
+        maps = CostateMaps()
+        with pytest.raises(BlowUpError) as first:
+            rk4_adjoint(params, w, Trajectory(grid, states, u), prior=maps)
+        assert first.value.t == pytest.approx(grid.t0 + 1000 * grid.h, rel=1e-15)
+        v = u.copy()
+        v[2500:] = 0.5
+        with pytest.raises(BlowUpError) as whole:
+            rk4_adjoint(params, w, Trajectory(grid, states, v))
+        with pytest.raises(BlowUpError) as resumed:
+            rk4_adjoint(params, w, Trajectory(grid, states, v), prior=maps)
+        assert resumed.value.t == whole.value.t and str(resumed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("grid, y0, controlled", [
+        (TimeGrid(0.0, 30.0, 2000), Y0, True),  # another step count
+        (TimeGrid(0.0, 31.0, 3000), Y0, True),  # another horizon
+        (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
+        (GRID, Y0, False),  # no controls
+    ])
+    def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
+        params, w = ModelParams(), ObjectiveWeights()
+        prior, maps = self._pass(self._controls(1, grid), grid, y0)
+        if not controlled:
+            maps = dataclasses.replace(maps, run=Trajectory(grid, prior.states))
+        run = rk4_model(params, self.Y0, self.GRID, self._controls(2))
+        with pytest.raises(GridMismatchError, match="a run to resume"):
+            rk4_adjoint(params, w, run, prior=maps)
 
 
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cropguard.optimal_control as optimal_control
 from conftest import make_random_params, make_random_state
 from plain_sweep import plain_solve
-from test_integrate import kernel_steps, textbook_costates
+from test_integrate import costate_maps, kernel_steps, textbook_costates
 from cropguard.errors import DomainError
 from cropguard.integrate import TimeGrid, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
@@ -460,8 +460,8 @@ class TestNestedSweep:
             grids.append(grid.n_steps)
             return rk4_model(params, y0, grid, u, prior=prior)
 
-        def backward(params, w, run):
-            costates = rk4_adjoint(params, w, run)
+        def backward(params, w, run, *, prior=None):
+            costates = rk4_adjoint(params, w, run, prior=prior)
             pairs.append((run, costates))
             return costates
 
@@ -507,6 +507,41 @@ class TestNestedSweep:
         assert len(fine) == 5 and fine[0] == n
         assert all(ran <= 4200 for ran in fine[1:]), fine
 
+    def test_each_costate_pass_rebuilds_the_maps_of_the_steps_its_forward_pass_ran(
+        self, baseline, weights, y0, control_grid, monkeypatch
+    ):
+        """The costate pass after a resumed forward pass keeps the maps of
+        the steps that pass kept: a default solve builds 34,692 maps, not
+        the 58,000 of whole passes, as many as the kernel steps."""
+        passes, ran = [], []  # (grid steps, kernel steps, maps built) a pair
+        steps, maps = kernel_steps(monkeypatch), costate_maps(monkeypatch)
+
+        def forward(params, y0, grid, u=None, *, prior=None):
+            before = steps[0]
+            run = rk4_model(params, y0, grid, u, prior=prior)
+            ran.append(steps[0] - before)
+            return run
+
+        def backward(params, w, run, *, prior=None):
+            before = maps[0]
+            costates = rk4_adjoint(params, w, run, prior=prior)
+            passes.append((run.grid.n_steps, ran[-1], maps[0] - before))
+            return costates
+
+        monkeypatch.setattr(optimal_control, "rk4_model", forward)
+        monkeypatch.setattr(optimal_control, "rk4_adjoint", backward)
+        solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        assert maps == [34_692]
+        assert all(built == kernel for _, kernel, built in passes), passes
+        n = control_grid.n_steps
+        fine = [built for grid_steps, _, built in passes if grid_steps == n]
+        assert len(passes) == 13 and len(fine) == 5 and fine[0] == n
+
+    def test_every_costate_pass_equals_a_whole_pass(self, default_passes, baseline, weights):
+        _, _, pairs = default_passes
+        for run, costates in pairs:
+            assert np.array_equal(costates, rk4_adjoint(baseline, weights, run))
+
     def test_the_returned_pair_is_that_of_the_returned_controls(
         self, default_passes, baseline, weights, y0
     ):
@@ -541,8 +576,8 @@ class TestNestedSweep:
             certificates.append(hinged(*args))
             return math.inf if len(certificates) == 1 else certificates[-1]
 
-        def backward(params, w, run):
-            pairs.append((run, rk4_adjoint(params, w, run)))
+        def backward(params, w, run, *, prior=None):
+            pairs.append((run, rk4_adjoint(params, w, run, prior=prior)))
             return pairs[-1][1]
 
         monkeypatch.setattr(optimal_control, "_hinged_gradient", reject_the_first)
