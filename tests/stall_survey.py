@@ -100,11 +100,11 @@ def main() -> int:
         pass_work[:] = 0, 0
         return rk4_model(params, y0, grid, u, prior=prior)
 
-    def backward_spy(params, w, run, *, prior=None):
+    def backward_spy(params, w, trajectory, *, prior=None):
         nonlocal mismatched
         backward[pass_grid] += 1
         try:
-            return rk4_adjoint(params, w, run, prior=prior)
+            return rk4_adjoint(params, w, trajectory, prior=prior)
         finally:
             mismatched += pass_work[0] != pass_work[1]
 
