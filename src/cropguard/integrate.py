@@ -14,11 +14,12 @@ generic RK4 loop, unrolled on four scalar components, for any
 the model's own kernel, ``_KERNEL``: the same loop with the field's
 text (``model._FIELD``) inlined at each of the four stages, compiled
 once per process and bound to each parameter set, so a step makes no
-Python call.  Both give the same nodes and errors bit for bit.  The
-kernel runs the grid in chunks of ``_CHUNK_STEPS`` steps, each carrying
-the global step index, and ``rk4_model`` joins their nodes into one
-array.  Given an earlier run on the same grid (``prior``), it keeps that
-run's nodes up to the first node whose controls changed and starts the
+Python call.  Both give the same nodes and errors bit for bit.  Every
+run carries its controls; an uncontrolled one carries u = (1, 1).  The
+kernel runs the grid in the chunks of ``_chunks``, each carrying the
+global step index, and ``rk4_model`` joins their nodes into one array.
+Given an earlier run on the same grid (``prior``), it keeps that run's
+nodes up to the first node whose controls changed and starts the
 chunks from the step before it, so a sweep's later passes re-integrate
 only what their new controls can reach.
 ``rk4_adjoint`` is a separate kernel: it uses that the costate field
@@ -48,15 +49,14 @@ from .model import (_FIELD, ModelParams, ObjectiveWeights, State, _bind_compiled
                     check_count, costate_matrix, running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
-# Steps per batch of costate maps: ~200 KB temporaries are reused from the heap;
-# 10k steps at once faulted in ~4000 fresh pages per call, a third of its time.
-_MAP_CHUNK = 1024
 # Bytes per node that a model run's memory bound assumes: a 400k-step
 # simulate peaks ~80 B per step above a 40k-step one (its nodes and the CSV's
 # cells).
 _NODE_BYTES = 256
-# Steps ``_KERNEL`` runs at a time: a chunk's node tuples (~0.18 MB) are all
-# a run holds before it stores them as an array.
+# Steps per chunk (``_chunks``) of either pass: a forward chunk's stage
+# controls and nodes (~0.4 MB) are all a run holds before it stores the nodes
+# as an array, and a costate chunk's ~200 KB of temporaries are reused from
+# the heap (10k steps faulted in ~4000 fresh pages a call, a third of its time).
 _CHUNK_STEPS = 1024
 
 
@@ -125,13 +125,14 @@ def default_step(tf: float) -> float:
 
 @dataclass
 class Trajectory:
-    """A run on a TimeGrid: states, and the controls and costates if any.
+    """A run on a TimeGrid: states, controls, and the costates if any.
 
     Each array has one row per grid node; states are (X, S, I, A) rows,
     controls (u1, u2) rows and costates (p1, p2, p3, p4) rows.  A run
-    carries the controls that drove it (None if uncontrolled), which must
-    pass ``check_controls``; ``rk4_adjoint`` and ``integrate_cost`` read
-    them and the grid from it.
+    carries the controls that drove it, which must pass ``check_controls``;
+    an uncontrolled run's (None) are u = (1, 1), a read-only view that
+    costs no memory.  ``rk4_adjoint`` and ``integrate_cost`` read them
+    and the grid from it.
     """
 
     grid: TimeGrid
@@ -141,16 +142,15 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         n_nodes = self.grid.n_steps + 1
-        for name, width in (("states", 4), ("controls", 2), ("costates", 4)):
+        for name in ("states", "costates"):
             arr = getattr(self, name)
-            if arr is None and name != "states":
+            if arr is None and name == "costates":
                 continue
-            arr = _node_array(arr, n_nodes, name, width)
-            if name == "controls":
-                check_controls(arr)
-            elif not np.isfinite(arr).all():
+            arr = _node_array(arr, n_nodes, name, 4)
+            if not np.isfinite(arr).all():
                 raise DomainError(f"trajectory {name} contain non-finite values")
             setattr(self, name, arr)
+        self.controls = _controls(self.controls, n_nodes)
 
     def times(self) -> np.ndarray:
         return self.grid.times()
@@ -283,6 +283,25 @@ def _node_array(arr, n_nodes: int, what: str, width: int) -> np.ndarray:
     return a
 
 
+def _controls(u, n_nodes: int) -> np.ndarray:
+    """``u`` as ``n_nodes`` rows of admissible controls; None as u = (1, 1)."""
+    if u is None:
+        return np.broadcast_to(1.0, (n_nodes, 2))
+    u = _node_array(u, n_nodes, "controls", 2)
+    check_controls(u)
+    return u
+
+
+def _chunks(first: int, n: int, *nodes: np.ndarray):
+    """Steps first..n-1 in runs of ``_CHUNK_STEPS``: for each, its first
+    step a, its length k and, of each per-node array in ``nodes``, the
+    samples its steps read: nodes a..a+k, then the k midpoints between."""
+    for a in range(first, n, _CHUNK_STEPS):
+        b = min(a + _CHUNK_STEPS, n)
+        yield a, b - a, [np.concatenate((x[a:b + 1], 0.5 * (x[a:b] + x[a + 1:b + 1])))
+                         for x in nodes]
+
+
 def rk4_model(
     params: ModelParams,
     y0: Sequence[float],
@@ -295,68 +314,58 @@ def rk4_model(
 
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
-    i+1.  ``u`` of None integrates the uncontrolled system, u = (1, 1).
-    The run carries a copy of ``u`` as its controls, so that editing
-    ``u`` in place cannot change what a later resumed run compares
-    against.  A grid whose nodes cannot fit in memory
-    (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises a domain error
-    before anything is allocated; controls that ``check_controls``
-    rejects raise its error before the first step.  The steps run in
-    ``_KERNEL``, ``rk4_forward``'s loop with the field's text inlined, so
-    results and errors equal those of ``rk4_forward`` on ``model_field``
-    bit for bit.  They run in chunks of ``_CHUNK_STEPS`` steps, each from
-    the last node of the one before with its global step index and the
-    grid's own t0 and h, so the nodes and the errors are those of one
-    run over the whole grid.
+    i+1.  ``u`` of None runs the uncontrolled system, u = (1, 1), through
+    the same steps.  The run carries a copy of ``u`` (u = (1, 1) for
+    None, as ``Trajectory`` does), so that editing ``u`` in place cannot
+    change what a later resumed run compares against.  A grid whose
+    nodes cannot fit in memory (``TimeGrid.check_memory`` at
+    ``_NODE_BYTES``) raises a domain error before anything is allocated;
+    controls that ``check_controls`` rejects raise its error before the
+    first step.  The steps run in ``_KERNEL``, ``rk4_forward``'s loop
+    with the field's text inlined, so results and errors equal those of
+    ``rk4_forward`` on ``model_field`` bit for bit.  They run in the
+    chunks of ``_chunks``, each from the last node of the one before
+    with its global step index and the grid's own t0 and h, so the nodes
+    and the errors are those of one run over the whole grid; only one
+    chunk's stage controls exist at a time.
 
     ``prior`` is an earlier run of this function with the same
     parameters, on the same grid from the same initial node; one with
-    another grid, another node 0 or no controls raises a grid mismatch
-    error.  If the controls first differ from the prior's (bit for bit)
-    at node m, nodes 0..m-1 of the prior are kept and the chunks start
-    at step m-1 (step 0 when m is 0; none run when no row differs): the
-    nodes and the errors are still a fresh run's.
+    another grid or another node 0 raises a grid mismatch error.  If the
+    controls first differ from the prior's (bit for bit) at node m,
+    nodes 0..m-1 of the prior are kept and the chunks start at step m-1
+    (step 0 when m is 0; none run when no row differs): the nodes and
+    the errors are still a fresh run's.
     """
     grid.check_memory(_NODE_BYTES)
     n, t0, h = grid.n_steps, grid.t0, grid.h
-    if u is not None:
-        u = _node_array(u, n + 1, "controls", 2).copy()
-        check_controls(u)
+    controls = _controls(u, n + 1) if u is None else _controls(u, n + 1).copy()
     y = _initial_state(y0)
-    start = 0 if prior is None else _resume_step(prior, grid, y, u)
-    if u is None:
-        controls = [[1.0] * (n - start)] * 6
-    else:
-        v = u[start:]
-        mid = 0.5 * (v[:-1] + v[1:])
-        controls = [c.tolist() for c in (v[:-1, 0], v[:-1, 1], mid[:, 0], mid[:, 1],
-                                          v[1:, 0], v[1:, 1])]
+    start = 0 if prior is None else _resume_step(prior, grid, y, controls)
     kernel = _bind_kernel(vars(params))
     chunks = [np.array([y]) if prior is None else prior.states[:start + 1]]
     y = tuple(chunks[0][-1].tolist())
-    for a in range(start, n, _CHUNK_STEPS):
-        stages = [c[a - start:a - start + _CHUNK_STEPS] for c in controls]
+    for a, k, (v,) in _chunks(start, n, controls):
+        # the stage controls: nodes a..a+k-1, the midpoints, nodes a+1..a+k
+        c1, c2 = v.T.tolist()
+        stages = [c1[:k], c2[:k], c1[k + 1:], c2[k + 1:], c1[1:k + 1], c2[1:k + 1]]
         out = kernel(*y, t0, h, a, stages, [])
         y = out[-1]
         chunks.append(_nodes(out))
-    return Trajectory(grid, np.concatenate(chunks), u)
+    return Trajectory(grid, np.concatenate(chunks), controls)
 
 
-def _resume_step(prior: Trajectory, grid: TimeGrid, y0: tuple, u: np.ndarray | None) -> int:
+def _resume_step(prior: Trajectory, grid: TimeGrid, y0: tuple, u: np.ndarray) -> int:
     """The step from which a run on ``grid`` from ``y0`` with controls ``u``
-    (None for (1, 1)) can continue ``prior``: the one before the first node
-    whose control row differs from the prior's bit for bit, n_steps when
-    none does.  A prior on another grid, from another node 0 or without
-    controls raises a grid mismatch error."""
-    if prior.controls is None:
-        raise GridMismatchError("a run to resume needs its controls")
+    can continue ``prior``: the one before the first node whose control
+    row differs from the prior's bit for bit, n_steps when none does.  A
+    prior on another grid or from another node 0 raises a grid mismatch
+    error."""
     if prior.grid != grid:
         raise GridMismatchError(f"a run to resume must be on {grid}, got {prior.grid}")
     if prior.states[0].tobytes() != np.array(y0).tobytes():
         raise GridMismatchError(f"a run to resume must start from {y0}, "
                                 f"got {tuple(prior.states[0].tolist())}")
-    if u is None:
-        u = np.ones_like(prior.controls)
     return max(0, _first_changed_row(u, prior.controls) - 1)
 
 
@@ -390,34 +399,32 @@ def rk4_adjoint(
 ) -> np.ndarray:
     """Integrate the model's costates from p(tf) = 0 down to t0 along a run.
 
-    The grid, the states and the controls all come from the run; a run
-    without controls raises a grid mismatch error.  The step from node
-    j+1 down to node j samples states and controls at node j+1, at the
-    midpoint of the two nodes and at node j.  The costate field
-    is affine in p, so that RK4 step is an exact affine map, a 5x5
-    matrix T_j acting on (p_j, 1).  The maps are built in batches of
-    ``_MAP_CHUNK`` steps, each from ``costate_matrix`` at its own nodes
-    and midpoints, and written in place into the block-padded array that
-    ``_solve_backward`` walks.  The result matches a stage-by-stage
-    backward RK4 on ``costate_rhs`` (the oracle in the tests) to
-    rounding, not bit for bit, as terms are summed in another order
-    (the tests allow 1e-13 of max|p|).  A non-finite costate raises a
-    blow-up error at the time of the first such node back from tf.
+    The grid, the states and the controls (u = (1, 1) for an uncontrolled
+    run) all come from the run.  The step from node j+1 down to node j
+    samples states and controls at node j+1, at the midpoint of the two
+    nodes and at node j.  The costate field is affine in p, so that RK4
+    step is an exact affine map, a 5x5 matrix T_j acting on (p_j, 1).
+    The maps are built in the chunks of ``_chunks``, each from
+    ``costate_matrix`` at its own nodes and midpoints, and written in
+    place into the block-padded array that ``_solve_backward`` walks.
+    The result matches a stage-by-stage backward RK4 on ``costate_rhs``
+    (the oracle in the tests) to rounding, not bit for bit, as terms are
+    summed in another order (the tests allow 1e-13 of max|p|).  A
+    non-finite costate raises a blow-up error at the time of the first
+    such node back from tf.
 
     ``prior`` holds the maps of an earlier pass with the same parameters
     and weights (an empty ``CostateMaps`` holds none, and neither does
-    None); one whose run is on another grid, from another node 0 or
-    without controls raises a grid mismatch error.  If the states or the
-    controls first differ from that run's (bit for bit) at node m, the
-    maps T_0..T_(m-2), which read no later node, and the products of the
-    blocks they fill are kept, and the batches start at step m-1 (step 0
+    None); one whose run is on another grid or from another node 0
+    raises a grid mismatch error.  If the states or the controls first
+    differ from that run's (bit for bit) at node m, the maps
+    T_0..T_(m-2), which read no later node, and the products of the
+    blocks they fill are kept, and the chunks start at step m-1 (step 0
     when m is 0; none run when no row differs): the step ``rk4_model``
     resumes from.  The costates are still a whole pass's bit for bit.
     The pass then rewrites ``prior`` in place, so a caller keeps one map
     array per grid.
     """
-    if run.controls is None:
-        raise GridMismatchError("the costate pass needs a run with controls")
     grid, states, u1 = run.grid, run.states, run.controls[:, 0]
     n, h = grid.n_steps, grid.h
     maps = CostateMaps() if prior is None else prior
@@ -438,18 +445,14 @@ def rk4_adjoint(
     T = maps.steps.reshape(-1, 5, 5)
     L, pad = maps.steps.shape[1], len(T) - n
     with np.errstate(all="ignore"):
-        for a in range(first, n, _MAP_CHUNK):
-            b = min(a + _MAP_CHUNK, n)
-            # rows 0..b-a sample nodes a..b, the rest the midpoints between them
-            s = np.concatenate((states[a:b + 1], 0.5 * (states[a:b] + states[a + 1:b + 1])))
-            v = np.concatenate((u1[a:b + 1], 0.5 * (u1[a:b] + u1[a + 1:b + 1])))
+        for a, k, (s, v) in _chunks(first, n, states, u1):
             G = costate_matrix(params, w, *s.T, v)
             # the step into node j reads node j+1 (its first stage), the midpoint and node j
-            G0, G1, Gh = G[:b - a], G[1:b - a + 1], G[b - a + 1:]
+            G0, G1, Gh = G[:k], G[1:k + 1], G[k + 1:]
             k2 = Gh @ (eye - 0.5 * h * G1)
             k3 = Gh @ (eye - 0.5 * h * k2)
             k4 = G0 @ (eye - h * k3)
-            T[pad + a:pad + b] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
+            T[pad + a:pad + a + k] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
         p = _solve_backward(maps.steps, maps.composites, (pad + first) // L)[pad:]
     maps.run = Trajectory(grid, states.copy(), run.controls.copy())
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
@@ -487,9 +490,6 @@ def _solve_backward(steps: np.ndarray, composites: np.ndarray, kept: int) -> np.
 
 def integrate_cost(run: Trajectory, w: ObjectiveWeights) -> float:
     """Trapezoidal value of the objective integral along a run, on its
-    grid with its controls; a run without controls raises a grid
-    mismatch error."""
-    if run.controls is None:
-        raise GridMismatchError("the cost needs a run with controls")
+    grid with its controls (u = (1, 1) for an uncontrolled run)."""
     vals = running_cost(run.states.T, run.controls.T, w)
     return float(np.trapezoid(vals, dx=run.grid.h))

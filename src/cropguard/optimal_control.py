@@ -73,12 +73,11 @@ _COARSEN = 10
 _MIN_COARSE_STEPS = 50
 _COARSE_TOL = 1e-3
 # Bytes a grid node costs ``solve`` at least: at the defaults on tf = 100,
-# peak RSS went 33 -> 124 -> 217 -> 313 MB from 1k to 100k, 200k and 300k
-# steps, 970 and then 1,000 B a step, against 256 for a model run
-# (``integrate._NODE_BYTES``).  Each grid's costate maps (200 B a step) and a
-# copy of its last run (48 B) live between passes, so the forward passes
-# peak on top of them.
-SOLVE_NODE_BYTES = 1000
+# peak RSS went 33 -> 116 -> 199 -> 282 MiB from 1k to 100k, 200k and 300k
+# steps, 870 B a step, against 256 for a model run (``integrate._NODE_BYTES``).
+# Each grid's costate maps (200 B a step) and a copy of its last run (48 B)
+# live between passes, so the forward passes peak on top of them.
+SOLVE_NODE_BYTES = 900
 
 
 class StopReason(enum.Enum):

@@ -3,5 +3,5 @@
 
 The module exists only because the benchmark's tracer (``cropbench/spans.py``)
 imports every layer it lists by name; it goes with the next change to the
-benchmark (ROADMAP item 6).
+benchmark (ROADMAP item 15).
 """

@@ -1,10 +1,10 @@
 """Grid construction, RK4 forward/backward, and the cost quadrature."""
 
-import dataclasses
 import math
 import os
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -415,9 +415,11 @@ class TestModelKernels:
             with pytest.raises(GridMismatchError):
                 rk4_model(params, self.Y0, grid, bad)
         traj = rk4_model(params, self.Y0, grid)
-        assert traj.controls is None
-        with pytest.raises(GridMismatchError):  # the costate pass needs controls
-            rk4_adjoint(params, w, traj)
+        ones = np.ones((n_nodes, 2))  # an uncontrolled run carries u = (1, 1), read-only
+        assert np.array_equal(traj.controls, ones) and not traj.controls.flags.writeable
+        explicit = rk4_model(params, self.Y0, grid, ones)
+        assert np.array_equal(traj.states, explicit.states)
+        assert np.array_equal(rk4_adjoint(params, w, traj), rk4_adjoint(params, w, explicit))
         with pytest.raises(GridMismatchError):
             rk4_adjoint(params, w, Trajectory(grid, traj.states, half[:-1]))
         with pytest.raises(GridMismatchError):
@@ -463,6 +465,28 @@ class TestChunkedKernel:
         assert kernel.value.t == generic.value.t
         assert str(kernel.value) == str(generic.value)
         assert kernel.value.t / grid.h > CHUNK
+
+    def test_a_run_holds_one_chunk_of_stage_controls_at_a_time(self, monkeypatch):
+        """A 100k-step controlled run peaks at most 100 B a step above its
+        result (nodes and controls); stage controls built for the whole
+        pass at once take ~192 B a step.  A stub kernel, which repeats its
+        node, keeps tracemalloc from tracing every step's floats."""
+        def stub_bind(values):
+            def kernel(X, S, I, A, t0, h, first, stages, out):
+                out.extend([(X, S, I, A)] * len(stages[0]))
+                return out
+            return kernel
+
+        monkeypatch.setattr(integrate, "_bind_kernel", stub_bind)
+        n = 100_000
+        u = np.random.default_rng(4).uniform(0.0, 1.0, size=(n + 1, 2))
+        tracemalloc.start()
+        try:
+            run = rk4_model(ModelParams(), self.Y0, TimeGrid(0.0, 100.0, n), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - run.states.nbytes - run.controls.nbytes <= 100 * n
 
 
 def kernel_steps(monkeypatch) -> list:
@@ -518,17 +542,29 @@ class TestResumedRun:
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(0, 2 * CHUNK + 100), length=st.integers(1, 2 * CHUNK + 101),
-           size=st.floats(1e-15, 0.25), channel=st.integers(0, 1))
-    def test_any_perturbation_gives_the_fresh_run(self, m, length, size, channel):
+           size=st.floats(1e-15, 0.25), channel=st.integers(0, 1),
+           bare_prior=st.booleans(), bare_run=st.booleans())
+    def test_any_perturbation_gives_the_fresh_run(self, m, length, size, channel,
+                                                  bare_prior, bare_run):
+        """The run's controls are the prior's with one perturbation; an
+        uncontrolled side (bare) is u = (1, 1), and the other side is then
+        its perturbation."""
         params, grid = ModelParams(), TimeGrid(0.0, 20.0, 2 * CHUNK + 100)
-        u = np.random.default_rng(3).uniform(0.25, 0.75, size=(grid.n_steps + 1, 2))
-        prior = rk4_model(params, self.Y0, grid, u)
+        shape = (grid.n_steps + 1, 2)
+        u = (np.ones(shape) if bare_prior or bare_run
+             else np.random.default_rng(3).uniform(0.25, 0.75, size=shape))
         v = u.copy()
-        v[m:m + length, channel] += size
+        v[m:m + length, channel] -= size
+        if bare_run:  # the prior carries the perturbation of u = (1, 1)
+            u = v
+        u, v = (None if bare_prior else u), (None if bare_run else v)
+        prior = rk4_model(params, self.Y0, grid, u)
         run = rk4_model(params, self.Y0, grid, v, prior=prior)
         assert np.array_equal(run.states, rk4_model(params, self.Y0, grid, v).states)
 
     def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self, monkeypatch):
+        """And a controlled run resumes an uncontrolled one where its
+        controls leave u = (1, 1)."""
         params, grid = ModelParams(), self.GRID
         u = np.ones((grid.n_steps + 1, 2))
         u[2500:] = 0.5
@@ -536,7 +572,10 @@ class TestResumedRun:
         steps = kernel_steps(monkeypatch)
         run = rk4_model(params, self.Y0, grid, prior=prior)
         assert np.array_equal(run.states, fresh.states)
-        assert run.controls is None and steps == [grid.n_steps - 2499]
+        assert np.array_equal(run.controls, np.ones_like(u)) and steps == [grid.n_steps - 2499]
+        back = rk4_model(params, self.Y0, grid, u, prior=run)
+        assert np.array_equal(back.states, prior.states)
+        assert steps == [2 * (grid.n_steps - 2499)]
 
     def test_a_blowup_after_the_resume_point_raises_at_the_fresh_time(self):
         # u2 = 1 from node 1000 feeds A at gamma = 1e307 a day until it
@@ -558,17 +597,23 @@ class TestResumedRun:
         (TimeGrid(0.0, 41.0, 4000), (0.2, 0.07, 0.05, 0.0), True),  # another horizon
         (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
         (GRID, (0.2, 0.07, 0.05, -0.0), True),  # another node 0 by the sign of a zero
-        (GRID, (0.2, 0.07, 0.05, 0.0), False),  # no controls
+        (GRID, (0.2, 0.07, 0.05, 0.0), False),  # uncontrolled: resumed, not refused
     ])
     def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
-        """The run below starts from A = 0.0 on ``GRID``; each prior differs
-        from it in its grid, its node 0 or its lack of controls."""
-        params = ModelParams()
+        """The run below starts from A = 0.0 on ``GRID``; each controlled
+        prior differs from it in its grid or its node 0.  An uncontrolled
+        prior on the same grid and node 0 carries u = (1, 1) and is resumed
+        as any other."""
+        params, start = ModelParams(), (0.2, 0.07, 0.05, 0.0)
         half = np.full((grid.n_steps + 1, 2), 0.5)
         prior = rk4_model(params, y0, grid, half if controlled else None)
         u = np.full((self.GRID.n_steps + 1, 2), 0.5)
+        if not controlled:
+            run = rk4_model(params, start, self.GRID, u, prior=prior)
+            assert np.array_equal(run.states, rk4_model(params, start, self.GRID, u).states)
+            return
         with pytest.raises(GridMismatchError, match="a run to resume"):
-            rk4_model(params, (0.2, 0.07, 0.05, 0.0), self.GRID, u, prior=prior)
+            rk4_model(params, start, self.GRID, u, prior=prior)
 
 
 def costate_maps(monkeypatch) -> list:
@@ -581,9 +626,6 @@ def costate_maps(monkeypatch) -> list:
 
     monkeypatch.setattr(integrate, "costate_matrix", counting_matrix)
     return maps
-
-
-MAP_CHUNK = integrate._MAP_CHUNK
 
 
 class TestResumedCostates:
@@ -610,7 +652,7 @@ class TestResumedCostates:
         return run, maps
 
     @pytest.mark.parametrize("m", [
-        0, 1, 2, MAP_CHUNK - 1, MAP_CHUNK, MAP_CHUNK + 1, MAP_CHUNK + 2,
+        0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
         BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1, 3000, None])
     def test_equals_a_whole_pass_bit_for_bit(self, m, monkeypatch):
         params, w, n = ModelParams(), ObjectiveWeights(), self.GRID.n_steps
@@ -637,17 +679,24 @@ class TestResumedCostates:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(edits=st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 3001),
                                     st.floats(1e-15, 0.25), st.integers(0, 1)),
-                          min_size=1, max_size=3))
-    def test_any_run_of_control_edits_gives_whole_passes(self, edits):
+                          min_size=1, max_size=3),
+           bare_prior=st.booleans(), bare_run=st.booleans())
+    def test_any_run_of_control_edits_gives_whole_passes(self, edits, bare_prior, bare_run):
         """Each edit of the controls is followed by a pass that reuses the
-        maps of the pass before."""
+        maps of the pass before.  An uncontrolled first pass (bare) is
+        u = (1, 1), which the edits then change; an uncontrolled last pass
+        follows the edits and returns to u = (1, 1)."""
         params, w = ModelParams(), ObjectiveWeights()
-        u = np.random.default_rng(3).uniform(0.0, 0.25, size=(self.GRID.n_steps + 1, 2))
-        _, maps = self._pass(u)
+        shape = (self.GRID.n_steps + 1, 2)
+        u = np.ones(shape) if bare_prior else np.random.default_rng(3).uniform(0.75, 1.0, shape)
+        _, maps = self._pass(None if bare_prior else u)
+        runs = []
         for m, length, size, channel in edits:
             u = u.copy()
-            u[m:m + length, channel] += size
-            run = rk4_model(params, self.Y0, self.GRID, u)
+            u[m:m + length, channel] -= size
+            runs.append(u)
+        for v in runs + [None] * bare_run:
+            run = rk4_model(params, self.Y0, self.GRID, v)
             assert np.array_equal(rk4_adjoint(params, w, run, prior=maps),
                                   rk4_adjoint(params, w, run))
 
@@ -687,14 +736,19 @@ class TestResumedCostates:
         (TimeGrid(0.0, 30.0, 2000), Y0, True),  # another step count
         (TimeGrid(0.0, 31.0, 3000), Y0, True),  # another horizon
         (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
-        (GRID, Y0, False),  # no controls
+        (GRID, Y0, False),  # uncontrolled: resumed, not refused
     ])
     def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
+        """Maps along a controlled run on another grid or from another node
+        0 are refused; maps along an uncontrolled run (u = (1, 1)) on the
+        same grid and node 0 are resumed as any other."""
         params, w = ModelParams(), ObjectiveWeights()
-        prior, maps = self._pass(self._controls(1, grid), grid, y0)
-        if not controlled:
-            maps = dataclasses.replace(maps, run=Trajectory(grid, prior.states))
+        prior, maps = self._pass(self._controls(1, grid) if controlled else None, grid, y0)
         run = rk4_model(params, self.Y0, self.GRID, self._controls(2))
+        if not controlled:
+            assert np.array_equal(rk4_adjoint(params, w, run, prior=maps),
+                                  rk4_adjoint(params, w, run))
+            return
         with pytest.raises(GridMismatchError, match="a run to resume"):
             rk4_adjoint(params, w, run, prior=maps)
 
@@ -913,10 +967,13 @@ class TestIntegrateCost:
         assert tuple(int(v) for v in floor.group(1).split(".")) >= (2, 0)
 
     def test_missing_and_mismatched_controls_rejected(self):
+        """Missing controls are not rejected: they are u = (1, 1)."""
         w = ObjectiveWeights()
         grid = TimeGrid(0.0, 1.0, 10)
-        traj = Trajectory(grid=grid, states=np.zeros((11, 4)))
-        with pytest.raises(GridMismatchError):
-            integrate_cost(traj, w)
+        states = np.random.default_rng(6).uniform(0.0, 2.0, size=(11, 4))
+        traj = Trajectory(grid=grid, states=states)
+        assert np.array_equal(traj.controls, np.ones((11, 2)))
+        explicit = Trajectory(grid=grid, states=states, controls=np.ones((11, 2)))
+        assert integrate_cost(traj, w) == integrate_cost(explicit, w)
         with pytest.raises(GridMismatchError):  # a run's controls sit on its grid
             Trajectory(grid=grid, states=traj.states, controls=np.zeros((7, 2)))
