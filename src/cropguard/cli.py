@@ -39,7 +39,7 @@ from .equilibria import EquilibriumKind, Nonexistent, all_equilibria
 from .errors import BlowUpError, DomainError
 from .integrate import _CHUNK_STEPS, TimeGrid, default_step, rk4_model
 from .model import (
-    _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_state,
+    _PARAM_FIELDS, DEFAULT_STATE, ModelParams, ObjectiveWeights, State, check_count, check_state,
 )
 from .optimal_control import StopReason, SweepOptions, solve
 from .stability import _reports, r0
@@ -261,14 +261,13 @@ def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_bifurcate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """tail-extrema parameter sweep"""
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    if args.steps == 1:
+    steps = check_count(args.steps, "--steps")
+    if steps == 1:
         values = (args.sweep_from,)
     else:
         lo, hi = args.sweep_from, args.sweep_to
-        step = (hi - lo) / (args.steps - 1)
-        values = tuple(lo + i * step for i in range(args.steps))
+        step = (hi - lo) / (steps - 1)
+        values = tuple(lo + i * step for i in range(steps))
     spec = SweepSpec(
         parameter_name=_PARAM_KEYS[args.parameter],
         values=values,

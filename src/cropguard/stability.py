@@ -12,10 +12,12 @@ The Hopf scan samples the attack rate alpha and computes the coexistence
 point and the Routh-Hurwitz combination Psi = C1 C2 C3 - C3^2 - C4 C1^2
 at every sample in one batch: one coexistence solve over all rates, one
 stack of Jacobians and one stacked Faddeev-LeVerrier recursion.  It closes
-each sign change by regula falsi steps with a bisection safeguard, one
-coexistence solve a step, and confirms it with positivity side conditions
+each sign change by regula falsi steps with a bisection safeguard, down to
+Psi's own rounding bound, and confirms it with positivity side conditions
 plus a finite-difference transversality slope of the leading real part.
-Solves and Jacobians take the parameter values with alpha set to the rate.
+Each step and each transversality probe is the same batched evaluation
+(``_star_chars``) at one rate.  Solves and Jacobians take the parameter
+values with alpha set to the rate.
 """
 
 from __future__ import annotations
@@ -229,55 +231,35 @@ def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityR
     return reports
 
 
-def _nearest(stars: list[Equilibrium], near: float | None) -> Equilibrium | None:
-    """The point whose awareness level is nearest ``near`` (continuity along
-    the scan), the highest-awareness point when ``near`` is None, or None
-    when there is no point."""
-    if not stars:
-        return None
-    if near is None:
-        return stars[-1]
-    return min(stars, key=lambda s: abs(s.point.A - near))
-
-
-def _star_char_at(
-    params: ModelParams, alpha: float, near: float | None
-) -> tuple[Equilibrium, np.ndarray] | None:
-    """Coexistence point at an overridden attack rate (see ``_nearest``),
-    with its Jacobian; None when no admissible point exists."""
-    try:
-        (points,) = _coexistence_at(params, alpha)
-    except DomainError:
-        return None
-    star, values = _nearest(points, near), {**vars(params), "alpha": alpha}
-    return None if star is None else (star, _fill_jacobian(np.zeros((4, 4)), values, *star.point))
-
-
 def _star_chars(
-    params: ModelParams, alphas: np.ndarray
+    params: ModelParams, alphas, near: float | None = None
 ) -> tuple[list[Equilibrium | None], np.ndarray]:
-    """``_star_char_at`` at each attack rate of ``alphas`` in one batch.
+    """Coexistence point at each attack rate of ``alphas``, a float or a 1-D
+    array, in one batch, with its Jacobian.
 
-    ``near`` is the awareness level of the last point found.  Returns the
-    points (None where there is none) and their Jacobians as one
-    (m, 4, 4) stack, m the number of points.  A rate whose reduction
+    Each rate takes the point whose awareness level is nearest ``near``
+    (continuity along the scan), ``near`` then becoming that point's level;
+    while ``near`` is None a rate takes its highest-awareness point.
+    Returns the points (None where there is none) and their Jacobians as
+    one (m, 4, 4) stack, m the number of points.  A rate whose reduction
     overflows has no point.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing rate's row is None
             rows = _coexistence_at(params, alphas)
     except DomainError:
-        rows = [[]] * len(alphas)
-    stars, near = [], None
+        rows = [None] * np.size(alphas)
+    stars: list[Equilibrium | None] = []
     for points in rows:
-        star = _nearest(points, near)
-        if star is not None:
+        star = None
+        if points:
+            star = points[-1] if near is None else min(points, key=lambda s: abs(s.point.A - near))
             near = star.point.A
         stars.append(star)
     found = [star is not None for star in stars]
     points = np.array([star.point for star in stars if star is not None], dtype=float)
     X, S, I, A = points.reshape(-1, 4).T
-    values = {**vars(params), "alpha": alphas[found]}
+    values = {**vars(params), "alpha": np.atleast_1d(alphas)[found]}
     J = _fill_jacobian(np.zeros((4, 4, len(X))), values, X, S, I, A)
     return stars, np.ascontiguousarray(J.transpose(2, 0, 1))
 
@@ -285,13 +267,14 @@ def _star_chars(
 _Sample = tuple[float, float, float, CharPoly4]  # (alpha, Psi, A, char-poly)
 
 
-def _scan_samples(params: ModelParams, alphas: np.ndarray) -> list[_Sample | None]:
+def _scan_samples(params: ModelParams, alphas, near: float | None = None) -> list[_Sample | None]:
     """The ``_Sample`` of the coexistence point at each attack rate of
-    ``alphas`` (see ``_star_chars``), or None where there is none."""
-    stars, jacobians = _star_chars(params, alphas)
+    ``alphas``, a float or a 1-D array (see ``_star_chars``), or None where
+    there is none."""
+    stars, jacobians = _star_chars(params, alphas, near)
     chars = iter(np.transpose(_char_coeffs(jacobians)).tolist())
     samples: list[_Sample | None] = []
-    for alpha, star in zip(alphas.tolist(), stars):
+    for alpha, star in zip(np.atleast_1d(alphas).tolist(), stars):
         if star is None:
             samples.append(None)
             continue
@@ -301,10 +284,10 @@ def _scan_samples(params: ModelParams, alphas: np.ndarray) -> list[_Sample | Non
 
 
 def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:
-    at = _star_char_at(params, alpha, near)
-    if at is None:
+    (star,), J = _star_chars(params, alpha, near)
+    if star is None:
         return None
-    eigs = np.linalg.eigvals(at[1])
+    eigs = np.linalg.eigvals(J[0])
     pairs = eigs.real[np.abs(eigs.imag) > EIG_TOL]
     return float(pairs.max()) if pairs.size else None
 
@@ -316,22 +299,23 @@ def params_with_alpha(params: ModelParams, alpha: float) -> ModelParams:
 def _regula_falsi(params: ModelParams, x0: float, f0: float, x1: float, f1: float,
                  near: float) -> _Sample | None:
     """Last (alpha, Psi, A, char-poly) of Anderson-Bjorck regula falsi on Psi over
-    x0 < x1 (f0, f1 of opposite sign) down to the width floor, or None: an end kept
-    twice running (x1 counts as the last step) has its Psi scaled by 1 - fm/f (or 1/2
-    if not positive), f the Psi replaced; bisect when two steps have not halved it."""
+    x0 < x1 (f0, f1 of opposite sign), or None: an end kept twice running (x1 counts
+    as the last step) has its Psi scaled by 1 - fm/f (or 1/2 if not positive), f the
+    Psi replaced; bisect when two steps have not halved it.  Each step is one
+    ``_scan_samples`` at its rate.  It stops once |Psi| is within the rounding bound
+    of its own evaluation, 2 eps (|C1 C2 C3| + C3^2 + |C4| C1^2), below which its
+    sign is noise, or, on a jump that never gets there, at the width floor."""
     best, kept_lo, before_last, last = None, True, math.inf, math.inf
     while x1 - x0 >= 1e-15 * max(1.0, x1):
         xm = x1 - f1 * (x1 - x0) / (f1 - f0)
         if x1 - x0 > 0.5 * before_last or not x0 < xm < x1:
             xm = 0.5 * (x0 + x1)
         before_last, last = last, x1 - x0
-        at = _star_char_at(params, xm, near)
-        if at is None:
+        (sample,) = _scan_samples(params, xm, near)
+        if sample is None:
             break
-        cp = char_poly(at[1])
-        fm = psi(cp)
-        best = (xm, fm, at[0].point.A, cp)
-        if fm == 0.0:
+        best, fm, (c1, c2, c3, c4) = sample, sample[1], sample[3]
+        if abs(fm) <= 2.0 * math.ulp(1.0) * (abs(c1 * c2 * c3) + c3 * c3 + abs(c4) * c1 * c1):
             break
         if (f0 < 0.0) != (fm < 0.0):
             m = 1.0 - fm / f1
@@ -356,13 +340,16 @@ def hopf_scan(
 
     Samples Psi(alpha) on a uniform grid in one batch (``_scan_samples``),
     skips (and logs) samples where no coexistence point exists, and closes
-    each sign change between two samples with _regula_falsi; a sample with
-    Psi exactly zero between neighbours of opposite sign is itself the
-    crossing.  A crossing becomes a candidate when |Psi| there is below 1e-6
-    of the larger bracket-end |Psi| (a jump between coexistence branches is
-    not a crossing), its side conditions (C2, C3, C4, C1C2-C3) are positive,
-    and its central-difference transversality slope of the leading complex
-    pair exceeds 1e-8 in magnitude.  Returns an empty list (with a logged
+    each sign change between two samples with _regula_falsi, which stops
+    once |Psi| is within its rounding bound; a sample with Psi exactly zero
+    between neighbours of opposite sign is itself the crossing.  A crossing
+    becomes a candidate when |Psi| there is below 1e-6 of the larger
+    bracket-end |Psi| (a jump between coexistence branches is not a
+    crossing), its side conditions (C2, C3, C4, C1C2-C3) are positive, and
+    its central-difference transversality slope of the leading complex pair
+    exceeds 1e-8 in magnitude.  Every point and Jacobian comes from
+    ``_star_chars``: at the default 81 samples, one batch, 7 regula falsi
+    steps and 2 transversality probes.  Returns an empty list (with a logged
     diagnostic) when the coexistence point exists nowhere in the range.
     """
     lo, hi = alpha_range

@@ -684,7 +684,7 @@ class TestRejectedInputs:
         (("simulate", "--tf", "-1"), "need tf > t0, got [0.0, -1.0]"),
         (("simulate", "--dt", "5"), "dt must lie in (0, tf], got 5.0"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "0.2",
-          "--steps", "0"), "--steps must be at least 1, got 0"),
+          "--steps", "0"), "--steps must be an integer of at least 1, got 0"),
         (("simulate", "--tf", "1e12"), "fit in physical memory; got 1e+13"),
     ])
     def test_rejected_option_exits_2(self, argv, reason, tmp_path, capsys):

@@ -329,10 +329,20 @@ class TestOverflowingReduction:
         got = stability._scan_samples(baseline, alphas)
         assert got[:2] == stability._scan_samples(baseline, alphas[:2])
         assert got[2:] == [None, None]
-        assert stability._star_char_at(baseline, 1e200, None) is None
+        stars, jacobians = stability._star_chars(baseline, 1e200)
+        assert stars == [None] and jacobians.shape == (0, 4, 4)
 
     def test_a_scan_over_overflowing_rates_finds_nothing(self, baseline):
         assert hopf_scan(baseline, (1e299, 1e300), 3) == []
+
+
+def _pair_real(params, alpha):
+    """Real part of the complex eigenvalue pair at the highest-awareness
+    coexistence point: points from the polymul transcription, eigenvalues
+    from numpy.linalg."""
+    p = params_with_alpha(params, alpha)
+    eigs = np.linalg.eigvals(jacobian(p, reference_coexistence(p)[-1].point))
+    return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
 
 
 class TestHopfScan:
@@ -347,17 +357,10 @@ class TestHopfScan:
         assert lo * hi <= 0.0
 
     def test_crossing_matches_an_eigenvalue_reference(self, baseline):
-        # the reference roots the real part of the coexistence point's
-        # complex eigenvalue pair: points from the polymul transcription
-        # (the bracket-scan oracle's bisection to |h| < 1e-12 would leave
-        # its crossing ~5e-12 off), eigenvalues from numpy.linalg, the
-        # crossing from brentq
-        def pair_real(alpha):
-            p = params_with_alpha(baseline, alpha)
-            eigs = np.linalg.eigvals(jacobian(p, reference_coexistence(p)[-1].point))
-            return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
-
-        ref = brentq(pair_real, 0.8, 0.9, xtol=1e-14, rtol=1e-14)
+        # the reference roots _pair_real by brentq (the bracket-scan
+        # oracle's bisection to |h| < 1e-12 would leave its crossing ~5e-12
+        # off)
+        ref = brentq(lambda alpha: _pair_real(baseline, alpha), 0.8, 0.9, xtol=1e-14, rtol=1e-14)
         candidates = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
         assert len(candidates) == 1
         assert candidates[0].alpha_star == pytest.approx(ref, rel=1e-12)
@@ -367,28 +370,41 @@ class TestHopfScan:
         assert type(cand.transversality_slope) is float
 
     def test_regula_falsi_cuts_the_solves_and_keeps_the_crossing(self, baseline, monkeypatch):
-        # the reference roots the complex pair's real part as above, but at
-        # the polymul-transcription points: the scan oracle's own bisection
-        # to |h| < 1e-12 leaves its crossing ~5e-12 off
-        def pair_real(alpha):
-            p = params_with_alpha(baseline, alpha)
-            eigs = np.linalg.eigvals(jacobian(p, reference_coexistence(p)[-1].point))
-            return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
+        ref = brentq(lambda alpha: _pair_real(baseline, alpha), 0.8, 0.9, xtol=1e-15, rtol=1e-15)
+        single = []
+        star_chars = stability._star_chars
 
-        ref = brentq(pair_real, 0.8, 0.9, xtol=1e-15, rtol=1e-15)
-        calls = []
-        star_char_at = stability._star_char_at
+        def spy(params, alphas, near=None):
+            if np.ndim(alphas) == 0:
+                single.append(alphas)
+            return star_chars(params, alphas, near)
 
-        def spy(params, alpha, near):
-            calls.append(alpha)
-            return star_char_at(params, alpha, near)
-
-        monkeypatch.setattr(stability, "_star_char_at", spy)
+        monkeypatch.setattr(stability, "_star_chars", spy)
         (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
-        # the 81 samples are one batch: only the regula falsi steps and the
-        # transversality pair take a point one attack rate at a time
-        assert len(calls) <= 19
+        # the 81 samples are one batch: only the 7 regula falsi steps, which
+        # stop at Psi's rounding bound, and the transversality pair take a
+        # point one attack rate at a time
+        assert len(single) <= 9
         assert cand.alpha_star == pytest.approx(ref, rel=1e-12)
+
+    def test_perturbed_crossings_match_an_eigenvalue_reference(self, baseline):
+        # stopping regula falsi at Psi's rounding bound keeps alpha* on the
+        # reference: 30 crossings of the defaults perturbed by up to 30%
+        # (m1 > m2 kept), each against brentq on _pair_real
+        rng = np.random.default_rng(5)
+        names = [name for name in vars(baseline) if name != "alpha"]
+        checked = 0
+        while checked < 30:
+            values = {name: getattr(baseline, name) * rng.uniform(0.7, 1.3) for name in names}
+            if values["m1"] <= values["m2"]:
+                continue
+            p = replace(baseline, **values)
+            for cand in hopf_scan(p, (0.3, 1.2), n_samples=81):
+                a = cand.alpha_star
+                ref = brentq(lambda alpha: _pair_real(p, alpha), a * (1.0 - 1e-6),
+                             a * (1.0 + 1e-6), xtol=1e-15, rtol=1e-15)
+                assert a == pytest.approx(ref, rel=1e-12), values
+                checked += 1
 
     def test_the_default_scan_builds_no_model_params(self, baseline, monkeypatch):
         built = []
@@ -439,17 +455,24 @@ class TestHopfScan:
 ALPHA_STAR = 0.52  # between the samples 0.5 and 0.6 of the synthetic scans
 
 
-def _samples_one_by_one(params, alphas):
-    """The scan's samples one attack rate at a time: _star_char_at with the
-    last point's awareness level as ``near``, then char_poly and psi."""
-    out, near = [], None
-    for alpha in alphas.tolist():
-        at = stability._star_char_at(params, alpha, near)
-        if at is None:
+def _samples_one_by_one(params, alphas, near=None):
+    """The scan's samples one attack rate at a time, from the public
+    functions: ``coexistence`` at the rate, its point nearest ``near`` (the
+    highest-awareness one while ``near`` is None), whose awareness level
+    becomes ``near``, then ``jacobian``, ``char_poly`` and ``psi``."""
+    out = []
+    for alpha in np.atleast_1d(alphas).tolist():
+        p = params_with_alpha(params, alpha)
+        try:
+            points = coexistence(p)
+        except DomainError:  # a reduction that overflows or needs sigma > 0
+            points = []
+        if not points:
             out.append(None)
             continue
-        near = at[0].point.A
-        cp = char_poly(at[1])
+        star = points[-1] if near is None else min(points, key=lambda s: abs(s.point.A - near))
+        near = star.point.A
+        cp = char_poly(jacobian(p, star.point))
         out.append((alpha, psi(cp), near, cp))
     return out
 
@@ -466,10 +489,12 @@ class TestBatchedSamples:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(admissible_params(), st.floats(0.005, 1.5), st.floats(1e-3, 1.0),
-           st.integers(2, 30))
-    def test_random_parameters_over_alpha_grids(self, p, lo, width, n):
+           st.integers(2, 30), st.none() | st.floats(0.0, 5.0), st.floats(0.005, 2.5))
+    def test_random_parameters_over_alpha_grids(self, p, lo, width, n, near, one):
+        # from a drawn start ``near``, over a grid and at a single float rate
         alphas = np.linspace(lo, lo + width, n)
-        assert stability._scan_samples(p, alphas) == _samples_one_by_one(p, alphas)
+        assert stability._scan_samples(p, alphas, near) == _samples_one_by_one(p, alphas, near)
+        assert stability._scan_samples(p, one, near) == _samples_one_by_one(p, one, near)
 
     @pytest.mark.parametrize("step", [1, -1])
     def test_the_fold_window_where_near_picks_among_three_points(self, step):
@@ -502,24 +527,24 @@ class TestHopfScanRejections:
 
     @staticmethod
     def scan(monkeypatch, pair, others=(-1.0, -2.0), exists=lambda alpha: True):
-        def star_char_at(params, alpha, near):
-            if not exists(alpha):
-                return None
-            z1, z2 = pair(alpha)
-            if np.imag(z1):  # a rotation block for a complex pair
-                re, im = np.real(z1), np.imag(z1)
-                block = [[re, im], [-im, re]]
-            else:
-                block = np.diag([z1, z2])
-            return SimpleNamespace(point=SimpleNamespace(A=alpha)), block_diag(block, np.diag(others))
+        def star_chars(params, alphas, near=None):
+            # a float rate or an array of them, as the samples, the regula
+            # falsi steps and the transversality probes pass them
+            stars, jacobians = [], []
+            for alpha in np.atleast_1d(alphas).tolist():
+                if not exists(alpha):
+                    stars.append(None)
+                    continue
+                z1, z2 = pair(alpha)
+                if np.imag(z1):  # a rotation block for a complex pair
+                    re, im = np.real(z1), np.imag(z1)
+                    block = [[re, im], [-im, re]]
+                else:
+                    block = np.diag([z1, z2])
+                stars.append(SimpleNamespace(point=SimpleNamespace(A=alpha)))
+                jacobians.append(block_diag(block, np.diag(others)))
+            return stars, np.array(jacobians).reshape(-1, 4, 4)
 
-        def star_chars(params, alphas):
-            # the batched samples: the same Jacobians, one attack rate at a time
-            ats = [star_char_at(params, alpha, None) for alpha in alphas.tolist()]
-            jacobians = np.array([at[1] for at in ats if at is not None]).reshape(-1, 4, 4)
-            return [None if at is None else at[0] for at in ats], jacobians
-
-        monkeypatch.setattr(stability, "_star_char_at", star_char_at)
         monkeypatch.setattr(stability, "_star_chars", star_chars)
         return hopf_scan(ModelParams(), (0.3, 0.7), n_samples=5)
 
