@@ -28,8 +28,8 @@ from .model import (
     rhs_uncontrolled,
     running_cost,
 )
-from .integrate import (CostateMaps, TimeGrid, Trajectory, default_step, integrate_cost,
-                        rk4_adjoint, rk4_forward, rk4_model)
+from .integrate import (TimeGrid, Trajectory, default_step, integrate_cost, rk4_adjoint,
+                        rk4_forward, rk4_model)
 from .equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -62,7 +62,6 @@ __all__ = [
     "CharPoly4",
     "ControlValue",
     "Costate",
-    "CostateMaps",
     "CropguardError",
     "DegenerateParameterError",
     "DomainError",

@@ -29,9 +29,9 @@ class DegenerateParameterError(DomainError):
 
 
 class GridMismatchError(DomainError):
-    """Raised when arrays that must share a time grid have inconsistent
-    lengths or incompatible grids, or a run lacks the controls that a
-    pass over it needs."""
+    """Raised when a per-node array (a run's states, controls or
+    costates) does not have one row of the right width per grid node, or
+    is ragged or non-numeric."""
 
 
 class BlowUpError(CropguardError, RuntimeError):

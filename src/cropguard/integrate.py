@@ -18,17 +18,16 @@ Python call.  Both give the same nodes and errors bit for bit.  Every
 run carries its controls; an uncontrolled one carries u = (1, 1).  The
 kernel runs the grid in the chunks of ``_chunks``, each carrying the
 global step index, and ``rk4_model`` joins their nodes into one array.
-Given an earlier run on the same grid (``prior``), it keeps that run's
-nodes up to the first node whose controls changed and starts the
-chunks from the step before it, so a sweep's later passes re-integrate
-only what their new controls can reach.
 ``rk4_adjoint`` is a separate kernel: it uses that the costate field
 is affine in the costates, builds every backward step's RK4 map by
-batched matrix products and solves the recurrence blockwise.  Given the
-maps of an earlier pass on the same grid (``CostateMaps``), it keeps
-those of the steps before the first node whose state or controls
-changed, and the products of the blocks they fill, and builds only the
-rest: the steps that ``rk4_model`` re-ran.
+batched matrix products and solves the recurrence blockwise.
+``_forward_backward``, the sweep's pass, runs both on one grid and
+continues the last pass there (``_Pass``): from the first node whose
+controls changed it decides once where both passes start, keeps the
+last run's nodes and the costate maps below that step, and runs only
+the rest, so a sweep's later passes integrate only what their new
+controls can reach.  ``rk4_model`` and ``rk4_adjoint`` are the whole
+passes of the same code.
 """
 
 from __future__ import annotations
@@ -307,45 +306,38 @@ def rk4_model(
     y0: Sequence[float],
     grid: TimeGrid,
     u: np.ndarray | None = None,
-    *,
-    prior: Trajectory | None = None,
 ) -> Trajectory:
     """Integrate the model over the grid with classical RK4.
 
     ``u`` holds the controls (u1, u2), one row per node; the step from
     node i samples node i, the midpoint of nodes i and i+1, and node
     i+1.  ``u`` of None runs the uncontrolled system, u = (1, 1), through
-    the same steps.  The run carries a copy of ``u`` (u = (1, 1) for
-    None, as ``Trajectory`` does), so that editing ``u`` in place cannot
-    change what a later resumed run compares against.  A grid whose
-    nodes cannot fit in memory (``TimeGrid.check_memory`` at
-    ``_NODE_BYTES``) raises a domain error before anything is allocated;
-    controls that ``check_controls`` rejects raise its error before the
-    first step.  The steps run in ``_KERNEL``, ``rk4_forward``'s loop
-    with the field's text inlined, so results and errors equal those of
-    ``rk4_forward`` on ``model_field`` bit for bit.  They run in the
-    chunks of ``_chunks``, each from the last node of the one before
-    with its global step index and the grid's own t0 and h, so the nodes
-    and the errors are those of one run over the whole grid; only one
-    chunk's stage controls exist at a time.
-
-    ``prior`` is an earlier run of this function with the same
-    parameters, on the same grid from the same initial node; one with
-    another grid or another node 0 raises a grid mismatch error.  If the
-    controls first differ from the prior's (bit for bit) at node m,
-    nodes 0..m-1 of the prior are kept and the chunks start at step m-1
-    (step 0 when m is 0; none run when no row differs): the nodes and
-    the errors are still a fresh run's.
+    the same steps, and the run carries u = (1, 1) as ``Trajectory``
+    does.  A grid whose nodes cannot fit in memory
+    (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises a domain error
+    before anything is allocated; controls that ``check_controls``
+    rejects raise its error before the first step.  The steps run in
+    ``_KERNEL``, ``rk4_forward``'s loop with the field's text inlined, so
+    results and errors equal those of ``rk4_forward`` on ``model_field``
+    bit for bit.  They run in the chunks of ``_chunks``, each from the
+    last node of the one before with its global step index and the
+    grid's own t0 and h, so the nodes and the errors are those of one run
+    over the whole grid; only one chunk's stage controls exist at a time.
     """
     grid.check_memory(_NODE_BYTES)
+    controls = _controls(u, grid.n_steps + 1)
+    return _forward(params, grid, controls, np.array([_initial_state(y0)]), 0)
+
+
+def _forward(params: ModelParams, grid: TimeGrid, controls: np.ndarray, nodes: np.ndarray,
+             first: int) -> Trajectory:
+    """The run on ``controls`` that keeps nodes 0..first of ``nodes`` and
+    runs the kernel from step ``first`` on."""
     n, t0, h = grid.n_steps, grid.t0, grid.h
-    controls = _controls(u, n + 1) if u is None else _controls(u, n + 1).copy()
-    y = _initial_state(y0)
-    start = 0 if prior is None else _resume_step(prior, grid, y, controls)
     kernel = _bind_kernel(vars(params))
-    chunks = [np.array([y]) if prior is None else prior.states[:start + 1]]
+    chunks = [nodes[:first + 1]]
     y = tuple(chunks[0][-1].tolist())
-    for a, k, (v,) in _chunks(start, n, controls):
+    for a, k, (v,) in _chunks(first, n, controls):
         # the stage controls: nodes a..a+k-1, the midpoints, nodes a+1..a+k
         c1, c2 = v.T.tolist()
         stages = [c1[:k], c2[:k], c1[k + 1:], c2[k + 1:], c1[1:k + 1], c2[1:k + 1]]
@@ -355,18 +347,50 @@ def rk4_model(
     return Trajectory(grid, np.concatenate(chunks), controls)
 
 
-def _resume_step(prior: Trajectory, grid: TimeGrid, y0: tuple, u: np.ndarray) -> int:
-    """The step from which a run on ``grid`` from ``y0`` with controls ``u``
-    can continue ``prior``: the one before the first node whose control
-    row differs from the prior's bit for bit, n_steps when none does.  A
-    prior on another grid or from another node 0 raises a grid mismatch
-    error."""
-    if prior.grid != grid:
-        raise GridMismatchError(f"a run to resume must be on {grid}, got {prior.grid}")
-    if prior.states[0].tobytes() != np.array(y0).tobytes():
-        raise GridMismatchError(f"a run to resume must start from {y0}, "
-                                f"got {tuple(prior.states[0].tolist())}")
-    return max(0, _first_changed_row(u, prior.controls) - 1)
+class _Pass:
+    """The last forward-backward pass on one grid, which the next pass on
+    it continues (``_forward_backward``): its run (None before the first
+    pass), the maps T_j of its costate pass in the block-padded array of
+    shape (blocks, L, 5, 5) that ``_solve_backward`` walks, and each
+    block's product, shape (blocks, 5, 5)."""
+
+    def __init__(self, grid: TimeGrid):
+        n = grid.n_steps
+        # blocks of L = ceil(sqrt(n)) steps; T[pad + j] maps the costate at
+        # node j+1 to node j, and identity maps below node 0 fill the lowest block
+        L = math.isqrt(n - 1) + 1
+        pad = -n % L
+        self.grid, self.run = grid, None
+        self.steps = np.empty(((n + pad) // L, L, 5, 5))
+        self.steps.reshape(-1, 5, 5)[:pad] = np.eye(5)
+        self.composites = np.empty((len(self.steps), 5, 5))
+
+
+def _forward_backward(params: ModelParams, w: ObjectiveWeights, y0: Sequence[float],
+                      u: np.ndarray | None, last: _Pass) -> tuple[Trajectory, np.ndarray]:
+    """The run ``rk4_model(params, y0, last.grid, u)`` and its costates
+    ``rk4_adjoint(params, w, run)``, bit for bit, continuing ``last``, the
+    pass before on that grid with the same parameters, weights and
+    initial state.
+
+    If the controls first differ from its run's (bit for bit) at node m,
+    both passes start at step m - 1 (step 0 when m is 0; neither runs a
+    step when no row differs): the run keeps the nodes 0..m-1 of its
+    run, and the costate pass the maps T_0..T_(m-2), which read no later
+    node, and the products of the blocks they fill.  ``last`` then holds
+    this pass, its maps rewritten in place, and its run carries a copy
+    of ``u`` (u = (1, 1) for None), so that editing ``u`` in place cannot
+    change what the next pass compares against.  The caller checks the
+    grid's memory bound.
+    """
+    grid = last.grid
+    controls = _controls(u, grid.n_steps + 1).copy()
+    if last.run is None:
+        first, nodes = 0, np.array([_initial_state(y0)])
+    else:
+        first, nodes = max(0, _first_changed_row(controls, last.run.controls) - 1), last.run.states
+    last.run = run = _forward(params, grid, controls, nodes, first)
+    return run, _costates(params, w, run, last, first)
 
 
 def _first_changed_row(a: np.ndarray, b: np.ndarray) -> int:
@@ -376,27 +400,7 @@ def _first_changed_row(a: np.ndarray, b: np.ndarray) -> int:
     return int(changed[0]) if changed.size else len(a)
 
 
-@dataclass
-class CostateMaps:
-    """The step maps of a costate pass, kept for the next pass on its grid.
-
-    ``run`` is a copy of the run the maps were built along (None while
-    there is none), ``steps`` the maps T_j in the block-padded array of
-    shape (blocks, L, 5, 5) that ``_solve_backward`` walks, and
-    ``composites`` each block's product, shape (blocks, 5, 5).
-    ``rk4_adjoint`` reads them as its ``prior`` and rewrites them in
-    place for the run it integrates along.
-    """
-
-    run: Trajectory | None = None
-    steps: np.ndarray | None = None
-    composites: np.ndarray | None = None
-
-
-def rk4_adjoint(
-    params: ModelParams, w: ObjectiveWeights, run: Trajectory, *,
-    prior: CostateMaps | None = None,
-) -> np.ndarray:
+def rk4_adjoint(params: ModelParams, w: ObjectiveWeights, run: Trajectory) -> np.ndarray:
     """Integrate the model's costates from p(tf) = 0 down to t0 along a run.
 
     The grid, the states and the controls (u = (1, 1) for an uncontrolled
@@ -412,36 +416,18 @@ def rk4_adjoint(
     summed in another order (the tests allow 1e-13 of max|p|).  A
     non-finite costate raises a blow-up error at the time of the first
     such node back from tf.
-
-    ``prior`` holds the maps of an earlier pass with the same parameters
-    and weights (an empty ``CostateMaps`` holds none, and neither does
-    None); one whose run is on another grid or from another node 0
-    raises a grid mismatch error.  If the states or the controls first
-    differ from that run's (bit for bit) at node m, the maps
-    T_0..T_(m-2), which read no later node, and the products of the
-    blocks they fill are kept, and the chunks start at step m-1 (step 0
-    when m is 0; none run when no row differs): the step ``rk4_model``
-    resumes from.  The costates are still a whole pass's bit for bit.
-    The pass then rewrites ``prior`` in place, so a caller keeps one map
-    array per grid.
     """
+    return _costates(params, w, run, _Pass(run.grid), 0)
+
+
+def _costates(params: ModelParams, w: ObjectiveWeights, run: Trajectory, maps: _Pass,
+              first: int) -> np.ndarray:
+    """``rk4_adjoint`` along ``run``, building the maps of steps first..n-1
+    into ``maps`` in place; those below, and the products of the blocks
+    they fill, are kept."""
     grid, states, u1 = run.grid, run.states, run.controls[:, 0]
     n, h = grid.n_steps, grid.h
-    maps = CostateMaps() if prior is None else prior
     eye = np.eye(5)
-    if maps.run is None:
-        first = 0
-        # blocks of L = ceil(sqrt(n)) steps; T[pad + j] maps the costate at
-        # node j+1 to node j, and identity maps below node 0 fill the lowest block
-        L = math.isqrt(n - 1) + 1
-        pad = -n % L
-        maps.steps = np.empty(((n + pad) // L, L, 5, 5))
-        maps.composites = np.empty((len(maps.steps), 5, 5))
-        maps.steps.reshape(-1, 5, 5)[:pad] = eye
-    else:
-        first = min(_resume_step(maps.run, grid, tuple(states[0].tolist()), run.controls),
-                    _first_changed_row(states, maps.run.states) - 1)  # node 0 is the same
-    maps.run = None  # no run matches the maps while they are rewritten
     T = maps.steps.reshape(-1, 5, 5)
     L, pad = maps.steps.shape[1], len(T) - n
     with np.errstate(all="ignore"):
@@ -454,7 +440,6 @@ def rk4_adjoint(
             k4 = G0 @ (eye - h * k3)
             T[pad + a:pad + a + k] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
         p = _solve_backward(maps.steps, maps.composites, (pad + first) // L)[pad:]
-    maps.run = Trajectory(grid, states.copy(), run.controls.copy())
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
     if bad.size:
         raise BlowUpError(grid.t0 + bad[-1] * h)

@@ -48,8 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, DomainError
-from .integrate import (CostateMaps, TimeGrid, Trajectory, integrate_cost, rk4_adjoint,
-                        rk4_model)
+from .integrate import TimeGrid, Trajectory, _forward_backward, _Pass, integrate_cost
 from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
                     check_count, check_state)
 
@@ -75,8 +74,8 @@ _COARSE_TOL = 1e-3
 # Bytes a grid node costs ``solve`` at least: at the defaults on tf = 100,
 # peak RSS went 33 -> 116 -> 199 -> 282 MiB from 1k to 100k, 200k and 300k
 # steps, 870 B a step, against 256 for a model run (``integrate._NODE_BYTES``).
-# Each grid's costate maps (200 B a step) and a copy of its last run (48 B)
-# live between passes, so the forward passes peak on top of them.
+# Each grid's costate maps (200 B a step) and its last run (48 B) live
+# between passes, so the forward passes peak on top of them.
 SOLVE_NODE_BYTES = 900
 
 
@@ -267,14 +266,13 @@ def solve(
     fit in memory at ``SOLVE_NODE_BYTES`` each raises a domain error
     before anything is allocated.
 
-    Each pass after the first on a grid continues the last one on that
-    grid: the forward pass (``rk4_model``'s ``prior``) keeps that run's
-    nodes up to the first node whose controls changed, where both
-    controls usually sit on their bounds, and integrates only from
-    there; the costate pass (``rk4_adjoint``'s ``prior``) keeps the step
-    maps that read no later node and builds only those of the steps the
-    forward pass ran.  The nodes and the costates are those of whole
-    passes bit for bit.
+    Each grid keeps a record of its last pass (``integrate._Pass``), and
+    each pass after the first continues it (``_forward_backward``): from
+    the first node whose controls changed, where both controls usually
+    sit on their bounds, the forward pass integrates and the costate
+    pass builds the step maps; the nodes before it and the maps that read
+    no later node are kept.  The nodes and the costates are those of
+    whole passes bit for bit.
     """
     grid = opts.grid
     grid.check_memory(SOLVE_NODE_BYTES)
@@ -282,18 +280,12 @@ def solve(
     free = _free_mask(opts.freeze_u1, opts.freeze_u2)
     theta = opts.relaxation_theta
 
-    last_maps: dict[TimeGrid, CostateMaps] = {}  # the last pass on each grid and its maps
-
-    def forward_backward(grid: TimeGrid, u: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-        maps = last_maps.setdefault(grid, CostateMaps())
-        run = rk4_model(params, y0, grid, u, prior=maps.run)
-        return run, rk4_adjoint(params, w, run, prior=maps)
-
-    def sweep(grid: TimeGrid, u: np.ndarray, tolerance: float, budget: int):
-        """Iterate on ``grid`` from u for at most ``budget`` iterations.
-        Returns the last updated iterate, on which no forward/backward
-        pass has run yet, why the stage stopped, the last pass's
-        (run, costates) (None if the budget is 0), the stage's
+    def sweep(record: _Pass, u: np.ndarray, tolerance: float, budget: int):
+        """Iterate from u for at most ``budget`` iterations on the grid of
+        ``record``, each pass continuing the one it holds.  Returns the
+        last updated iterate, on which no forward/backward pass has run
+        yet, why the stage stopped, the last pass's (run, costates) (None
+        if the budget is 0), the stage's
         (objectives, changes, residuals) histories, and the controls to
         snap to without another pass: on convergence, when Phi of the
         last pass itself meets the stop rule, the type-II Anderson
@@ -306,7 +298,7 @@ def solve(
         d_u, d_f = [], []
         u_prev = f_prev = None
         for _ in range(budget):
-            run, costates = last = forward_backward(grid, u)
+            run, costates = last = _forward_backward(params, w, y0, u, record)
             objectives.append(integrate_cost(run, w))
             phi = _candidates(run.states, costates, params, w, free)
             f = phi - u
@@ -350,7 +342,7 @@ def solve(
         u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
         try:
             _, coarse_stop, last, stage_history, _ = sweep(
-                coarse, u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
+                _Pass(coarse), u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
         except BlowUpError:  # RK4 can be unstable at the longer coarse step
             coarse_stop = None
         if coarse_stop is StopReason.CONVERGED:
@@ -363,8 +355,9 @@ def solve(
                                     for c in np.hstack((run.states, costates)).T])
             u = _candidates(fine[:, :4], fine[:, 4:], params, w, free)
     coarse_iterations = len(coarse_history[1])
+    record = _Pass(grid)
     u, stop, _, fine_history, snap = sweep(
-        grid, u, opts.tolerance, opts.max_iterations - coarse_iterations)
+        record, u, opts.tolerance, opts.max_iterations - coarse_iterations)
     objective_history, change_history, residual_history = (
         (*coarse, *fine) for coarse, fine in zip(coarse_history, fine_history))
 
@@ -372,14 +365,14 @@ def solve(
     # tolerance; otherwise snap to Phi at the returned iterate and refresh.
     certificate = math.inf
     if snap is not None:
-        run, costates = forward_backward(grid, snap)
+        run, costates = _forward_backward(params, w, y0, snap, record)
         certificate = _hinged_gradient(snap, run.states, costates, params, w, free)
     if certificate <= opts.tolerance:
         u = snap
     else:
-        run, costates = forward_backward(grid, u)
+        run, costates = _forward_backward(params, w, y0, u, record)
         u = _candidates(run.states, costates, params, w, free)
-        run, costates = forward_backward(grid, u)
+        run, costates = _forward_backward(params, w, y0, u, record)
         certificate = _hinged_gradient(u, run.states, costates, params, w, free)
     return SweepSolution(
         states=Trajectory(grid, run.states, u, costates),

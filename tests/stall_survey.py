@@ -10,8 +10,10 @@ grid (the fine iterations plus the one to three passes each solve runs
 after them) and on the 10x coarser one (dropped coarse stages included),
 their sum in fine-pass equivalents (fine + coarse / 10), the share of
 forward steps on each grid that were reused from the pass before rather
-than run (``rk4_model``'s ``prior``), the share of costate maps on each
-grid reused rather than built (``rk4_adjoint``'s ``prior``), the largest
+than run, the share of costate maps on each grid reused rather than
+built (each pass, ``integrate._forward_backward``, continues the one
+before on its grid; steps are counted in the kernel and maps in
+``costate_matrix``, apart), the largest
 and the median stationarity residual of the converged draws, and the
 (seed, index) pairs of the stalled draws.  Exits 1 when fewer than
 ``MIN_CONVERGED`` problems converge, any blows up, a converged draw's
@@ -36,7 +38,7 @@ import numpy as np
 from conftest import make_random_params, make_random_state
 from cropguard import integrate, optimal_control
 from cropguard.errors import BlowUpError
-from cropguard.integrate import TimeGrid, rk4_adjoint, rk4_model
+from cropguard.integrate import TimeGrid, _forward_backward
 from cropguard.model import ObjectiveWeights
 from cropguard.optimal_control import StopReason, SweepOptions, solve
 
@@ -93,23 +95,20 @@ def main() -> int:
         pass_work[1] += len(X) // 2
         return matrix(params, w, X, S, I, A, u1)
 
-    def spy(params, y0, grid, u=None, *, prior=None):
-        nonlocal pass_grid
-        pass_grid = grid.n_steps
+    def spy(params, w, y0, u, last):
+        nonlocal pass_grid, mismatched
+        pass_grid = last.grid.n_steps
         passes[pass_grid] += 1
         pass_work[:] = 0, 0
-        return rk4_model(params, y0, grid, u, prior=prior)
-
-    def backward_spy(params, w, trajectory, *, prior=None):
-        nonlocal mismatched
-        backward[pass_grid] += 1
+        before = last.run
         try:
-            return rk4_adjoint(params, w, trajectory, prior=prior)
+            return _forward_backward(params, w, y0, u, last)
         finally:
-            mismatched += pass_work[0] != pass_work[1]
+            if last.run is not before:  # the forward pass ended, so the costate pass ran
+                backward[pass_grid] += 1
+                mismatched += pass_work[0] != pass_work[1]
 
-    optimal_control.rk4_model = spy
-    optimal_control.rk4_adjoint = backward_spy
+    optimal_control._forward_backward = spy
     integrate._bind_kernel = counting_bind
     integrate.costate_matrix = counting_matrix
     stalled, certificates = [], []

@@ -18,7 +18,6 @@ from conftest import make_random_params
 from cropguard import integrate
 from cropguard.errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from cropguard.integrate import (
-    CostateMaps,
     TimeGrid,
     Trajectory,
     default_step,
@@ -26,6 +25,8 @@ from cropguard.integrate import (
     rk4_adjoint,
     rk4_forward,
     rk4_model,
+    _forward_backward,
+    _Pass,
 )
 from cropguard.model import (
     ModelParams,
@@ -490,7 +491,7 @@ class TestChunkedKernel:
 
 
 def kernel_steps(monkeypatch) -> list:
-    """A one-item list counting the steps ``rk4_model``'s kernel runs from now on."""
+    """A one-item list counting the steps the model's kernel runs from now on."""
     steps, bind = [0], integrate._bind_kernel
 
     def counting_bind(values):
@@ -505,119 +506,8 @@ def kernel_steps(monkeypatch) -> list:
     return steps
 
 
-class TestResumedRun:
-    """``rk4_model(..., prior=run)`` keeps the nodes of an earlier run up to
-    the first node whose controls changed and runs the kernel from the step
-    before it; its nodes and blow-up times are a fresh run's."""
-
-    Y0 = (0.2, 0.07, 0.05, 0.5)
-    GRID = TimeGrid(0.0, 40.0, 4000)
-
-    def _controls(self, seed: int) -> np.ndarray:
-        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(self.GRID.n_steps + 1, 2))
-
-    @pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 4000, None])
-    def test_equals_a_fresh_run_bit_for_bit(self, m, monkeypatch):
-        params, grid, n = ModelParams(), self.GRID, self.GRID.n_steps
-        prior = rk4_model(params, self.Y0, grid, self._controls(1))
-        u = prior.controls.copy()
-        if m is not None:  # None: the same controls again
-            u[m:] = self._controls(2)[m:]
-        fresh = rk4_model(params, self.Y0, grid, u)
-        steps = kernel_steps(monkeypatch)
-        run = rk4_model(params, self.Y0, grid, u, prior=prior)
-        assert np.array_equal(run.states, fresh.states)
-        assert np.array_equal(run.controls, u) and not np.shares_memory(run.controls, u)
-        assert not np.shares_memory(run.states, prior.states)
-        assert steps == [0 if m is None else n - max(m - 1, 0)]
-
-    def test_controls_edited_in_place_after_the_prior_still_give_the_fresh_run(self):
-        params, grid = ModelParams(), self.GRID
-        u = self._controls(1)
-        prior = rk4_model(params, self.Y0, grid, u)
-        u[2000:] = 0.5
-        run = rk4_model(params, self.Y0, grid, u, prior=prior)
-        assert np.array_equal(run.states, rk4_model(params, self.Y0, grid, u).states)
-        assert not np.array_equal(run.states, prior.states)
-
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(m=st.integers(0, 2 * CHUNK + 100), length=st.integers(1, 2 * CHUNK + 101),
-           size=st.floats(1e-15, 0.25), channel=st.integers(0, 1),
-           bare_prior=st.booleans(), bare_run=st.booleans())
-    def test_any_perturbation_gives_the_fresh_run(self, m, length, size, channel,
-                                                  bare_prior, bare_run):
-        """The run's controls are the prior's with one perturbation; an
-        uncontrolled side (bare) is u = (1, 1), and the other side is then
-        its perturbation."""
-        params, grid = ModelParams(), TimeGrid(0.0, 20.0, 2 * CHUNK + 100)
-        shape = (grid.n_steps + 1, 2)
-        u = (np.ones(shape) if bare_prior or bare_run
-             else np.random.default_rng(3).uniform(0.25, 0.75, size=shape))
-        v = u.copy()
-        v[m:m + length, channel] -= size
-        if bare_run:  # the prior carries the perturbation of u = (1, 1)
-            u = v
-        u, v = (None if bare_prior else u), (None if bare_run else v)
-        prior = rk4_model(params, self.Y0, grid, u)
-        run = rk4_model(params, self.Y0, grid, v, prior=prior)
-        assert np.array_equal(run.states, rk4_model(params, self.Y0, grid, v).states)
-
-    def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self, monkeypatch):
-        """And a controlled run resumes an uncontrolled one where its
-        controls leave u = (1, 1)."""
-        params, grid = ModelParams(), self.GRID
-        u = np.ones((grid.n_steps + 1, 2))
-        u[2500:] = 0.5
-        prior, fresh = rk4_model(params, self.Y0, grid, u), rk4_model(params, self.Y0, grid)
-        steps = kernel_steps(monkeypatch)
-        run = rk4_model(params, self.Y0, grid, prior=prior)
-        assert np.array_equal(run.states, fresh.states)
-        assert np.array_equal(run.controls, np.ones_like(u)) and steps == [grid.n_steps - 2499]
-        back = rk4_model(params, self.Y0, grid, u, prior=run)
-        assert np.array_equal(back.states, prior.states)
-        assert steps == [2 * (grid.n_steps - 2499)]
-
-    def test_a_blowup_after_the_resume_point_raises_at_the_fresh_time(self):
-        # u2 = 1 from node 1000 feeds A at gamma = 1e307 a day until it
-        # overflows at node 3095, past two chunk boundaries
-        params, grid = ModelParams(gamma=1e307), self.GRID
-        u = np.zeros((grid.n_steps + 1, 2))
-        prior = rk4_model(params, self.Y0, grid, u)
-        v = u.copy()
-        v[1000:, 1] = 1.0
-        with pytest.raises(BlowUpError) as fresh:
-            rk4_model(params, self.Y0, grid, v)
-        with pytest.raises(BlowUpError) as resumed:
-            rk4_model(params, self.Y0, grid, v, prior=prior)
-        assert resumed.value.t == fresh.value.t and str(resumed.value) == str(fresh.value)
-        assert fresh.value.t / grid.h > 3 * CHUNK
-
-    @pytest.mark.parametrize("grid, y0, controlled", [
-        (TimeGrid(0.0, 40.0, 2000), (0.2, 0.07, 0.05, 0.0), True),  # another step count
-        (TimeGrid(0.0, 41.0, 4000), (0.2, 0.07, 0.05, 0.0), True),  # another horizon
-        (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
-        (GRID, (0.2, 0.07, 0.05, -0.0), True),  # another node 0 by the sign of a zero
-        (GRID, (0.2, 0.07, 0.05, 0.0), False),  # uncontrolled: resumed, not refused
-    ])
-    def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
-        """The run below starts from A = 0.0 on ``GRID``; each controlled
-        prior differs from it in its grid or its node 0.  An uncontrolled
-        prior on the same grid and node 0 carries u = (1, 1) and is resumed
-        as any other."""
-        params, start = ModelParams(), (0.2, 0.07, 0.05, 0.0)
-        half = np.full((grid.n_steps + 1, 2), 0.5)
-        prior = rk4_model(params, y0, grid, half if controlled else None)
-        u = np.full((self.GRID.n_steps + 1, 2), 0.5)
-        if not controlled:
-            run = rk4_model(params, start, self.GRID, u, prior=prior)
-            assert np.array_equal(run.states, rk4_model(params, start, self.GRID, u).states)
-            return
-        with pytest.raises(GridMismatchError, match="a run to resume"):
-            rk4_model(params, start, self.GRID, u, prior=prior)
-
-
 def costate_maps(monkeypatch) -> list:
-    """A one-item list counting the step maps ``rk4_adjoint`` builds from now on."""
+    """A one-item list counting the costate step maps built from now on."""
     maps, matrix = [0], integrate.costate_matrix
 
     def counting_matrix(params, w, X, S, I, A, u1):
@@ -628,53 +518,145 @@ def costate_maps(monkeypatch) -> list:
     return maps
 
 
-class TestResumedCostates:
-    """``rk4_adjoint(..., prior=maps)`` keeps the step maps of an earlier pass
-    up to the step before the first node whose state or controls changed,
-    and the products of the blocks below it; its costates are a whole
-    pass's bit for bit."""
+RESUME_Y0 = (0.2, 0.07, 0.05, 0.5)
 
-    Y0 = (0.2, 0.07, 0.05, 0.5)
+
+def resumed_pass(u, last, params=ModelParams()) -> tuple:
+    """The pass on ``u`` that continues ``last``, from ``RESUME_Y0``."""
+    return _forward_backward(params, ObjectiveWeights(), RESUME_Y0, u, last)
+
+
+def assert_fresh(pair, u, grid: TimeGrid, params=ModelParams()):
+    """``pair`` is the (run, costates) of fresh passes on ``u``."""
+    run, costates = pair
+    fresh = rk4_model(params, RESUME_Y0, grid, u)
+    assert np.array_equal(run.states, fresh.states)
+    assert np.array_equal(costates, rk4_adjoint(params, ObjectiveWeights(), fresh))
+
+
+class TestResumedRun:
+    """``_forward_backward`` continues the last pass on its grid (``_Pass``):
+    it keeps that pass's nodes up to the first node whose controls changed,
+    runs the kernel from the step before that node, and gives the run and
+    the costates of a fresh ``rk4_model`` and ``rk4_adjoint`` bit for bit."""
+
+    GRID = TimeGrid(0.0, 40.0, 4000)
+
+    def _controls(self, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(self.GRID.n_steps + 1, 2))
+
+    @pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 4000, None])
+    def test_equals_a_fresh_run_bit_for_bit(self, m, monkeypatch):
+        n, last = self.GRID.n_steps, _Pass(self.GRID)
+        prior, _ = resumed_pass(self._controls(1), last)
+        u = prior.controls.copy()
+        if m is not None:  # None: the same controls again
+            u[m:] = self._controls(2)[m:]
+        steps = kernel_steps(monkeypatch)
+        pair = resumed_pass(u, last)
+        assert steps == [0 if m is None else n - max(m - 1, 0)]
+        assert_fresh(pair, u, self.GRID)
+        run = pair[0]
+        assert last.run is run and np.array_equal(run.controls, u)
+        assert not np.shares_memory(run.controls, u)
+        assert not np.shares_memory(run.states, prior.states)
+
+    def test_controls_edited_in_place_after_the_prior_still_give_the_fresh_run(self):
+        u, last = self._controls(1), _Pass(self.GRID)
+        prior, _ = resumed_pass(u, last)
+        u[2000:] = 0.5
+        pair = resumed_pass(u, last)
+        assert_fresh(pair, u, self.GRID)
+        assert not np.array_equal(pair[0].states, prior.states)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(0, 2 * CHUNK + 100), length=st.integers(1, 2 * CHUNK + 101),
+           size=st.floats(1e-15, 0.25), channel=st.integers(0, 1),
+           bare_prior=st.booleans(), bare_run=st.booleans())
+    def test_any_perturbation_gives_the_fresh_run(self, m, length, size, channel,
+                                                  bare_prior, bare_run):
+        """The run's controls are the prior's with one perturbation; an
+        uncontrolled side (bare) is u = (1, 1), and the other side is then
+        its perturbation."""
+        grid = TimeGrid(0.0, 20.0, 2 * CHUNK + 100)
+        shape, last = (grid.n_steps + 1, 2), _Pass(grid)
+        u = (np.ones(shape) if bare_prior or bare_run
+             else np.random.default_rng(3).uniform(0.25, 0.75, size=shape))
+        v = u.copy()
+        v[m:m + length, channel] -= size
+        if bare_run:  # the prior carries the perturbation of u = (1, 1)
+            u = v
+        u, v = (None if bare_prior else u), (None if bare_run else v)
+        resumed_pass(u, last)
+        assert_fresh(resumed_pass(v, last), v, grid)
+
+    def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self, monkeypatch):
+        """And a controlled run resumes an uncontrolled one where its
+        controls leave u = (1, 1)."""
+        n, last = self.GRID.n_steps, _Pass(self.GRID)
+        u = np.ones((n + 1, 2))
+        u[2500:] = 0.5
+        resumed_pass(u, last)
+        steps, maps = kernel_steps(monkeypatch), costate_maps(monkeypatch)
+        pair = resumed_pass(None, last)
+        assert steps == maps == [n - 2499]
+        back = resumed_pass(u, last)
+        assert steps == maps == [2 * (n - 2499)]
+        assert_fresh(pair, None, self.GRID)
+        assert np.array_equal(pair[0].controls, np.ones_like(u))
+        assert_fresh(back, u, self.GRID)
+
+    def test_a_blowup_after_the_resume_point_raises_at_the_fresh_time(self):
+        # u2 = 1 from node 1000 feeds A at gamma = 1e307 a day until it
+        # overflows at node 3095, past two chunk boundaries
+        params, grid = ModelParams(gamma=1e307), self.GRID
+        u, last = np.zeros((grid.n_steps + 1, 2)), _Pass(grid)
+        resumed_pass(u, last, params)
+        v = u.copy()
+        v[1000:, 1] = 1.0
+        with pytest.raises(BlowUpError) as fresh:
+            rk4_model(params, RESUME_Y0, grid, v)
+        with pytest.raises(BlowUpError) as resumed:
+            resumed_pass(v, last, params)
+        assert resumed.value.t == fresh.value.t and str(resumed.value) == str(fresh.value)
+        assert fresh.value.t / grid.h > 3 * CHUNK
+
+
+class TestResumedCostates:
+    """The costate side of ``_forward_backward``: it keeps the step maps of
+    the last pass on its grid up to the step before the first node whose
+    controls changed, and the products of the blocks below it, builds the
+    rest in place, and gives a whole pass's costates bit for bit."""
+
     # blocks of L = 55 steps, the lowest padded with 25 identity maps
     GRID = TimeGrid(0.0, 30.0, 3000)
     L, PAD = 55, 25
     BLOCK_EDGE = 10 * L - PAD + 1  # step m - 1 opens block 10
 
-    def _controls(self, seed: int, grid: TimeGrid = GRID) -> np.ndarray:
-        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(grid.n_steps + 1, 2))
-
-    def _pass(self, u, grid: TimeGrid = GRID, y0=Y0) -> tuple:
-        """A run on ``u`` and the maps of its whole costate pass."""
-        params, w = ModelParams(), ObjectiveWeights()
-        run = rk4_model(params, y0, grid, u)
-        maps = CostateMaps()
-        rk4_adjoint(params, w, run, prior=maps)
-        return run, maps
+    def _controls(self, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(self.GRID.n_steps + 1, 2))
 
     @pytest.mark.parametrize("m", [
         0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
         BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1, 3000, None])
     def test_equals_a_whole_pass_bit_for_bit(self, m, monkeypatch):
-        params, w, n = ModelParams(), ObjectiveWeights(), self.GRID.n_steps
-        _, maps = self._pass(self._controls(1))
-        assert maps.steps.shape == ((n + self.PAD) // self.L, self.L, 5, 5)
-        steps, composites = maps.steps, maps.composites
-        u = maps.run.controls.copy()
+        n, last = self.GRID.n_steps, _Pass(self.GRID)
+        assert last.steps.shape == ((n + self.PAD) // self.L, self.L, 5, 5)
+        prior, _ = resumed_pass(self._controls(1), last)
+        kept, composites = last.steps, last.composites
+        u = prior.controls.copy()
         if m is not None:  # None: the same controls again
             u[m:] = self._controls(2)[m:]
-        run = rk4_model(params, self.Y0, self.GRID, u)
-        whole = CostateMaps()
-        p_whole = rk4_adjoint(params, w, run, prior=whole)
+        whole = _Pass(self.GRID)
+        _, p_whole = resumed_pass(u, whole)
         built = costate_maps(monkeypatch)
-        p = rk4_adjoint(params, w, run, prior=maps)
+        pair = resumed_pass(u, last)
         assert built == [0 if m is None else n - max(m - 1, 0)]
-        assert np.array_equal(p, p_whole)
-        assert np.array_equal(p, rk4_adjoint(params, w, run))
-        assert maps.steps is steps and maps.composites is composites  # rewritten in place
-        assert np.array_equal(maps.steps, whole.steps)
-        assert np.array_equal(maps.composites, whole.composites)
-        assert np.array_equal(maps.run.states, run.states)
-        assert np.array_equal(maps.run.controls, u) and not np.shares_memory(maps.run.controls, u)
+        assert np.array_equal(pair[1], p_whole)
+        assert_fresh(pair, u, self.GRID)
+        assert last.steps is kept and last.composites is composites  # rewritten in place
+        assert np.array_equal(last.steps, whole.steps)
+        assert np.array_equal(last.composites, whole.composites)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(edits=st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 3001),
@@ -682,75 +664,20 @@ class TestResumedCostates:
                           min_size=1, max_size=3),
            bare_prior=st.booleans(), bare_run=st.booleans())
     def test_any_run_of_control_edits_gives_whole_passes(self, edits, bare_prior, bare_run):
-        """Each edit of the controls is followed by a pass that reuses the
-        maps of the pass before.  An uncontrolled first pass (bare) is
-        u = (1, 1), which the edits then change; an uncontrolled last pass
-        follows the edits and returns to u = (1, 1)."""
-        params, w = ModelParams(), ObjectiveWeights()
-        shape = (self.GRID.n_steps + 1, 2)
+        """Each edit of the controls is followed by a pass that continues
+        the pass before.  An uncontrolled first pass (bare) is u = (1, 1),
+        which the edits then change; an uncontrolled last pass follows the
+        edits and returns to u = (1, 1)."""
+        shape, last = (self.GRID.n_steps + 1, 2), _Pass(self.GRID)
         u = np.ones(shape) if bare_prior else np.random.default_rng(3).uniform(0.75, 1.0, shape)
-        _, maps = self._pass(None if bare_prior else u)
+        resumed_pass(None if bare_prior else u, last)
         runs = []
         for m, length, size, channel in edits:
             u = u.copy()
             u[m:m + length, channel] -= size
             runs.append(u)
         for v in runs + [None] * bare_run:
-            run = rk4_model(params, self.Y0, self.GRID, v)
-            assert np.array_equal(rk4_adjoint(params, w, run, prior=maps),
-                                  rk4_adjoint(params, w, run))
-
-    def test_states_that_change_before_the_controls_set_the_rebuild(self, monkeypatch):
-        """A caller-built run whose states differ from the prior's at node
-        700 and whose controls differ only from node 2000 on."""
-        params, w, n = ModelParams(), ObjectiveWeights(), self.GRID.n_steps
-        prior, maps = self._pass(self._controls(1))
-        states, u = prior.states.copy(), prior.controls.copy()
-        states[700:, 2] *= 1.0 + 1e-9
-        u[2000:] = 0.5
-        run = Trajectory(self.GRID, states, u)
-        whole = rk4_adjoint(params, w, run)
-        built = costate_maps(monkeypatch)
-        assert np.array_equal(rk4_adjoint(params, w, run, prior=maps), whole)
-        assert built == [n - 699]
-
-    def test_maps_kept_from_a_blown_up_pass_give_the_whole_pass_blowup(self):
-        # X = -c zeroes c + X at node 1000, so the costates blow up there
-        params, w, grid = ModelParams(), ObjectiveWeights(), self.GRID
-        states = np.tile(self.Y0, (grid.n_steps + 1, 1))
-        states[1000, 0] = -params.c
-        u = self._controls(1)
-        maps = CostateMaps()
-        with pytest.raises(BlowUpError) as first:
-            rk4_adjoint(params, w, Trajectory(grid, states, u), prior=maps)
-        assert first.value.t == pytest.approx(grid.t0 + 1000 * grid.h, rel=1e-15)
-        v = u.copy()
-        v[2500:] = 0.5
-        with pytest.raises(BlowUpError) as whole:
-            rk4_adjoint(params, w, Trajectory(grid, states, v))
-        with pytest.raises(BlowUpError) as resumed:
-            rk4_adjoint(params, w, Trajectory(grid, states, v), prior=maps)
-        assert resumed.value.t == whole.value.t and str(resumed.value) == str(whole.value)
-
-    @pytest.mark.parametrize("grid, y0, controlled", [
-        (TimeGrid(0.0, 30.0, 2000), Y0, True),  # another step count
-        (TimeGrid(0.0, 31.0, 3000), Y0, True),  # another horizon
-        (GRID, (0.2, 0.07, 0.05, 0.6), True),  # another node 0
-        (GRID, Y0, False),  # uncontrolled: resumed, not refused
-    ])
-    def test_a_prior_from_another_run_is_refused(self, grid, y0, controlled):
-        """Maps along a controlled run on another grid or from another node
-        0 are refused; maps along an uncontrolled run (u = (1, 1)) on the
-        same grid and node 0 are resumed as any other."""
-        params, w = ModelParams(), ObjectiveWeights()
-        prior, maps = self._pass(self._controls(1, grid) if controlled else None, grid, y0)
-        run = rk4_model(params, self.Y0, self.GRID, self._controls(2))
-        if not controlled:
-            assert np.array_equal(rk4_adjoint(params, w, run, prior=maps),
-                                  rk4_adjoint(params, w, run))
-            return
-        with pytest.raises(GridMismatchError, match="a run to resume"):
-            rk4_adjoint(params, w, run, prior=maps)
+            assert_fresh(resumed_pass(v, last), v, self.GRID)
 
 
 def _textbook_rk4(params: ModelParams, y0, grid: TimeGrid, u: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from conftest import make_random_params, make_random_state
 from plain_sweep import plain_solve
 from test_integrate import costate_maps, kernel_steps, textbook_costates
 from cropguard.errors import DomainError
-from cropguard.integrate import TimeGrid, integrate_cost, rk4_adjoint, rk4_model
+from cropguard.integrate import TimeGrid, _forward_backward, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
     ControlValue,
     Costate,
@@ -286,11 +286,11 @@ class TestPlainSweepOracle:
         """Mixed iterates are projected onto [0, 1] before the next pass."""
         seen = []
 
-        def spy(params, y0, grid, u=None, *, prior=None):
+        def spy(params, w, y0, u, last):
             seen.append((float(u.min()), float(u.max())))
-            return rk4_model(params, y0, grid, u, prior=prior)
+            return _forward_backward(params, w, y0, u, last)
 
-        monkeypatch.setattr(optimal_control, "rk4_model", spy)
+        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
         sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         assert len(seen) == sol.iterations_used + 1
         assert all(0.0 <= lo and hi <= 1.0 for lo, hi in seen)
@@ -382,11 +382,11 @@ class TestNestedSweep:
     def grids_seen(self, monkeypatch):
         seen = []
 
-        def spy(params, y0, grid, u=None, *, prior=None):
-            seen.append(grid.n_steps)
-            return rk4_model(params, y0, grid, u, prior=prior)
+        def spy(params, w, y0, u, last):
+            seen.append(last.grid.n_steps)
+            return _forward_backward(params, w, y0, u, last)
 
-        monkeypatch.setattr(optimal_control, "rk4_model", spy)
+        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
         return seen
 
     def test_default_solve_matches_the_direct_solve(
@@ -456,18 +456,13 @@ class TestNestedSweep:
         (run, costates) of every forward/backward pair in call order."""
         grids, pairs = [], []
 
-        def forward(params, y0, grid, u=None, *, prior=None):
-            grids.append(grid.n_steps)
-            return rk4_model(params, y0, grid, u, prior=prior)
-
-        def backward(params, w, run, *, prior=None):
-            costates = rk4_adjoint(params, w, run, prior=prior)
-            pairs.append((run, costates))
-            return costates
+        def spy(params, w, y0, u, last):
+            grids.append(last.grid.n_steps)
+            pairs.append(_forward_backward(params, w, y0, u, last))
+            return pairs[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimal_control, "rk4_model", forward)
-            mp.setattr(optimal_control, "rk4_adjoint", backward)
+            mp.setattr(optimal_control, "_forward_backward", spy)
             sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         return sol, grids, pairs
 
@@ -494,13 +489,13 @@ class TestNestedSweep:
         the nodes in every later pass, so each runs at most 4,200 steps."""
         passes, steps = [], kernel_steps(monkeypatch)  # (grid steps, kernel steps) a pass
 
-        def forward(params, y0, grid, u=None, *, prior=None):
+        def spy(params, w, y0, u, last):
             before = steps[0]
-            run = rk4_model(params, y0, grid, u, prior=prior)
-            passes.append((grid.n_steps, steps[0] - before))
-            return run
+            pair = _forward_backward(params, w, y0, u, last)
+            passes.append((last.grid.n_steps, steps[0] - before))
+            return pair
 
-        monkeypatch.setattr(optimal_control, "rk4_model", forward)
+        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
         solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         n = control_grid.n_steps
         fine = [ran for grid_steps, ran in passes if grid_steps == n]
@@ -511,27 +506,22 @@ class TestNestedSweep:
         self, baseline, weights, y0, control_grid, monkeypatch
     ):
         """The costate pass after a resumed forward pass keeps the maps of
-        the steps that pass kept: a default solve builds 34,692 maps, not
-        the 58,000 of whole passes, as many as the kernel steps."""
-        passes, ran = [], []  # (grid steps, kernel steps, maps built) a pair
+        the steps that pass kept.  Counted apart, through the kernel and
+        through ``costate_matrix``, a default solve runs 34,692 kernel
+        steps and builds 34,692 maps, not the 58,000 of whole passes, and
+        each pass builds as many maps as its kernel ran steps."""
+        passes = []  # (grid steps, kernel steps, maps built) a pair
         steps, maps = kernel_steps(monkeypatch), costate_maps(monkeypatch)
 
-        def forward(params, y0, grid, u=None, *, prior=None):
-            before = steps[0]
-            run = rk4_model(params, y0, grid, u, prior=prior)
-            ran.append(steps[0] - before)
-            return run
+        def spy(params, w, y0, u, last):
+            before = steps[0], maps[0]
+            pair = _forward_backward(params, w, y0, u, last)
+            passes.append((last.grid.n_steps, steps[0] - before[0], maps[0] - before[1]))
+            return pair
 
-        def backward(params, w, run, *, prior=None):
-            before = maps[0]
-            costates = rk4_adjoint(params, w, run, prior=prior)
-            passes.append((run.grid.n_steps, ran[-1], maps[0] - before))
-            return costates
-
-        monkeypatch.setattr(optimal_control, "rk4_model", forward)
-        monkeypatch.setattr(optimal_control, "rk4_adjoint", backward)
+        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
         solve(baseline, weights, y0, SweepOptions(grid=control_grid))
-        assert maps == [34_692]
+        assert steps == maps == [34_692]
         assert all(built == kernel for _, kernel, built in passes), passes
         n = control_grid.n_steps
         fine = [built for grid_steps, _, built in passes if grid_steps == n]
@@ -576,12 +566,12 @@ class TestNestedSweep:
             certificates.append(hinged(*args))
             return math.inf if len(certificates) == 1 else certificates[-1]
 
-        def backward(params, w, run, *, prior=None):
-            pairs.append((run, rk4_adjoint(params, w, run, prior=prior)))
-            return pairs[-1][1]
+        def spy(params, w, y0, u, last):
+            pairs.append(_forward_backward(params, w, y0, u, last))
+            return pairs[-1]
 
         monkeypatch.setattr(optimal_control, "_hinged_gradient", reject_the_first)
-        monkeypatch.setattr(optimal_control, "rk4_adjoint", backward)
+        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
         sol = solve(baseline, weights, y0, opts)
         assert sol.converged and fast.converged
         assert sol.objective_history == fast.objective_history
@@ -656,7 +646,8 @@ def test_solve_refuses_a_grid_whose_nodes_cannot_fit(baseline, weights, y0, one_
     """With 1 MiB of physical memory a directly built grid one step past
     what ``SOLVE_NODE_BYTES`` a node allows raises the grid bound's domain
     error before the first forward pass."""
-    monkeypatch.setattr(optimal_control, "rk4_model", lambda *args: pytest.fail("a pass ran"))
+    monkeypatch.setattr(optimal_control, "_forward_backward",
+                        lambda *args: pytest.fail("a pass ran"))
     steps = one_mib_of_memory // optimal_control.SOLVE_NODE_BYTES + 1
     with pytest.raises(DomainError, match=f"fit in physical memory; got {steps}$"):
         solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, steps)))

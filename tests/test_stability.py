@@ -477,6 +477,22 @@ def _samples_one_by_one(params, alphas, near=None):
     return out
 
 
+@st.composite
+def _alpha_grids(draw, fold: ModelParams):
+    """(params, alphas, one): admissible parameters over a random grid of
+    attack rates and a single rate, or the fold draw ``fold`` over a
+    random sub-grid of its three-point window (0.4598, 0.4859), upward or
+    downward, and a single rate in that window."""
+    if draw(st.booleans()):
+        lo, width = draw(st.floats(0.005, 1.5)), draw(st.floats(1e-3, 1.0))
+        alphas = np.linspace(lo, lo + width, draw(st.integers(2, 30)))
+        return draw(admissible_params()), alphas, draw(st.floats(0.005, 2.5))
+    window = st.floats(0.4598, 0.4859)
+    lo, hi = sorted((draw(window), draw(window)))
+    alphas = np.linspace(lo, hi, draw(st.integers(2, 30)))[::draw(st.sampled_from([1, -1]))]
+    return fold, alphas, draw(window)
+
+
 class TestBatchedSamples:
     """The batched samples (alpha, Psi, A, C1..C4) are == to the per-alpha
     ones, and None exactly where those are."""
@@ -488,11 +504,10 @@ class TestBatchedSamples:
         assert None not in got
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(admissible_params(), st.floats(0.005, 1.5), st.floats(1e-3, 1.0),
-           st.integers(2, 30), st.none() | st.floats(0.0, 5.0), st.floats(0.005, 2.5))
-    def test_random_parameters_over_alpha_grids(self, p, lo, width, n, near, one):
+    @given(_alpha_grids(_fold_draw()), st.none() | st.floats(0.0, 5.0))
+    def test_random_parameters_over_alpha_grids(self, grid, near):
         # from a drawn start ``near``, over a grid and at a single float rate
-        alphas = np.linspace(lo, lo + width, n)
+        p, alphas, one = grid
         assert stability._scan_samples(p, alphas, near) == _samples_one_by_one(p, alphas, near)
         assert stability._scan_samples(p, one, near) == _samples_one_by_one(p, one, near)
 
