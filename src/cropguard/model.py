@@ -54,8 +54,10 @@ from .errors import DegenerateParameterError, DomainError, NonFiniteError
 # Components of a numerically integrated trajectory may dip this far
 # below zero from floating-point drift before validators complain.
 POSITIVITY_TOL = 1e-9
-# Controls may pass their bounds 0 and 1 by this much from rounding in a
-# caller's arithmetic and still count as admissible, and as on the bound.
+# The upper bound of the control box [0, CONTROL_MAX], and how far controls
+# may pass its bounds from rounding in a caller's arithmetic and still count
+# as admissible, and as on the bound.
+CONTROL_MAX = 1.0
 CONTROL_TOL = 1e-12
 
 
@@ -200,13 +202,14 @@ def check_state(s: Sequence[float]) -> State:
 
 def check_controls(u) -> None:
     """Reject inadmissible controls ``u``, one (u1, u2) pair or an array of
-    them: a non-finite value raises ``NonFiniteError``, one outside [0, 1]
-    by more than ``CONTROL_TOL`` ``DomainError``."""
+    them: a non-finite value raises ``NonFiniteError``, one outside
+    [0, ``CONTROL_MAX``] by more than ``CONTROL_TOL`` ``DomainError``."""
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NonFiniteError(f"controls must be finite, got {float(u[~np.isfinite(u)][0])!r}")
-    if u.min() < -CONTROL_TOL or u.max() > 1.0 + CONTROL_TOL:
-        raise DomainError(f"controls must lie in [0, 1], got values from {u.min()} to {u.max()}")
+    if u.min() < -CONTROL_TOL or u.max() > CONTROL_MAX + CONTROL_TOL:
+        raise DomainError(f"controls must lie in [0, {CONTROL_MAX:g}], "
+                          f"got values from {u.min()} to {u.max()}")
 
 
 def check_count(value, name: str, least: int = 1) -> int:

@@ -3,25 +3,26 @@
 Each iteration integrates the controlled state system forward, the
 adjoint system backward from zero terminal costates, and forms the
 candidate controls Phi(u): the pointwise minimizers of the Hamiltonian,
-clipped to [0, 1].  The optimum is a fixed point of Phi.  The iterate is
-updated by type-II Anderson mixing of Phi (Walker & Ni, SIAM J. Numer.
-Anal. 49 (2011) 1715): the last few residual differences are combined by
-least squares, mixed with the weight ``relaxation_theta`` and projected
-back onto [0, 1].  The first iteration, and any iteration whose
-least-squares problem is ill-conditioned, whose residual |Phi(u) - u|
-grew, or whose mixed step would pass the stop rule that the plain step
-fails, takes the plain relaxed step u + theta (Phi(u) - u) instead and
-restarts the mixing history.  The loop stops when the
+clipped to the control box.  The optimum is a fixed point of Phi.  The
+iterate is updated by type-II Anderson mixing of Phi (Walker & Ni, SIAM
+J. Numer. Anal. 49 (2011) 1715): the last few residual differences are
+combined by least squares, mixed with the weight ``relaxation_theta``
+and projected back onto the box.  The first iteration, and any
+iteration whose least-squares problem is ill-conditioned, whose residual
+|Phi(u) - u| grew, or whose mixed step would pass the stop rule that the
+plain step fails, takes the plain relaxed step u + theta (Phi(u) - u)
+instead and restarts the mixing history.  The loop stops when the
 applied control change is small relative to the control magnitude, and
 gives up early when the best residual stops improving.  The returned
-controls are snapped, so that bound-clamped nodes sit at 0 or 1 rather
+controls are snapped, so that bound-clamped nodes sit on a bound rather
 than a relaxation-limited distance away; a converged sweep usually
 snaps from its last pass and needs one more forward/backward pass, not
 two (see ``solve``).  The returned solution carries a stationarity
 residual: the hinged Hamiltonian-gradient magnitude, which vanishes at
 an exact interior optimum and is one-sided at the control bounds.
 
-Every sweep starts from u = 0.5 on the free control channels.  On a
+The control box is [0, ``model.CONTROL_MAX``] on a free channel and
+[0, 0] on a frozen one, and every sweep starts from its midpoint.  On a
 fine grid it is nested (mesh refinement; Betts, Practical Methods for
 Optimal Control and Estimation Using Nonlinear Programming, 2nd ed.,
 SIAM 2010, ch. 4): it first runs on a grid ten times coarser to a
@@ -49,8 +50,8 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError
 from .integrate import TimeGrid, Trajectory, _forward_backward, _Pass, integrate_cost
-from .model import (CONTROL_TOL, ControlValue, Costate, ModelParams, ObjectiveWeights, State,
-                    check_count, check_state)
+from .model import (CONTROL_MAX, CONTROL_TOL, ControlValue, Costate, ModelParams,
+                    ObjectiveWeights, State, check_count, check_state)
 
 # Anderson mixing: residual differences kept, and the condition number of
 # their least-squares problem above which the history is dropped.
@@ -93,9 +94,8 @@ class SweepOptions:
 
     ``relaxation_theta`` is the Anderson mixing weight, and the weight
     of the plain relaxed steps that start and restart the mixing.
-    ``freeze_u1``/``freeze_u2`` pin a control channel to zero
-    throughout (it is excluded from updates, convergence measurement,
-    and the stationarity residual).
+    ``freeze_u1``/``freeze_u2`` shrink a control channel's box from
+    [0, ``CONTROL_MAX``] to [0, 0], which pins it to zero throughout.
     """
 
     grid: TimeGrid
@@ -173,39 +173,32 @@ def _stationary_controls(states, costates, params: ModelParams, w: ObjectiveWeig
 
 def _candidates(
     states: np.ndarray, costates: np.ndarray, params: ModelParams, w: ObjectiveWeights,
-    free: np.ndarray,
+    ceiling: np.ndarray,
 ) -> np.ndarray:
-    """Clipped minimizers per node, zero in the channels that ``free`` marks 0."""
+    """Minimizers per node, clipped to the box [0, ``ceiling``] of each channel."""
     raw = _stationary_controls(states, costates, params, w)
-    return (np.clip(raw, 0.0, 1.0) + 0.0) * free  # + 0.0 normalizes -0.0 from clipped negatives
+    return np.clip(raw, 0.0, ceiling) + 0.0  # + 0.0 normalizes -0.0 from clipped negatives
 
 
 def _hinged_gradient(
     u: np.ndarray, states: np.ndarray, costates: np.ndarray,
-    params: ModelParams, w: ObjectiveWeights, free: np.ndarray,
+    params: ModelParams, w: ObjectiveWeights, ceiling: np.ndarray,
 ) -> float:
-    """Max hinged |dH/du| over nodes and the channels that ``free`` marks 1:
-    one-sided at the bounds, zero contribution from a bound the gradient
-    pushes against."""
+    """Max hinged |dH/du| over nodes and channels in the box [0, ``ceiling``]:
+    one-sided at a bound, zero contribution from a bound the gradient
+    pushes against, and zero at a node on both bounds."""
     g = (w.B1, w.B2) * (u - _stationary_controls(states, costates, params, w))
-    vals = np.where(u <= CONTROL_TOL, np.maximum(0.0, -g),
-                    np.where(u >= 1.0 - CONTROL_TOL, np.maximum(0.0, g), np.abs(g)))
-    return max(0.0, float((vals * free).max()))  # max(0.0, -0.0) is 0.0
+    vals = np.maximum(np.where(u <= CONTROL_TOL, 0.0, g),
+                      np.where(u >= ceiling - CONTROL_TOL, 0.0, -g))
+    return max(0.0, float(vals.max()))  # max(0.0, -0.0) is 0.0
 
 
-def _free_mask(freeze_u1: bool, freeze_u2: bool) -> np.ndarray:
-    """1 for each control channel the sweep updates, 0 for a frozen one."""
-    return np.array([not freeze_u1, not freeze_u2], dtype=float)
-
-
-def _anderson(u, f, d_u, d_f) -> Callable[[float], np.ndarray] | None:
+def _anderson(u, f, d_u, d_f, ceiling) -> Callable[[float], np.ndarray] | None:
     """Type-II Anderson steps from u with residual f = Phi(u) - u: a
     function of the weight theta giving the step mixed with that weight
-    and projected onto the admissible controls.  The mixing coefficients
+    and projected onto the box [0, ``ceiling``].  The mixing coefficients
     do not depend on theta, so every weight shares one least-squares
-    solve.  None when that problem is rank-deficient or ill-conditioned.
-    A frozen channel is 0 in u, in f and in every stored difference, so
-    its step is 0 too."""
+    solve.  None when that problem is rank-deficient or ill-conditioned."""
     dF = np.column_stack(d_f)
     gamma, _, rank, sv = np.linalg.lstsq(dF, f.ravel(), rcond=None)
     if rank < len(d_f) or sv[0] > _MAX_CONDITION * sv[-1]:
@@ -214,7 +207,7 @@ def _anderson(u, f, d_u, d_f) -> Callable[[float], np.ndarray] | None:
 
     def mixed(theta: float) -> np.ndarray:
         step = theta * f - ((dU + theta * dF) @ gamma).reshape(u.shape)
-        return np.clip(u + step, 0.0, 1.0)
+        return np.clip(u + step, 0.0, ceiling)
     return mixed
 
 
@@ -248,7 +241,7 @@ def solve(
     by its own refresh: one pass more.  Either way the states and
     costates are those of the returned controls.
 
-    The sweep starts from u = 0.5 on the free channels.  A grid of at
+    The sweep starts from the middle of the control box.  A grid of at
     least ``_COARSEN * _MIN_COARSE_STEPS`` steps is first swept on a
     grid ``_COARSEN`` times coarser, to the looser stop rule
     ``_COARSE_TOL``, and the sweep on the grid itself starts from the
@@ -260,8 +253,8 @@ def solve(
     and ``max_iterations`` bounds their sum.  Each stage starts with a
     plain step and counts its own stall window.  Only a converged coarse
     stage is kept: one that stalls, exhausts the budget or blows up is
-    dropped with its history, and the fine sweep starts from u = 0.5 with
-    the whole budget, so the result is the direct solve's at the cost of
+    dropped with its history, and the fine sweep starts from the midpoint
+    with the whole budget, so the result is the direct solve's at the cost of
     at most ``max_iterations`` coarse passes.  A grid whose nodes cannot
     fit in memory at ``SOLVE_NODE_BYTES`` each raises a domain error
     before anything is allocated.
@@ -277,7 +270,7 @@ def solve(
     grid = opts.grid
     grid.check_memory(SOLVE_NODE_BYTES)
     y0 = check_state(tuple(map(float, y0)))
-    free = _free_mask(opts.freeze_u1, opts.freeze_u2)
+    ceiling = np.where([opts.freeze_u1, opts.freeze_u2], 0.0, CONTROL_MAX)
     theta = opts.relaxation_theta
 
     def sweep(record: _Pass, u: np.ndarray, tolerance: float, budget: int):
@@ -300,7 +293,7 @@ def solve(
         for _ in range(budget):
             run, costates = last = _forward_backward(params, w, y0, u, record)
             objectives.append(integrate_cost(run, w))
-            phi = _candidates(run.states, costates, params, w, free)
+            phi = _candidates(run.states, costates, params, w, ceiling)
             f = phi - u
             residual = float(np.abs(f).max())
             if residuals and residual > residuals[-1]:
@@ -314,7 +307,7 @@ def solve(
             u_prev, f_prev = u, f
 
             plain = u + theta * f
-            mixed = _anderson(u, f, d_u, d_f) if d_f else None
+            mixed = _anderson(u, f, d_u, d_f, ceiling) if d_f else None
             u_new = None if mixed is None else mixed(theta)
             # A mixed step can cancel to almost no move while u is far from a
             # fixed point (the stored u differences are then nearly dependent);
@@ -335,11 +328,11 @@ def solve(
                 return u, StopReason.STALLED, last, history, None
         return u, StopReason.BUDGET, last, history, None
 
-    u = np.full((grid.n_steps + 1, 2), 0.5) * free
+    u = np.full((grid.n_steps + 1, 2), 0.5 * ceiling)
     coarse_history = ((), (), ())  # kept only from a converged coarse stage
     if grid.n_steps >= _COARSEN * _MIN_COARSE_STEPS:
         coarse = TimeGrid(grid.t0, grid.tf, grid.n_steps // _COARSEN)
-        u_coarse = np.full((coarse.n_steps + 1, 2), 0.5) * free
+        u_coarse = np.full((coarse.n_steps + 1, 2), 0.5 * ceiling)
         try:
             _, coarse_stop, last, stage_history, _ = sweep(
                 _Pass(coarse), u_coarse, max(opts.tolerance, _COARSE_TOL), opts.max_iterations)
@@ -353,7 +346,7 @@ def solve(
             run, costates = last
             fine = np.column_stack([np.interp(grid.times(), coarse.times(), c)
                                     for c in np.hstack((run.states, costates)).T])
-            u = _candidates(fine[:, :4], fine[:, 4:], params, w, free)
+            u = _candidates(fine[:, :4], fine[:, 4:], params, w, ceiling)
     coarse_iterations = len(coarse_history[1])
     record = _Pass(grid)
     u, stop, _, fine_history, snap = sweep(
@@ -366,14 +359,14 @@ def solve(
     certificate = math.inf
     if snap is not None:
         run, costates = _forward_backward(params, w, y0, snap, record)
-        certificate = _hinged_gradient(snap, run.states, costates, params, w, free)
+        certificate = _hinged_gradient(snap, run.states, costates, params, w, ceiling)
     if certificate <= opts.tolerance:
         u = snap
     else:
         run, costates = _forward_backward(params, w, y0, u, record)
-        u = _candidates(run.states, costates, params, w, free)
+        u = _candidates(run.states, costates, params, w, ceiling)
         run, costates = _forward_backward(params, w, y0, u, record)
-        certificate = _hinged_gradient(u, run.states, costates, params, w, free)
+        certificate = _hinged_gradient(u, run.states, costates, params, w, ceiling)
     return SweepSolution(
         states=Trajectory(grid, run.states, u, costates),
         objective_history=objective_history,

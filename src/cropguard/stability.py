@@ -206,7 +206,6 @@ def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityR
         _fill_jacobian(Jk, values, *eq.point)
     if not np.isfinite(J).all():
         raise DomainError("matrix entries must be finite")
-    J = J[0] if len(J) == 1 else J  # numpy costs less on one matrix than on a stack of one
     with np.errstate(over="ignore", invalid="ignore"):
         chars = np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()
     eigs = np.linalg.eigvals(J).reshape(-1, 4).astype(complex).tolist()

@@ -23,7 +23,6 @@ from cropguard.optimal_control import (
     SweepOptions,
     SweepSolution,
     _candidates,
-    _free_mask,
     _hinged_gradient,
 )
 
@@ -34,8 +33,9 @@ def plain_solve(
     """The relaxed sweep on the same options as ``solve``; no stall check."""
     grid = opts.grid
     y0 = State(*map(float, y0))
-    free = _free_mask(opts.freeze_u1, opts.freeze_u2)
-    u = np.full((grid.n_steps + 1, 2), 0.5) * free
+    # the control box's ceiling: 1 for a free channel, 0 for a frozen one
+    ceiling = np.array([not opts.freeze_u1, not opts.freeze_u2], dtype=float)
+    u = np.full((grid.n_steps + 1, 2), 0.5) * ceiling
 
     def forward_backward(u: np.ndarray):
         traj = rk4_model(params, y0, grid, u)
@@ -47,7 +47,7 @@ def plain_solve(
     traj, costates = forward_backward(u)
     for _ in range(opts.max_iterations):
         objective_history.append(integrate_cost(traj, w))
-        f = _candidates(traj.states, costates, params, w, free) - u
+        f = _candidates(traj.states, costates, params, w, ceiling) - u
         residual_history.append(float(np.abs(f).max()))
         u_new = u + theta * f
         change = float(np.abs(u_new - u).max())
@@ -58,7 +58,7 @@ def plain_solve(
             stop = StopReason.CONVERGED
             break
 
-    u = _candidates(traj.states, costates, params, w, free)
+    u = _candidates(traj.states, costates, params, w, ceiling)
     traj, costates = forward_backward(u)
     return SweepSolution(
         states=Trajectory(grid, traj.states, u, costates),
@@ -66,6 +66,6 @@ def plain_solve(
         change_history=tuple(change_history),
         residual_history=tuple(residual_history),
         stop_reason=stop,
-        stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, free),
+        stationarity_residual=_hinged_gradient(u, traj.states, costates, params, w, ceiling),
         final_objective=integrate_cost(traj, w),
     )

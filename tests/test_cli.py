@@ -622,8 +622,8 @@ class TestOptimizeStopsAndOutputs:
     def test_stall_exits_4_and_says_why(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(5)
 
-        def random_phi(states, costates, params, w, free):
-            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+        def random_phi(states, costates, params, w, ceiling):
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * ceiling
 
         monkeypatch.setattr(optimal_control, "_candidates", random_phi)
         out = tmp_path / "opt.csv"
@@ -651,10 +651,10 @@ class TestOptimizeStopsAndOutputs:
         rng = np.random.default_rng(5)
         real_phi = optimal_control._candidates
 
-        def phi(states, costates, params, w, free):
+        def phi(states, costates, params, w, ceiling):
             if len(states) == 51:
-                return real_phi(states, costates, params, w, free)
-            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+                return real_phi(states, costates, params, w, ceiling)
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * ceiling
 
         monkeypatch.setattr(optimal_control, "_candidates", phi)
         assert run_cli("optimize", "--tf", "5", "--dt", "0.01") == 4

@@ -15,6 +15,7 @@ from test_integrate import costate_maps, kernel_steps, textbook_costates
 from cropguard.errors import DomainError
 from cropguard.integrate import TimeGrid, _forward_backward, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
+    CONTROL_MAX,
     ControlValue,
     Costate,
     ModelParams,
@@ -24,18 +25,18 @@ from cropguard.model import (
 )
 from cropguard.optimal_control import StopReason, SweepOptions, _candidates, solve
 
-FREE = np.ones(2)  # both control channels updated
+CEILING = np.full(2, CONTROL_MAX)  # both control channels free
 
 
 class TestControlUpdate:
     """The control update Phi(u) (``_candidates``): the Hamiltonian's pointwise
-    minimizers, clipped to [0, 1]."""
+    minimizers, clipped to the box [0, ceiling]."""
 
     def test_matches_the_projected_closed_form(self, baseline, weights):
         rng = np.random.default_rng(83)
         states = rng.uniform(0.01, 2.0, size=(100, 4))
         costates = rng.uniform(-200.0, 200.0, size=(100, 4))
-        got = _candidates(states, costates, baseline, weights, FREE)
+        got = _candidates(states, costates, baseline, weights, CEILING)
         for (_X, S, _I, A), (_p1, p2, p3, p4), (u1, u2) in zip(states, costates, got):
             raw1 = (p2 - p3) * baseline.lam * A * S / (weights.B1 * (baseline.a + A))
             raw2 = -p4 * baseline.gamma / weights.B2
@@ -45,7 +46,7 @@ class TestControlUpdate:
 
     def test_zero_costate_gives_clean_zero_controls(self, baseline, weights):
         got = _candidates(np.array([[1.0, 0.5, 0.2, 0.4]]), np.zeros((1, 4)),
-                          baseline, weights, FREE)
+                          baseline, weights, CEILING)
         assert got.tolist() == [[0.0, 0.0]]
         # no negative zero leaks out, though -p4 gamma / B2 is -0.0 here
         assert [math.copysign(1.0, v) for v in got[0]] == [1.0, 1.0]
@@ -98,7 +99,7 @@ class TestConvergedScenario:
         assert sol.stationarity_residual < 1e-6
         run = sol.states
         recomputed = optimal_control._hinged_gradient(
-            run.controls, run.states, run.costates, baseline, weights, FREE)
+            run.controls, run.states, run.costates, baseline, weights, CEILING)
         assert recomputed == sol.stationarity_residual
 
     def test_controls_respect_bounds_and_saturate(self, converged_sweep):
@@ -210,6 +211,19 @@ class TestFrozenChannels:
         assert np.all(u[:, 1] == 0.0)
         assert sol.stationarity_residual < 1e-5
 
+    def test_both_channels_frozen_is_the_zero_control_run(self, baseline, weights, y0):
+        """Both boxes are [0, 0]: every node sits on both bounds at once, so
+        the certificate is exactly 0 although the costates push the controls
+        up, and the solve is the zero-control run bit for bit."""
+        sol = solve(baseline, weights, y0,
+                    SweepOptions(grid=self.GRID, freeze_u1=True, freeze_u2=True))
+        u = sol.states.controls
+        assert sol.converged
+        assert np.all(u == 0.0) and not np.signbit(u).any()
+        assert sol.stationarity_residual == 0.0
+        zero = rk4_model(baseline, y0, self.GRID, np.zeros((self.GRID.n_steps + 1, 2)))
+        assert sol.final_objective == integrate_cost(zero, weights)
+
     def test_zero_weights_and_zero_guess_converge_immediately(self, baseline, y0):
         """Without state weights the costates vanish and Phi is 0 everywhere.
         The coarse stage reaches u = 0 exactly, so the fine stage starts
@@ -221,6 +235,44 @@ class TestFrozenChannels:
         assert sol.iterations_used == sol.coarse_iterations + 1
         assert np.all(np.asarray(sol.controls) == 0.0)
         assert sol.stationarity_residual == 0.0
+
+
+class TestFreeOptimalityOracle:
+    """A solve with a channel frozen at 0 is a feasible point of the
+    two-control problem, so J* with both channels free is no higher.  The
+    slack covers draws whose free optimum leaves a channel at 0, where the
+    two optima agree only to rounding."""
+
+    @staticmethod
+    def free_and_frozen(params, weights, y0, grid):
+        return [solve(params, weights, y0, SweepOptions(grid=grid, freeze_u1=u1, freeze_u2=u2))
+                for u1, u2 in ((False, False), (True, False), (False, True))]
+
+    @staticmethod
+    def assert_free_is_no_higher(free, *frozen):
+        slack = 1e-9 * max(1.0, abs(free.final_objective))
+        for sol in frozen:
+            assert free.final_objective <= sol.final_objective + slack
+
+    def test_defaults(self, baseline, weights, y0, control_grid):
+        sols = self.free_and_frozen(baseline, weights, y0, control_grid)
+        assert all(sol.converged for sol in sols)
+        assert [sol.final_objective for sol in sols] == pytest.approx(
+            [-15163.387, -15157.176, -9236.654], abs=1e-3)
+        self.assert_free_is_no_higher(*sols)
+
+    def test_random_problems(self, weights, y0):
+        """The draws of ``make_random_params(default_rng(7))`` whose three
+        solves converge, of the first 12 (draw 6 stalls free)."""
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(12):
+            sols = self.free_and_frozen(make_random_params(rng), weights, y0,
+                                        TimeGrid(0.0, 20.0, 2000))
+            if all(sol.converged for sol in sols):
+                self.assert_free_is_no_higher(*sols)
+                checked += 1
+        assert checked >= 10
 
 
 class TestIterationBudget:
@@ -348,10 +400,10 @@ class TestPlainSweepOracle:
         f = rng.uniform(-0.1, 0.1, size=(50, 2))
         v, x = rng.normal(size=100), rng.normal(size=100)
         d_u = [rng.normal(size=100), rng.normal(size=100)]
-        assert optimal_control._anderson(u, f, d_u, [v, 2.0 * v]) is None
+        assert optimal_control._anderson(u, f, d_u, [v, 2.0 * v], CEILING) is None
         nearly = [v, v + 1e-12 * x]
-        assert optimal_control._anderson(u, f, d_u, nearly) is None
-        mixed = optimal_control._anderson(u, f, d_u, [v, x])(0.5)
+        assert optimal_control._anderson(u, f, d_u, nearly, CEILING) is None
+        mixed = optimal_control._anderson(u, f, d_u, [v, x], CEILING)(0.5)
         assert mixed.shape == u.shape and 0.0 <= mixed.min() and mixed.max() <= 1.0
 
 
@@ -580,7 +632,7 @@ class TestNestedSweep:
         (last_pass, _), (rejected, _), (iterate, costates), (refresh, _) = pairs[-4:]
         assert np.array_equal(rejected.controls, fast.states.controls)
         assert np.abs(iterate.controls - last_pass.controls).max() == sol.change_history[-1]
-        u = _candidates(iterate.states, costates, baseline, weights, FREE)
+        u = _candidates(iterate.states, costates, baseline, weights, CEILING)
         assert np.array_equal(sol.states.controls, u)
         assert np.array_equal(refresh.controls, u)
         assert np.array_equal(sol.states.costates, pairs[-1][1])
@@ -608,7 +660,7 @@ class TestNestedSweep:
                                     for c in a.T])
 
         start = _candidates(on_fine_nodes(last_run.states), on_fine_nodes(last_costates),
-                            baseline, weights, FREE)
+                            baseline, weights, CEILING)
         assert np.array_equal(first_fine.controls, start)
 
 
@@ -618,8 +670,8 @@ class TestStall:
         settles, so the sweep stops long before its budget, not converged."""
         rng = np.random.default_rng(97)
 
-        def random_phi(states, costates, params, w, free):
-            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * free
+        def random_phi(states, costates, params, w, ceiling):
+            return rng.uniform(0.0, 1.0, size=(len(states), 2)) * ceiling
 
         monkeypatch.setattr(optimal_control, "_candidates", random_phi)
         sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 5.0, 100)))
