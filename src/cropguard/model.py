@@ -303,22 +303,26 @@ def rhs_controlled(params: ModelParams, s: Sequence[float], u: Sequence[float]) 
 
 
 def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
-    """4x4 Jacobian of the uncontrolled field at state s.
+    """4x4 Jacobian of the uncontrolled field at state s, the one-point ``_jacobians``.
 
     Entries (1,4) and (4,1) are identically zero: the crop equation has
     no direct awareness dependence and vice versa.
     """
     X, S, I, A = s
     _require_finite(X, S, I, A)
-    return _fill_jacobian(np.zeros((4, 4)), vars(params), X, S, I, A)
+    return _jacobians(vars(params), [s])[0]
 
 
-def _fill_jacobian(J: np.ndarray, values: Mapping, X, S, I, A) -> np.ndarray:
-    """``J``, 4x4 for floats or (4, 4, m) for arrays of length m, with the
-    uncontrolled Jacobian at (X, S, I, A) from ``_jacobian_entries`` written in."""
-    for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
-        J[i, j] = value
-    return J
+def _jacobians(values: Mapping, points) -> np.ndarray:
+    """The uncontrolled Jacobian at each of ``points``, (m, 4) states, as one C-ordered (m, 4, 4)
+    stack, filled entry-major and copied once; a parameter value may be an array of length m.
+    An entry overflows to inf or nan silently, as Python float arithmetic does."""
+    X, S, I, A = np.asarray(points, dtype=float).reshape(-1, 4).T
+    J = np.zeros((4, 4, len(X)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
+            J[i, j] = value
+    return np.ascontiguousarray(J.transpose(2, 0, 1))
 
 
 def _jacobian_entries(values, X, S, I, A, u1) -> list:

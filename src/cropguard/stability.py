@@ -32,7 +32,7 @@ import numpy as np
 
 from .equilibria import Equilibrium, EquilibriumKind, _coexistence_at
 from .errors import CropguardError, DegenerateParameterError, DomainError
-from .model import ModelParams, _fill_jacobian, check_count
+from .model import ModelParams, _jacobians, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +111,13 @@ def _char_coeffs(J: np.ndarray) -> list[np.ndarray]:
     return coeffs
 
 
+def _char_rows(J: np.ndarray) -> list[CharPoly4]:
+    """The ``CharPoly4`` of each matrix of a (..., 4, 4) stack.  Where the recursion's matrix
+    products overflow, coefficients read inf or nan; numpy's warnings for that are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [CharPoly4(*row) for row in np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()]
+
+
 def char_poly(J: Sequence[Sequence[float]]) -> CharPoly4:
     """Characteristic polynomial of a 4x4 matrix (Faddeev-LeVerrier).
 
@@ -121,7 +128,7 @@ def char_poly(J: Sequence[Sequence[float]]) -> CharPoly4:
         raise DomainError(f"need a 4x4 matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError("matrix entries must be finite")
-    return CharPoly4(*map(float, _char_coeffs(A)))
+    return _char_rows(A)[0]
 
 
 def routh_hurwitz(cp: CharPoly4) -> tuple[bool, tuple[float, float, float, float, float]]:
@@ -188,30 +195,26 @@ def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     a non-finite one has been rejected.  For the axial and pest-free
     points they are cross-checked against their triangular-factorization
     closed forms; disagreement beyond rounding raises.  This is the
-    one-row case of ``_reports``.
+    one-row case of ``_reports``.  A ``Nonexistent`` raises DomainError.
     """
     return _reports(params, [eq])[0]
 
 
 def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityReport]:
-    """``classify`` of each of ``eqs`` at ``params``: one (n, 4, 4) Jacobian stack, built point
-    by point from floats, one ``_char_coeffs`` and one ``eigvals`` call, then each report.
+    """``classify`` of each of ``eqs`` at ``params``: one (n, 4, 4) Jacobian stack
+    (``_jacobians``), one ``_char_rows`` and one ``eigvals`` call, then each report.
 
     At attack rates near the coexistence quartic's overflow (alpha ~ 1e100 and up), the
-    recursion's matrix products overflow, so the C1-C4 and H1/H2 margins read inf or nan;
-    numpy's warnings for that are silenced here.  The verdicts still come from ``eigvals``
-    of the finite Jacobians."""
-    values, J = vars(params), np.zeros((len(eqs), 4, 4))
-    for Jk, eq in zip(J, eqs):
-        _fill_jacobian(Jk, values, *eq.point)
+    C1-C4 and H1/H2 margins read inf or nan (see ``_char_rows``).  The verdicts still come
+    from ``eigvals`` of the finite Jacobians.  A ``Nonexistent`` in ``eqs`` raises."""
+    if absent := [eq.kind.value for eq in eqs if not isinstance(eq, Equilibrium)]:
+        raise DomainError(f"no {' or '.join(absent)} equilibrium exists to classify")
+    J = _jacobians(vars(params), [eq.point for eq in eqs])
     if not np.isfinite(J).all():
         raise DomainError("matrix entries must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        chars = np.transpose(_char_coeffs(J)).reshape(-1, 4).tolist()
     eigs = np.linalg.eigvals(J).reshape(-1, 4).astype(complex).tolist()
     reports = []
-    for eq, char, roots in zip(eqs, chars, eigs):
-        cp = CharPoly4(*char)
+    for eq, cp, roots in zip(eqs, _char_rows(J), eigs):
         rh_stable, margins = routh_hurwitz(cp)
         if eq.kind in (EquilibriumKind.AXIAL, EquilibriumKind.PEST_FREE):
             for ev in _closed_form_eigs(params, eq.kind):
@@ -256,11 +259,8 @@ def _star_chars(
             near = star.point.A
         stars.append(star)
     found = [star is not None for star in stars]
-    points = np.array([star.point for star in stars if star is not None], dtype=float)
-    X, S, I, A = points.reshape(-1, 4).T
     values = {**vars(params), "alpha": np.atleast_1d(alphas)[found]}
-    J = _fill_jacobian(np.zeros((4, 4, len(X))), values, X, S, I, A)
-    return stars, np.ascontiguousarray(J.transpose(2, 0, 1))
+    return stars, _jacobians(values, [star.point for star in stars if star is not None])
 
 
 _Sample = tuple[float, float, float, CharPoly4]  # (alpha, Psi, A, char-poly)
@@ -271,15 +271,9 @@ def _scan_samples(params: ModelParams, alphas, near: float | None = None) -> lis
     ``alphas``, a float or a 1-D array (see ``_star_chars``), or None where
     there is none."""
     stars, jacobians = _star_chars(params, alphas, near)
-    chars = iter(np.transpose(_char_coeffs(jacobians)).tolist())
-    samples: list[_Sample | None] = []
-    for alpha, star in zip(np.atleast_1d(alphas).tolist(), stars):
-        if star is None:
-            samples.append(None)
-            continue
-        cp = CharPoly4(*next(chars))
-        samples.append((alpha, psi(cp), star.point.A, cp))
-    return samples
+    chars = iter(_char_rows(jacobians))
+    return [None if star is None else (alpha, psi(cp := next(chars)), star.point.A, cp)
+            for alpha, star in zip(np.atleast_1d(alphas).tolist(), stars)]
 
 
 def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:

@@ -15,7 +15,7 @@ from polymul_reduction import reference_coexistence
 from cropguard.equilibria import (
     Nonexistent, _coexistence_at, all_equilibria, axial, coexistence, pest_free)
 from cropguard.errors import CropguardError, DegenerateParameterError, DomainError, NonFiniteError
-from cropguard import stability
+from cropguard import model, stability
 from cropguard.model import ModelParams, jacobian
 from cropguard.stability import (
     EIG_TOL,
@@ -250,6 +250,18 @@ class TestClassify:
         assert n_reports > 400
         assert worst <= 1e-9
 
+    def test_a_nonexistent_point_raises_a_domain_error(self):
+        # at alpha = 0 neither pest-carrying point exists
+        p = ModelParams(alpha=0.0)
+        found = all_equilibria(p)
+        absent = [eq for eq in found if isinstance(eq, Nonexistent)]
+        assert len(absent) == 2
+        for eq in absent:
+            with pytest.raises(DomainError, match=f"no {eq.kind.value} equilibrium"):
+                classify(p, eq)
+        with pytest.raises(DomainError, match="no SusceptibleFree or Coexistence equilibrium"):
+            stability._reports(p, found)
+
     def test_char_poly_agrees_with_the_jacobian(self, baseline):
         eq = pest_free(baseline)
         rep = classify(baseline, eq)
@@ -314,6 +326,57 @@ class TestStackedReports:
             stability._reports(baseline, [eq, bad])
 
 
+def _jacobian_by_floats(values, point):
+    """One 4x4 Jacobian filled entry by entry from Python floats: the
+    reference for each row of a ``_jacobians`` stack."""
+    J = np.zeros((4, 4))
+    for (i, j), value in model._jacobian_entries(values, *point, 1.0):
+        J[i, j] = value
+    return J
+
+
+def _char_of_one(J):
+    """C1..C4 of one 4x4 matrix as floats, the reference for ``_char_rows``."""
+    return CharPoly4(*map(float, stability._char_coeffs(J)))
+
+
+class TestOneJacobianBuilder:
+    """Each row of a ``_jacobians`` stack is bit for bit the one-matrix
+    float fill, and ``_char_rows`` of the stack is == the one-matrix
+    recursion of each."""
+
+    @staticmethod
+    def check(J, values, points):
+        # ``values`` has alpha a float or an array, one rate per point
+        alphas = np.broadcast_to(values["alpha"], len(points)).tolist()
+        want = [_jacobian_by_floats({**values, "alpha": alpha}, point)
+                for alpha, point in zip(alphas, points)]
+        assert J.flags.c_contiguous and J.shape == (len(points), 4, 4)
+        assert [Jk.tobytes() for Jk in J] == [Jw.tobytes() for Jw in want]
+        assert stability._char_rows(J) == [_char_of_one(Jw) for Jw in want]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_params())
+    def test_random_parameters_at_their_equilibria(self, p):
+        points = [eq.point for eq in all_equilibria(p) if not isinstance(eq, Nonexistent)]
+        self.check(model._jacobians(vars(p), points), vars(p), points)
+        assert [jacobian(p, point).tobytes() for point in points] == [
+            _jacobian_by_floats(vars(p), point).tobytes() for point in points]
+
+    def test_the_default_scan_grid(self, baseline):
+        alphas = np.linspace(0.3, 1.2, 81)
+        stars, jacobians = stability._star_chars(baseline, alphas)
+        assert None not in stars
+        self.check(jacobians, {**vars(baseline), "alpha": alphas}, [star.point for star in stars])
+
+    def test_a_state_whose_products_overflow_is_filled_silently(self, baseline):
+        # (c + X)^2 overflows, so d(crop)/dX reads 0, as it does in float arithmetic
+        point = (1e200, 0.1, 0.1, 0.1)
+        want = _jacobian_by_floats(vars(baseline), point)
+        assert want[0, 0] == -2e199
+        assert jacobian(baseline, point).tobytes() == want.tobytes()
+
+
 class TestOverflowingReduction:
     """From alpha ~ 1e155 at the defaults the coexistence reduction's
     coefficients overflow: one rate raises a typed error naming it, and a
@@ -334,6 +397,22 @@ class TestOverflowingReduction:
 
     def test_a_scan_over_overflowing_rates_finds_nothing(self, baseline):
         assert hopf_scan(baseline, (1e299, 1e300), 3) == []
+
+
+class TestOverflowingRecursion:
+    """Below the reduction's overflow the char-poly recursion can overflow
+    (C4 ~ J^4 does past entries of ~1e77): its coefficients read inf or nan,
+    and no RuntimeWarning (an error in this suite) escapes."""
+
+    def test_char_poly_of_a_huge_matrix(self):
+        cp = char_poly(np.full((4, 4), 1e200))
+        assert np.isfinite(cp.c1)
+        assert not np.isfinite(cp[1:]).any()
+
+    def test_a_scan_where_the_recursion_overflows_finds_nothing(self, baseline):
+        # coexistence points exist at these rates; their Psi is not finite
+        assert all(stability._star_chars(baseline, np.array([1e120, 1e150]))[0])
+        assert hopf_scan(baseline, (1e120, 1e150), 5) == []
 
 
 def _pair_real(params, alpha):
