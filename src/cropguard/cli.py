@@ -206,26 +206,15 @@ def _classified(params: ModelParams):
     return [(eq, None if isinstance(eq, Nonexistent) else next(reports)) for eq in found]
 
 
-def _equilibria_rows(cfg: RunConfig):
-    threshold = r0(cfg.params)
-    for eq, report in _classified(cfg.params):
-        if report is None:
-            yield (eq.kind.value, "", "", "", "", "", "Nonexistent", "", "", eq.reason)
-            continue
-        yield (
-            eq.kind.value,
-            *eq.point,
-            eq.residual_norm,
-            report.verdict.value,
-            report.max_real_part,
-            threshold if eq.kind is EquilibriumKind.PEST_FREE else "",
-            "",
-        )
-
-
 def cmd_equilibria(cfg: RunConfig, args: argparse.Namespace) -> int:
     """steady states with verdicts"""
-    rows = list(_equilibria_rows(cfg))  # a degenerate parameter set fails before --out opens
+    threshold = r0(cfg.params)  # a degenerate parameter set fails before --out opens
+    rows = [
+        (eq.kind.value, "", "", "", "", "", "Nonexistent", "", "", eq.reason) if rep is None
+        else (eq.kind.value, *eq.point, eq.residual_norm, rep.verdict.value, rep.max_real_part,
+              threshold if eq.kind is EquilibriumKind.PEST_FREE else "", "")
+        for eq, rep in _classified(cfg.params)
+    ]
     _emit_csv(
         args.out,
         ("kind", *State._fields, "residual", "verdict", "max_real_eig", "R0", "reason"),

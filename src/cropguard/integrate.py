@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError, GridMismatchError, NonFiniteError
 from .model import (_FIELD, ModelParams, ObjectiveWeights, State, _bind_compiled, check_controls,
-                    check_count, costate_matrix, running_cost)
+                    check_count, check_state, costate_matrix, running_cost)
 
 _ARITH_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 # Bytes per node that a model run's memory bound assumes: a 400k-step
@@ -313,11 +313,11 @@ def rk4_model(
     node i samples node i, the midpoint of nodes i and i+1, and node
     i+1.  ``u`` of None runs the uncontrolled system, u = (1, 1), through
     the same steps, and the run carries u = (1, 1) as ``Trajectory``
-    does.  A grid whose nodes cannot fit in memory
-    (``TimeGrid.check_memory`` at ``_NODE_BYTES``) raises a domain error
-    before anything is allocated; controls that ``check_controls``
-    rejects raise its error before the first step.  The steps run in
-    ``_KERNEL``, ``rk4_forward``'s loop with the field's text inlined, so
+    does.  A grid whose nodes cannot fit in memory (``TimeGrid.check_memory``
+    at ``_NODE_BYTES``) raises a domain error before anything is allocated;
+    controls that ``check_controls`` rejects, or a ``y0`` that
+    ``check_state`` rejects, raise its error before the first step.  The
+    steps run in ``_KERNEL``, ``rk4_forward``'s loop with the field's text inlined, so
     results and errors equal those of ``rk4_forward`` on ``model_field``
     bit for bit.  They run in the chunks of ``_chunks``, each from the
     last node of the one before with its global step index and the
@@ -326,7 +326,7 @@ def rk4_model(
     """
     grid.check_memory(_NODE_BYTES)
     controls = _controls(u, grid.n_steps + 1)
-    return _forward(params, grid, controls, np.array([_initial_state(y0)]), 0)
+    return _forward(params, grid, controls, np.array([check_state(y0)], dtype=float), 0)
 
 
 def _forward(params: ModelParams, grid: TimeGrid, controls: np.ndarray, nodes: np.ndarray,

@@ -305,12 +305,10 @@ def rhs_controlled(params: ModelParams, s: Sequence[float], u: Sequence[float]) 
 def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
     """4x4 Jacobian of the uncontrolled field at state s, the one-point ``_jacobians``.
 
-    Entries (1,4) and (4,1) are identically zero: the crop equation has
-    no direct awareness dependence and vice versa.
+    Entries (1,4) and (4,1) are identically zero: the crop equation has no direct awareness
+    dependence and vice versa.  A state that ``check_state`` rejects raises its error.
     """
-    X, S, I, A = s
-    _require_finite(X, S, I, A)
-    return _jacobians(vars(params), [s])[0]
+    return _jacobians(vars(params), [check_state(s)])[0]
 
 
 def _jacobians(values: Mapping, points) -> np.ndarray:

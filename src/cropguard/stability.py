@@ -15,9 +15,9 @@ stack of Jacobians and one stacked Faddeev-LeVerrier recursion.  It closes
 each sign change by regula falsi steps with a bisection safeguard, down to
 Psi's own rounding bound, and confirms it with positivity side conditions
 plus a finite-difference transversality slope of the leading real part.
-Each step and each transversality probe is the same batched evaluation
-(``_star_chars``) at one rate.  Solves and Jacobians take the parameter
-values with alpha set to the rate.
+Each step is the same batched evaluation (``_star_chars``) at one rate, and
+both transversality probes are one evaluation at two rates.  Solves and
+Jacobians take the parameter values with alpha set to the rate.
 """
 
 from __future__ import annotations
@@ -276,15 +276,6 @@ def _scan_samples(params: ModelParams, alphas, near: float | None = None) -> lis
             for alpha, star in zip(np.atleast_1d(alphas).tolist(), stars)]
 
 
-def _leading_complex_real_part(params: ModelParams, alpha: float, near: float | None) -> float | None:
-    (star,), J = _star_chars(params, alpha, near)
-    if star is None:
-        return None
-    eigs = np.linalg.eigvals(J[0])
-    pairs = eigs.real[np.abs(eigs.imag) > EIG_TOL]
-    return float(pairs.max()) if pairs.size else None
-
-
 def params_with_alpha(params: ModelParams, alpha: float) -> ModelParams:
     return replace(params, alpha=alpha)
 
@@ -342,8 +333,9 @@ def hopf_scan(
     its central-difference transversality slope of the leading complex pair
     exceeds 1e-8 in magnitude.  Every point and Jacobian comes from
     ``_star_chars``: at the default 81 samples, one batch, 7 regula falsi
-    steps and 2 transversality probes.  Returns an empty list (with a logged
-    diagnostic) when the coexistence point exists nowhere in the range.
+    steps and one two-rate batch for both transversality probes, the upper
+    probe's point nearest the lower one's.  Returns an empty list (with a
+    logged diagnostic) when the coexistence point exists nowhere in the range.
     """
     lo, hi = alpha_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
@@ -381,10 +373,11 @@ def hopf_scan(
         side = routh_hurwitz(char)[1][:4]
         if not all(v > 0.0 for v in side):
             continue
-        re_hi = _leading_complex_real_part(params, x_star + _TRANSVERSALITY_EPS, a_star)
-        re_lo = _leading_complex_real_part(params, x_star - _TRANSVERSALITY_EPS, a_star)
-        if re_hi is None or re_lo is None:
+        stars, J = _star_chars(params, x_star + np.array([-1.0, 1.0]) * _TRANSVERSALITY_EPS, a_star)
+        pairs = [z.real[np.abs(z.imag) > EIG_TOL] for z in np.linalg.eigvals(J)]
+        if None in stars or not all(pair.size for pair in pairs):
             continue
+        re_lo, re_hi = (float(pair.max()) for pair in pairs)
         slope = (re_hi - re_lo) / (2.0 * _TRANSVERSALITY_EPS)
         if abs(slope) <= _TRANSVERSALITY_MIN_SLOPE:
             continue

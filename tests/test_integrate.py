@@ -333,7 +333,8 @@ class TestModelKernels:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 64), h=st.floats(0.001, 4.0),
            y0=st.tuples(*[st.floats(0.0, 3.0)] * 4), controlled=st.booleans())
-    # X0 = -c zeroes c + X in the first stage: the failed-evaluation path
+    # X0 = -c zeroes c + X in the first stage: the failed-evaluation path.
+    # rk4_model rejects that state, so the kernel is started from it directly
     @example(seed=0, n_steps=5, h=0.1, y0=(-ModelParams().c, 0.07, 0.05, 0.5), controlled=True)
     # an overflowing controlled run: numpy-scalar controls would raise a
     # RuntimeWarning where the kernel's floats give a BlowUpError
@@ -351,7 +352,11 @@ class TestModelKernels:
             field = lambda t, y: f(*y, *u_at(t))
         else:
             u, field = None, lambda t, y: f(*y, 1.0, 1.0)
-        got = _outcome(lambda: rk4_model(params, y0, grid, u))
+        if min(y0) < 0.0:
+            controls = integrate._controls(u, n_steps + 1)
+            got = _outcome(lambda: integrate._forward(params, grid, controls, np.array([y0]), 0))
+        else:
+            got = _outcome(lambda: rk4_model(params, y0, grid, u))
         ref = _outcome(lambda: rk4_forward(field, y0, grid))
         if isinstance(ref, np.ndarray):
             assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
@@ -385,6 +390,13 @@ class TestModelKernels:
     def test_nonfinite_initial_state_rejected(self):
         with pytest.raises(DomainError):
             rk4_model(ModelParams(), (math.nan, 0.07, 0.05, 0.5), self.GRID)
+
+    @pytest.mark.parametrize("y0", [(0.2, -0.5, 0.1, 0.1), (-1.0, 0.07, 0.05, 0.5)])
+    def test_negative_initial_state_rejected(self, y0):
+        # the state rule of solve, SweepSpec and the CLI: not a run that goes
+        # negative, nor a blow-up at t = 0 where X0 = -c zeroes c + X
+        with pytest.raises(DomainError, match="state has negative component"):
+            rk4_model(ModelParams(), y0, TimeGrid(0.0, 10.0, 100))
 
     @pytest.mark.parametrize("value, error", [
         (2.0, DomainError), (-1e-9, DomainError), (math.nan, NonFiniteError),

@@ -222,6 +222,14 @@ def test_jacobian_awareness_row_is_linear(baseline):
     assert J[3].tolist() == [0.0, baseline.sigma, baseline.sigma, -baseline.eta]
 
 
+@pytest.mark.parametrize("s", [(-1.0, 0.1, 0.1, 0.1), (0.1, 0.1, 0.1, -0.5)])
+def test_jacobian_rejects_a_state_outside_the_domain(baseline, s):
+    # X = -c and A = -a zero a denominator: the state rule of check_state,
+    # not a divide-by-zero warning or inf entries
+    with pytest.raises(DomainError, match="state has negative component"):
+        jacobian(baseline, s)
+
+
 def test_costate_rhs_is_negative_state_gradient_of_hamiltonian():
     rng = np.random.default_rng(13)
     for _ in range(30):

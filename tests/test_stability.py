@@ -424,6 +424,18 @@ def _pair_real(params, alpha):
     return max(z.real for z in eigs if abs(z.imag) > EIG_TOL)
 
 
+def _leading_complex_real_part(params, alpha, near):
+    """One transversality probe on its own: ``_star_chars`` at the single
+    rate alpha from ``near``, then the largest real part of a complex
+    eigenvalue of its Jacobian, or None."""
+    (star,), J = stability._star_chars(params, alpha, near)
+    if star is None:
+        return None
+    eigs = np.linalg.eigvals(J[0])
+    pairs = eigs.real[np.abs(eigs.imag) > EIG_TOL]
+    return float(pairs.max()) if pairs.size else None
+
+
 class TestHopfScan:
     def test_crossing_found_at_strong_consumption(self, baseline):
         candidates = hopf_scan(baseline, (0.3, 2.0), n_samples=120)
@@ -450,21 +462,48 @@ class TestHopfScan:
 
     def test_regula_falsi_cuts_the_solves_and_keeps_the_crossing(self, baseline, monkeypatch):
         ref = brentq(lambda alpha: _pair_real(baseline, alpha), 0.8, 0.9, xtol=1e-15, rtol=1e-15)
-        single = []
+        single, batches = [], []
         star_chars = stability._star_chars
 
         def spy(params, alphas, near=None):
-            if np.ndim(alphas) == 0:
-                single.append(alphas)
+            (single if np.ndim(alphas) == 0 else batches).append(alphas)
             return star_chars(params, alphas, near)
 
         monkeypatch.setattr(stability, "_star_chars", spy)
         (cand,) = hopf_scan(baseline, (0.3, 1.2), n_samples=81)
-        # the 81 samples are one batch: only the 7 regula falsi steps, which
-        # stop at Psi's rounding bound, and the transversality pair take a
-        # point one attack rate at a time
-        assert len(single) <= 9
+        # the 81 samples are one batch, only the 7 regula falsi steps, which
+        # stop at Psi's rounding bound, take a point one attack rate at a
+        # time, and both transversality probes are one two-rate batch
+        assert len(single) == 7
+        assert [len(alphas) for alphas in batches] == [81, 2]
         assert cand.alpha_star == pytest.approx(ref, rel=1e-12)
+
+    def test_both_probes_keep_the_slope_of_two_single_rate_probes(self, monkeypatch):
+        # random crossings over a wide range: the probe pair is one two-rate
+        # call at alpha* -+ eps, and its slope is == to the one of two
+        # single-rate probes that both start from the pair's ``near``
+        eps = stability._TRANSVERSALITY_EPS
+        rng = np.random.default_rng(1)
+        checked = 0
+        while checked < 50:
+            p, pairs = make_random_params(rng), {}
+            star_chars = stability._star_chars
+
+            def spy(params, alphas, near=None):
+                if np.size(alphas) == 2:
+                    pairs[tuple(alphas.tolist())] = near
+                return star_chars(params, alphas, near)
+
+            monkeypatch.setattr(stability, "_star_chars", spy)
+            candidates = hopf_scan(p, (0.01, 5.0), n_samples=81)
+            monkeypatch.undo()
+            for cand in candidates:
+                a = cand.alpha_star
+                near = pairs[a - eps, a + eps]
+                lo = _leading_complex_real_part(p, a - eps, near)
+                hi = _leading_complex_real_part(p, a + eps, near)
+                assert cand.transversality_slope == (hi - lo) / (2.0 * eps)
+                checked += 1
 
     def test_perturbed_crossings_match_an_eigenvalue_reference(self, baseline):
         # stopping regula falsi at Psi's rounding bound keeps alpha* on the
