@@ -67,7 +67,8 @@ class SweepRow:
 
     ``failed`` marks integration blow-up or an inadmissible parameter
     override; extrema are NaN in that case.  Verdicts are still
-    attached whenever the equilibrium analysis itself succeeds.
+    attached whenever the equilibrium analysis itself succeeds; a
+    non-finite Jacobian at one equilibrium leaves both verdicts empty.
     """
 
     parameter_value: float
@@ -86,7 +87,10 @@ def _verdicts(params: ModelParams) -> tuple[Verdict | None, tuple[Verdict, ...]]
         stars = coexistence(params)
     except DomainError:
         stars = []
-    pf, *rest = _reports(params, [pest_free(params), *stars])
+    try:
+        pf, *rest = _reports(params, [pest_free(params), *stars])
+    except DomainError:  # a Jacobian entry is not finite
+        return None, ()
     return pf.verdict, tuple(report.verdict for report in rest)
 
 

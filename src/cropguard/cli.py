@@ -289,7 +289,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         grid=cfg.grid,
         freeze_u1=args.freeze_u1,
         freeze_u2=args.freeze_u2,
-        **_given(args, "max_iterations", "tolerance", "relaxation_theta"),
+        **_given(args, "max_iterations", "tolerance"),
     )
     sol = solve(cfg.params, cfg.weights, cfg.y0, opts)
     run = sol.states
@@ -365,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--history-out", help="CSV path for per-iteration J and control change")
     sub.add_argument("--max-iterations", dest="max_iterations", type=int)
     sub.add_argument("--tolerance", type=float)
-    sub.add_argument("--theta", dest="relaxation_theta", type=float,
-                     help="mixing weight of the Anderson-accelerated sweep "
-                          "(the relaxation weight of its plain steps)")
     sub.add_argument("--freeze-u1", dest="freeze_u1", action="store_true",
                      help="pin u1 to 0")
     sub.add_argument("--freeze-u2", dest="freeze_u2", action="store_true",

@@ -314,10 +314,10 @@ def jacobian(params: ModelParams, s: Sequence[float]) -> np.ndarray:
 def _jacobians(values: Mapping, points) -> np.ndarray:
     """The uncontrolled Jacobian at each of ``points``, (m, 4) states, as one C-ordered (m, 4, 4)
     stack, filled entry-major and copied once; a parameter value may be an array of length m.
-    An entry overflows to inf or nan silently, as Python float arithmetic does."""
+    An entry that overflows or divides by zero (c + X underflowing) is inf or nan, silently."""
     X, S, I, A = np.asarray(points, dtype=float).reshape(-1, 4).T
     J = np.zeros((4, 4, len(X)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (i, j), value in _jacobian_entries(values, X, S, I, A, 1.0):
             J[i, j] = value
     return np.ascontiguousarray(J.transpose(2, 0, 1))

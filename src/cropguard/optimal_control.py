@@ -6,11 +6,11 @@ candidate controls Phi(u): the pointwise minimizers of the Hamiltonian,
 clipped to the control box.  The optimum is a fixed point of Phi.  The
 iterate is updated by type-II Anderson mixing of Phi (Walker & Ni, SIAM
 J. Numer. Anal. 49 (2011) 1715): the last few residual differences are
-combined by least squares, mixed with the weight ``relaxation_theta``
+combined by least squares, mixed with the fixed weight ``_THETA`` = 0.5
 and projected back onto the box.  The first iteration, and any
 iteration whose least-squares problem is ill-conditioned, whose residual
 |Phi(u) - u| grew, or whose mixed step would pass the stop rule that the
-plain step fails, takes the plain relaxed step u + theta (Phi(u) - u)
+plain step fails, takes the plain relaxed step u + _THETA (Phi(u) - u)
 instead and restarts the mixing history.  The loop stops when the
 applied control change is small relative to the control magnitude, and
 gives up early when the best residual stops improving.  The returned
@@ -57,6 +57,10 @@ from .model import (CONTROL_MAX, CONTROL_TOL, ControlValue, Costate, ModelParams
 # their least-squares problem above which the history is dropped.
 _DEPTH = 5
 _MAX_CONDITION = 1e10
+# The mixing weight, also that of the plain relaxed steps.  Over the 120
+# problems of tests/stall_survey.py, 0.5 leaves 6 stalled and 1.0 leaves 11;
+# no weight in {0.2, 0.3, 0.7, 0.9, 1.0} converged any of those 6.
+_THETA = 0.5
 # Iterations without a new best residual before the sweep is declared
 # stalled.  Converged runs over 120 random problems (tf = 20, 2000 steps)
 # went at most 7 iterations without one; all 9 runs that stalled also left
@@ -92,8 +96,6 @@ class StopReason(enum.Enum):
 class SweepOptions:
     """Iteration knobs for the forward-backward sweep.
 
-    ``relaxation_theta`` is the Anderson mixing weight, and the weight
-    of the plain relaxed steps that start and restart the mixing.
     ``freeze_u1``/``freeze_u2`` shrink a control channel's box from
     [0, ``CONTROL_MAX``] to [0, 0], which pins it to zero throughout.
     """
@@ -101,7 +103,6 @@ class SweepOptions:
     grid: TimeGrid
     max_iterations: int = 5000
     tolerance: float = 1e-6
-    relaxation_theta: float = 0.5
     freeze_u1: bool = False
     freeze_u2: bool = False
 
@@ -112,10 +113,6 @@ class SweepOptions:
         object.__setattr__(self, "max_iterations", count)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if not (math.isfinite(self.relaxation_theta) and 0.0 < self.relaxation_theta <= 1.0):
-            raise DomainError(
-                f"relaxation_theta must lie in (0, 1], got {self.relaxation_theta}"
-            )
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,6 @@ def solve(
     grid.check_memory(SOLVE_NODE_BYTES)
     y0 = check_state(tuple(map(float, y0)))
     ceiling = np.where([opts.freeze_u1, opts.freeze_u2], 0.0, CONTROL_MAX)
-    theta = opts.relaxation_theta
 
     def sweep(record: _Pass, u: np.ndarray, tolerance: float, budget: int):
         """Iterate from u for at most ``budget`` iterations on the grid of
@@ -306,9 +302,9 @@ def solve(
             residuals.append(residual)
             u_prev, f_prev = u, f
 
-            plain = u + theta * f
+            plain = u + _THETA * f
             mixed = _anderson(u, f, d_u, d_f, ceiling) if d_f else None
-            u_new = None if mixed is None else mixed(theta)
+            u_new = None if mixed is None else mixed(_THETA)
             # A mixed step can cancel to almost no move while u is far from a
             # fixed point (the stored u differences are then nearly dependent);
             # it must not pass the stop rule that the plain step would fail.

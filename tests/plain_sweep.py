@@ -4,7 +4,8 @@ This is the loop ``cropguard.optimal_control.solve`` ran before it mixed
 the fixed-point map with Anderson acceleration, kept as an independent
 reference.  Each iteration forms Phi(u), the clipped pointwise minimizers
 of the Hamiltonian on the states and costates of u, and takes the relaxed
-step u <- u + theta (Phi(u) - u); it stops when the applied change is at
+step u <- u + theta (Phi(u) - u), at the solver's own weight
+``optimal_control._THETA``; it stops when the applied change is at
 most tolerance * max(1, |u|_inf).  Like ``solve`` when its last pass
 gives no snap, it then snaps u to Phi(u) and refreshes the states and
 costates once more.  It shares the forward and costate passes, Phi and
@@ -19,6 +20,7 @@ import numpy as np
 from cropguard.integrate import Trajectory, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import ModelParams, ObjectiveWeights, State
 from cropguard.optimal_control import (
+    _THETA,
     StopReason,
     SweepOptions,
     SweepSolution,
@@ -41,7 +43,6 @@ def plain_solve(
         traj = rk4_model(params, y0, grid, u)
         return traj, rk4_adjoint(params, w, traj)
 
-    theta = opts.relaxation_theta
     objective_history, change_history, residual_history = [], [], []
     stop = StopReason.BUDGET
     traj, costates = forward_backward(u)
@@ -49,7 +50,7 @@ def plain_solve(
         objective_history.append(integrate_cost(traj, w))
         f = _candidates(traj.states, costates, params, w, ceiling) - u
         residual_history.append(float(np.abs(f).max()))
-        u_new = u + theta * f
+        u_new = u + _THETA * f
         change = float(np.abs(u_new - u).max())
         change_history.append(change)
         u = u_new

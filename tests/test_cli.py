@@ -415,6 +415,12 @@ class TestEquilibria:
         assert interior[6] != "Nonexistent"
         assert float(interior[5]) < 1e-16
 
+    def test_an_unclassifiable_point_still_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "eq.csv"
+        assert run_cli("equilibria", "--c", "1e-200", "--out", str(out)) == 2
+        assert "matrix entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStability:
     def test_margin_columns(self, tmp_path):
@@ -557,6 +563,21 @@ class TestBifurcate:
         assert rows[0][9] == "true"
         assert rows[0][1] == "nan"
 
+    def test_an_unclassifiable_value_keeps_the_other_rows(self, tmp_path):
+        # at c = 1e-200, (c + X)^2 underflows to 0 at the coexistence point,
+        # so its Jacobian is not finite: that row is integrated with empty
+        # verdicts, and no warning (an error under this suite) escapes
+        out = tmp_path / "bif.csv"
+        code = run_cli(
+            "bifurcate", "--parameter", "c", "--from", "1e-200", "--to", "0.3",
+            "--steps", "3", "--tf", "10", "--out", str(out),
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [row[9] for row in rows] == ["false"] * 3
+        assert rows[0][10:] == ["", ""]
+        assert [row[10:] for row in rows[1:]] == [["Unstable", "Stable"], ["Stable", ""]]
+
 
 class TestOptimize:
     def test_solution_columns_and_certificates(self, tmp_path):
@@ -668,7 +689,7 @@ class TestRejectedInputs:
     reason on stderr, no traceback and no output file."""
 
     @pytest.mark.parametrize("argv, reason", [
-        (("optimize", "--theta", "2"), "relaxation_theta must lie in (0, 1]"),
+        (("optimize", "--tolerance", "0"), "tolerance must be positive"),
         (("optimize", "--max-iterations", "0"), "max_iterations must be an integer of at least 1"),
         (("bifurcate", "--parameter", "alpha", "--from", "0.1", "--to", "inf",
           "--steps", "2"), "sweep values must be finite"),
@@ -777,7 +798,6 @@ class TestLibraryDefaults:
         ((), {}),
         (("--max-iterations", "400"), dict(max_iterations=400)),
         (("--tolerance", "1e-7"), dict(tolerance=1e-7)),
-        (("--theta", "0.7"), dict(relaxation_theta=0.7)),
     ])
     def test_optimize(self, flags, given, seen, capsys):
         assert run_cli("optimize", "--tf", "2", "--dt", "0.1", *flags) == 0
@@ -877,6 +897,14 @@ class TestOutputPreflight:
 
 
 class TestParser:
+    def test_the_mixing_weight_is_no_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            run_cli("optimize", "--theta", "0.5", "--out", str(out))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --theta 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("--help")

@@ -57,24 +57,25 @@ class TestSweepOptions:
         opts = SweepOptions(grid=control_grid)
         assert opts.max_iterations == 5000
         assert opts.tolerance == 1e-6
-        assert opts.relaxation_theta == 0.5
         assert not opts.freeze_u1 and not opts.freeze_u2
         # one start for every sweep: no field sets the initial controls
         assert [f.name for f in fields(SweepOptions)] == [
-            "grid", "max_iterations", "tolerance", "relaxation_theta", "freeze_u1", "freeze_u2"]
+            "grid", "max_iterations", "tolerance", "freeze_u1", "freeze_u2"]
 
     @pytest.mark.parametrize(
         "bad",
         [
             dict(max_iterations=0),
             dict(tolerance=0.0),
-            dict(relaxation_theta=0.0),
-            dict(relaxation_theta=1.5),
         ],
     )
     def test_invalid_options_rejected(self, control_grid, bad):
         with pytest.raises(DomainError):
             SweepOptions(grid=control_grid, **bad)
+
+    def test_the_mixing_weight_is_no_option(self, control_grid):
+        with pytest.raises(TypeError, match="relaxation_theta"):
+            SweepOptions(grid=control_grid, relaxation_theta=0.5)
 
     def test_a_grid_that_is_not_a_time_grid_is_rejected(self):
         with pytest.raises(DomainError, match="grid must be a TimeGrid"):
@@ -390,7 +391,7 @@ class TestPlainSweepOracle:
         sol = solve(params, w, y0, opts)
         ref = plain_solve(params, w, y0, opts)
         assert sol.converged and ref.converged
-        assert sol.residual_history[-1] <= opts.tolerance / opts.relaxation_theta
+        assert sol.residual_history[-1] <= opts.tolerance / optimal_control._THETA
         assert sol.stationarity_residual < 1e-6
         assert sol.final_objective == pytest.approx(ref.final_objective, rel=1e-10)
 
