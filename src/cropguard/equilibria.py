@@ -91,7 +91,7 @@ def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
     Exists iff d + delta < m2 phi alpha K / (c + K), so never at alpha = 0;
     then X = c (d+delta) / (m2 phi alpha - (d+delta)), that divisor being
     above m2 phi alpha c / (c + K) > 0, I = r (c+X)(K-X) / (phi alpha K)
-    and A = (gamma + sigma I) / eta.
+    and A = (gamma + sigma I) / eta.  An underflowing phi alpha K raises.
     """
     p = params
     consumption = p.m2 * p.phi * p.alpha
@@ -104,7 +104,10 @@ def susceptible_free(params: ModelParams) -> Union[Equilibrium, Nonexistent]:
             f"{death:.6g} >= {threshold:.6g}",
         )
     X = p.c * death / (consumption - death)
-    I = p.r * (p.c + X) * (p.K - X) / (p.phi * p.alpha * p.K)
+    uptake = p.phi * p.alpha * p.K
+    if uptake == 0.0:
+        raise DegenerateParameterError("the susceptible-free point's phi alpha K underflows to 0")
+    I = p.r * (p.c + X) * (p.K - X) / uptake
     A = (p.gamma + p.sigma * I) / p.eta
     return _make(EquilibriumKind.SUSCEPTIBLE_FREE, model_field(params), (X, 0.0, I, A))
 
@@ -166,24 +169,36 @@ def _roots(P: np.ndarray) -> list[np.ndarray | None]:
 
     Rows with both end coefficients nonzero share one eigvals call over
     their companion matrices, built as numpy.roots builds them, so each
-    keeps numpy.roots' floats; numpy.roots itself takes the others, whose
-    zero ends it strips.
+    keeps numpy.roots' floats; ``_np_roots`` takes the others, whose zero
+    ends numpy.roots strips, or every row if a companion overflows.
     """
     finite = np.isfinite(P).all(axis=1)
     full = finite & (P[:, 0] != 0.0) & (P[:, 4] != 0.0)
     lead = P[full]
     companion = np.empty((len(lead), 4, 4))
-    companion[:, 0] = -lead[:, 1:] / lead[:, :1]
-    companion[:, 1:] = _SHIFT
-    eigs = iter(np.linalg.eigvals(companion))
-    return [next(eigs) if f else np.roots(row) if ok else None
-            for f, ok, row in zip(full.tolist(), finite.tolist(), P)]
+    with np.errstate(over="ignore"):  # an overflowing companion is refused, not warned of
+        companion[:, 0] = -lead[:, 1:] / lead[:, :1]
+        companion[:, 1:] = _SHIFT
+        try:
+            eigs = iter(np.linalg.eigvals(companion))
+        except np.linalg.LinAlgError:  # a companion overflowed: numpy.roots takes each row
+            full[:] = False
+        return [next(eigs) if f else _np_roots(row) if ok else None
+                for f, ok, row in zip(full.tolist(), finite.tolist(), P)]
+
+
+def _np_roots(row: np.ndarray) -> np.ndarray | None:
+    """numpy.roots of ``row``, or None where its companion matrix overflows."""
+    try:
+        return np.roots(row)
+    except np.linalg.LinAlgError:  # eigvals refuses a companion that is not finite
+        return None
 
 
 def _coexistence_at(params: ModelParams, alpha) -> list[list[Equilibrium] | None]:
     """``coexistence`` at each attack rate of ``alpha``, a float or a 1-D
     array, the other rates from ``params``: one list of points per rate
-    (None where the reduction overflows).
+    (None where the reduction or its companion matrix overflows).
 
     The reduction runs once over all rates and the quartics' roots come
     from one ``_roots`` call; each rate's roots are then polished, filtered
@@ -224,9 +239,9 @@ def _points(values: dict, reduction, zs, a_cap: float) -> list[Equilibrium]:
             continue
         last_a = A
         dn = _horner(den, A)
-        if dn <= 0.0:
-            continue
         dn2 = dn * dn
+        if dn <= 0.0 or dn2 == 0.0:  # S* and I* divide by dn2
+            continue
         X = values["c"] * _horner(N, A) / dn
         S = _horner(S_den2, A) / dn2
         I = _horner(I_den2, A) / dn2
@@ -243,10 +258,10 @@ def coexistence(params: ModelParams) -> list[Equilibrium]:
     _reduction), taken as numpy.roots takes them (see _roots), polished by
     one Newton step on P and kept in (0, A_max], with A_max the containment
     bound started at the carrying capacity, which bounds every steady state
-    (X* <= K).  Only roots with a positive X* denominator and all
-    components >= 0 qualify.  Returns an empty list when no admissible root
-    exists.  This is the one-rate case of ``_coexistence_at``; a reduction
-    that overflows (from alpha ~ 1e155 at the defaults) raises NonFiniteError.
+    (X* <= K).  Only roots with a positive X* denominator whose square does
+    not underflow, and all components >= 0, qualify; with none, it returns [].
+    This is the one-rate case of ``_coexistence_at``; a reduction (from alpha
+    ~ 1e155 at the defaults) or companion that overflows raises NonFiniteError.
     """
     (points,) = _coexistence_at(params, params.alpha)
     if points is None:

@@ -22,10 +22,10 @@ class NonFiniteError(DomainError):
 
 
 class DegenerateParameterError(DomainError):
-    """Raised when a formula's denominator is zero for admissible
-    parameters: the long-run bounds at d = 0 (``attracting_region``), the
-    coexistence reduction at sigma = 0 (``coexistence``) and the threshold
-    denominator R = 0 in ``r0``."""
+    """Raised when a formula's denominator is, or underflows to, zero for
+    admissible parameters: 4 eta d (``attracting_region``), sigma (the
+    coexistence reduction), phi alpha K (``susceptible_free``), and
+    m1 (a eta + gamma) or R (``r0``)."""
 
 
 class GridMismatchError(DomainError):

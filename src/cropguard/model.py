@@ -413,16 +413,15 @@ def attracting_region(params: ModelParams, x0: float) -> RegionBounds:
 
     M = max(x0, K) caps the crop, W_max = (r+4d)M/(4d) caps the total
     consumer-weighted biomass X + S + I, and A_max = (4 gamma d +
-    sigma (r+4d) M)/(4 eta d) caps awareness; d = 0 raises (ModelParams keeps eta > 0).
+    sigma (r+4d) M)/(4 eta d) caps awareness; 4 eta d = 0, as at d = 0, raises.
     """
     if not math.isfinite(x0) or x0 < 0:
         raise DomainError(f"x0 must be finite and >= 0, got {x0!r}")
-    if params.d == 0:
-        raise DegenerateParameterError("long-run bounds are undefined when d = 0")
     M = max(x0, params.K)
     r, d = params.r, params.d
+    fade = 4.0 * params.eta * d
+    if fade == 0.0:
+        raise DegenerateParameterError("long-run bounds are undefined when d = 0 or 4 eta d = 0")
     W_max = (r + 4.0 * d) * M / (4.0 * d)
-    A_max = (4.0 * params.gamma * d + params.sigma * (r + 4.0 * d) * M) / (
-        4.0 * params.eta * d
-    )
+    A_max = (4.0 * params.gamma * d + params.sigma * (r + 4.0 * d) * M) / fade
     return RegionBounds(M, W_max, A_max)

@@ -30,8 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, _coexistence_at
-from .errors import CropguardError, DegenerateParameterError, DomainError
+from .equilibria import Equilibrium, _coexistence_at
+from .errors import DegenerateParameterError, DomainError
 from .model import ModelParams, _jacobians, check_count
 
 logger = logging.getLogger(__name__)
@@ -159,13 +159,14 @@ def r0(params: ModelParams) -> float:
 
     R is the smaller of (c+K)(lam gamma + d(a eta + gamma))/(m1 (a eta
     + gamma)) and (c+K)(d+delta)/(m2 phi); the pest-free state is
-    stable when the ratio is below one.  The first bound is always
-    finite (ModelParams keeps m1 > 0 and a, eta > 0); the second drops
-    out when m2 phi = 0.  R = 0, as at d = lam = 0, raises
-    DegenerateParameterError.
+    stable when the ratio is below one.  The second bound drops out when
+    m2 phi = 0.  A first denominator m1 (a eta + gamma) that underflows
+    to 0, or R = 0, as at d = lam = 0, raises DegenerateParameterError.
     """
     p = params
     pool = p.a * p.eta + p.gamma
+    if p.m1 * pool == 0.0:
+        raise DegenerateParameterError("threshold denominator m1 (a eta + gamma) is zero")
     R = (p.c + p.K) * (p.lam * p.gamma + p.d * pool) / (p.m1 * pool)
     if p.m2 * p.phi > 0.0:
         R = min(R, (p.c + p.K) * (p.d + p.delta) / (p.m2 * p.phi))
@@ -174,28 +175,12 @@ def r0(params: ModelParams) -> float:
     return p.alpha * p.K / R
 
 
-def _closed_form_eigs(params: ModelParams, kind: EquilibriumKind) -> tuple[float, ...]:
-    p = params
-    fade = p.lam * p.gamma / (p.a * p.eta + p.gamma) + p.d
-    if kind is EquilibriumKind.AXIAL:
-        return (p.r, -fade, -(p.d + p.delta), -p.eta)
-    uptake = p.alpha * p.K / (p.c + p.K)
-    return (
-        -p.r,
-        p.m1 * uptake - fade,
-        p.m2 * p.phi * uptake - (p.d + p.delta),
-        -p.eta,
-    )
-
-
 def classify(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Stability report for an equilibrium of the uncontrolled system.
 
     Eigenvalues come from ``numpy.linalg.eigvals`` of the Jacobian, after
-    a non-finite one has been rejected.  For the axial and pest-free
-    points they are cross-checked against their triangular-factorization
-    closed forms; disagreement beyond rounding raises.  This is the
-    one-row case of ``_reports``.  A ``Nonexistent`` raises DomainError.
+    a non-finite one has been rejected.  This is the one-row case of
+    ``_reports``.  A ``Nonexistent`` raises DomainError.
     """
     return _reports(params, [eq])[0]
 
@@ -216,14 +201,6 @@ def _reports(params: ModelParams, eqs: Sequence[Equilibrium]) -> list[StabilityR
     reports = []
     for eq, cp, roots in zip(eqs, _char_rows(J), eigs):
         rh_stable, margins = routh_hurwitz(cp)
-        if eq.kind in (EquilibriumKind.AXIAL, EquilibriumKind.PEST_FREE):
-            for ev in _closed_form_eigs(params, eq.kind):
-                nearest = min(abs(z - ev) for z in roots)
-                if nearest > 1e-6 * max(1.0, abs(ev)):
-                    raise CropguardError(
-                        f"eigenvalue cross-check failed at {eq.kind.value}: "
-                        f"closed form {ev:.12g} vs eigenvalues {roots}"
-                    )
         max_re = max(z.real for z in roots)
         pure_imag = any(abs(z.real) <= EIG_TOL and abs(z.imag) > EIG_TOL for z in roots)
         verdict = (Verdict.STABLE if max_re < -EIG_TOL else

@@ -415,6 +415,12 @@ class TestEquilibria:
         assert interior[6] != "Nonexistent"
         assert float(interior[5]) < 1e-16
 
+    def test_an_underflowing_x_star_denominator_leaves_no_coexistence_point(self, capsys):
+        # a root of P there has den(A) > 0 but den(A)^2 = 0, which S* and I* divide by
+        assert run_cli("equilibria", "--r", "1e-300", "--a", "1e-200", "--out", "-") == 0
+        rows = {row[0]: row for row in csv.reader(io.StringIO(capsys.readouterr().out))}
+        assert rows["Coexistence"][6] == "Nonexistent"
+
     def test_an_unclassifiable_point_still_exits_2(self, tmp_path, capsys):
         out = tmp_path / "eq.csv"
         assert run_cli("equilibria", "--c", "1e-200", "--out", str(out)) == 2
@@ -762,18 +768,48 @@ class TestRejectedInputs:
         assert len(out.read_text().splitlines()) == 2002
 
     @pytest.mark.parametrize("command", ["equilibria", "stability"])
-    @pytest.mark.parametrize("flag, reason", [
-        ("--sigma", "the coexistence reduction needs sigma > 0"),
-        ("--d", "long-run bounds are undefined when d = 0"),
-    ])
+    @pytest.mark.parametrize("flags, reason", [
+        (("--sigma", "0"), "the coexistence reduction needs sigma > 0"),
+        (("--d", "0"), "long-run bounds are undefined when d = 0"),
+        (("--d", "1e-300", "--eta", "1e-300"), "long-run bounds are undefined when d = 0"),
+    ], ids=lambda v: "".join(v[::2]) if isinstance(v, tuple) else None)  # a row's flag names
     def test_degenerate_parameters_exit_2_and_write_nothing(
-        self, command, flag, reason, tmp_path, capsys
+        self, command, flags, reason, tmp_path, capsys
     ):
         out = tmp_path / "x.csv"
-        assert run_cli(command, flag, "0", "--out", str(out)) == 2
+        assert run_cli(command, *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and reason in err, err
         assert not out.exists()
+
+
+@st.composite
+def _scaled_rates(draw):
+    """Each of the 14 rates at its default times 10^U(-300, 300), by CLI
+    key, with phi capped below 1 and m2 kept below m1."""
+    defaults = vars(ModelParams())
+    rates = {key: defaults[field] * 10.0 ** draw(st.floats(-300.0, 300.0))
+             for key, field in cli._PARAM_KEYS.items()}
+    rates["phi"] = min(rates["phi"], 0.999)
+    rates["m2"] = min(rates["m2"], 0.5 * rates["m1"])
+    return rates
+
+
+class TestRatesFarFromTheDefaults:
+    """However far the rates are from their defaults, the analysis path
+    answers or refuses them: equilibria and stability exit 0 or 2 with no
+    traceback and no RuntimeWarning (an error in this suite), and a Hopf
+    scan returns a list."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_scaled_rates())
+    def test_the_analysis_path_answers_or_refuses(self, rates):
+        flags = [f for key, value in rates.items() for f in (f"--{key}", repr(value))]
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in ("equilibria", "stability"):
+                assert run_cli(command, *flags, "--out", os.path.join(tmp, "x.csv")) in (0, 2)
+        params = ModelParams(**{cli._PARAM_KEYS[key]: value for key, value in rates.items()})
+        assert isinstance(cropguard.hopf_scan(params, (0.3, 1.2)), list)
 
 
 class TestLibraryDefaults:

@@ -14,13 +14,14 @@ from cropguard.equilibria import (
     Nonexistent,
     _coexistence_at,
     _make,
+    _roots,
     all_equilibria,
     axial,
     coexistence,
     pest_free,
     susceptible_free,
 )
-from cropguard.errors import DomainError
+from cropguard.errors import DegenerateParameterError, DomainError, NonFiniteError
 from cropguard.model import ModelParams, model_field, rhs_uncontrolled
 from cropguard.stability import Verdict, classify, params_with_alpha
 from polymul_reduction import reduction, reference_coexistence
@@ -86,6 +87,12 @@ class TestSusceptibleFree:
                 assert out.point.S == 0.0
                 assert out.point.X > 0.0 and out.point.I > 0.0 and out.point.A > 0.0
         assert seen_both == {True, False}
+
+    def test_an_underflowing_infected_denominator_raises(self):
+        # the point exists, but phi alpha K = 1e-330 rounds to 0
+        p = ModelParams(K=1e-160, alpha=1e-100, phi=1e-70, c=1e-180, m1=1e171, m2=1e170)
+        with pytest.raises(DegenerateParameterError, match="phi alpha K underflows"):
+            susceptible_free(p)
 
     def test_known_point_with_strong_infected_feeding(self):
         # m1=0.8, m2=0.6, phi=0.9, alpha=0.5 and baseline otherwise:
@@ -198,6 +205,20 @@ class TestCoexistence:
         assert eq.point.A == pytest.approx(1.8655512299990, rel=1e-12)
         assert eq.point.A == pytest.approx(ref.point.A, rel=1e-9)
         assert eq.residual_norm < 1e-12
+
+    def test_an_overflowing_companion_matrix_is_refused(self):
+        # a row whose -P[1:]/P[0] overflows gets None, with no warning (an
+        # error in this suite), in the shared batch or where numpy.roots
+        # strips a zero end; the other rows keep numpy.roots' floats
+        P = np.array([[1.0, -10.0, 35.0, -50.0, 24.0],
+                      [1e-300, 1e300, 1.0, 1.0, 1.0],
+                      [1e-300, 1e300, 1.0, 1.0, 0.0],
+                      [0.0, 2.0, -6.0, 4.0, 8.0]])
+        got = _roots(P)
+        assert got[1] is None and got[2] is None
+        assert [got[i].tobytes() for i in (0, 3)] == [np.roots(P[i]).tobytes() for i in (0, 3)]
+        with pytest.raises(NonFiniteError, match="overflows"):
+            coexistence(ModelParams(r=1e160, sigma=1e160))
 
     def test_a_constant_denominator_gives_its_one_point(self):
         # alpha m1 == lam + d makes den(A) constant; np.polymul would strip

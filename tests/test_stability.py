@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 from scipy.optimize import brentq, linear_sum_assignment
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_params, make_random_params
 from polymul_reduction import reference_coexistence
 from cropguard.equilibria import (
-    Nonexistent, _coexistence_at, all_equilibria, axial, coexistence, pest_free)
-from cropguard.errors import CropguardError, DegenerateParameterError, DomainError, NonFiniteError
+    EquilibriumKind, Nonexistent, _coexistence_at, all_equilibria, axial, coexistence, pest_free)
+from cropguard.errors import DegenerateParameterError, DomainError, NonFiniteError
 from cropguard import model, stability
 from cropguard.model import ModelParams, jacobian
 from cropguard.stability import (
@@ -168,6 +168,19 @@ class TestInvasionNumber:
         # d = lam = 0 makes the first bound, and so R, zero
         with pytest.raises(DegenerateParameterError):
             r0(ModelParams(d=0.0, lam=0.0))
+        # the first bound's denominator m1 (a eta + gamma) underflows to 0
+        with pytest.raises(DegenerateParameterError, match=r"m1 \(a eta \+ gamma\) is zero"):
+            r0(ModelParams(m1=1e-200, m2=1e-201, a=1e-200, gamma=1e-200))
+
+
+def _closed_form_eigs(p, kind):
+    """Eigenvalues of the axial or pest-free Jacobian from its triangular
+    factorization: the oracle for ``classify``'s."""
+    fade = p.lam * p.gamma / (p.a * p.eta + p.gamma) + p.d
+    if kind is EquilibriumKind.AXIAL:
+        return (p.r, -fade, -(p.d + p.delta), -p.eta)
+    uptake = p.alpha * p.K / (p.c + p.K)
+    return (-p.r, p.m1 * uptake - fade, p.m2 * p.phi * uptake - (p.d + p.delta), -p.eta)
 
 
 class TestClassify:
@@ -224,11 +237,19 @@ class TestClassify:
         assert rep.verdict is Verdict.STABLE
         assert rep.max_real_part == pytest.approx(-d, rel=1e-6)
 
-    def test_a_failed_eigenvalue_cross_check_raises(self, baseline, monkeypatch):
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda J: eigvals(J) + 1.0)
-        with pytest.raises(CropguardError, match="eigenvalue cross-check failed at Axial"):
-            classify(baseline, axial(baseline))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_params())
+    @example(ModelParams(r=0.3, alpha=0.0, phi=0.5, a=1.0, lam=0.5, d=0.015625, delta=0.07,
+                         m1=1.0, m2=0.5, gamma=0.0, sigma=0.125, eta=0.015625))
+    @example(ModelParams(r=0.375, alpha=0.0, phi=0.5, a=1.0, lam=0.5, d=0.001, delta=0.09375,
+                         m1=1.0, m2=0.5, gamma=0.0, sigma=0.125, eta=0.001))
+    def test_axial_and_pest_free_eigenvalues_match_their_closed_forms(self, p):
+        # the examples make -d a double eigenvalue of the pest-free point
+        for eq in (axial(p), pest_free(p)):
+            roots = classify(p, eq).eigenvalues
+            for ev in _closed_form_eigs(p, eq.kind):
+                nearest = min(abs(z - ev) for z in roots)
+                assert nearest <= 1e-6 * max(1.0, abs(ev)), (eq.kind, ev, roots)
 
     def test_eigenvalues_are_the_roots_of_the_characteristic_polynomial(self):
         # an independent route to each report's eigenvalues: numpy.roots of
@@ -397,6 +418,10 @@ class TestOverflowingReduction:
 
     def test_a_scan_over_overflowing_rates_finds_nothing(self, baseline):
         assert hopf_scan(baseline, (1e299, 1e300), 3) == []
+
+    def test_a_scan_whose_companion_matrices_overflow_finds_nothing(self):
+        # r = sigma = 1e160 make P's leading coefficient tiny against the others
+        assert hopf_scan(ModelParams(r=1e160, sigma=1e160), (0.3, 1.2), 5) == []
 
 
 class TestOverflowingRecursion:
