@@ -165,25 +165,24 @@ def _horner(coeffs: list[float], x: float) -> float:  # np.polyval's order, so i
 
 
 def _roots(P: np.ndarray) -> list[np.ndarray | None]:
-    """numpy.roots of each row of P, an (n, 5) array; None for a non-finite row.
+    """numpy.roots of each row of P, an (n, 5) array; None for a non-finite
+    row or one whose companion matrix overflows.
 
     Rows with both end coefficients nonzero share one eigvals call over
-    their companion matrices, built as numpy.roots builds them, so each
-    keeps numpy.roots' floats; ``_np_roots`` takes the others, whose zero
-    ends numpy.roots strips, or every row if a companion overflows.
+    their finite companion matrices, built as numpy.roots builds them, so
+    each keeps numpy.roots' floats; ``_np_roots`` takes the others, whose
+    zero ends numpy.roots strips.
     """
     finite = np.isfinite(P).all(axis=1)
     full = finite & (P[:, 0] != 0.0) & (P[:, 4] != 0.0)
-    lead = P[full]
-    companion = np.empty((len(lead), 4, 4))
+    companion = np.empty((np.count_nonzero(full), 4, 4))
     with np.errstate(over="ignore"):  # an overflowing companion is refused, not warned of
-        companion[:, 0] = -lead[:, 1:] / lead[:, :1]
+        companion[:, 0] = -P[full, 1:] / P[full, :1]
         companion[:, 1:] = _SHIFT
-        try:
-            eigs = iter(np.linalg.eigvals(companion))
-        except np.linalg.LinAlgError:  # a companion overflowed: numpy.roots takes each row
-            full[:] = False
-        return [next(eigs) if f else _np_roots(row) if ok else None
+        fits = np.isfinite(companion[:, 0]).all(axis=1)
+        eigs = iter(np.linalg.eigvals(companion[fits]))
+        shared = iter([next(eigs) if fit else None for fit in fits.tolist()])
+        return [next(shared) if f else _np_roots(row) if ok else None
                 for f, ok, row in zip(full.tolist(), finite.tolist(), P)]
 
 

@@ -27,17 +27,20 @@ controls changed it decides once where both passes start, keeps the
 last run's nodes and the costate maps below that step, and runs only
 the rest, so a sweep's later passes integrate only what their new
 controls can reach.  ``rk4_model`` and ``rk4_adjoint`` are the whole
-passes of the same code.
+passes of the same code.  Both loops count their work in ``_work``, once
+per chunk; ``_counting`` reads it around a block of code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 import re
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +60,22 @@ _NODE_BYTES = 256
 # as an array, and a costate chunk's ~200 KB of temporaries are reused from
 # the heap (10k steps faulted in ~4000 fresh pages a call, a third of its time).
 _CHUNK_STEPS = 1024
+# The work this process has done: "kernel_steps", the model kernel's RK4
+# steps, and "costate_maps", the costate steps' maps built; each loop adds a
+# chunk's count when the chunk is done.
+_work: Counter = Counter()
+
+
+@contextlib.contextmanager
+def _counting():
+    """Yield a Counter that holds, once the block ends (also by an
+    exception), the ``_work`` done inside it; blocks nest.  It counts the
+    calling process's work only, not that of forked processes."""
+    counts, start = Counter(), _work.copy()
+    try:
+        yield counts
+    finally:
+        counts.update(_work - start)
 
 
 def _max_steps(node_bytes: int) -> int:
@@ -342,6 +361,7 @@ def _forward(params: ModelParams, grid: TimeGrid, controls: np.ndarray, nodes: n
         c1, c2 = v.T.tolist()
         stages = [c1[:k], c2[:k], c1[k + 1:], c2[k + 1:], c1[1:k + 1], c2[1:k + 1]]
         out = kernel(*y, t0, h, a, stages, [])
+        _work["kernel_steps"] += k
         y = out[-1]
         chunks.append(_nodes(out))
     return Trajectory(grid, np.concatenate(chunks), controls)
@@ -439,6 +459,7 @@ def _costates(params: ModelParams, w: ObjectiveWeights, run: Trajectory, maps: _
             k3 = Gh @ (eye - 0.5 * h * k2)
             k4 = G0 @ (eye - h * k3)
             T[pad + a:pad + a + k] = eye - h / 6.0 * (G1 + 2.0 * (k2 + k3) + k4)
+            _work["costate_maps"] += k
         p = _solve_backward(maps.steps, maps.composites, (pad + first) // L)[pad:]
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
     if bad.size:

@@ -273,15 +273,13 @@ _bind_field = _bind_compiled(
     "f", {})
 
 
-@functools.lru_cache(maxsize=32)
 def model_field(params: ModelParams) -> Callable[..., tuple]:
     """Return the controlled field as a positional f(X, S, I, A, u1, u2).
 
     u1 scales the bio-pesticide activity term in dS/dt and dI/dt, u2
     scales the global awareness source in dA/dt.  At u = (1, 1) it is
     the uncontrolled field exactly (1.0 * x == x).  It runs the text
-    ``_FIELD`` with the parameters captured in the closure; one closure
-    is kept per recent parameter set.
+    ``_FIELD`` with the parameters captured in the closure.
     """
     return _bind_field(vars(params))
 

@@ -3,15 +3,18 @@
 Session-scoped fixtures hold the two costly computations (a 2000-day
 baseline trajectory and a converged control sweep on the 100-day
 scenario) so module tests and acceptance checks reuse them.
+``recorded_passes`` records the sweep's forward-backward passes.
 """
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cropguard.integrate import TimeGrid, rk4_model
+import cropguard.optimal_control as optimal_control
+from cropguard.integrate import TimeGrid, _counting, _forward_backward, rk4_model
 from cropguard.model import ModelParams, ObjectiveWeights, State
 from cropguard.optimal_control import SweepOptions, solve
 
@@ -74,6 +77,25 @@ def make_random_state(rng: np.random.Generator) -> State:
         rng.uniform(0.01, 2.0),
         rng.uniform(0.02, 3.0),
     )
+
+
+@contextlib.contextmanager
+def recorded_passes():
+    """Record each forward-backward pass that ``optimal_control`` runs in
+    the block and that returns, in call order: a (grid steps,
+    (run, costates), work) triple, ``work`` being the pass's
+    ``_counting`` Counter."""
+    passes = []
+
+    def record(params, w, y0, u, last):
+        with _counting() as work:
+            pair = _forward_backward(params, w, y0, u, last)
+        passes.append((last.grid.n_steps, pair, work))
+        return pair
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimal_control, "_forward_backward", record)
+        yield passes
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,8 @@ their sum in fine-pass equivalents (fine + coarse / 10), the share of
 forward steps on each grid that were reused from the pass before rather
 than run, the share of costate maps on each grid reused rather than
 built (each pass, ``integrate._forward_backward``, continues the one
-before on its grid; steps are counted in the kernel and maps in
-``costate_matrix``, apart), the largest
+before on its grid; ``integrate._counting`` counts each pass's kernel
+steps and costate maps, which two different loops add), the largest
 and the median stationarity residual of the converged draws, and the
 (seed, index) pairs of the stalled draws.  Exits 1 when fewer than
 ``MIN_CONVERGED`` problems converge, any blows up, a converged draw's
@@ -36,9 +36,9 @@ from collections import Counter
 import numpy as np
 
 from conftest import make_random_params, make_random_state
-from cropguard import integrate, optimal_control
+from cropguard import optimal_control
 from cropguard.errors import BlowUpError
-from cropguard.integrate import TimeGrid, _forward_backward
+from cropguard.integrate import TimeGrid, _counting, _forward_backward
 from cropguard.model import ObjectiveWeights
 from cropguard.optimal_control import StopReason, SweepOptions, solve
 
@@ -75,42 +75,23 @@ def main() -> int:
     run = Counter()  # kernel steps those passes ran, per grid step count
     backward = Counter()  # costate passes per grid step count
     built = Counter()  # costate maps those passes built, per grid step count
-    pass_grid = None  # the step count of the pass in progress
-    pass_work = [0, 0]  # the kernel steps and the costate maps of the pass in progress
     mismatched = 0  # costate passes that built other than their forward pass's steps
-    bind, matrix = integrate._bind_kernel, integrate.costate_matrix
-
-    def counting_bind(values):
-        kernel = bind(values)
-
-        def counted(X, S, I, A, t0, h, first, stages, out):
-            run[pass_grid] += len(stages[0])
-            pass_work[0] += len(stages[0])
-            return kernel(X, S, I, A, t0, h, first, stages, out)
-        return counted
-
-    def counting_matrix(params, w, X, S, I, A, u1):
-        # a batch of k maps samples k + 1 nodes and k midpoints
-        built[pass_grid] += len(X) // 2
-        pass_work[1] += len(X) // 2
-        return matrix(params, w, X, S, I, A, u1)
 
     def spy(params, w, y0, u, last):
-        nonlocal pass_grid, mismatched
-        pass_grid = last.grid.n_steps
-        passes[pass_grid] += 1
-        pass_work[:] = 0, 0
-        before = last.run
+        nonlocal mismatched
+        grid, before = last.grid.n_steps, last.run
+        passes[grid] += 1
         try:
-            return _forward_backward(params, w, y0, u, last)
+            with _counting() as work:
+                return _forward_backward(params, w, y0, u, last)
         finally:
+            run[grid] += work["kernel_steps"]
+            built[grid] += work["costate_maps"]
             if last.run is not before:  # the forward pass ended, so the costate pass ran
-                backward[pass_grid] += 1
-                mismatched += pass_work[0] != pass_work[1]
+                backward[grid] += 1
+                mismatched += work["kernel_steps"] != work["costate_maps"]
 
     optimal_control._forward_backward = spy
-    integrate._bind_kernel = counting_bind
-    integrate.costate_matrix = counting_matrix
     stalled, certificates = [], []
     for seed in SEEDS:
         for index, (params, w, y0) in enumerate(draws(seed)):

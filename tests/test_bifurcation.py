@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from cropguard import bifurcation
 from cropguard.bifurcation import SweepRow, SweepSpec, run_sweep
 from cropguard.equilibria import coexistence
 from cropguard.errors import BlowUpError, DegenerateParameterError, DomainError
-from cropguard.integrate import TimeGrid, rk4_model
+from cropguard.integrate import TimeGrid, _counting, rk4_model
 from cropguard.model import State
 from cropguard.stability import Verdict, params_with_alpha
 
@@ -163,7 +164,9 @@ class TestParallelRows:
     def test_rows_equal_the_one_cpu_rows(self, baseline, cpus, n_values, n_cpus):
         spec = _alpha_spec(n_values)
         cpus(1)
-        serial = run_sweep(baseline, spec)
+        with _counting() as work:  # in-process rows count in this process
+            serial = run_sweep(baseline, spec)
+        assert work == Counter(kernel_steps=n_values * spec.grid.n_steps)
         cpus(n_cpus)
         rows = run_sweep(baseline, spec)
         assert rows == serial

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_params, make_random_params
+from cropguard import equilibria
 from cropguard.equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -206,7 +207,7 @@ class TestCoexistence:
         assert eq.point.A == pytest.approx(ref.point.A, rel=1e-9)
         assert eq.residual_norm < 1e-12
 
-    def test_an_overflowing_companion_matrix_is_refused(self):
+    def test_an_overflowing_companion_matrix_is_refused(self, monkeypatch):
         # a row whose -P[1:]/P[0] overflows gets None, with no warning (an
         # error in this suite), in the shared batch or where numpy.roots
         # strips a zero end; the other rows keep numpy.roots' floats
@@ -217,6 +218,16 @@ class TestCoexistence:
         got = _roots(P)
         assert got[1] is None and got[2] is None
         assert [got[i].tobytes() for i in (0, 3)] == [np.roots(P[i]).tobytes() for i in (0, 3)]
+        # one such row leaves the others of the default scan's batch in the
+        # shared eigvals call, not sent one by one through numpy.roots
+        scan = np.array(equilibria._reduction(ModelParams(), np.linspace(0.3, 1.2, 81))[0]).T
+        clean, P = _roots(scan), scan.copy()
+        P[40] = [1e-300, 1e10, 1e10, 1e10, 1e10]
+        one_by_one = []
+        monkeypatch.setattr(equilibria, "_np_roots", one_by_one.append)
+        got = _roots(P)
+        assert one_by_one == [] and got[40] is None
+        assert all(np.array_equal(a, b) for i, (a, b) in enumerate(zip(got, clean)) if i != 40)
         with pytest.raises(NonFiniteError, match="overflows"):
             coexistence(ModelParams(r=1e160, sigma=1e160))
 

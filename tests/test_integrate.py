@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from cropguard.integrate import (
     rk4_adjoint,
     rk4_forward,
     rk4_model,
+    _counting,
     _forward_backward,
     _Pass,
 )
@@ -558,15 +560,15 @@ class TestResumedRun:
         return np.random.default_rng(seed).uniform(0.0, 1.0, size=(self.GRID.n_steps + 1, 2))
 
     @pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 4000, None])
-    def test_equals_a_fresh_run_bit_for_bit(self, m, monkeypatch):
+    def test_equals_a_fresh_run_bit_for_bit(self, m):
         n, last = self.GRID.n_steps, _Pass(self.GRID)
         prior, _ = resumed_pass(self._controls(1), last)
         u = prior.controls.copy()
         if m is not None:  # None: the same controls again
             u[m:] = self._controls(2)[m:]
-        steps = kernel_steps(monkeypatch)
-        pair = resumed_pass(u, last)
-        assert steps == [0 if m is None else n - max(m - 1, 0)]
+        with _counting() as work:
+            pair = resumed_pass(u, last)
+        assert work["kernel_steps"] == (0 if m is None else n - max(m - 1, 0))
         assert_fresh(pair, u, self.GRID)
         run = pair[0]
         assert last.run is run and np.array_equal(run.controls, u)
@@ -602,36 +604,42 @@ class TestResumedRun:
         resumed_pass(u, last)
         assert_fresh(resumed_pass(v, last), v, grid)
 
-    def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self, monkeypatch):
+    def test_an_uncontrolled_run_resumes_where_the_controls_leave_one(self):
         """And a controlled run resumes an uncontrolled one where its
-        controls leave u = (1, 1)."""
+        controls leave u = (1, 1).  Nested ``_counting`` blocks each see
+        their own passes' work."""
         n, last = self.GRID.n_steps, _Pass(self.GRID)
         u = np.ones((n + 1, 2))
         u[2500:] = 0.5
         resumed_pass(u, last)
-        steps, maps = kernel_steps(monkeypatch), costate_maps(monkeypatch)
-        pair = resumed_pass(None, last)
-        assert steps == maps == [n - 2499]
-        back = resumed_pass(u, last)
-        assert steps == maps == [2 * (n - 2499)]
+        with _counting() as both:
+            with _counting() as bare_work:
+                pair = resumed_pass(None, last)
+            with _counting() as back_work:
+                back = resumed_pass(u, last)
+        assert bare_work == back_work == Counter(kernel_steps=n - 2499, costate_maps=n - 2499)
+        assert both == bare_work + back_work
         assert_fresh(pair, None, self.GRID)
         assert np.array_equal(pair[0].controls, np.ones_like(u))
         assert_fresh(back, u, self.GRID)
 
     def test_a_blowup_after_the_resume_point_raises_at_the_fresh_time(self):
         # u2 = 1 from node 1000 feeds A at gamma = 1e307 a day until it
-        # overflows at node 3095, past two chunk boundaries
+        # overflows at node 3095, past two chunk boundaries; only the chunks
+        # that finished count
         params, grid = ModelParams(gamma=1e307), self.GRID
         u, last = np.zeros((grid.n_steps + 1, 2)), _Pass(grid)
         resumed_pass(u, last, params)
         v = u.copy()
         v[1000:, 1] = 1.0
-        with pytest.raises(BlowUpError) as fresh:
+        with pytest.raises(BlowUpError) as fresh, _counting() as fresh_work:
             rk4_model(params, RESUME_Y0, grid, v)
-        with pytest.raises(BlowUpError) as resumed:
+        with pytest.raises(BlowUpError) as resumed, _counting() as resumed_work:
             resumed_pass(v, last, params)
         assert resumed.value.t == fresh.value.t and str(resumed.value) == str(fresh.value)
         assert fresh.value.t / grid.h > 3 * CHUNK
+        assert fresh_work == Counter(kernel_steps=3 * CHUNK)
+        assert resumed_work == Counter(kernel_steps=2 * CHUNK)
 
 
 class TestResumedCostates:
@@ -651,7 +659,7 @@ class TestResumedCostates:
     @pytest.mark.parametrize("m", [
         0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
         BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1, 3000, None])
-    def test_equals_a_whole_pass_bit_for_bit(self, m, monkeypatch):
+    def test_equals_a_whole_pass_bit_for_bit(self, m):
         n, last = self.GRID.n_steps, _Pass(self.GRID)
         assert last.steps.shape == ((n + self.PAD) // self.L, self.L, 5, 5)
         prior, _ = resumed_pass(self._controls(1), last)
@@ -661,9 +669,9 @@ class TestResumedCostates:
             u[m:] = self._controls(2)[m:]
         whole = _Pass(self.GRID)
         _, p_whole = resumed_pass(u, whole)
-        built = costate_maps(monkeypatch)
-        pair = resumed_pass(u, last)
-        assert built == [0 if m is None else n - max(m - 1, 0)]
+        with _counting() as work:
+            pair = resumed_pass(u, last)
+        assert work["costate_maps"] == (0 if m is None else n - max(m - 1, 0))
         assert np.array_equal(pair[1], p_whole)
         assert_fresh(pair, u, self.GRID)
         assert last.steps is kept and last.composites is composites  # rewritten in place

@@ -1,6 +1,7 @@
 """Forward-backward sweep: convergence, PMP certificates, frozen channels."""
 
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cropguard.optimal_control as optimal_control
-from conftest import make_random_params, make_random_state
+from conftest import make_random_params, make_random_state, recorded_passes
 from plain_sweep import plain_solve
 from test_integrate import costate_maps, kernel_steps, textbook_costates
 from cropguard.errors import DomainError
-from cropguard.integrate import TimeGrid, _forward_backward, integrate_cost, rk4_adjoint, rk4_model
+from cropguard.integrate import TimeGrid, _counting, integrate_cost, rk4_adjoint, rk4_model
 from cropguard.model import (
     CONTROL_MAX,
     ControlValue,
@@ -26,6 +27,19 @@ from cropguard.model import (
 from cropguard.optimal_control import StopReason, SweepOptions, _candidates, solve
 
 CEILING = np.full(2, CONTROL_MAX)  # both control channels free
+
+
+@pytest.fixture(scope="module")
+def default_passes(baseline, weights, y0, control_grid):
+    """The default solve and its ``recorded_passes``."""
+    with recorded_passes() as passes:
+        sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+    return sol, passes
+
+
+def grids(passes) -> list:
+    """The grid step count of each recorded pass."""
+    return [n for n, _, _ in passes]
 
 
 class TestControlUpdate:
@@ -333,20 +347,12 @@ class TestPlainSweepOracle:
         for k in grown:
             assert sol.change_history[k] == pytest.approx(0.5 * sol.residual_history[k], rel=1e-12)
 
-    def test_every_forward_pass_sees_admissible_controls(
-        self, baseline, weights, y0, control_grid, monkeypatch
-    ):
+    def test_every_forward_pass_sees_admissible_controls(self, default_passes):
         """Mixed iterates are projected onto [0, 1] before the next pass."""
-        seen = []
-
-        def spy(params, w, y0, u, last):
-            seen.append((float(u.min()), float(u.max())))
-            return _forward_backward(params, w, y0, u, last)
-
-        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
-        sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
-        assert len(seen) == sol.iterations_used + 1
-        assert all(0.0 <= lo and hi <= 1.0 for lo, hi in seen)
+        sol, passes = default_passes
+        assert len(passes) == sol.iterations_used + 1
+        assert all(0.0 <= run.controls.min() and run.controls.max() <= 1.0
+                   for _, (run, _), _ in passes)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -432,15 +438,9 @@ class TestNestedSweep:
     N_MIN = optimal_control._COARSEN * optimal_control._MIN_COARSE_STEPS
 
     @pytest.fixture
-    def grids_seen(self, monkeypatch):
-        seen = []
-
-        def spy(params, w, y0, u, last):
-            seen.append(last.grid.n_steps)
-            return _forward_backward(params, w, y0, u, last)
-
-        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
-        return seen
+    def passes_seen(self):
+        with recorded_passes() as passes:
+            yield passes
 
     def test_default_solve_matches_the_direct_solve(
         self, converged_sweep, baseline, weights, y0, control_grid
@@ -452,11 +452,11 @@ class TestNestedSweep:
         assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-8
         assert sol.stationarity_residual <= 1e-6
 
-    def test_the_coarse_grid_is_swept_first(self, baseline, weights, y0, grids_seen):
+    def test_the_coarse_grid_is_swept_first(self, baseline, weights, y0, passes_seen):
         n, coarse = self.N_MIN, self.N_MIN // optimal_control._COARSEN
         sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, n)))
         k = sol.coarse_iterations
-        assert k >= 1 and grids_seen == [coarse] * k + [n] * (sol.iterations_used + 1 - k)
+        assert k >= 1 and grids(passes_seen) == [coarse] * k + [n] * (sol.iterations_used + 1 - k)
         # the histories begin with the coarse iterations: the first J is
         # that of u = 0.5 on the coarse grid
         half = np.full((coarse + 1, 2), 0.5)
@@ -464,12 +464,12 @@ class TestNestedSweep:
                                weights)
         assert sol.objective_history[0] == first
 
-    def test_a_small_grid_skips_the_coarse_stage(self, baseline, weights, y0, grids_seen):
+    def test_a_small_grid_skips_the_coarse_stage(self, baseline, weights, y0, passes_seen):
         sol = solve(baseline, weights, y0, SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN - 1)))
-        assert set(grids_seen) == {self.N_MIN - 1} and sol.coarse_iterations == 0
-        grids_seen.clear()
+        assert set(grids(passes_seen)) == {self.N_MIN - 1} and sol.coarse_iterations == 0
+        passes_seen.clear()
         _direct(baseline, weights, y0, TimeGrid(0.0, 20.0, self.N_MIN))
-        assert set(grids_seen) == {self.N_MIN}
+        assert set(grids(passes_seen)) == {self.N_MIN}
 
     @pytest.mark.parametrize("case", ["budget", "blow-up", "stall"])
     def test_an_unconverged_coarse_stage_is_dropped(self, case, baseline, weights, y0):
@@ -503,55 +503,30 @@ class TestNestedSweep:
         assert np.abs(sol.states.controls - ref.states.controls).max() <= 1e-6
         assert sol.stationarity_residual < 1e-6
 
-    @pytest.fixture(scope="class")
-    def default_passes(self, baseline, weights, y0, control_grid):
-        """The default solve, with the grid of every forward pass and the
-        (run, costates) of every forward/backward pair in call order."""
-        grids, pairs = [], []
-
-        def spy(params, w, y0, u, last):
-            grids.append(last.grid.n_steps)
-            pairs.append(_forward_backward(params, w, y0, u, last))
-            return pairs[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimal_control, "_forward_backward", spy)
-            sol = solve(baseline, weights, y0, SweepOptions(grid=control_grid))
-        return sol, grids, pairs
-
     def test_the_default_solve_takes_five_fine_passes(self, default_passes, control_grid):
         # 4 fine iterations and the refresh
-        sol, grids, _ = default_passes
-        assert sol.converged and grids.count(control_grid.n_steps) == 5
+        sol, passes = default_passes
+        assert sol.converged and grids(passes).count(control_grid.n_steps) == 5
 
     def test_the_default_solve_makes_eight_coarse_and_five_fine_pairs(
         self, default_passes, control_grid
     ):
-        sol, grids, pairs = default_passes
+        sol, passes = default_passes
         n = control_grid.n_steps
         assert sol.coarse_iterations == 8
-        assert grids == [n // optimal_control._COARSEN] * 8 + [n] * 5
-        assert [run.grid.n_steps for run, _ in pairs] == grids
+        assert grids(passes) == [n // optimal_control._COARSEN] * 8 + [n] * 5
+        assert [run.grid.n_steps for _, (run, _), _ in passes] == grids(passes)
 
     def test_later_fine_passes_resume_from_the_first_changed_node(
-        self, baseline, weights, y0, control_grid, monkeypatch
+        self, default_passes, control_grid
     ):
         """Each forward pass after the first on the fine grid continues the
         one before from the first node whose controls changed: at the
         defaults both controls sit on their bounds over the first ~58% of
         the nodes in every later pass, so each runs at most 4,200 steps."""
-        passes, steps = [], kernel_steps(monkeypatch)  # (grid steps, kernel steps) a pass
-
-        def spy(params, w, y0, u, last):
-            before = steps[0]
-            pair = _forward_backward(params, w, y0, u, last)
-            passes.append((last.grid.n_steps, steps[0] - before))
-            return pair
-
-        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
-        solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         n = control_grid.n_steps
-        fine = [ran for grid_steps, ran in passes if grid_steps == n]
+        fine = [work["kernel_steps"] for grid_steps, _, work in default_passes[1]
+                if grid_steps == n]
         assert len(fine) == 5 and fine[0] == n
         assert all(ran <= 4200 for ran in fine[1:]), fine
 
@@ -559,49 +534,42 @@ class TestNestedSweep:
         self, baseline, weights, y0, control_grid, monkeypatch
     ):
         """The costate pass after a resumed forward pass keeps the maps of
-        the steps that pass kept.  Counted apart, through the kernel and
-        through ``costate_matrix``, a default solve runs 34,692 kernel
-        steps and builds 34,692 maps, not the 58,000 of whole passes, and
-        each pass builds as many maps as its kernel ran steps."""
-        passes = []  # (grid steps, kernel steps, maps built) a pair
+        the steps that pass kept.  A default solve runs 34,692 kernel steps
+        and builds 34,692 maps, not the 58,000 of whole passes, and each
+        pass builds as many maps as its kernel ran steps.  ``_counting``
+        reads the same totals as the spies on the kernel and on
+        ``costate_matrix``, which count apart from it."""
         steps, maps = kernel_steps(monkeypatch), costate_maps(monkeypatch)
-
-        def spy(params, w, y0, u, last):
-            before = steps[0], maps[0]
-            pair = _forward_backward(params, w, y0, u, last)
-            passes.append((last.grid.n_steps, steps[0] - before[0], maps[0] - before[1]))
-            return pair
-
-        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
-        solve(baseline, weights, y0, SweepOptions(grid=control_grid))
+        with _counting() as work, recorded_passes() as passes:
+            solve(baseline, weights, y0, SweepOptions(grid=control_grid))
         assert steps == maps == [34_692]
-        assert all(built == kernel for _, kernel, built in passes), passes
+        assert work == Counter(kernel_steps=34_692, costate_maps=34_692)
+        assert all(w["costate_maps"] == w["kernel_steps"] for _, _, w in passes), passes
         n = control_grid.n_steps
-        fine = [built for grid_steps, _, built in passes if grid_steps == n]
+        fine = [w["costate_maps"] for grid_steps, _, w in passes if grid_steps == n]
         assert len(passes) == 13 and len(fine) == 5 and fine[0] == n
 
     def test_every_costate_pass_equals_a_whole_pass(self, default_passes, baseline, weights):
-        _, _, pairs = default_passes
-        for run, costates in pairs:
+        for _, (run, costates), _ in default_passes[1]:
             assert np.array_equal(costates, rk4_adjoint(baseline, weights, run))
 
     def test_the_returned_pair_is_that_of_the_returned_controls(
         self, default_passes, baseline, weights, y0
     ):
-        sol, _, pairs = default_passes
+        sol, passes = default_passes
         run = rk4_model(baseline, y0, sol.states.grid, sol.states.controls)
         assert np.array_equal(sol.states.states, run.states)
         assert np.array_equal(sol.states.costates, rk4_adjoint(baseline, weights, run))
-        assert np.array_equal(pairs[-1][0].controls, sol.states.controls)
+        assert np.array_equal(passes[-1][1][0].controls, sol.states.controls)
 
-    def test_a_last_phi_that_fails_the_stop_rule_takes_the_two_pair_snap(self, grids_seen):
+    def test_a_last_phi_that_fails_the_stop_rule_takes_the_two_pair_snap(self, passes_seen):
         """The direct solve of this problem converges on a mixed step while
         Phi of its last pass is 1.4e-6 away: no snap comes from that pass,
         and the solve snaps to Phi at the returned iterate and refreshes."""
         params, w, y0 = _random_problem(16)
         sol = _direct(params, w, y0, TimeGrid(0.0, 20.0, 2000))
         assert sol.converged and sol.residual_history[-1] > 1e-6
-        assert len(grids_seen) == sol.iterations_used + 2
+        assert len(passes_seen) == sol.iterations_used + 2
         assert sol.stationarity_residual < 1e-6
 
     def test_a_rejected_snap_falls_back_to_the_two_pair_snap(
@@ -612,20 +580,16 @@ class TestNestedSweep:
         returned iterate and refreshes, as when no snap comes from the stage."""
         opts = SweepOptions(grid=TimeGrid(0.0, 20.0, self.N_MIN))
         fast = solve(baseline, weights, y0, opts)
-        certificates, pairs = [], []
-        hinged = optimal_control._hinged_gradient
+        certificates, hinged = [], optimal_control._hinged_gradient
 
         def reject_the_first(*args):
             certificates.append(hinged(*args))
             return math.inf if len(certificates) == 1 else certificates[-1]
 
-        def spy(params, w, y0, u, last):
-            pairs.append(_forward_backward(params, w, y0, u, last))
-            return pairs[-1]
-
         monkeypatch.setattr(optimal_control, "_hinged_gradient", reject_the_first)
-        monkeypatch.setattr(optimal_control, "_forward_backward", spy)
-        sol = solve(baseline, weights, y0, opts)
+        with recorded_passes() as passes:
+            sol = solve(baseline, weights, y0, opts)
+        pairs = [pair for _, pair, _ in passes]
         assert sol.converged and fast.converged
         assert sol.objective_history == fast.objective_history
         assert sol.residual_history == fast.residual_history
@@ -641,19 +605,20 @@ class TestNestedSweep:
 
     def test_the_fine_stage_starts_near_its_fixed_point(self, default_passes):
         # the interpolated coarse controls cut the u2 switch's corner: 0.032
-        sol, _, _ = default_passes
+        sol, _ = default_passes
         assert sol.residual_history[sol.coarse_iterations] < 1e-3
 
     def test_the_default_certificate_tightens(self, default_passes):
         # 4.2998e-11 from the interpolated coarse controls
-        sol, _, _ = default_passes
+        sol, _ = default_passes
         assert sol.stationarity_residual <= 1e-11
 
     def test_the_fine_stage_starts_from_phi_of_the_last_coarse_pass(
         self, default_passes, baseline, weights, control_grid
     ):
-        sol, _, pairs = default_passes
-        (last_run, last_costates), (first_fine, _) = pairs[sol.coarse_iterations - 1:][:2]
+        sol, passes = default_passes
+        (_, (last_run, last_costates), _), (_, (first_fine, _), _) = \
+            passes[sol.coarse_iterations - 1:][:2]
         assert last_run.grid.n_steps * optimal_control._COARSEN == first_fine.grid.n_steps
 
         def on_fine_nodes(a):
